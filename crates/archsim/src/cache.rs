@@ -19,7 +19,11 @@ pub enum Replacement {
 }
 
 /// Architectural cache parameters for simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Only [`CacheParams::new`] builds one, so block size, associativity and
+/// set count are always powers of two and an address decodes by shift
+/// and mask ([`set_and_tag`](Self::set_and_tag)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CacheParams {
     size_bytes: u64,
     block_bytes: u64,
@@ -70,7 +74,23 @@ impl CacheParams {
 
     /// Number of sets.
     pub fn sets(self) -> u64 {
-        self.size_bytes / (self.block_bytes * self.ways)
+        1 << self.set_bits()
+    }
+
+    /// `log2` of the set count.
+    fn set_bits(self) -> u32 {
+        self.size_bytes.trailing_zeros()
+            - self.block_bytes.trailing_zeros()
+            - self.ways.trailing_zeros()
+    }
+
+    /// Decodes `addr` into its set index and tag: the block number's low
+    /// `log2(sets)` bits pick the set, the rest are the tag.
+    pub fn set_and_tag(self, addr: u64) -> (usize, u64) {
+        let block = addr >> self.block_bytes.trailing_zeros();
+        let set_bits = self.set_bits();
+        let set = (block & ((1 << set_bits) - 1)) as usize;
+        (set, block >> set_bits)
     }
 }
 
@@ -103,6 +123,17 @@ impl Outcome {
     /// `true` on a hit.
     pub fn is_hit(self) -> bool {
         matches!(self, Outcome::Hit)
+    }
+
+    /// `true` when the probe evicted a dirty line, which the next level
+    /// down must absorb as a write.
+    pub fn victim_writeback(self) -> bool {
+        matches!(
+            self,
+            Outcome::Miss {
+                victim_writeback: true
+            }
+        )
     }
 }
 
@@ -212,13 +243,6 @@ impl CacheSim {
         self.tick = 0;
     }
 
-    fn set_index_and_tag(&self, addr: u64) -> (usize, u64) {
-        let block = addr / self.params.block_bytes;
-        let set = (block % self.params.sets()) as usize;
-        let tag = block / self.params.sets();
-        (set, tag)
-    }
-
     fn next_random(&mut self) -> u64 {
         // xorshift64*
         let mut x = self.rng_state;
@@ -236,7 +260,7 @@ impl CacheSim {
         if access.is_write() {
             self.stats.writes += 1;
         }
-        let (set, tag) = self.set_index_and_tag(access.addr);
+        let (set, tag) = self.params.set_and_tag(access.addr);
         let ways = self.params.ways() as usize;
         let base = set * ways;
 
@@ -315,6 +339,26 @@ mod tests {
         assert!(CacheParams::new(1024, 64, 32).is_err());
         assert!(CacheParams::new(1024, 64, 16).is_ok()); // fully associative
         assert_eq!(params(16 * 1024, 64, 4).sets(), 64);
+    }
+
+    #[test]
+    fn set_and_tag_matches_division() {
+        for (size, block, ways) in [
+            (1024, 64, 2),
+            (16 * 1024, 64, 4),
+            (4096, 32, 128),
+            (64, 64, 1),
+        ] {
+            let p = params(size, block, ways);
+            let sets = size / (block * ways);
+            assert_eq!(p.sets(), sets);
+            for i in 0..5_000u64 {
+                let addr = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let block_no = addr / block;
+                let want = ((block_no % sets) as usize, block_no / sets);
+                assert_eq!(p.set_and_tag(addr), want, "{p} at {addr:#x}");
+            }
+        }
     }
 
     #[test]

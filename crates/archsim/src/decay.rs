@@ -136,9 +136,7 @@ impl DecaySim {
         }
         let interval = self.decay_interval;
         let tick = self.tick;
-        let block = access.addr / self.params.block_bytes();
-        let set = (block % self.params.sets()) as usize;
-        let tag = block / self.params.sets();
+        let (set, tag) = self.params.set_and_tag(access.addr);
         let ways = self.params.ways() as usize;
         let base = set * ways;
 

@@ -157,58 +157,22 @@ impl MultiLevel {
     /// Returns `Some(i)` when level `i` hit, `None` when the reference
     /// fell through every level to main memory.
     pub fn access(&mut self, access: Access) -> Option<usize> {
-        let n = self.levels.len();
-        for i in 0..n {
-            let out = self.levels[i].access(access);
-            if i > 0 {
-                let d = &mut self.demand[i];
-                d.accesses += 1;
-                if access.is_write() {
-                    d.writes += 1;
-                }
-                if !out.is_hit() {
-                    d.misses += 1;
-                }
-                if matches!(
-                    out,
-                    Outcome::Miss {
-                        victim_writeback: true
-                    }
-                ) {
-                    d.writebacks += 1;
-                }
+        let mut hit = None;
+        let mut victims = 0;
+        let levels = self.levels.iter_mut().zip(&mut self.demand);
+        for (i, (level, demand)) in levels.enumerate() {
+            let probe = if hit.is_none() { Some(demand) } else { None };
+            let (out, evicted) = serve_level(level, victims, probe, access);
+            if out.is_some_and(Outcome::is_hit) {
+                hit = Some(i);
             }
-            if out.is_hit() {
-                return Some(i);
-            }
-            if matches!(
-                out,
-                Outcome::Miss {
-                    victim_writeback: true
-                }
-            ) {
-                // The victim's address is unknown to the cache model (tags
-                // only); write back to the same set region — lower levels
-                // are large enough that this approximation does not
-                // disturb the demand stream. A writeback that itself
-                // evicts a dirty line propagates one level further.
-                self.victim_writebacks[i] += 1;
-                for j in i + 1..n {
-                    let wb = self.levels[j].access(Access::write(access.addr));
-                    if matches!(
-                        wb,
-                        Outcome::Miss {
-                            victim_writeback: true
-                        }
-                    ) {
-                        self.victim_writebacks[j] += 1;
-                    } else {
-                        break;
-                    }
-                }
+            self.victim_writebacks[i] += evicted;
+            victims = evicted;
+            if hit.is_some() && victims == 0 {
+                break;
             }
         }
-        None
+        hit
     }
 
     /// Runs a whole access iterator; returns references processed.
@@ -223,10 +187,8 @@ impl MultiLevel {
 
     /// Snapshot of the per-level statistics.
     pub fn stats(&self) -> MultiLevelStats {
-        let mut levels: Vec<CacheStats> = self.demand.clone();
-        levels[0] = self.levels[0].stats();
         MultiLevelStats {
-            levels,
+            levels: self.demand.clone(),
             writebacks: self.victim_writebacks.clone(),
         }
     }
@@ -243,6 +205,43 @@ impl MultiLevel {
             *w = 0;
         }
     }
+}
+
+/// Serves one CPU reference at one level of a miss chain — the rule
+/// [`MultiLevel`] and the miss-rate table's L2 fan-out
+/// ([`MissRateTable::try_build`](crate::MissRateTable::try_build)) share.
+///
+/// First the level absorbs `victims` writes, one per dirty line the
+/// level above evicted on this reference. A victim's address is unknown
+/// to the tag-only model, so each write goes to `access.addr`; lower
+/// levels are large enough that this does not disturb the demand stream.
+/// Then, when `demand` is given (the reference missed every level above),
+/// the level takes the demand probe and tallies it into `demand`, its
+/// demand-stream statistics, which exclude the writeback traffic.
+///
+/// Returns the demand probe's outcome (`None` without a probe) and the
+/// number of dirty lines this level evicted, which the next level down
+/// absorbs as writes.
+pub(crate) fn serve_level(
+    level: &mut CacheSim,
+    victims: u64,
+    demand: Option<&mut CacheStats>,
+    access: Access,
+) -> (Option<Outcome>, u64) {
+    let mut evicted = 0;
+    for _ in 0..victims {
+        evicted += u64::from(level.access(Access::write(access.addr)).victim_writeback());
+    }
+    let out = demand.map(|d| {
+        let out = level.access(access);
+        d.accesses += 1;
+        d.writes += u64::from(access.is_write());
+        d.misses += u64::from(!out.is_hit());
+        d.writebacks += u64::from(out.victim_writeback());
+        out
+    });
+    evicted += u64::from(out.is_some_and(Outcome::victim_writeback));
+    (out, evicted)
 }
 
 /// An L1 + L2 hierarchy: the two-level view over [`MultiLevel`].
@@ -474,6 +473,22 @@ mod tests {
         }
         assert_eq!(h.access(Access::read(0x40)), Some(1));
         assert_eq!(h.depth(), 2);
+    }
+
+    #[test]
+    fn victim_write_lands_before_the_demand_probe() {
+        // One-line caches: L1's dirty victim is written into L2 at the
+        // missing reference's address, so the demand probe that follows
+        // hits. Probing first would miss.
+        let mut h = chain(&[64, 64], &[1, 1]);
+        assert_eq!(h.access(Access::write(0)), None);
+        assert_eq!(h.access(Access::read(64)), Some(1));
+        let s = h.stats();
+        assert_eq!(s.levels[1].accesses, 2);
+        assert_eq!(s.levels[1].misses, 1);
+        // L1 evicted dirty 0 into L2, whose write in turn evicted its own
+        // dirty copy of 0 (filled by the store's demand probe) to memory.
+        assert_eq!(s.writebacks, vec![1, 1]);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Miss-rate tables over (L1 size × L2 size) combinations — the
 //! architectural statistics the paper's Section 5 optimisations consume.
 
-use crate::cache::{CacheParams, Replacement};
+use crate::access::Access;
+use crate::cache::{CacheParams, CacheSim, CacheStats, Replacement};
 use crate::error::SimError;
-use crate::hierarchy::{MultiLevel, TwoLevel};
+use crate::hierarchy::{serve_level, MultiLevel, TwoLevel};
 use crate::workload::{SuiteKind, Workload};
 use nm_sweep::ParallelSweep;
 use serde::{Deserialize, Serialize};
@@ -29,6 +30,51 @@ impl PairStats {
     pub fn global_miss_rate(&self) -> f64 {
         self.l1_miss_rate * self.l2_local_miss_rate
     }
+
+    /// The rates of `measure` references from the L1's statistics and the
+    /// L2's demand-stream statistics.
+    fn from_counts(l1: CacheStats, l2_demand: CacheStats, measure: u64) -> Self {
+        PairStats {
+            l1_miss_rate: l1.miss_rate(),
+            l2_local_miss_rate: l2_demand.miss_rate(),
+            l1_writeback_rate: if measure == 0 {
+                0.0
+            } else {
+                l1.writebacks as f64 / measure as f64
+            },
+            write_fraction: if l1.accesses == 0 {
+                0.0
+            } else {
+                l1.writes as f64 / l1.accesses as f64
+            },
+            measured: measure,
+        }
+    }
+
+    /// The mean of `count` per-suite stats: rates summed in suite order,
+    /// then divided; `measured` is the total.
+    fn suite_mean(per_suite: impl Iterator<Item = PairStats>, count: usize) -> Self {
+        let mut acc = PairStats {
+            l1_miss_rate: 0.0,
+            l2_local_miss_rate: 0.0,
+            l1_writeback_rate: 0.0,
+            write_fraction: 0.0,
+            measured: 0,
+        };
+        for s in per_suite {
+            acc.l1_miss_rate += s.l1_miss_rate;
+            acc.l2_local_miss_rate += s.l2_local_miss_rate;
+            acc.l1_writeback_rate += s.l1_writeback_rate;
+            acc.write_fraction += s.write_fraction;
+            acc.measured += s.measured;
+        }
+        let n = count.max(1) as f64;
+        acc.l1_miss_rate /= n;
+        acc.l2_local_miss_rate /= n;
+        acc.l1_writeback_rate /= n;
+        acc.write_fraction /= n;
+        acc
+    }
 }
 
 /// Simulates one (L1, L2) pair against a workload: `warmup` references to
@@ -49,20 +95,69 @@ pub fn simulate_pair(
         h.access(workload.next_access());
     }
     let s = h.stats();
-    PairStats {
-        l1_miss_rate: s.l1_miss_rate(),
-        l2_local_miss_rate: s.l2_local_miss_rate(),
-        l1_writeback_rate: if measure == 0 {
-            0.0
-        } else {
-            s.l1_writebacks as f64 / measure as f64
-        },
-        write_fraction: if s.l1.accesses == 0 {
-            0.0
-        } else {
-            s.l1.writes as f64 / s.l1.accesses as f64
-        },
-        measured: measure,
+    PairStats::from_counts(s.l1, s.l2, measure)
+}
+
+/// One L1 whose misses are replayed into one L2 per size, in the order
+/// [`MultiLevel::access`] serves them. The L1 never sees an L2 (there is
+/// no back-invalidation), so each (L1, L2) pair evolves exactly as its
+/// own [`TwoLevel`] hierarchy would, while the stream and the L1 are
+/// simulated once.
+struct L2Fanout {
+    l1: CacheSim,
+    l2s: Vec<(CacheSim, CacheStats)>,
+}
+
+impl L2Fanout {
+    fn new(l1: CacheParams, l2s: &[CacheParams]) -> Self {
+        L2Fanout {
+            l1: CacheSim::new(l1, Replacement::Lru),
+            l2s: l2s
+                .iter()
+                .map(|&p| (CacheSim::new(p, Replacement::Lru), CacheStats::default()))
+                .collect(),
+        }
+    }
+
+    fn access(&mut self, access: Access) {
+        let out = self.l1.access(access);
+        if out.is_hit() {
+            return;
+        }
+        let victims = u64::from(out.victim_writeback());
+        for (l2, demand) in &mut self.l2s {
+            serve_level(l2, victims, Some(demand), access);
+        }
+    }
+
+    fn reset_stats(&mut self) {
+        self.l1.reset_stats();
+        for (l2, demand) in &mut self.l2s {
+            l2.reset_stats();
+            *demand = CacheStats::default();
+        }
+    }
+
+    /// `warmup` references to populate the caches, then `measure`
+    /// references of statistics: the [`PairStats`] of each L2 in turn.
+    fn simulate(
+        mut self,
+        workload: &mut (dyn Workload + Send),
+        warmup: u64,
+        measure: u64,
+    ) -> Vec<PairStats> {
+        for _ in 0..warmup {
+            self.access(workload.next_access());
+        }
+        self.reset_stats();
+        for _ in 0..measure {
+            self.access(workload.next_access());
+        }
+        let l1 = self.l1.stats();
+        self.l2s
+            .iter()
+            .map(|&(_, demand)| PairStats::from_counts(l1, demand, measure))
+            .collect()
     }
 }
 
@@ -123,9 +218,11 @@ pub fn simulate_chain(
 /// A table of [`PairStats`] keyed by `(l1_bytes, l2_bytes)`, averaged over
 /// a suite mix.
 ///
-/// Built once per study and then queried by the optimisers; construction
-/// parallelises across size pairs on the shared bounded executor
-/// ([`nm_sweep::ParallelSweep`]).
+/// Built once per study and then queried by the optimisers. Construction
+/// runs one unit per (suite, L1 size) on the shared bounded executor
+/// ([`nm_sweep::ParallelSweep`]): the unit generates the suite's stream
+/// once, runs it through its L1 and replays each L1 miss into one live
+/// cache per L2 size, so it holds every L2 of the grid at once.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MissRateTable {
     entries: BTreeMap<(u64, u64), PairStats>,
@@ -134,49 +231,16 @@ pub struct MissRateTable {
 
 impl MissRateTable {
     /// Simulates every (L1, L2) size combination over every suite in
-    /// `suites`, averaging the resulting rates per pair.
+    /// `suites`, averaging the resulting rates per pair. Each cell is
+    /// bit-identical to the suite average of [`simulate_pair`] over the
+    /// same stream.
     ///
     /// Block size is 64 B; L1 is 4-way, L2 8-way (paper-era defaults).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a size is not a legal [`CacheParams`] (power of two and
-    /// large enough for its associativity), naming the offending size —
-    /// table construction is static study configuration, and every size
-    /// is validated before any simulation thread starts.
-    pub fn build(
-        l1_sizes: &[u64],
-        l2_sizes: &[u64],
-        suites: &[SuiteKind],
-        seed: u64,
-        warmup: u64,
-        measure: u64,
-    ) -> Self {
-        // Validate the grid up front, naming the offending level and
-        // size, before delegating to the fallible path.
-        for &b in l1_sizes {
-            if let Err(e) = CacheParams::new(b, 64, 4) {
-                panic!("illegal L1 size {b} B: {e}");
-            }
-        }
-        for &b in l2_sizes {
-            if let Err(e) = CacheParams::new(b, 64, 8) {
-                panic!("illegal L2 size {b} B: {e}");
-            }
-        }
-        match Self::try_build(l1_sizes, l2_sizes, suites, seed, warmup, measure) {
-            Ok(table) => table,
-            Err(e) => panic!("illegal cache size in miss-rate grid: {e}"),
-        }
-    }
-
-    /// Fallible [`build`](Self::build): rejects an illegal L1/L2 size
-    /// with a typed error instead of panicking.
     ///
     /// # Errors
     ///
     /// The first [`SimError`] from validating the size grid, in L1-then-L2
-    /// order.
+    /// order, before any simulation starts.
     pub fn try_build(
         l1_sizes: &[u64],
         l2_sizes: &[u64],
@@ -185,51 +249,39 @@ impl MissRateTable {
         warmup: u64,
         measure: u64,
     ) -> Result<Self, SimError> {
-        // Validate the whole grid up front so an illegal size fails fast
-        // with its value, instead of surfacing as a worker-thread panic.
-        let l1_params: Vec<(u64, CacheParams)> = l1_sizes
+        let l1_params: Vec<CacheParams> = l1_sizes
             .iter()
-            .map(|&b| CacheParams::new(b, 64, 4).map(|p| (b, p)))
+            .map(|&b| CacheParams::new(b, 64, 4))
             .collect::<Result<_, _>>()?;
-        let l2_params: Vec<(u64, CacheParams)> = l2_sizes
+        let l2_params: Vec<CacheParams> = l2_sizes
             .iter()
-            .map(|&b| CacheParams::new(b, 64, 8).map(|p| (b, p)))
+            .map(|&b| CacheParams::new(b, 64, 8))
             .collect::<Result<_, _>>()?;
-        let pairs: Vec<((u64, CacheParams), (u64, CacheParams))> = l1_params
+        let units: Vec<(CacheParams, SuiteKind)> = l1_params
             .iter()
-            .flat_map(|&l1| l2_params.iter().map(move |&l2| (l1, l2)))
+            .flat_map(|&l1| suites.iter().map(move |&suite| (l1, suite)))
             .collect();
 
-        let results = ParallelSweep::new().labeled("missrate-table").map(
-            &pairs,
-            |&((l1, l1p), (l2, l2p))| {
-                let mut acc = PairStats {
-                    l1_miss_rate: 0.0,
-                    l2_local_miss_rate: 0.0,
-                    l1_writeback_rate: 0.0,
-                    write_fraction: 0.0,
-                    measured: 0,
-                };
-                for &suite in suites {
+        // `per_unit[i * suites.len() + k][j]`: L1 `i`, suite `k`, L2 `j`.
+        let per_unit =
+            ParallelSweep::new()
+                .labeled("missrate-table")
+                .map(&units, |&(l1, suite)| {
                     let mut w = suite.build(seed);
-                    let s = simulate_pair(l1p, l2p, w.as_mut(), warmup, measure);
-                    acc.l1_miss_rate += s.l1_miss_rate;
-                    acc.l2_local_miss_rate += s.l2_local_miss_rate;
-                    acc.l1_writeback_rate += s.l1_writeback_rate;
-                    acc.write_fraction += s.write_fraction;
-                    acc.measured += s.measured;
-                }
-                let n = suites.len().max(1) as f64;
-                acc.l1_miss_rate /= n;
-                acc.l2_local_miss_rate /= n;
-                acc.l1_writeback_rate /= n;
-                acc.write_fraction /= n;
-                ((l1, l2), acc)
-            },
-        );
+                    L2Fanout::new(l1, &l2_params).simulate(w.as_mut(), warmup, measure)
+                });
+
+        let mut entries = BTreeMap::new();
+        for (i, &l1) in l1_sizes.iter().enumerate() {
+            let unit_row = &per_unit[i * suites.len()..(i + 1) * suites.len()];
+            for (j, &l2) in l2_sizes.iter().enumerate() {
+                let per_suite = unit_row.iter().map(|unit| unit[j]);
+                entries.insert((l1, l2), PairStats::suite_mean(per_suite, suites.len()));
+            }
+        }
 
         Ok(MissRateTable {
-            entries: results.into_iter().collect(),
+            entries,
             suites: suites.iter().map(|s| s.name().to_owned()).collect(),
         })
     }
@@ -335,14 +387,15 @@ mod tests {
 
     #[test]
     fn table_covers_all_pairs() {
-        let t = MissRateTable::build(
+        let t = MissRateTable::try_build(
             &[4 * 1024, 16 * 1024],
             &[128 * 1024, 512 * 1024],
             &[SuiteKind::Spec2000],
             7,
             5_000,
             10_000,
-        );
+        )
+        .unwrap();
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
         assert!(t.get(4 * 1024, 128 * 1024).is_some());
@@ -350,16 +403,70 @@ mod tests {
         assert_eq!(t.suites(), ["spec2000-like"]);
     }
 
+    /// The oracle: the suite mean of one `simulate_pair` per suite.
+    fn averaged_pair(
+        l1: u64,
+        l2: u64,
+        suites: &[SuiteKind],
+        seed: u64,
+        warmup: u64,
+        measure: u64,
+    ) -> PairStats {
+        let l1 = CacheParams::new(l1, 64, 4).unwrap();
+        let l2 = CacheParams::new(l2, 64, 8).unwrap();
+        let per_suite = suites
+            .iter()
+            .map(|suite| simulate_pair(l1, l2, suite.build(seed).as_mut(), warmup, measure));
+        PairStats::suite_mean(per_suite, suites.len())
+    }
+
+    fn bits(s: &PairStats) -> [u64; 5] {
+        [
+            s.l1_miss_rate.to_bits(),
+            s.l2_local_miss_rate.to_bits(),
+            s.l1_writeback_rate.to_bits(),
+            s.write_fraction.to_bits(),
+            s.measured,
+        ]
+    }
+
+    #[test]
+    fn table_cells_are_bit_identical_to_simulate_pair() {
+        let l1_sizes = [2 * 1024, 8 * 1024];
+        let l2_sizes = [16 * 1024, 64 * 1024, 256 * 1024];
+        let suites = [SuiteKind::Spec2000, SuiteKind::TpcC, SuiteKind::SpecWeb];
+        // (warm-up, measured): the usual split, plus both edge cases — the
+        // stats reset at the boundary even when no measured reference
+        // follows it.
+        for (warmup, measure) in [(4_000, 12_000), (0, 8_000), (8_000, 0)] {
+            let table = MissRateTable::try_build(&l1_sizes, &l2_sizes, &suites, 5, warmup, measure)
+                .unwrap();
+            assert_eq!(table.len(), l1_sizes.len() * l2_sizes.len());
+            for &l1 in &l1_sizes {
+                for &l2 in &l2_sizes {
+                    let want = averaged_pair(l1, l2, &suites, 5, warmup, measure);
+                    let got = table.get(l1, l2).unwrap();
+                    assert_eq!(
+                        bits(got),
+                        bits(&want),
+                        "L1 {l1} / L2 {l2}, warm-up {warmup}, measure {measure}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn l2_miss_rate_falls_with_l2_size() {
-        let t = MissRateTable::build(
+        let t = MissRateTable::try_build(
             &[16 * 1024],
             &[128 * 1024, 512 * 1024, 2 * 1024 * 1024],
             &[SuiteKind::TpcC],
             13,
             100_000,
             150_000,
-        );
+        )
+        .unwrap();
         let m128 = t.get(16 * 1024, 128 * 1024).unwrap().l2_local_miss_rate;
         let m2m = t
             .get(16 * 1024, 2 * 1024 * 1024)
@@ -370,35 +477,65 @@ mod tests {
 
     #[test]
     fn l1_miss_rate_monotone_in_l1_size() {
-        let t = MissRateTable::build(
+        let t = MissRateTable::try_build(
             &[4 * 1024, 64 * 1024],
             &[512 * 1024],
             &[SuiteKind::Spec2000, SuiteKind::SpecWeb],
             17,
             50_000,
             80_000,
-        );
+        )
+        .unwrap();
         let m4 = t.get(4 * 1024, 512 * 1024).unwrap().l1_miss_rate;
         let m64 = t.get(64 * 1024, 512 * 1024).unwrap().l1_miss_rate;
         assert!(m64 <= m4, "64K {m64} > 4K {m4}");
     }
 
     #[test]
-    #[should_panic(expected = "illegal L1 size 3000 B")]
     fn illegal_l1_size_is_named_before_any_simulation() {
-        let _ = MissRateTable::build(&[3000], &[256 * 1024], &[SuiteKind::Spec2000], 1, 10, 10);
+        let err = MissRateTable::try_build(
+            &[16 * 1024, 3000],
+            &[100_000],
+            &[SuiteKind::Spec2000],
+            1,
+            10,
+            10,
+        )
+        .unwrap_err();
+        // L1 sizes are checked first, so the bad L2 size is not reached.
+        assert_eq!(
+            err,
+            SimError::NotPowerOfTwo {
+                which: "size",
+                value: 3000
+            }
+        );
     }
 
     #[test]
-    #[should_panic(expected = "illegal L2 size 100000 B")]
     fn illegal_l2_size_is_named_before_any_simulation() {
-        let _ = MissRateTable::build(&[16 * 1024], &[100_000], &[SuiteKind::Spec2000], 1, 10, 10);
+        let err = MissRateTable::try_build(
+            &[16 * 1024],
+            &[256 * 1024, 100_000],
+            &[SuiteKind::Spec2000],
+            1,
+            10,
+            10,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::NotPowerOfTwo {
+                which: "size",
+                value: 100_000
+            }
+        );
     }
 
     #[test]
     fn deterministic_tables() {
         let build = || {
-            MissRateTable::build(
+            MissRateTable::try_build(
                 &[8 * 1024],
                 &[256 * 1024],
                 &[SuiteKind::SpecWeb],

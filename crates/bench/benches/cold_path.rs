@@ -103,7 +103,7 @@ fn bench(c: &mut Criterion) {
     let l2_sizes = TwoLevelStudy::standard_l2_sizes();
     // Miss rates and the AMAT target are inputs to the sweep, not part of
     // the cold path being measured; compute them once up front.
-    let warm = TwoLevelStudy::standard(true);
+    let warm = TwoLevelStudy::standard(true).expect("standard sizes are legal");
     let target = warm
         .amat_target(L1_BYTES, &l2_sizes, SLACK)
         .expect("sizes simulated");

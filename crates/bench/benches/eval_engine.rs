@@ -98,7 +98,7 @@ fn mean_ms(seconds: &[f64]) -> f64 {
 }
 
 fn bench(c: &mut Criterion) {
-    let study = TwoLevelStudy::standard(true);
+    let study = TwoLevelStudy::standard(true).expect("standard sizes are legal");
     let tech = TechnologyNode::bptm65();
     let l2_sizes = TwoLevelStudy::standard_l2_sizes();
     let target = study

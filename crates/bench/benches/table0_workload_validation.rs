@@ -29,7 +29,8 @@ fn bench(c: &mut Criterion) {
         &["suite", "256K", "1M", "4M"],
     );
     for suite in [SuiteKind::Spec2000, SuiteKind::TpcC, SuiteKind::SpecWeb] {
-        let t = MissRateTable::build(&l1_sizes, &l2_sizes, &[suite], 2005, 300_000, 600_000);
+        let t = MissRateTable::try_build(&l1_sizes, &l2_sizes, &[suite], 2005, 300_000, 600_000)
+            .expect("legal cache sizes");
         let mut l1_row = vec![suite.name().to_owned()];
         for &l1 in &l1_sizes {
             l1_row.push(cell(
@@ -52,14 +53,17 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("table0/one_pair_one_suite", |b| {
         b.iter(|| {
-            black_box(MissRateTable::build(
-                &[16 * 1024],
-                &[256 * 1024],
-                &[SuiteKind::Spec2000],
-                2005,
-                20_000,
-                40_000,
-            ))
+            black_box(
+                MissRateTable::try_build(
+                    &[16 * 1024],
+                    &[256 * 1024],
+                    &[SuiteKind::Spec2000],
+                    2005,
+                    20_000,
+                    40_000,
+                )
+                .expect("legal cache sizes"),
+            )
         })
     });
 }

@@ -12,7 +12,7 @@ use nm_device::units::Seconds;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let study = TwoLevelStudy::standard(false);
+    let study = TwoLevelStudy::standard(false).expect("standard sizes are legal");
     let l1_sizes = TwoLevelStudy::standard_l1_sizes();
     let l2 = 1024 * 1024;
 

@@ -327,20 +327,25 @@ impl Campaign {
     /// the evaluator's write-through persistence tier; `None` runs
     /// memory-only (checkpoints still work — they are independent of the
     /// store).
-    pub fn new(config: CampaignConfig, store: Option<Arc<Store>>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`StudyError::Simulator`] when a configured L1 or L2 size is an
+    /// illegal cache shape.
+    pub fn new(config: CampaignConfig, store: Option<Arc<Store>>) -> Result<Self, StudyError> {
         let (warmup, measure) = if config.quick {
             (50_000, 100_000)
         } else {
             (300_000, 600_000)
         };
-        let missrates = MissRateTable::build(
+        let missrates = MissRateTable::try_build(
             &config.l1_sizes,
             &config.l2_sizes,
             &STANDARD_SUITES,
             2005,
             warmup,
             measure,
-        );
+        )?;
         let grid = if config.quick {
             KnobGrid::coarse()
         } else {
@@ -350,12 +355,12 @@ impl Campaign {
             Some(s) => Evaluator::with_store(grid, s),
             None => Evaluator::new(grid),
         };
-        Campaign {
+        Ok(Campaign {
             config,
             eval,
             missrates,
             memory: MainMemory::default(),
-        }
+        })
     }
 
     /// The configuration in use.

@@ -138,26 +138,31 @@ impl TwoLevelStudy {
     /// Builds the standard study: L1 ∈ {4…64 K}, L2 ∈ {256 K…8 M},
     /// averaged over [`STANDARD_SUITES`]. `quick` trades simulation length
     /// for speed (tests); benches use the full-length table.
-    pub fn standard(quick: bool) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`StudyError::Simulator`] should a standard size be an illegal
+    /// cache shape.
+    pub fn standard(quick: bool) -> Result<Self, StudyError> {
         let (warmup, measure) = if quick {
             (30_000, 60_000)
         } else {
             (300_000, 600_000)
         };
-        let missrates = MissRateTable::build(
+        let missrates = MissRateTable::try_build(
             &Self::standard_l1_sizes(),
             &Self::standard_l2_sizes(),
             &STANDARD_SUITES,
             2005,
             warmup,
             measure,
-        );
-        Self::new(
+        )?;
+        Ok(Self::new(
             missrates,
             TechnologyNode::bptm65(),
             KnobGrid::paper(),
             MainMemory::default(),
-        )
+        ))
     }
 
     /// The standard L1 size axis (bytes): 4 K to 64 K, the paper's range.
@@ -413,14 +418,15 @@ mod tests {
             // Long enough to warm the 4 MB L2 — shorter tables leave the
             // large sizes cold and flatten the m2-vs-size curve the
             // Section 5 experiments depend on.
-            let missrates = MissRateTable::build(
+            let missrates = MissRateTable::try_build(
                 &[16 * 1024],
                 &[256 * 1024, 1024 * 1024, 4 * 1024 * 1024],
                 &STANDARD_SUITES,
                 2005,
                 400_000,
                 400_000,
-            );
+            )
+            .unwrap();
             TwoLevelStudy::new(
                 missrates,
                 TechnologyNode::bptm65(),

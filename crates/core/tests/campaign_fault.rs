@@ -62,6 +62,7 @@ fn crash_inside_checkpoint_rewrite_cannot_lose_the_previous_checkpoint() {
     let golden = {
         let dir = tmpdir("golden");
         let out = Campaign::new(config(), None)
+            .expect("legal campaign sizes")
             .run(&ckpt(&dir), false, None)
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(out.complete);
@@ -77,7 +78,7 @@ fn crash_inside_checkpoint_rewrite_cannot_lose_the_previous_checkpoint() {
     ];
     for (op, fault) in faults {
         let dir = tmpdir("crash");
-        let campaign = Campaign::new(config(), None);
+        let campaign = Campaign::new(config(), None).expect("legal campaign sizes");
         // Two cells in: a complete checkpoint exists.
         campaign
             .run(&ckpt(&dir), false, Some(2))
@@ -120,7 +121,7 @@ fn failed_checkpoint_rewrites_leave_no_temp_files() {
     storefault::clear();
 
     let dir = tmpdir("debris");
-    let campaign = Campaign::new(config(), None);
+    let campaign = Campaign::new(config(), None).expect("legal campaign sizes");
     campaign
         .run(&ckpt(&dir), false, Some(1))
         .unwrap_or_else(|e| panic!("{e}"));

@@ -59,7 +59,7 @@ fn poisoned_cell_fails_alone_and_the_campaign_completes() {
     // The first cell's bulk surface build panics on job 0; the executor
     // contains it and the cell is recorded as failed.
     faultinject::arm(Some("eval-surfaces"), 0, Fault::Panic, 1);
-    let campaign = Campaign::new(config(), None);
+    let campaign = Campaign::new(config(), None).expect("legal campaign sizes");
     let out = campaign
         .run(&ckpt(&dir), false, None)
         .unwrap_or_else(|e| panic!("{e}"));
@@ -78,7 +78,7 @@ fn poisoned_cell_fails_alone_and_the_campaign_completes() {
     // The failure is durable: a resumed campaign (fresh process, no
     // faults armed) keeps the recorded outcome instead of silently
     // retrying the cell.
-    let resumed = Campaign::new(config(), None);
+    let resumed = Campaign::new(config(), None).expect("legal campaign sizes");
     let out2 = resumed
         .run(&ckpt(&dir), false, None)
         .unwrap_or_else(|e| panic!("{e}"));
@@ -89,7 +89,7 @@ fn poisoned_cell_fails_alone_and_the_campaign_completes() {
 
     // `fresh` discards the poisoned record and, with no fault armed,
     // the retried cell succeeds.
-    let retried = Campaign::new(config(), None);
+    let retried = Campaign::new(config(), None).expect("legal campaign sizes");
     let out3 = retried
         .run(&ckpt(&dir), true, None)
         .unwrap_or_else(|e| panic!("{e}"));

@@ -46,7 +46,7 @@ fn golden() -> &'static String {
     static GOLDEN: OnceLock<String> = OnceLock::new();
     GOLDEN.get_or_init(|| {
         let dir = tmpdir("golden");
-        let campaign = Campaign::new(config(), None);
+        let campaign = Campaign::new(config(), None).expect("legal campaign sizes");
         let out = campaign
             .run(&ckpt(&dir), false, None)
             .unwrap_or_else(|e| panic!("{e}"));
@@ -65,7 +65,7 @@ fn single_cell_steps_resume_to_a_byte_identical_table() {
     let final_table = loop {
         // A fresh Campaign per step models a process restart: nothing
         // survives but the checkpoint file.
-        let campaign = Campaign::new(config(), None);
+        let campaign = Campaign::new(config(), None).expect("legal campaign sizes");
         let out = campaign
             .run(&ckpt(&dir), false, Some(1))
             .unwrap_or_else(|e| panic!("{e}"));
@@ -89,14 +89,14 @@ fn every_interruption_offset_resumes_to_the_same_table() {
     // checkpoint offsets.
     for k in 1..4 {
         let dir = tmpdir(&format!("offset-{k}"));
-        let partial = Campaign::new(config(), None);
+        let partial = Campaign::new(config(), None).expect("legal campaign sizes");
         let out = partial
             .run(&ckpt(&dir), false, Some(k))
             .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(out.computed, k);
         assert!(!out.complete);
 
-        let resumed = Campaign::new(config(), None);
+        let resumed = Campaign::new(config(), None).expect("legal campaign sizes");
         let out = resumed
             .run(&ckpt(&dir), false, None)
             .unwrap_or_else(|e| panic!("{e}"));
@@ -111,7 +111,7 @@ fn every_interruption_offset_resumes_to_the_same_table() {
 #[test]
 fn corrupt_checkpoint_is_a_typed_error_and_fresh_recovers() {
     let dir = tmpdir("corrupt");
-    let campaign = Campaign::new(config(), None);
+    let campaign = Campaign::new(config(), None).expect("legal campaign sizes");
     campaign
         .run(&ckpt(&dir), false, Some(2))
         .unwrap_or_else(|e| panic!("{e}"));
@@ -145,14 +145,14 @@ fn corrupt_checkpoint_is_a_typed_error_and_fresh_recovers() {
 #[test]
 fn checkpoint_from_a_different_config_is_refused() {
     let dir = tmpdir("mismatch");
-    let campaign = Campaign::new(config(), None);
+    let campaign = Campaign::new(config(), None).expect("legal campaign sizes");
     campaign
         .run(&ckpt(&dir), false, Some(1))
         .unwrap_or_else(|e| panic!("{e}"));
 
     let mut other = config();
     other.slack = 0.25;
-    let refused = Campaign::new(other, None);
+    let refused = Campaign::new(other, None).expect("legal campaign sizes");
     let err = refused
         .run(&ckpt(&dir), false, None)
         .expect_err("foreign checkpoint must be refused");
@@ -172,7 +172,7 @@ fn store_tier_feeds_recomputation_without_changing_output() {
             Store::open(&store_dir).unwrap_or_else(|e| panic!("open {}: {e}", store_dir.display())),
         )
     };
-    let first = Campaign::new(config(), Some(open()));
+    let first = Campaign::new(config(), Some(open())).expect("legal campaign sizes");
     let out = first
         .run(&ckpt(&dir), false, None)
         .unwrap_or_else(|e| panic!("{e}"));
@@ -180,7 +180,7 @@ fn store_tier_feeds_recomputation_without_changing_output() {
 
     // `fresh` recomputes every cell, but the persisted surfaces and
     // fronts satisfy the evaluator — and the table stays byte-identical.
-    let second = Campaign::new(config(), Some(open()));
+    let second = Campaign::new(config(), Some(open())).expect("legal campaign sizes");
     let out2 = second
         .run(&ckpt(&dir), true, None)
         .unwrap_or_else(|e| panic!("{e}"));
@@ -199,7 +199,7 @@ fn empty_axes_complete_immediately() {
     let mut cfg = config();
     cfg.temperatures_c.clear();
     assert!(cfg.is_empty());
-    let campaign = Campaign::new(cfg, None);
+    let campaign = Campaign::new(cfg, None).expect("legal campaign sizes");
     let out = campaign
         .run(&ckpt(&dir), false, None)
         .unwrap_or_else(|e| panic!("{e}"));

@@ -72,14 +72,15 @@ const L2_SIZES: [u64; 3] = [256 * 1024, 1024 * 1024, 4 * 1024 * 1024];
 fn two_level_study() -> &'static TwoLevelStudy {
     static STUDY: OnceLock<TwoLevelStudy> = OnceLock::new();
     STUDY.get_or_init(|| {
-        let missrates = MissRateTable::build(
+        let missrates = MissRateTable::try_build(
             &L1_SIZES,
             &L2_SIZES,
             &STANDARD_SUITES,
             2005,
             400_000,
             400_000,
-        );
+        )
+        .expect("legal cache sizes");
         TwoLevelStudy::new(
             missrates,
             TechnologyNode::bptm65(),

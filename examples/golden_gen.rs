@@ -56,14 +56,15 @@ fn main() {
     // miss-rate table (the same table the unit tests use).
     let l1_sizes: [u64; 3] = [8 * 1024, 16 * 1024, 32 * 1024];
     let l2_sizes: [u64; 3] = [256 * 1024, 1024 * 1024, 4 * 1024 * 1024];
-    let missrates = MissRateTable::build(
+    let missrates = MissRateTable::try_build(
         &l1_sizes,
         &l2_sizes,
         &STANDARD_SUITES,
         2005,
         400_000,
         400_000,
-    );
+    )
+    .expect("legal cache sizes");
     let two = TwoLevelStudy::new(
         missrates,
         TechnologyNode::bptm65(),

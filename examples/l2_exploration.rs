@@ -16,7 +16,7 @@ use nmcache::core::twolevel::TwoLevelStudy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("simulating benchmark suites over the (L1, L2) size matrix ...");
-    let study = TwoLevelStudy::standard(false);
+    let study = TwoLevelStudy::standard(false)?;
     println!(
         "done: {} size pairs x {:?}",
         study.missrates().len(),

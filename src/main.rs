@@ -389,7 +389,7 @@ fn run(command: Command) -> Result<(), AppError> {
             emit(&table, &opts)
         }
         Command::Fig2(opts) => {
-            let missrates = build_missrates(&[opts.l1_bytes], &[opts.l2_bytes], opts.quick);
+            let missrates = build_missrates(&[opts.l1_bytes], &[opts.l2_bytes], opts.quick)?;
             let stats = *missrates.get(opts.l1_bytes, opts.l2_bytes).ok_or(
                 StudyError::MissingMissRates {
                     l1_bytes: opts.l1_bytes,
@@ -470,7 +470,7 @@ fn run(command: Command) -> Result<(), AppError> {
             emit(&table, &opts)
         }
         Command::L2Sweep(opts) => {
-            let study = TwoLevelStudy::standard(opts.quick);
+            let study = TwoLevelStudy::standard(opts.quick)?;
             let l2_sizes = TwoLevelStudy::standard_l2_sizes();
             let target = study.amat_target(opts.l1_bytes, &l2_sizes, opts.slack)?;
             let sweep =
@@ -482,7 +482,7 @@ fn run(command: Command) -> Result<(), AppError> {
             Ok(())
         }
         Command::L1Sweep(opts) => {
-            let study = TwoLevelStudy::standard(opts.quick);
+            let study = TwoLevelStudy::standard(opts.quick)?;
             let l1_sizes = TwoLevelStudy::standard_l1_sizes();
             let mut best = f64::INFINITY;
             for &l1 in &l1_sizes {
@@ -501,7 +501,7 @@ fn run(command: Command) -> Result<(), AppError> {
                 &TwoLevelStudy::standard_l1_sizes(),
                 &TwoLevelStudy::standard_l2_sizes(),
                 opts.quick,
-            );
+            )?;
             let mut out = Table::new(
                 format!("Miss rates averaged over {:?}", table.suites()),
                 &["L1 (KB)", "L2 (KB)", "m1", "m2", "global"],
@@ -786,7 +786,7 @@ fn run_campaign(opts: &CampaignOptions) -> Result<(), AppError> {
         }
     };
     let checkpoint = opts.out.join("checkpoint.nmck");
-    let campaign = Campaign::new(config, store);
+    let campaign = Campaign::new(config, store)?;
     let outcome = campaign.run(&checkpoint, opts.fresh, opts.max_cells)?;
 
     let table = outcome.to_table();
@@ -873,11 +873,22 @@ fn tech_of(name: Option<&str>) -> Result<TechProfile, AppError> {
     }
 }
 
-fn build_missrates(l1_sizes: &[u64], l2_sizes: &[u64], quick: bool) -> MissRateTable {
+fn build_missrates(
+    l1_sizes: &[u64],
+    l2_sizes: &[u64],
+    quick: bool,
+) -> Result<MissRateTable, StudyError> {
     let (warmup, measure) = if quick {
         (50_000, 100_000)
     } else {
         (300_000, 600_000)
     };
-    MissRateTable::build(l1_sizes, l2_sizes, &STANDARD_SUITES, 2005, warmup, measure)
+    Ok(MissRateTable::try_build(
+        l1_sizes,
+        l2_sizes,
+        &STANDARD_SUITES,
+        2005,
+        warmup,
+        measure,
+    )?)
 }

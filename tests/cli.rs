@@ -71,6 +71,28 @@ fn impossible_geometry_is_a_study_error_code() {
 }
 
 #[test]
+fn illegal_miss_rate_grid_size_is_a_study_error_code() {
+    // 3 KB is not a power of two: the miss-rate table rejects it with a
+    // typed error before simulating, for a single pair and for a grid.
+    let dir = campaign_dir("illegal-l1");
+    let fig2 = nmcache()
+        .args(["fig2", "--l1", "3", "--l2", "256", "--quick"])
+        .output()
+        .expect("binary runs");
+    let campaign = nmcache()
+        .args(["campaign", "--l1-sizes", "3", "--quick", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    for out in [fig2, campaign] {
+        assert_eq!(out.status.code(), Some(3), "study errors exit with 3");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("power of two, got 3072"), "{err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupt_binary_trace_is_a_trace_error_code() {
     let dir = std::env::temp_dir().join("nmcache-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");

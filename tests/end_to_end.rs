@@ -19,14 +19,15 @@ use std::sync::OnceLock;
 fn quick_study() -> &'static TwoLevelStudy {
     static STUDY: OnceLock<TwoLevelStudy> = OnceLock::new();
     STUDY.get_or_init(|| {
-        let missrates = MissRateTable::build(
+        let missrates = MissRateTable::try_build(
             &[4 * 1024, 16 * 1024, 64 * 1024],
             &[256 * 1024, 1024 * 1024, 4 * 1024 * 1024],
             &STANDARD_SUITES,
             2005,
             400_000,
             400_000,
-        );
+        )
+        .expect("legal cache sizes");
         TwoLevelStudy::new(
             missrates,
             TechnologyNode::bptm65(),
@@ -205,7 +206,9 @@ fn suite_generators_feed_the_full_pipeline() {
     // Sanity: every suite produces nonzero L1 and L2 demand traffic
     // through the standard hierarchy.
     for suite in SuiteKind::ALL {
-        let table = MissRateTable::build(&[16 * 1024], &[512 * 1024], &[suite], 1, 20_000, 40_000);
+        let table =
+            MissRateTable::try_build(&[16 * 1024], &[512 * 1024], &[suite], 1, 20_000, 40_000)
+                .expect("legal cache sizes");
         let s = table.get(16 * 1024, 512 * 1024).expect("simulated");
         assert!(s.l1_miss_rate > 0.0, "{}: no L1 misses", suite.name());
         assert!(

@@ -61,7 +61,10 @@ fn metrics_roundtrip() {
 fn archsim_types_roundtrip() {
     roundtrip(&Access::read(0x40));
     roundtrip(&Access::write(u64::MAX));
-    roundtrip(&CacheParams::new(16 * 1024, 64, 4).unwrap());
+    // Serialise-only: `CacheParams::new` is the one way to build
+    // parameters, so decoded bytes cannot bypass its power-of-two checks.
+    let params = serde_json::to_string(&CacheParams::new(16 * 1024, 64, 4).unwrap()).unwrap();
+    assert!(params.contains("16384"), "{params}");
     roundtrip(&Replacement::Lru);
     roundtrip(&PairStats {
         l1_miss_rate: 0.05,
