@@ -4,7 +4,7 @@
 //! optionally persists the CSV next to the Criterion output, so each paper
 //! figure/table can be regenerated and diffed from artefacts.
 
-use nm_sweep::SweepStats;
+use nm_telemetry::SweepRecord;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Write};
@@ -150,7 +150,7 @@ pub fn cell(value: f64, decimals: usize) -> String {
 
 /// Renders recorded sweep-executor statistics (one row per completed
 /// sweep, in completion order) for the CLI's `--stats` flag.
-pub fn sweep_stats_table(stats: &[SweepStats]) -> Table {
+pub fn sweep_stats_table(sweeps: &[SweepRecord]) -> Table {
     let mut t = Table::new(
         "Parallel sweeps",
         &[
@@ -164,13 +164,19 @@ pub fn sweep_stats_table(stats: &[SweepStats]) -> Table {
             "dead",
         ],
     );
-    for s in stats {
+    for s in sweeps {
+        let secs = std::time::Duration::from_nanos(s.wall_ns).as_secs_f64();
+        let items_per_sec = if secs > 0.0 {
+            s.items as f64 / secs
+        } else {
+            0.0
+        };
         t.push_row(vec![
             s.label.clone(),
             s.items.to_string(),
             s.workers.to_string(),
-            cell(s.wall.as_secs_f64() * 1e3, 1),
-            cell(s.items_per_sec(), 0),
+            cell(secs * 1e3, 1),
+            cell(items_per_sec, 0),
             s.faults.to_string(),
             s.retries.to_string(),
             s.poisoned_workers.to_string(),
@@ -262,31 +268,45 @@ mod tests {
 
     #[test]
     fn sweep_stats_render_one_row_per_sweep() {
-        let stats = [
-            SweepStats {
+        let sweeps = [
+            SweepRecord {
                 label: "missrate-table".into(),
                 items: 9,
                 workers: 4,
-                wall: std::time::Duration::from_millis(120),
+                wall_ns: 120_000_000,
                 faults: 0,
                 retries: 0,
                 poisoned_workers: 0,
             },
-            SweepStats {
+            SweepRecord {
                 label: "tuple-curves".into(),
                 items: 30,
                 workers: 8,
-                wall: std::time::Duration::from_millis(45),
+                wall_ns: 0,
                 faults: 1,
                 retries: 2,
                 poisoned_workers: 0,
             },
         ];
-        let t = sweep_stats_table(&stats);
+        let t = sweep_stats_table(&sweeps);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.headers().len(), 8);
-        assert!(t.to_string().contains("missrate-table"));
-        assert!(t.headers().iter().any(|h| h == "faults"));
+        assert_eq!(
+            t.headers(),
+            [
+                "sweep",
+                "items",
+                "workers",
+                "wall (ms)",
+                "items/s",
+                "faults",
+                "retries",
+                "dead"
+            ]
+        );
+        let csv = t.to_csv();
+        assert!(csv.contains("missrate-table,9,4,120.0,75,0,0,0"), "{csv}");
+        // An instantaneous sweep reports 0 items/s, not infinity.
+        assert!(csv.contains("tuple-curves,30,8,0.0,0,1,2,0"), "{csv}");
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   typed [`ItemFault`]s instead of unwinding the sweep, and degrades
 //!   to serial execution on the calling thread for any items lost to a
 //!   dead worker.
-//! * **Observable** — each sweep can record a [`SweepStats`] entry
-//!   (items, workers, wall time, faults, retries, poisoned workers)
-//!   into a process-wide registry that the CLI drains with `--stats`.
+//! * **Observable** — while [`nm_telemetry`] records, each sweep adds a
+//!   [`SweepRecord`] (items, workers, wall time, faults, retries,
+//!   poisoned workers) and the `sweep.*` counters to the unified
+//!   registry, which the CLI prints with `--stats`.
 //!
 //! ```
 //! use nm_sweep::ParallelSweep;
@@ -52,11 +53,10 @@
 //! and item index, so all of the above is testable in CI without
 //! wall-clock randomness.
 
-use nm_telemetry::Stopwatch;
+use nm_telemetry::{Stopwatch, SweepRecord};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 pub mod names;
 
@@ -282,7 +282,7 @@ impl ParallelSweep {
         self
     }
 
-    /// Labels this sweep's [`SweepStats`] entry (unlabelled sweeps record
+    /// Labels this sweep's [`SweepRecord`] (unlabelled sweeps record
     /// as `"sweep"`).
     #[must_use]
     pub fn labeled(mut self, label: impl Into<String>) -> Self {
@@ -397,15 +397,7 @@ impl ParallelSweep {
             }
         }
 
-        stats::record(SweepStats {
-            label: self.label.clone().unwrap_or_else(|| "sweep".to_owned()),
-            items: n,
-            workers,
-            wall: start.elapsed(),
-            faults: 0,
-            retries: 0,
-            poisoned_workers: 0,
-        });
+        self.record(n, workers, &start, 0, 0, 0);
 
         #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: executor fill invariant
         let results: Vec<R> = slots
@@ -426,7 +418,7 @@ impl ParallelSweep {
     /// the sweep degrades gracefully: surviving workers drain the queue
     /// and any items lost with the dead worker are re-executed serially
     /// on the calling thread, still contained. Dead workers are counted
-    /// in [`SweepRun::poisoned_workers`] and [`SweepStats`].
+    /// in [`SweepRun::poisoned_workers`] and the [`SweepRecord`].
     ///
     /// Determinism: successful results are bit-identical to
     /// [`map`](Self::map) for any worker count, and the retry policy
@@ -573,15 +565,7 @@ impl ParallelSweep {
         let faults = results.iter().filter(|r| r.is_err()).count();
         let retries = retries.load(Ordering::Relaxed);
 
-        stats::record(SweepStats {
-            label: self.label.clone().unwrap_or_else(|| "sweep".to_owned()),
-            items: n,
-            workers,
-            wall: start.elapsed(),
-            faults,
-            retries,
-            poisoned_workers: poisoned,
-        });
+        self.record(n, workers, &start, faults, retries, poisoned);
 
         SweepRun {
             results,
@@ -589,115 +573,41 @@ impl ParallelSweep {
             poisoned_workers: poisoned,
         }
     }
+
+    /// Adds this finished sweep's [`SweepRecord`] and the `sweep.*`
+    /// counters to the telemetry registry. The gate is checked first, so
+    /// a run that is not recording skips even the label clone.
+    fn record(
+        &self,
+        items: usize,
+        workers: usize,
+        start: &Stopwatch,
+        faults: usize,
+        retries: usize,
+        poisoned_workers: usize,
+    ) {
+        if !nm_telemetry::enabled() {
+            return;
+        }
+        nm_telemetry::counter_add(names::ITEMS, items as u64);
+        nm_telemetry::counter_add(names::FAULTS, faults as u64);
+        nm_telemetry::counter_add(names::RETRIES, retries as u64);
+        nm_telemetry::counter_add(names::POISONED_WORKERS, poisoned_workers as u64);
+        nm_telemetry::record_sweep(SweepRecord {
+            label: self.label.clone().unwrap_or_else(|| "sweep".to_owned()),
+            items,
+            workers,
+            wall_ns: start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+            faults,
+            retries,
+            poisoned_workers,
+        });
+    }
 }
 
 impl Default for ParallelSweep {
     fn default() -> Self {
         ParallelSweep::new()
-    }
-}
-
-/// Timing and fault record of one completed sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepStats {
-    /// Sweep label (from [`ParallelSweep::labeled`]).
-    pub label: String,
-    /// Work items submitted.
-    pub items: usize,
-    /// Worker threads used (≤ the configured bound).
-    pub workers: usize,
-    /// Wall-clock duration of the whole sweep.
-    pub wall: Duration,
-    /// Items that exhausted their attempts (always 0 for
-    /// [`ParallelSweep::map`], which propagates panics instead).
-    pub faults: usize,
-    /// Extra contained attempts beyond each item's first try.
-    pub retries: usize,
-    /// Worker threads that died mid-sweep.
-    pub poisoned_workers: usize,
-}
-
-impl SweepStats {
-    /// Throughput in items per second (`0.0` for an instantaneous sweep).
-    pub fn items_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.items as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-pub mod stats {
-    //! Process-wide sweep-statistics registry.
-    //!
-    //! Since the unified telemetry layer this module is a compatibility
-    //! view over [`nm_telemetry`]: `enable`/`disable` toggle the global
-    //! telemetry gate, `record` stores sweeps (plus `sweep.*` counters)
-    //! in the shared registry, and `drain` removes only the sweep
-    //! entries, preserving the original drain-isolates-regions
-    //! semantics. Disabled by default so library users pay nothing; the
-    //! CLI enables it for `--stats` and drains it after the command
-    //! finishes.
-
-    use super::SweepStats;
-    use std::time::Duration;
-
-    /// Starts recording sweep statistics (enables the whole unified
-    /// telemetry registry — sweeps, counters, spans share one gate).
-    pub fn enable() {
-        nm_telemetry::enable();
-    }
-
-    /// Stops recording (already-recorded entries are kept until drained).
-    pub fn disable() {
-        nm_telemetry::disable();
-    }
-
-    /// `true` while recording.
-    pub fn enabled() -> bool {
-        nm_telemetry::enabled()
-    }
-
-    /// Records one entry (no-op while disabled).
-    pub fn record(entry: SweepStats) {
-        if !enabled() {
-            return;
-        }
-        nm_telemetry::counter_add(crate::names::ITEMS, entry.items as u64);
-        nm_telemetry::counter_add(crate::names::FAULTS, entry.faults as u64);
-        nm_telemetry::counter_add(crate::names::RETRIES, entry.retries as u64);
-        nm_telemetry::counter_add(
-            crate::names::POISONED_WORKERS,
-            entry.poisoned_workers as u64,
-        );
-        nm_telemetry::record_sweep(nm_telemetry::SweepRecord {
-            label: entry.label,
-            items: entry.items,
-            workers: entry.workers,
-            wall_ns: entry.wall.as_nanos().min(u128::from(u64::MAX)) as u64,
-            faults: entry.faults,
-            retries: entry.retries,
-            poisoned_workers: entry.poisoned_workers,
-        });
-    }
-
-    /// Removes and returns every recorded entry, in recording order.
-    /// Counters, spans and histograms stay in the registry.
-    pub fn drain() -> Vec<SweepStats> {
-        nm_telemetry::drain_sweeps()
-            .into_iter()
-            .map(|r| SweepStats {
-                label: r.label,
-                items: r.items,
-                workers: r.workers,
-                wall: Duration::from_nanos(r.wall_ns),
-                faults: r.faults,
-                retries: r.retries,
-                poisoned_workers: r.poisoned_workers,
-            })
-            .collect()
     }
 }
 
@@ -814,6 +724,7 @@ pub mod faultinject {
 mod tests {
     use super::*;
     use std::sync::Mutex;
+    use std::time::Duration;
 
     #[test]
     fn map_preserves_submission_order() {
@@ -875,14 +786,14 @@ mod tests {
         // A 2-item sweep on a 64-worker pool must not spawn 64 threads;
         // the recorded stats expose the actual worker count.
         let _guard = stats_lock();
-        stats::enable();
-        stats::drain();
+        nm_telemetry::enable();
+        nm_telemetry::drain_sweeps();
         ParallelSweep::new()
             .with_workers(64)
             .labeled("tiny")
             .map(&[1, 2], |&x: &i32| x);
-        let recorded = stats::drain();
-        stats::disable();
+        let recorded = nm_telemetry::drain_sweeps();
+        nm_telemetry::disable();
         let entry = recorded
             .iter()
             .find(|s| s.label == "tiny")
@@ -911,25 +822,27 @@ mod tests {
     #[test]
     fn stats_disabled_by_default_and_drain_clears() {
         let _guard = stats_lock();
-        stats::drain();
+        nm_telemetry::drain_sweeps();
         ParallelSweep::new().labeled("ignored").map(&[1u8], |&x| x);
         assert!(
-            stats::drain().iter().all(|s| s.label != "ignored"),
+            nm_telemetry::drain_sweeps()
+                .iter()
+                .all(|s| s.label != "ignored"),
             "recorded while disabled"
         );
 
-        stats::enable();
+        nm_telemetry::enable();
         ParallelSweep::new().labeled("a").map(&[1u8, 2], |&x| x);
         ParallelSweep::new().labeled("b").map(&[3u8], |&x| x);
-        let got = stats::drain();
-        stats::disable();
+        let got = nm_telemetry::drain_sweeps();
+        nm_telemetry::disable();
         let labels: Vec<&str> = got
             .iter()
             .map(|s| s.label.as_str())
             .filter(|l| *l == "a" || *l == "b")
             .collect();
         assert!(labels.contains(&"a") && labels.contains(&"b"), "{labels:?}");
-        assert!(stats::drain().iter().all(|s| s.label != "a"));
+        assert!(nm_telemetry::drain_sweeps().iter().all(|s| s.label != "a"));
     }
 
     #[test]
@@ -946,25 +859,6 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("item 1 is bad"), "lost panic message: {msg}");
-    }
-
-    #[test]
-    fn items_per_sec_is_finite() {
-        let s = SweepStats {
-            label: "x".into(),
-            items: 10,
-            workers: 2,
-            wall: Duration::from_millis(100),
-            faults: 0,
-            retries: 0,
-            poisoned_workers: 0,
-        };
-        assert!((s.items_per_sec() - 100.0).abs() < 1.0);
-        let zero = SweepStats {
-            wall: Duration::ZERO,
-            ..s
-        };
-        assert_eq!(zero.items_per_sec(), 0.0);
     }
 
     #[test]
@@ -1056,8 +950,8 @@ mod tests {
     #[test]
     fn try_map_records_fault_stats() {
         let _guard = stats_lock();
-        stats::enable();
-        stats::drain();
+        nm_telemetry::enable();
+        nm_telemetry::drain_sweeps();
         ParallelSweep::new()
             .with_workers(2)
             .with_retry(RetryPolicy::new(2))
@@ -1066,8 +960,8 @@ mod tests {
                 assert!(x != 1, "bad");
                 x
             });
-        let recorded = stats::drain();
-        stats::disable();
+        let recorded = nm_telemetry::drain_sweeps();
+        nm_telemetry::disable();
         let entry = recorded
             .iter()
             .find(|s| s.label == "faulty")

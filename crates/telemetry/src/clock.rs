@@ -10,9 +10,8 @@
 //! `std::time` clocks is `nm-telemetry` itself.
 //!
 //! A `Stopwatch` is always live (it does not check the registry gate):
-//! callers that feed durations into their own data structures, like the
-//! executor's `SweepStats::wall`, need real readings whether or not
-//! telemetry records. The [`observe`](Stopwatch::observe) convenience
+//! callers that feed durations into their own data structures need real
+//! readings whether or not telemetry records. The [`observe`](Stopwatch::observe) convenience
 //! *is* gated, like every other registry entry point.
 
 use std::time::{Duration, Instant};

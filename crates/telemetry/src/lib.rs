@@ -2,7 +2,7 @@
 //!
 //! Before this crate, instrumentation was scattered: the memoizing
 //! evaluator kept private `EvalStats` counters, the sweep executor kept
-//! its own `SweepStats` registry, and the benches hand-formatted JSON.
+//! its own statistics registry, and the benches hand-formatted JSON.
 //! There was no single place to answer *where did this study spend its
 //! time, which surfaces were cache hits, how many retries fired?*
 //!
@@ -26,10 +26,9 @@
 //! Every entry point first checks one relaxed atomic ([`enabled`]); when
 //! telemetry is off the whole crate costs one load per call site and
 //! records nothing, so golden outputs stay byte-identical. Tests (and
-//! the CLI) use [`enable`] / [`drain`] / [`reset`] with the same
-//! semantics as the old `sweep::stats` pattern: draining removes and
-//! returns everything recorded so far, isolating one measured region
-//! from the next.
+//! the CLI) use [`enable`] / [`drain`] / [`reset`]: draining removes
+//! and returns everything recorded so far, isolating one measured
+//! region from the next.
 //!
 //! ## Exportable run reports
 //!
@@ -204,7 +203,7 @@ pub fn drain() -> Snapshot {
 }
 
 /// Removes and returns only the recorded sweep entries, in recording
-/// order — the compatibility hook behind `nm_sweep::stats::drain`.
+/// order, leaving counters, spans and histograms in place.
 pub fn drain_sweeps() -> Vec<SweepRecord> {
     registry::drain_sweeps()
 }

@@ -8,8 +8,8 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// One completed sweep as the executor reports it — the unified-registry
-/// home of what `nm_sweep::SweepStats` used to keep privately.
+/// One completed sweep as the executor reports it; the CLI's `--stats`
+/// table renders one row per record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepRecord {
     /// Sweep label.

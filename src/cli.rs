@@ -2,9 +2,26 @@
 //!
 //! Hand-rolled (no CLI dependency): a subcommand followed by `--flag
 //! value` pairs. See [`USAGE`] for the full surface.
+//!
+//! Each subcommand declares its flags in one table: a row names the
+//! flag, the kind of value it takes (a plain parse function such as
+//! `positive`, `kb`, `fraction`, `list` or an engine name) and the field
+//! it sets. One loop, `parse_flags`, reads every table, so `--help`, a
+//! missing value and an unknown flag behave alike and each error message
+//! is worded once. Values parse straight into engine types ([`Scheme`],
+//! [`SuiteKind`], [`TechProfile`], [`LogLevel`], [`RuleId`]), so an
+//! unknown name is a usage error. The flags several commands share set
+//! [`RunOptions`] and are written once; each table lists those its
+//! command accepts.
 
+use nm_analyze::rules::RuleId;
+use nm_archsim::workload::SuiteKind;
+use nm_cache_core::groups::Scheme;
+use nm_device::TechProfile;
+use nm_telemetry::LogLevel;
 use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Usage text printed on `--help` or a parse error.
 pub const USAGE: &str = "\
@@ -114,36 +131,8 @@ EXIT CODES:
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Figure 1 curves.
-    Fig1(Options),
-    /// Figure 2 tuple curves.
-    Fig2(Options),
-    /// Scheme comparison table.
-    Schemes(Options),
-    /// L2 size sweep.
-    L2Sweep(Options),
-    /// L1 size sweep.
-    L1Sweep(Options),
-    /// Single-knob ablation.
-    Ablation(Options),
-    /// Surface-fit report.
-    Fit(Options),
-    /// Organisation exploration.
-    Explore(Options),
-    /// Miss-rate table dump.
-    MissRates(Options),
-    /// Variation study.
-    Variation(Options),
-    /// Temperature study.
-    Thermal(Options),
-    /// Knobs-vs-decay study.
-    Decay(Options),
-    /// Split I$/D$ study.
-    SplitL1(Options),
-    /// Trace replay.
-    TraceSim(Options),
-    /// E8 mixed-technology three-level study.
-    E8(Options),
+    /// A study: one paper figure, table or extension (see [`STUDIES`]).
+    Study(Study, Options),
     /// Crash-resumable cross-product campaign.
     Campaign(CampaignOptions),
     /// Deterministic query-mix load generation.
@@ -158,50 +147,71 @@ pub enum Command {
     Help,
 }
 
-/// Options for the `analyze` subcommand (distinct from the study
-/// [`Options`]: the lint pass shares none of the sweep knobs).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AnalyzeOptions {
-    /// JSON report output path (`--json`).
-    pub json: Option<PathBuf>,
-    /// Rule-id subset from `--rules` (e.g. `["D1", "D4"]`); empty means
-    /// all rules. Validated against the real rule set by the runner so
-    /// the parser stays dependency-free.
-    pub rules: Vec<String>,
-    /// Workspace root to scan (`--root`, default `.`).
-    pub root: Option<PathBuf>,
+/// The study subcommands, named in [`STUDIES`] and summarised in
+/// [`USAGE`]; they all share the [`Options`] flag table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Study {
+    Fig1,
+    Fig2,
+    Schemes,
+    L2Sweep,
+    L1Sweep,
+    Ablation,
+    Fit,
+    Explore,
+    MissRates,
+    Variation,
+    Thermal,
+    Decay,
+    SplitL1,
+    TraceSim,
+    E8,
 }
 
-/// Options for the `campaign` subcommand (distinct from the study
-/// [`Options`]: every axis is a list, and the persistence knobs have no
-/// meaning elsewhere).
+/// Every study subcommand by name, in [`USAGE`] order: the one table
+/// that maps names to [`Study`] variants and back.
+pub const STUDIES: [(&str, Study); 15] = [
+    ("fig1", Study::Fig1),
+    ("fig2", Study::Fig2),
+    ("schemes", Study::Schemes),
+    ("l2-sweep", Study::L2Sweep),
+    ("l1-sweep", Study::L1Sweep),
+    ("ablation", Study::Ablation),
+    ("fit", Study::Fit),
+    ("explore", Study::Explore),
+    ("missrates", Study::MissRates),
+    ("variation", Study::Variation),
+    ("thermal", Study::Thermal),
+    ("decay", Study::Decay),
+    ("split-l1", Study::SplitL1),
+    ("trace-sim", Study::TraceSim),
+    ("e8", Study::E8),
+];
+
+impl Command {
+    /// The subcommand name and shared run options of a command that
+    /// takes them (studies, `campaign`, `loadgen`).
+    pub fn run_options(&self) -> Option<(&'static str, &RunOptions)> {
+        match self {
+            Command::Study(study, o) => STUDIES
+                .iter()
+                .find(|(_, s)| s == study)
+                .map(|(name, _)| (*name, &o.run)),
+            Command::Campaign(o) => Some(("campaign", &o.run)),
+            Command::Loadgen(o) => Some(("loadgen", &o.run)),
+            Command::Benchdiff(_) | Command::Analyze(_) | Command::List | Command::Help => None,
+        }
+    }
+}
+
+/// Options several commands share. Each command's flag table lists the
+/// ones it accepts; the rest keep their defaults.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CampaignOptions {
-    /// Campaign directory holding the checkpoint and the store
-    /// (`--out`, required).
-    pub out: PathBuf,
-    /// L1 size axis in bytes (`--l1-sizes`, KB on the command line).
-    pub l1_sizes: Vec<u64>,
-    /// L2 size axis in bytes (`--l2-sizes`, KB on the command line).
-    pub l2_sizes: Vec<u64>,
-    /// Scheme axis (`--schemes`).
-    pub schemes: Vec<SchemeArg>,
-    /// L2 technology axis, unresolved names (`--techs`).
-    pub techs: Vec<String>,
-    /// Temperature axis in °C (`--temps`).
-    pub temps_c: Vec<f64>,
-    /// AMAT slack fraction per cell (`--slack`).
-    pub slack: f64,
-    /// Shorter simulations and the coarse knob grid (`--quick`).
+pub struct RunOptions {
+    /// Shorter simulations (`--quick`).
     pub quick: bool,
-    /// Cells between checkpoint rewrites (`--checkpoint-every`).
-    pub checkpoint_every: usize,
-    /// New-cell budget for this run (`--max-cells`).
-    pub max_cells: Option<usize>,
-    /// Discard an existing checkpoint (`--fresh`).
-    pub fresh: bool,
-    /// Treat an unusable store as fatal (`--require-store`).
-    pub require_store: bool,
+    /// AMAT slack fraction (`--slack`).
+    pub slack: f64,
     /// CSV output path (`--csv`).
     pub csv: Option<PathBuf>,
     /// Worker-thread override for parallel sweeps (`--threads`).
@@ -210,27 +220,116 @@ pub struct CampaignOptions {
     pub stats: bool,
     /// Telemetry report output path (`--metrics`).
     pub metrics: Option<PathBuf>,
+    /// Chrome trace-event output path (`--trace-out`, studies only).
+    pub trace_out: Option<PathBuf>,
+    /// Span-logging verbosity on stderr (`--log-level`, studies only).
+    pub log_level: LogLevel,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            quick: false,
+            slack: 0.15,
+            csv: None,
+            threads: None,
+            stats: false,
+            metrics: None,
+            trace_out: None,
+            log_level: LogLevel::Off,
+        }
+    }
+}
+
+/// Options of the study subcommands.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Options {
+    /// The shared flags.
+    pub run: RunOptions,
+    /// Assignment scheme (`--scheme`).
+    pub scheme: Scheme,
+    /// Sweep steps (`--steps`).
+    pub steps: usize,
+    /// Monte-Carlo samples (`--samples`).
+    pub samples: usize,
+    /// Workload suite (`--suite`).
+    pub suite: SuiteKind,
+    /// Trace file path (`--trace`).
+    pub trace: Option<PathBuf>,
+    /// L1 size in bytes (`--l1`, KB on the command line).
+    pub l1_bytes: u64,
+    /// L2 size in bytes (`--l2`, KB on the command line).
+    pub l2_bytes: u64,
+    /// e8: per-level size overrides in bytes (L1, L2, L3); `None` keeps
+    /// the study's standard shape.
+    pub level_sizes: [Option<u64>; 3],
+    /// e8: L1/L2 technologies (`--l1-tech`, `--l2-tech`).
+    pub upstream_techs: [TechProfile; 2],
+    /// e8: restrict the swept L3 technology to this one candidate.
+    pub l3_tech: Option<TechProfile>,
+}
+
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            run: RunOptions::default(),
+            scheme: Scheme::Uniform,
+            steps: 8,
+            samples: 400,
+            suite: SuiteKind::Spec2000,
+            trace: None,
+            l1_bytes: 16 * 1024,
+            l2_bytes: 1024 * 1024,
+            level_sizes: [None, None, None],
+            upstream_techs: [TechProfile::sram(), TechProfile::sram()],
+            l3_tech: None,
+        }
+    }
+}
+
+/// Options for the `campaign` subcommand: every axis is a list, and the
+/// persistence knobs have no meaning elsewhere.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignOptions {
+    /// The shared flags.
+    pub run: RunOptions,
+    /// Campaign directory holding the checkpoint and the store
+    /// (`--out`, required).
+    pub out: PathBuf,
+    /// L1 size axis in bytes (`--l1-sizes`, KB on the command line).
+    pub l1_sizes: Vec<u64>,
+    /// L2 size axis in bytes (`--l2-sizes`, KB on the command line).
+    pub l2_sizes: Vec<u64>,
+    /// Scheme axis (`--schemes`).
+    pub schemes: Vec<Scheme>,
+    /// L2 technology axis (`--techs`).
+    pub techs: Vec<TechProfile>,
+    /// Temperature axis in °C (`--temps`).
+    pub temps_c: Vec<f64>,
+    /// Cells between checkpoint rewrites (`--checkpoint-every`).
+    pub checkpoint_every: usize,
+    /// New-cell budget for this run (`--max-cells`).
+    pub max_cells: Option<usize>,
+    /// Discard an existing checkpoint (`--fresh`).
+    pub fresh: bool,
+    /// Treat an unusable store as fatal (`--require-store`).
+    pub require_store: bool,
 }
 
 impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
+            run: RunOptions::default(),
             out: PathBuf::new(),
             l1_sizes: vec![16 * 1024, 32 * 1024],
             l2_sizes: vec![256 * 1024, 1024 * 1024],
-            schemes: vec![SchemeArg::Uniform, SchemeArg::Split],
-            techs: vec!["sram".to_owned()],
+            schemes: vec![Scheme::Uniform, Scheme::Split],
+            techs: vec![TechProfile::sram()],
             temps_c: vec![80.0],
-            slack: 0.15,
-            quick: false,
             checkpoint_every: 8,
             max_cells: None,
             fresh: false,
             require_store: false,
-            csv: None,
-            threads: None,
-            stats: false,
-            metrics: None,
         }
     }
 }
@@ -238,16 +337,14 @@ impl Default for CampaignOptions {
 /// Options for the `loadgen` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenOptions {
+    /// The shared flags (`--quick`, `--threads`).
+    pub run: RunOptions,
     /// Mix seed (`--seed`).
     pub seed: u64,
     /// Queries to synthesize (`--queries`).
     pub queries: usize,
     /// Open-loop arrival rate (`--rate`); `None` = closed loop.
     pub rate_qps: Option<f64>,
-    /// Coarse knob grid (`--quick`).
-    pub quick: bool,
-    /// Worker-thread override for the replay pool (`--threads`).
-    pub threads: Option<usize>,
     /// Report output path (`--out`).
     pub out: PathBuf,
 }
@@ -255,11 +352,10 @@ pub struct LoadgenOptions {
 impl Default for LoadgenOptions {
     fn default() -> Self {
         LoadgenOptions {
+            run: RunOptions::default(),
             seed: 2005,
             queries: 200,
             rate_qps: None,
-            quick: false,
-            threads: None,
             out: PathBuf::from("BENCH_serve.json"),
         }
     }
@@ -276,96 +372,42 @@ pub struct BenchdiffOptions {
     pub max_ratio: f64,
 }
 
-/// Assignment scheme selector (mirrors `nm_cache_core::groups::Scheme`
-/// without importing it here, keeping the parser dependency-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchemeArg {
-    /// One pair for the whole cache.
-    #[default]
-    Uniform,
-    /// Cell-array/periphery pairs.
-    Split,
-    /// Independent per-component pairs.
-    PerComponent,
-}
-
-/// Common options across subcommands.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Options {
-    /// Shorter simulations.
-    pub quick: bool,
-    /// AMAT slack fraction.
-    pub slack: f64,
-    /// Assignment scheme.
-    pub scheme: SchemeArg,
-    /// Sweep steps.
-    pub steps: usize,
-    /// Monte-Carlo samples.
-    pub samples: usize,
-    /// Workload suite name (resolved by the runner; `None` = default).
-    pub suite: Option<String>,
-    /// CSV output path.
-    pub csv: Option<PathBuf>,
-    /// Trace file path.
-    pub trace: Option<PathBuf>,
-    /// L1 size in bytes.
-    pub l1_bytes: u64,
-    /// L2 size in bytes.
-    pub l2_bytes: u64,
-    /// e8: per-level size overrides in bytes (L1, L2, L3); `None` keeps
-    /// the study's standard shape.
-    pub level_sizes: [Option<u64>; 3],
-    /// e8: L1/L2 technology names (`None` = SRAM).
-    pub upstream_techs: [Option<String>; 2],
-    /// e8: restrict the swept L3 technology to this one candidate.
-    pub l3_tech: Option<String>,
-    /// Worker-thread override for parallel sweeps (`None` = default).
-    pub threads: Option<usize>,
-    /// Print per-sweep executor statistics after the run.
-    pub stats: bool,
-    /// Telemetry report output path (`--metrics`).
-    pub metrics: Option<PathBuf>,
-    /// Chrome trace-event output path (`--trace-out`).
-    pub trace_out: Option<PathBuf>,
-    /// Span-logging verbosity on stderr (`--log-level`).
-    pub log_level: LogLevelArg,
-}
-
-/// Span-logging verbosity selector (mirrors `nm_telemetry::LogLevel`
-/// without importing it here, keeping the parser dependency-free).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LogLevelArg {
-    /// No span logging (the default).
-    #[default]
-    Off,
-    /// Top-level spans only.
-    Info,
-    /// Every span, indented by nesting depth.
-    Debug,
-}
-
-impl Default for Options {
+impl Default for BenchdiffOptions {
     fn default() -> Self {
-        Options {
-            quick: false,
-            slack: 0.15,
-            scheme: SchemeArg::default(),
-            steps: 8,
-            samples: 400,
-            suite: None,
-            csv: None,
-            trace: None,
-            l1_bytes: 16 * 1024,
-            l2_bytes: 1024 * 1024,
-            level_sizes: [None, None, None],
-            upstream_techs: [None, None],
-            l3_tech: None,
-            threads: None,
-            stats: false,
-            metrics: None,
-            trace_out: None,
-            log_level: LogLevelArg::Off,
+        BenchdiffOptions {
+            baseline: PathBuf::new(),
+            candidate: PathBuf::new(),
+            max_ratio: 2.0,
         }
+    }
+}
+
+/// Options for the `analyze` subcommand.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct AnalyzeOptions {
+    /// JSON report output path (`--json`).
+    pub json: Option<PathBuf>,
+    /// Rule subset from `--rules`, without repeats; empty means all.
+    pub rules: Vec<RuleId>,
+    /// Workspace root to scan (`--root`, default `.`).
+    pub root: Option<PathBuf>,
+}
+
+impl AsMut<RunOptions> for Options {
+    fn as_mut(&mut self) -> &mut RunOptions {
+        &mut self.run
+    }
+}
+
+impl AsMut<RunOptions> for CampaignOptions {
+    fn as_mut(&mut self) -> &mut RunOptions {
+        &mut self.run
+    }
+}
+
+impl AsMut<RunOptions> for LoadgenOptions {
+    fn as_mut(&mut self) -> &mut RunOptions {
+        &mut self.run
     }
 }
 
@@ -386,441 +428,339 @@ impl std::error::Error for CliError {}
 /// # Errors
 ///
 /// Returns a [`CliError`] describing the first unknown command, unknown
-/// flag, or malformed value.
+/// flag, malformed value or unknown engine name.
 pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, CliError> {
-    let mut args = args.into_iter();
-    let Some(cmd) = args.next() else {
+    let args: Vec<String> = args.into_iter().collect();
+    let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    if cmd == "-h" || cmd == "--help" || cmd == "help" {
-        return Ok(Command::Help);
-    }
-    if cmd == "analyze" {
-        return parse_analyze(args);
-    }
-    if cmd == "campaign" {
-        return parse_campaign(args);
-    }
-    if cmd == "loadgen" {
-        return parse_loadgen(args);
-    }
-    if cmd == "benchdiff" {
-        return parse_benchdiff(args);
-    }
-
-    let mut opts = Options::default();
-    let rest: Vec<String> = args.collect();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        rest.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("flag {flag} needs a value")))
-    };
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--quick" => opts.quick = true,
-            "-h" | "--help" => return Ok(Command::Help),
-            "--slack" => {
-                let v = value(&mut i, "--slack")?;
-                opts.slack = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --slack value {v:?}")))?;
-                if !(0.0..=10.0).contains(&opts.slack) {
-                    return Err(CliError(format!("--slack {v} out of range [0, 10]")));
+    let cmd = cmd.as_str();
+    let command = match cmd {
+        "-h" | "--help" | "help" => Some(Command::Help),
+        "analyze" => parse_flags(cmd, &analyze_flags(), rest, None)?.map(Command::Analyze),
+        "loadgen" => parse_flags(cmd, &loadgen_flags(), rest, None)?.map(Command::Loadgen),
+        "campaign" => match parse_flags(cmd, &campaign_flags(), rest, None)? {
+            Some(o) if o.out.as_os_str().is_empty() => {
+                return Err(CliError("campaign requires --out <DIR>".into()))
+            }
+            o => o.map(Command::Campaign),
+        },
+        "benchdiff" => {
+            let mut reports = Vec::new();
+            let opts = parse_flags(cmd, &benchdiff_flags(), rest, Some(&mut reports))?;
+            match (opts, <[PathBuf; 2]>::try_from(reports)) {
+                (Some(o), Ok([baseline, candidate])) => {
+                    Some(Command::Benchdiff(BenchdiffOptions {
+                        baseline,
+                        candidate,
+                        ..o
+                    }))
                 }
-            }
-            "--scheme" => {
-                opts.scheme = match value(&mut i, "--scheme")?.as_str() {
-                    "uniform" | "iii" | "III" => SchemeArg::Uniform,
-                    "split" | "ii" | "II" => SchemeArg::Split,
-                    "per-component" | "i" | "I" => SchemeArg::PerComponent,
-                    other => return Err(CliError(format!("unknown scheme {other:?}"))),
-                };
-            }
-            "--steps" => {
-                let v = value(&mut i, "--steps")?;
-                opts.steps = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --steps value {v:?}")))?;
-                if opts.steps == 0 {
-                    return Err(CliError("--steps must be positive".into()));
-                }
-            }
-            "--samples" => {
-                let v = value(&mut i, "--samples")?;
-                opts.samples = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --samples value {v:?}")))?;
-                if opts.samples == 0 {
-                    return Err(CliError("--samples must be positive".into()));
-                }
-            }
-            "--suite" => opts.suite = Some(value(&mut i, "--suite")?),
-            "--csv" => opts.csv = Some(PathBuf::from(value(&mut i, "--csv")?)),
-            "--trace" => opts.trace = Some(PathBuf::from(value(&mut i, "--trace")?)),
-            "--l1" => {
-                let v = value(&mut i, "--l1")?;
-                let kb: u64 = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --l1 value {v:?}")))?;
-                opts.l1_bytes = kb * 1024;
-            }
-            "--l2" => {
-                let v = value(&mut i, "--l2")?;
-                let kb: u64 = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --l2 value {v:?}")))?;
-                opts.l2_bytes = kb * 1024;
-            }
-            "--l1-size" | "--l2-size" | "--l3-size" => {
-                let flag = rest[i].clone();
-                let idx = match flag.as_str() {
-                    "--l1-size" => 0,
-                    "--l2-size" => 1,
-                    _ => 2,
-                };
-                let v = value(&mut i, &flag)?;
-                let kb: u64 = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad {flag} value {v:?}")))?;
-                if kb == 0 {
-                    return Err(CliError(format!("{flag} must be positive")));
-                }
-                opts.level_sizes[idx] = Some(kb * 1024);
-            }
-            "--l1-tech" | "--l2-tech" | "--l3-tech" => {
-                let flag = rest[i].clone();
-                let v = value(&mut i, &flag)?;
-                match flag.as_str() {
-                    "--l1-tech" => opts.upstream_techs[0] = Some(v),
-                    "--l2-tech" => opts.upstream_techs[1] = Some(v),
-                    _ => opts.l3_tech = Some(v),
-                }
-            }
-            "--threads" => {
-                let v = value(&mut i, "--threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --threads value {v:?}")))?;
-                if n == 0 {
-                    return Err(CliError("--threads must be positive".into()));
-                }
-                opts.threads = Some(n);
-            }
-            "--stats" => opts.stats = true,
-            "--metrics" => opts.metrics = Some(PathBuf::from(value(&mut i, "--metrics")?)),
-            "--trace-out" => opts.trace_out = Some(PathBuf::from(value(&mut i, "--trace-out")?)),
-            "--log-level" => {
-                opts.log_level = match value(&mut i, "--log-level")?.as_str() {
-                    "off" => LogLevelArg::Off,
-                    "info" => LogLevelArg::Info,
-                    "debug" => LogLevelArg::Debug,
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown log level {other:?} (expected off, info or debug)"
-                        )))
-                    }
-                };
-            }
-            other => return Err(CliError(format!("unknown flag {other:?}"))),
-        }
-        i += 1;
-    }
-
-    let command = match cmd.as_str() {
-        "list" => Command::List,
-        "fig1" => Command::Fig1(opts),
-        "fig2" => Command::Fig2(opts),
-        "schemes" => Command::Schemes(opts),
-        "l2-sweep" => Command::L2Sweep(opts),
-        "l1-sweep" => Command::L1Sweep(opts),
-        "ablation" => Command::Ablation(opts),
-        "fit" => Command::Fit(opts),
-        "explore" => Command::Explore(opts),
-        "missrates" => Command::MissRates(opts),
-        "variation" => Command::Variation(opts),
-        "thermal" => Command::Thermal(opts),
-        "decay" => Command::Decay(opts),
-        "split-l1" => Command::SplitL1(opts),
-        "trace-sim" => {
-            if opts.trace.is_none() {
-                return Err(CliError("trace-sim requires --trace <PATH>".into()));
-            }
-            Command::TraceSim(opts)
-        }
-        "e8" => Command::E8(opts),
-        other => return Err(CliError(format!("unknown command {other:?}"))),
-    };
-    Ok(command)
-}
-
-/// Parses the flags of the `analyze` subcommand.
-fn parse_analyze<I: Iterator<Item = String>>(args: I) -> Result<Command, CliError> {
-    let mut opts = AnalyzeOptions::default();
-    let rest: Vec<String> = args.collect();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        rest.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("flag {flag} needs a value")))
-    };
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "-h" | "--help" => return Ok(Command::Help),
-            "--json" => opts.json = Some(PathBuf::from(value(&mut i, "--json")?)),
-            "--root" => opts.root = Some(PathBuf::from(value(&mut i, "--root")?)),
-            "--rules" => {
-                let v = value(&mut i, "--rules")?;
-                let ids: Vec<String> = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-                if ids.is_empty() {
-                    return Err(CliError(format!("--rules {v:?} names no rules")));
-                }
-                opts.rules.extend(ids);
-            }
-            other => return Err(CliError(format!("unknown flag {other:?} for analyze"))),
-        }
-        i += 1;
-    }
-    Ok(Command::Analyze(opts))
-}
-
-/// Parses a comma-separated list, one parsed element per non-empty
-/// entry; an empty or all-comma value is an error (an empty axis is a
-/// mistake, not a request for a zero-cell campaign).
-fn parse_list<T>(
-    flag: &str,
-    raw: &str,
-    elem: impl FnMut(&str) -> Result<T, CliError>,
-) -> Result<Vec<T>, CliError> {
-    let items: Vec<&str> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    if items.is_empty() {
-        return Err(CliError(format!("{flag} {raw:?} names no values")));
-    }
-    items.into_iter().map(elem).collect()
-}
-
-/// Parses the flags of the `campaign` subcommand.
-fn parse_campaign<I: Iterator<Item = String>>(args: I) -> Result<Command, CliError> {
-    let mut opts = CampaignOptions::default();
-    let mut have_out = false;
-    let rest: Vec<String> = args.collect();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        rest.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("flag {flag} needs a value")))
-    };
-    let size_axis = |flag: &str, raw: &str| -> Result<Vec<u64>, CliError> {
-        parse_list(flag, raw, |s| {
-            let kb: u64 = s
-                .parse()
-                .map_err(|_| CliError(format!("bad {flag} entry {s:?}")))?;
-            if kb == 0 {
-                return Err(CliError(format!("{flag} entries must be positive")));
-            }
-            Ok(kb * 1024)
-        })
-    };
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "-h" | "--help" => return Ok(Command::Help),
-            "--out" => {
-                opts.out = PathBuf::from(value(&mut i, "--out")?);
-                have_out = true;
-            }
-            "--l1-sizes" => opts.l1_sizes = size_axis("--l1-sizes", &value(&mut i, "--l1-sizes")?)?,
-            "--l2-sizes" => opts.l2_sizes = size_axis("--l2-sizes", &value(&mut i, "--l2-sizes")?)?,
-            "--schemes" => {
-                let v = value(&mut i, "--schemes")?;
-                opts.schemes = parse_list("--schemes", &v, |s| match s {
-                    "uniform" | "iii" | "III" => Ok(SchemeArg::Uniform),
-                    "split" | "ii" | "II" => Ok(SchemeArg::Split),
-                    "per-component" | "i" | "I" => Ok(SchemeArg::PerComponent),
-                    other => Err(CliError(format!("unknown scheme {other:?}"))),
-                })?;
-            }
-            "--techs" => {
-                let v = value(&mut i, "--techs")?;
-                opts.techs = parse_list("--techs", &v, |s| Ok(s.to_owned()))?;
-            }
-            "--temps" => {
-                let v = value(&mut i, "--temps")?;
-                opts.temps_c = parse_list("--temps", &v, |s| {
-                    let t: f64 = s
-                        .parse()
-                        .map_err(|_| CliError(format!("bad --temps entry {s:?}")))?;
-                    if !t.is_finite() {
-                        return Err(CliError(format!("--temps entry {s:?} is not finite")));
-                    }
-                    Ok(t)
-                })?;
-            }
-            "--slack" => {
-                let v = value(&mut i, "--slack")?;
-                opts.slack = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --slack value {v:?}")))?;
-                if !(0.0..=10.0).contains(&opts.slack) {
-                    return Err(CliError(format!("--slack {v} out of range [0, 10]")));
-                }
-            }
-            "--quick" => opts.quick = true,
-            "--checkpoint-every" => {
-                let v = value(&mut i, "--checkpoint-every")?;
-                opts.checkpoint_every = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --checkpoint-every value {v:?}")))?;
-                if opts.checkpoint_every == 0 {
-                    return Err(CliError("--checkpoint-every must be positive".into()));
-                }
-            }
-            "--max-cells" => {
-                let v = value(&mut i, "--max-cells")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --max-cells value {v:?}")))?;
-                opts.max_cells = Some(n);
-            }
-            "--fresh" => opts.fresh = true,
-            "--require-store" => opts.require_store = true,
-            "--csv" => opts.csv = Some(PathBuf::from(value(&mut i, "--csv")?)),
-            "--threads" => {
-                let v = value(&mut i, "--threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --threads value {v:?}")))?;
-                if n == 0 {
-                    return Err(CliError("--threads must be positive".into()));
-                }
-                opts.threads = Some(n);
-            }
-            "--stats" => opts.stats = true,
-            "--metrics" => opts.metrics = Some(PathBuf::from(value(&mut i, "--metrics")?)),
-            other => return Err(CliError(format!("unknown flag {other:?} for campaign"))),
-        }
-        i += 1;
-    }
-    if !have_out {
-        return Err(CliError("campaign requires --out <DIR>".into()));
-    }
-    Ok(Command::Campaign(opts))
-}
-
-/// Parses the flags of the `loadgen` subcommand.
-fn parse_loadgen<I: Iterator<Item = String>>(args: I) -> Result<Command, CliError> {
-    let mut opts = LoadgenOptions::default();
-    let rest: Vec<String> = args.collect();
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        rest.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("flag {flag} needs a value")))
-    };
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "-h" | "--help" => return Ok(Command::Help),
-            "--seed" => {
-                let v = value(&mut i, "--seed")?;
-                opts.seed = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --seed value {v:?}")))?;
-            }
-            "--queries" => {
-                let v = value(&mut i, "--queries")?;
-                opts.queries = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --queries value {v:?}")))?;
-                if opts.queries == 0 {
-                    return Err(CliError("--queries must be positive".into()));
-                }
-            }
-            "--rate" => {
-                let v = value(&mut i, "--rate")?;
-                let rate: f64 = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --rate value {v:?}")))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err(CliError(format!("--rate {v} must be a positive rate")));
-                }
-                opts.rate_qps = Some(rate);
-            }
-            "--quick" => opts.quick = true,
-            "--threads" => {
-                let v = value(&mut i, "--threads")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --threads value {v:?}")))?;
-                if n == 0 {
-                    return Err(CliError("--threads must be positive".into()));
-                }
-                opts.threads = Some(n);
-            }
-            "--out" => opts.out = PathBuf::from(value(&mut i, "--out")?),
-            other => return Err(CliError(format!("unknown flag {other:?} for loadgen"))),
-        }
-        i += 1;
-    }
-    Ok(Command::Loadgen(opts))
-}
-
-/// Parses the `benchdiff` subcommand: two positional report paths, then
-/// flags.
-fn parse_benchdiff<I: Iterator<Item = String>>(args: I) -> Result<Command, CliError> {
-    let rest: Vec<String> = args.collect();
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut max_ratio = 2.0f64;
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, CliError> {
-        *i += 1;
-        rest.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError(format!("flag {flag} needs a value")))
-    };
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "-h" | "--help" => return Ok(Command::Help),
-            "--max-ratio" => {
-                let v = value(&mut i, "--max-ratio")?;
-                max_ratio = v
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --max-ratio value {v:?}")))?;
-                if !max_ratio.is_finite() || max_ratio <= 0.0 {
+                (Some(_), Err(got)) => {
                     return Err(CliError(format!(
-                        "--max-ratio {v} must be a positive ratio"
-                    )));
+                        "benchdiff needs exactly two report paths (<BASELINE> <CANDIDATE>), got {}",
+                        got.len()
+                    )))
+                }
+                (None, _) => None,
+            }
+        }
+        // `list` takes (and ignores) the study flags.
+        "list" => parse_flags(cmd, &study_flags(), rest, None)?.map(|_| Command::List),
+        _ => {
+            let Some(&(_, study)) = STUDIES.iter().find(|(name, _)| *name == cmd) else {
+                return Err(CliError(format!("unknown command {cmd:?}")));
+            };
+            match parse_flags(cmd, &study_flags(), rest, None)? {
+                Some(o) if study == Study::TraceSim && o.trace.is_none() => {
+                    return Err(CliError("trace-sim requires --trace <PATH>".into()))
+                }
+                o => o.map(|o| Command::Study(study, o)),
+            }
+        }
+    };
+    Ok(command.unwrap_or(Command::Help))
+}
+
+/// A command's flag table: one row per flag, each naming the flag, the
+/// kind of value it takes and the field it sets.
+struct Flags<O> {
+    rows: Vec<(&'static str, Action<O>)>,
+}
+
+enum Action<O> {
+    /// A switch: takes no value.
+    Switch(fn(&mut O)),
+    /// Parses the next argument and stores it.
+    Value(Store<O>),
+}
+
+/// Parses a raw value and stores it in `O`.
+type Store<O> = Box<dyn Fn(&mut O, &str) -> Result<(), CliError>>;
+
+impl<O: 'static> Flags<O> {
+    fn new() -> Self {
+        Flags { rows: Vec::new() }
+    }
+
+    /// Adds a switch.
+    fn switch(mut self, name: &'static str, set: fn(&mut O)) -> Self {
+        self.rows.push((name, Action::Switch(set)));
+        self
+    }
+
+    /// Adds a flag whose value `kind` parses and `set` stores.
+    fn value<T>(
+        mut self,
+        name: &'static str,
+        kind: impl Fn(&str, &str) -> Result<T, CliError> + 'static,
+        set: impl Fn(&mut O, T) + 'static,
+    ) -> Self {
+        let store = move |opts: &mut O, raw: &str| {
+            set(opts, kind(name, raw)?);
+            Ok(())
+        };
+        self.rows.push((name, Action::Value(Box::new(store))));
+        self
+    }
+}
+
+/// The shared flags, each written once.
+impl<O: AsMut<RunOptions> + 'static> Flags<O> {
+    fn quick(self) -> Self {
+        self.switch("--quick", |o| o.as_mut().quick = true)
+    }
+
+    fn slack(self) -> Self {
+        self.value("--slack", fraction, |o, v| o.as_mut().slack = v)
+    }
+
+    fn csv(self) -> Self {
+        self.value("--csv", path, |o, v| o.as_mut().csv = Some(v))
+    }
+
+    fn threads(self) -> Self {
+        self.value("--threads", positive(number), |o, v| {
+            o.as_mut().threads = Some(v)
+        })
+    }
+
+    fn stats(self) -> Self {
+        self.switch("--stats", |o| o.as_mut().stats = true)
+    }
+
+    fn metrics(self) -> Self {
+        self.value("--metrics", path, |o, v| o.as_mut().metrics = Some(v))
+    }
+}
+
+/// The one parse loop: applies `args` to a default `O` through `flags`.
+/// Returns `None` when help was asked for. Bare words go to
+/// `positionals` when the command takes them and are unknown flags
+/// otherwise.
+fn parse_flags<O: Default>(
+    cmd: &str,
+    flags: &Flags<O>,
+    args: &[String],
+    mut positionals: Option<&mut Vec<PathBuf>>,
+) -> Result<Option<O>, CliError> {
+    let mut opts = O::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "-h" || arg == "--help" {
+            return Ok(None);
+        }
+        match flags.rows.iter().find(|(name, _)| name == arg) {
+            Some((_, Action::Switch(set))) => set(&mut opts),
+            Some((name, Action::Value(store))) => {
+                let raw = args
+                    .next()
+                    .ok_or_else(|| CliError(format!("flag {name} needs a value")))?;
+                store(&mut opts, raw)?;
+            }
+            None => match positionals.as_deref_mut() {
+                Some(bare) if !arg.starts_with('-') => bare.push(PathBuf::from(arg)),
+                _ => return Err(CliError(format!("unknown flag {arg:?} for {cmd}"))),
+            },
+        }
+    }
+    Ok(Some(opts))
+}
+
+fn study_flags() -> Flags<Options> {
+    Flags::<Options>::new()
+        .quick()
+        .slack()
+        .csv()
+        .threads()
+        .stats()
+        .metrics()
+        .value("--trace-out", path, |o, v| o.run.trace_out = Some(v))
+        .value("--log-level", log_level, |o, v| o.run.log_level = v)
+        .value("--scheme", scheme, |o, v| o.scheme = v)
+        .value("--steps", positive(number), |o, v| o.steps = v)
+        .value("--samples", positive(number), |o, v| o.samples = v)
+        .value("--suite", suite, |o, v| o.suite = v)
+        .value("--trace", path, |o, v| o.trace = Some(v))
+        .value("--l1", kb, |o, v| o.l1_bytes = v)
+        .value("--l2", kb, |o, v| o.l2_bytes = v)
+        .value("--l1-size", kb, |o, v| o.level_sizes[0] = Some(v))
+        .value("--l2-size", kb, |o, v| o.level_sizes[1] = Some(v))
+        .value("--l3-size", kb, |o, v| o.level_sizes[2] = Some(v))
+        .value("--l1-tech", tech, |o, v| o.upstream_techs[0] = v)
+        .value("--l2-tech", tech, |o, v| o.upstream_techs[1] = v)
+        .value("--l3-tech", tech, |o, v| o.l3_tech = Some(v))
+}
+
+fn campaign_flags() -> Flags<CampaignOptions> {
+    Flags::<CampaignOptions>::new()
+        .quick()
+        .slack()
+        .csv()
+        .threads()
+        .stats()
+        .metrics()
+        .value("--out", path, |o, v| o.out = v)
+        .value("--l1-sizes", list(kb), |o, v| o.l1_sizes = v)
+        .value("--l2-sizes", list(kb), |o, v| o.l2_sizes = v)
+        .value("--schemes", list(scheme), |o, v| o.schemes = v)
+        .value("--techs", list(tech), |o, v| o.techs = v)
+        .value("--temps", list(real), |o, v| o.temps_c = v)
+        .value("--checkpoint-every", positive(number), |o, v| {
+            o.checkpoint_every = v
+        })
+        .value("--max-cells", number, |o, v| o.max_cells = Some(v))
+        .switch("--fresh", |o| o.fresh = true)
+        .switch("--require-store", |o| o.require_store = true)
+}
+
+fn loadgen_flags() -> Flags<LoadgenOptions> {
+    Flags::<LoadgenOptions>::new()
+        .quick()
+        .threads()
+        .value("--seed", number, |o, v| o.seed = v)
+        .value("--queries", positive(number), |o, v| o.queries = v)
+        .value("--rate", positive(real), |o, v| o.rate_qps = Some(v))
+        .value("--out", path, |o, v| o.out = v)
+}
+
+fn benchdiff_flags() -> Flags<BenchdiffOptions> {
+    Flags::<BenchdiffOptions>::new().value("--max-ratio", positive(real), |o, v| o.max_ratio = v)
+}
+
+fn analyze_flags() -> Flags<AnalyzeOptions> {
+    Flags::<AnalyzeOptions>::new()
+        .value("--json", path, |o, v| o.json = Some(v))
+        .value("--rules", list(rule), |o, v| {
+            for rule in v {
+                if !o.rules.contains(&rule) {
+                    o.rules.push(rule);
                 }
             }
-            flag if flag.starts_with('-') => {
-                return Err(CliError(format!("unknown flag {flag:?} for benchdiff")))
-            }
-            path => paths.push(PathBuf::from(path)),
-        }
-        i += 1;
+        })
+        .value("--root", path, |o, v| o.root = Some(v))
+}
+
+// Value kinds: each reads one raw value for `flag`.
+
+fn bad(flag: &str, raw: &str) -> CliError {
+    CliError(format!("bad {flag} value {raw:?}"))
+}
+
+fn path(_flag: &str, raw: &str) -> Result<PathBuf, CliError> {
+    Ok(PathBuf::from(raw))
+}
+
+fn number<T: FromStr>(flag: &str, raw: &str) -> Result<T, CliError> {
+    raw.parse().map_err(|_| bad(flag, raw))
+}
+
+/// A finite real.
+fn real(flag: &str, raw: &str) -> Result<f64, CliError> {
+    let x: f64 = number(flag, raw)?;
+    if !x.is_finite() {
+        return Err(bad(flag, raw));
     }
-    let [baseline, candidate] = <[PathBuf; 2]>::try_from(paths).map_err(|got| {
-        CliError(format!(
-            "benchdiff needs exactly two report paths (<BASELINE> <CANDIDATE>), got {}",
-            got.len()
-        ))
-    })?;
-    Ok(Command::Benchdiff(BenchdiffOptions {
-        baseline,
-        candidate,
-        max_ratio,
-    }))
+    Ok(x)
+}
+
+/// `kind`, restricted to values above zero.
+fn positive<T: PartialOrd + Default>(
+    kind: fn(&str, &str) -> Result<T, CliError>,
+) -> impl Fn(&str, &str) -> Result<T, CliError> {
+    move |flag, raw| match kind(flag, raw)? {
+        x if x > T::default() => Ok(x),
+        _ => Err(CliError(format!("{flag} must be positive"))),
+    }
+}
+
+/// A positive size in KB, returned in bytes.
+fn kb(flag: &str, raw: &str) -> Result<u64, CliError> {
+    positive(number::<u64>)(flag, raw)?
+        .checked_mul(1024)
+        .ok_or_else(|| bad(flag, raw))
+}
+
+/// An AMAT slack fraction in `[0, 10]`.
+fn fraction(flag: &str, raw: &str) -> Result<f64, CliError> {
+    let x: f64 = number(flag, raw)?;
+    if !(0.0..=10.0).contains(&x) {
+        return Err(CliError(format!("{flag} {raw} out of range [0, 10]")));
+    }
+    Ok(x)
+}
+
+/// A comma-separated list of `elem` values. An empty or all-comma value
+/// is an error: an empty axis is a mistake, not a request for nothing.
+fn list<T>(
+    elem: fn(&str, &str) -> Result<T, CliError>,
+) -> impl Fn(&str, &str) -> Result<Vec<T>, CliError> {
+    move |flag, raw| {
+        let items: Vec<&str> = raw
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .collect();
+        if items.is_empty() {
+            return Err(CliError(format!("{flag} {raw:?} names no values")));
+        }
+        items.into_iter().map(|item| elem(flag, item)).collect()
+    }
+}
+
+// Engine names: each resolves straight into the engine's type.
+
+fn unknown(what: &str, raw: &str, expected: &str) -> CliError {
+    CliError(format!("unknown {what} {raw:?}{expected}"))
+}
+
+fn scheme(_flag: &str, raw: &str) -> Result<Scheme, CliError> {
+    match raw {
+        "uniform" | "iii" | "III" => Ok(Scheme::Uniform),
+        "split" | "ii" | "II" => Ok(Scheme::Split),
+        "per-component" | "i" | "I" => Ok(Scheme::PerComponent),
+        _ => Err(unknown("scheme", raw, "")),
+    }
+}
+
+fn suite(_flag: &str, raw: &str) -> Result<SuiteKind, CliError> {
+    SuiteKind::from_name(raw).ok_or_else(|| unknown("suite", raw, ""))
+}
+
+fn tech(_flag: &str, raw: &str) -> Result<TechProfile, CliError> {
+    TechProfile::by_name(raw).ok_or_else(|| {
+        let expected = format!(" (expected one of {:?})", TechProfile::KNOWN_NAMES);
+        unknown("technology", raw, &expected)
+    })
+}
+
+fn log_level(_flag: &str, raw: &str) -> Result<LogLevel, CliError> {
+    LogLevel::from_name(raw)
+        .ok_or_else(|| unknown("log level", raw, " (expected off, info or debug)"))
+}
+
+fn rule(_flag: &str, raw: &str) -> Result<RuleId, CliError> {
+    RuleId::from_name(raw).ok_or_else(|| unknown("rule", raw, " (expected D1..D6)"))
 }
 
 #[cfg(test)]
@@ -831,9 +771,25 @@ mod tests {
         parse(s.split_whitespace().map(str::to_owned))
     }
 
+    /// The options of a study subcommand, or a panic naming what parsed.
+    fn study(s: &str, expected: Study) -> Options {
+        match parse_str(s) {
+            Ok(Command::Study(got, o)) if got == expected => o,
+            other => panic!("{s}: {other:?}"),
+        }
+    }
+
+    fn err(s: &str) -> String {
+        match parse_str(s) {
+            Err(CliError(msg)) => msg,
+            Ok(c) => panic!("{s} parsed: {c:?}"),
+        }
+    }
+
     #[test]
     fn list_parses() {
         assert_eq!(parse_str("list"), Ok(Command::List));
+        assert_eq!(parse_str("list --quick"), Ok(Command::List));
     }
 
     #[test]
@@ -844,35 +800,43 @@ mod tests {
     }
 
     #[test]
-    fn subcommands_parse_with_defaults() {
-        match parse_str("fig1").unwrap() {
-            Command::Fig1(o) => {
-                assert!(!o.quick);
-                assert_eq!(o.l1_bytes, 16 * 1024);
-            }
-            other => panic!("{other:?}"),
+    fn study_names_round_trip_through_the_table() {
+        for (name, s) in STUDIES {
+            let args = if s == Study::TraceSim {
+                format!("{name} --trace t")
+            } else {
+                name.to_owned()
+            };
+            let command = parse_str(&args).unwrap();
+            assert!(matches!(command, Command::Study(got, _) if got == s));
+            assert_eq!(command.run_options().map(|(n, _)| n), Some(name));
         }
+    }
+
+    #[test]
+    fn subcommands_parse_with_defaults() {
+        let o = study("fig1", Study::Fig1);
+        assert!(!o.run.quick);
+        assert_eq!(o.l1_bytes, 16 * 1024);
+        assert_eq!(o, Options::default());
     }
 
     #[test]
     fn flags_apply() {
-        match parse_str("l2-sweep --scheme split --slack 0.08 --quick --l1 32").unwrap() {
-            Command::L2Sweep(o) => {
-                assert_eq!(o.scheme, SchemeArg::Split);
-                assert!((o.slack - 0.08).abs() < 1e-12);
-                assert!(o.quick);
-                assert_eq!(o.l1_bytes, 32 * 1024);
-            }
-            other => panic!("{other:?}"),
-        }
+        let o = study(
+            "l2-sweep --scheme split --slack 0.08 --quick --l1 32",
+            Study::L2Sweep,
+        );
+        assert_eq!(o.scheme, Scheme::Split);
+        assert!((o.run.slack - 0.08).abs() < 1e-12);
+        assert!(o.run.quick);
+        assert_eq!(o.l1_bytes, 32 * 1024);
     }
 
     #[test]
     fn scheme_numerals_accepted() {
-        match parse_str("schemes --scheme I").unwrap() {
-            Command::Schemes(o) => assert_eq!(o.scheme, SchemeArg::PerComponent),
-            other => panic!("{other:?}"),
-        }
+        let o = study("schemes --scheme I", Study::Schemes);
+        assert_eq!(o.scheme, Scheme::PerComponent);
     }
 
     #[test]
@@ -883,77 +847,112 @@ mod tests {
         assert!(parse_str("fig1 --slack").is_err());
         assert!(parse_str("fig1 --steps 0").is_err());
         assert!(parse_str("fig1 --slack 99").is_err());
+        assert!(parse_str("fig1 stray").is_err());
         assert!(parse_str("l2-sweep --scheme bogus").is_err());
+    }
+
+    #[test]
+    fn error_messages_are_worded_once() {
+        assert_eq!(err("bogus"), "unknown command \"bogus\"");
+        assert_eq!(err("fig1 --wat"), "unknown flag \"--wat\" for fig1");
+        assert_eq!(err("fig1 --steps"), "flag --steps needs a value");
+        assert_eq!(err("fig1 --steps x"), "bad --steps value \"x\"");
+        assert_eq!(err("fig1 --steps 0"), "--steps must be positive");
+        assert_eq!(err("fig1 --slack 99"), "--slack 99 out of range [0, 10]");
+        assert_eq!(
+            err("campaign --out d --l1-sizes 8,0"),
+            "--l1-sizes must be positive"
+        );
+        assert_eq!(
+            err("loadgen --rate 0"),
+            "--rate must be positive",
+            "reals share the integer wording"
+        );
+    }
+
+    #[test]
+    fn kb_sizes_reject_overflow_and_zero() {
+        // 2^54 + 1 KB is more bytes than a u64 holds.
+        let huge = "18014398509481985";
+        for flag in ["--l1", "--l2", "--l1-size", "--l2-size", "--l3-size"] {
+            assert_eq!(
+                err(&format!("explore {flag} {huge}")),
+                format!("bad {flag} value \"{huge}\"")
+            );
+            assert!(parse_str(&format!("explore {flag} 0")).is_err(), "{flag}");
+        }
+        for flag in ["--l1-sizes", "--l2-sizes"] {
+            assert_eq!(
+                err(&format!("campaign --out d {flag} 16,{huge}")),
+                format!("bad {flag} value \"{huge}\"")
+            );
+        }
+        // The largest size that fits still parses.
+        let o = study("explore --l1 18014398509481983", Study::Explore);
+        assert_eq!(o.l1_bytes, u64::MAX - 1023);
     }
 
     #[test]
     fn trace_sim_requires_trace() {
         assert!(parse_str("trace-sim").is_err());
-        match parse_str("trace-sim --trace t.txt --l2 512").unwrap() {
-            Command::TraceSim(o) => {
-                assert_eq!(o.trace.unwrap(), PathBuf::from("t.txt"));
-                assert_eq!(o.l2_bytes, 512 * 1024);
-            }
-            other => panic!("{other:?}"),
-        }
+        let o = study("trace-sim --trace t.txt --l2 512", Study::TraceSim);
+        assert_eq!(o.trace, Some(PathBuf::from("t.txt")));
+        assert_eq!(o.l2_bytes, 512 * 1024);
     }
 
     #[test]
     fn extension_commands_parse() {
-        assert!(matches!(parse_str("decay").unwrap(), Command::Decay(_)));
-        assert!(matches!(
-            parse_str("split-l1 --l2 512").unwrap(),
-            Command::SplitL1(_)
-        ));
-        match parse_str("decay --suite tpcc").unwrap() {
-            Command::Decay(o) => assert_eq!(o.suite.as_deref(), Some("tpcc")),
-            other => panic!("{other:?}"),
-        }
+        study("decay", Study::Decay);
+        study("split-l1 --l2 512", Study::SplitL1);
+        assert_eq!(
+            study("decay --suite tpcc", Study::Decay).suite,
+            SuiteKind::TpcC
+        );
+    }
+
+    #[test]
+    fn engine_names_resolve_in_the_parser() {
+        assert_eq!(err("decay --suite bogus"), "unknown suite \"bogus\"");
+        assert!(err("e8 --l3-tech bogus").starts_with("unknown technology \"bogus\""));
+        assert!(
+            err("campaign --out d --techs sram,bogus").starts_with("unknown technology \"bogus\"")
+        );
+        assert_eq!(
+            err("analyze --rules D1,D9"),
+            "unknown rule \"D9\" (expected D1..D6)"
+        );
+        assert!(err("schemes --log-level verbose").starts_with("unknown log level"));
+        assert!(err("campaign --out d --schemes bogus").starts_with("unknown scheme"));
     }
 
     #[test]
     fn threads_and_stats_flags_parse() {
-        match parse_str("fig2 --threads 4 --stats").unwrap() {
-            Command::Fig2(o) => {
-                assert_eq!(o.threads, Some(4));
-                assert!(o.stats);
-            }
-            other => panic!("{other:?}"),
-        }
+        let o = study("fig2 --threads 4 --stats", Study::Fig2);
+        assert_eq!(o.run.threads, Some(4));
+        assert!(o.run.stats);
         assert!(parse_str("fig2 --threads 0").is_err());
         assert!(parse_str("fig2 --threads many").is_err());
-        match parse_str("fig1").unwrap() {
-            Command::Fig1(o) => {
-                assert_eq!(o.threads, None);
-                assert!(!o.stats);
-            }
-            other => panic!("{other:?}"),
-        }
+        let o = study("fig1", Study::Fig1);
+        assert_eq!(o.run.threads, None);
+        assert!(!o.run.stats);
     }
 
     #[test]
     fn telemetry_flags_parse() {
-        match parse_str("schemes --metrics m.json --trace-out t.json --log-level debug").unwrap() {
-            Command::Schemes(o) => {
-                assert_eq!(o.metrics.unwrap(), PathBuf::from("m.json"));
-                assert_eq!(o.trace_out.unwrap(), PathBuf::from("t.json"));
-                assert_eq!(o.log_level, LogLevelArg::Debug);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_str("schemes --log-level info").unwrap() {
-            Command::Schemes(o) => assert_eq!(o.log_level, LogLevelArg::Info),
-            other => panic!("{other:?}"),
-        }
+        let o = study(
+            "schemes --metrics m.json --trace-out t.json --log-level debug",
+            Study::Schemes,
+        );
+        assert_eq!(o.run.metrics, Some(PathBuf::from("m.json")));
+        assert_eq!(o.run.trace_out, Some(PathBuf::from("t.json")));
+        assert_eq!(o.run.log_level, LogLevel::Debug);
+        let o = study("schemes --log-level info", Study::Schemes);
+        assert_eq!(o.run.log_level, LogLevel::Info);
         // Defaults: everything off.
-        match parse_str("schemes").unwrap() {
-            Command::Schemes(o) => {
-                assert_eq!(o.metrics, None);
-                assert_eq!(o.trace_out, None);
-                assert_eq!(o.log_level, LogLevelArg::Off);
-            }
-            other => panic!("{other:?}"),
-        }
+        let o = study("schemes", Study::Schemes);
+        assert_eq!(o.run.metrics, None);
+        assert_eq!(o.run.trace_out, None);
+        assert_eq!(o.run.log_level, LogLevel::Off);
         assert!(parse_str("schemes --log-level verbose").is_err());
         assert!(parse_str("schemes --metrics").is_err());
         assert!(parse_str("schemes --trace-out").is_err());
@@ -961,25 +960,20 @@ mod tests {
 
     #[test]
     fn e8_parses_with_level_knobs() {
-        match parse_str("e8 --quick --l3-tech edram --l2-tech sram --l3-size 8192 --l1-size 32")
-            .unwrap()
-        {
-            Command::E8(o) => {
-                assert!(o.quick);
-                assert_eq!(o.l3_tech.as_deref(), Some("edram"));
-                assert_eq!(o.upstream_techs[0], None);
-                assert_eq!(o.upstream_techs[1].as_deref(), Some("sram"));
-                assert_eq!(o.level_sizes, [Some(32 * 1024), None, Some(8192 * 1024)]);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_str("e8").unwrap() {
-            Command::E8(o) => {
-                assert_eq!(o.level_sizes, [None, None, None]);
-                assert_eq!(o.l3_tech, None);
-            }
-            other => panic!("{other:?}"),
-        }
+        let o = study(
+            "e8 --quick --l3-tech edram --l2-tech sram --l3-size 8192 --l1-size 32",
+            Study::E8,
+        );
+        assert!(o.run.quick);
+        assert_eq!(o.l3_tech, Some(TechProfile::edram()));
+        assert_eq!(o.upstream_techs[0], TechProfile::sram());
+        assert_eq!(o.upstream_techs[1], TechProfile::sram());
+        assert_eq!(o.level_sizes, [Some(32 * 1024), None, Some(8192 * 1024)]);
+        let o = study("e8 --l1-tech stt-mram", Study::E8);
+        assert_eq!(o.upstream_techs[0], TechProfile::stt_mram());
+        let o = study("e8", Study::E8);
+        assert_eq!(o.level_sizes, [None, None, None]);
+        assert_eq!(o.l3_tech, None);
         assert!(parse_str("e8 --l3-size 0").is_err());
         assert!(parse_str("e8 --l3-size lots").is_err());
         assert!(parse_str("e8 --l3-tech").is_err());
@@ -995,11 +989,11 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        match parse_str("analyze --json out.json --rules D1,D4 --root sub/dir").unwrap() {
+        match parse_str("analyze --json out.json --rules D1,d4,D1 --root sub/dir").unwrap() {
             Command::Analyze(o) => {
-                assert_eq!(o.json.unwrap(), PathBuf::from("out.json"));
-                assert_eq!(o.rules, vec!["D1".to_owned(), "D4".to_owned()]);
-                assert_eq!(o.root.unwrap(), PathBuf::from("sub/dir"));
+                assert_eq!(o.json, Some(PathBuf::from("out.json")));
+                assert_eq!(o.rules, vec![RuleId::D1, RuleId::D4]);
+                assert_eq!(o.root, Some(PathBuf::from("sub/dir")));
             }
             other => panic!("{other:?}"),
         }
@@ -1019,14 +1013,14 @@ mod tests {
                 assert_eq!(o.out, PathBuf::from("runs/a"));
                 assert_eq!(o.l1_sizes, vec![16 * 1024, 32 * 1024]);
                 assert_eq!(o.l2_sizes, vec![256 * 1024, 1024 * 1024]);
-                assert_eq!(o.schemes, vec![SchemeArg::Uniform, SchemeArg::Split]);
-                assert_eq!(o.techs, vec!["sram".to_owned()]);
+                assert_eq!(o.schemes, vec![Scheme::Uniform, Scheme::Split]);
+                assert_eq!(o.techs, vec![TechProfile::sram()]);
                 assert_eq!(o.temps_c, vec![80.0]);
                 assert_eq!(o.checkpoint_every, 8);
                 assert_eq!(o.max_cells, None);
                 assert!(!o.fresh);
                 assert!(!o.require_store);
-                assert!(!o.quick);
+                assert!(!o.run.quick);
             }
             other => panic!("{other:?}"),
         }
@@ -1045,16 +1039,16 @@ mod tests {
             Command::Campaign(o) => {
                 assert_eq!(o.l1_sizes, vec![8 * 1024, 16 * 1024]);
                 assert_eq!(o.l2_sizes, vec![512 * 1024]);
-                assert_eq!(o.schemes, vec![SchemeArg::Uniform, SchemeArg::PerComponent]);
-                assert_eq!(o.techs, vec!["sram".to_owned(), "edram".to_owned()]);
+                assert_eq!(o.schemes, vec![Scheme::Uniform, Scheme::PerComponent]);
+                assert_eq!(o.techs, vec![TechProfile::sram(), TechProfile::edram()]);
                 assert_eq!(o.temps_c, vec![40.0, 80.0, 110.0]);
-                assert!((o.slack - 0.2).abs() < 1e-12);
-                assert!(o.quick);
+                assert!((o.run.slack - 0.2).abs() < 1e-12);
+                assert!(o.run.quick);
                 assert_eq!(o.checkpoint_every, 2);
                 assert_eq!(o.max_cells, Some(3));
                 assert!(o.fresh);
                 assert!(o.require_store);
-                assert_eq!(o.csv.unwrap(), PathBuf::from("t.csv"));
+                assert_eq!(o.run.csv, Some(PathBuf::from("t.csv")));
             }
             other => panic!("{other:?}"),
         }
@@ -1078,21 +1072,39 @@ mod tests {
     fn campaign_telemetry_flags_parse() {
         match parse_str("campaign --out d --threads 2 --stats --metrics m.json").unwrap() {
             Command::Campaign(o) => {
-                assert_eq!(o.threads, Some(2));
-                assert!(o.stats);
-                assert_eq!(o.metrics.unwrap(), PathBuf::from("m.json"));
+                assert_eq!(o.run.threads, Some(2));
+                assert!(o.run.stats);
+                assert_eq!(o.run.metrics, Some(PathBuf::from("m.json")));
             }
             other => panic!("{other:?}"),
         }
         match parse_str("campaign --out d").unwrap() {
-            Command::Campaign(o) => {
-                assert_eq!(o.threads, None);
-                assert!(!o.stats);
-                assert_eq!(o.metrics, None);
-            }
+            Command::Campaign(o) => assert_eq!(o.run, RunOptions::default()),
             other => panic!("{other:?}"),
         }
         assert!(parse_str("campaign --out d --threads 0").is_err());
+    }
+
+    #[test]
+    fn commands_refuse_flags_they_never_took() {
+        for (args, flag, cmd) in [
+            ("campaign --out d --trace-out x", "--trace-out", "campaign"),
+            (
+                "campaign --out d --log-level info",
+                "--log-level",
+                "campaign",
+            ),
+            ("loadgen --stats", "--stats", "loadgen"),
+            ("loadgen --csv x.csv", "--csv", "loadgen"),
+            ("analyze --quick", "--quick", "analyze"),
+            (
+                "benchdiff a.json b.json --threads 2",
+                "--threads",
+                "benchdiff",
+            ),
+        ] {
+            assert_eq!(err(args), format!("unknown flag \"{flag}\" for {cmd}"));
+        }
     }
 
     #[test]
@@ -1102,8 +1114,8 @@ mod tests {
                 assert_eq!(o.seed, 2005);
                 assert_eq!(o.queries, 200);
                 assert_eq!(o.rate_qps, None);
-                assert!(!o.quick);
-                assert_eq!(o.threads, None);
+                assert!(!o.run.quick);
+                assert_eq!(o.run.threads, None);
                 assert_eq!(o.out, PathBuf::from("BENCH_serve.json"));
             }
             other => panic!("{other:?}"),
@@ -1117,8 +1129,8 @@ mod tests {
                 assert_eq!(o.seed, 7);
                 assert_eq!(o.queries, 32);
                 assert_eq!(o.rate_qps, Some(120.5));
-                assert!(o.quick);
-                assert_eq!(o.threads, Some(3));
+                assert!(o.run.quick);
+                assert_eq!(o.run.threads, Some(3));
                 assert_eq!(o.out, PathBuf::from("s.json"));
             }
             other => panic!("{other:?}"),
@@ -1126,10 +1138,10 @@ mod tests {
         assert_eq!(parse_str("loadgen --help"), Ok(Command::Help));
         assert!(parse_str("loadgen --queries 0").is_err());
         assert!(parse_str("loadgen --rate -4").is_err());
+        assert!(parse_str("loadgen --rate inf").is_err());
         assert!(parse_str("loadgen --rate fast").is_err());
         assert!(parse_str("loadgen --threads 0").is_err());
         assert!(parse_str("loadgen --seed minus-one").is_err());
-        assert!(parse_str("loadgen --csv x.csv").is_err());
     }
 
     #[test]
@@ -1157,9 +1169,55 @@ mod tests {
 
     #[test]
     fn csv_path_captured() {
-        match parse_str("fit --csv out.csv").unwrap() {
-            Command::Fit(o) => assert_eq!(o.csv.unwrap(), PathBuf::from("out.csv")),
-            other => panic!("{other:?}"),
+        let o = study("fit --csv out.csv", Study::Fit);
+        assert_eq!(o.run.csv, Some(PathBuf::from("out.csv")));
+    }
+
+    /// The `--flags` listed under one `USAGE` heading.
+    fn documented(heading: &str) -> Vec<&'static str> {
+        let section = USAGE
+            .split("\n\n")
+            .find(|s| s.starts_with(heading))
+            .unwrap_or_else(|| panic!("no {heading} section in USAGE"));
+        section
+            .lines()
+            .skip(1)
+            .flat_map(|line| {
+                line.split_whitespace()
+                    .take_while(|w| w.starts_with('-') || w.starts_with('<'))
+            })
+            .map(|w| w.trim_end_matches(','))
+            .filter(|w| w.starts_with("--"))
+            .collect()
+    }
+
+    fn names<O>(flags: &Flags<O>) -> Vec<&'static str> {
+        flags.rows.iter().map(|(name, _)| *name).collect()
+    }
+
+    #[test]
+    fn flag_tables_match_their_usage_sections() {
+        for (heading, table) in [
+            ("OPTIONS:", names(&study_flags())),
+            ("ANALYZE OPTIONS", names(&analyze_flags())),
+            ("CAMPAIGN OPTIONS", names(&campaign_flags())),
+            ("LOADGEN OPTIONS", names(&loadgen_flags())),
+            ("BENCHDIFF OPTIONS", names(&benchdiff_flags())),
+        ] {
+            let docs = documented(heading);
+            for flag in &table {
+                assert!(docs.contains(flag), "{heading}: {flag} is undocumented");
+            }
+            for flag in &docs {
+                assert!(
+                    *flag == "--help" || table.contains(flag),
+                    "{heading}: documented {flag} is not accepted"
+                );
+            }
+            let mut unique = table.clone();
+            unique.sort_unstable();
+            unique.dedup();
+            assert_eq!(unique.len(), table.len(), "{heading}: repeated row");
         }
     }
 }

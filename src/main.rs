@@ -1,22 +1,21 @@
 //! `nmcache` — reproduce the DATE 2005 experiments from the command line.
 
-use nmcache::analyze::{self, rules::RuleId, AnalyzeError};
+use nmcache::analyze::{self, AnalyzeError};
 use nmcache::archsim::cache::{CacheParams, Replacement};
 use nmcache::archsim::hierarchy::TwoLevel;
 use nmcache::archsim::trace::{
     read_trace, read_trace_binary, TraceError, TraceWorkload, BINARY_MAGIC,
 };
-use nmcache::archsim::workload::{SuiteKind, Workload};
+use nmcache::archsim::workload::Workload;
 use nmcache::archsim::MissRateTable;
 use nmcache::cli::{
     self, AnalyzeOptions, BenchdiffOptions, CampaignOptions, CliError, Command, LoadgenOptions,
-    LogLevelArg, Options, SchemeArg,
+    Options, RunOptions, Study,
 };
 use nmcache::core::amat::MainMemory;
 use nmcache::core::campaign::{Campaign, CampaignConfig, CampaignError};
 use nmcache::core::decay::DecayStudy;
 use nmcache::core::fitcheck::fit_report;
-use nmcache::core::groups::Scheme;
 use nmcache::core::memsys::{MemorySystemStudy, TupleCounts};
 use nmcache::core::mixedtech::{MixedTechStudy, STANDARD_SIZES};
 use nmcache::core::report::{cell, Series, Table};
@@ -28,7 +27,9 @@ use nmcache::core::variation::{paper_16kb_variation, VariationStudy};
 use nmcache::core::StudyError;
 use nmcache::device::{KnobGrid, TechProfile, TechnologyNode};
 use nmcache::store::Store;
+use nmcache::telemetry::LogLevel;
 use std::fmt;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -79,9 +80,7 @@ impl fmt::Display for AppError {
             AppError::Study(e) => write!(f, "{e}"),
             AppError::Trace(e) => write!(f, "trace: {e}"),
             AppError::Io(e) => write!(f, "{e}"),
-            AppError::Findings(summary) => write!(f, "{summary}"),
-            AppError::Store(e) => write!(f, "{e}"),
-            AppError::Slo(summary) => write!(f, "{summary}"),
+            AppError::Findings(msg) | AppError::Store(msg) | AppError::Slo(msg) => f.write_str(msg),
         }
     }
 }
@@ -166,191 +165,75 @@ fn main() -> ExitCode {
     }
 }
 
-/// What to do with the telemetry registry once the command finishes.
-#[derive(Debug, Default)]
-struct TelemetryPlan {
-    show_stats: bool,
-    metrics: Option<std::path::PathBuf>,
-    trace_out: Option<std::path::PathBuf>,
-}
-
-/// Applies the `--threads` override and arms the unified telemetry
-/// registry when any observability flag (`--stats`, `--metrics`,
-/// `--trace-out`, `--log-level`) asks for it. With all of them off the
-/// registry stays disabled and instrumented code pays one relaxed
-/// atomic load per call site, keeping golden outputs byte-identical.
-fn configure_telemetry(command: &Command) -> TelemetryPlan {
-    // Campaign and loadgen carry their own thread/telemetry flags
-    // (loadgen arms and drains the registry itself — its report *is*
-    // the command's product, not an optional add-on).
-    if let Command::Campaign(opts) = command {
-        if let Some(n) = opts.threads {
-            nmcache::sweep::set_global_workers(Some(n));
-        }
-        if opts.stats || opts.metrics.is_some() {
-            nmcache::telemetry::enable();
-            nmcache::telemetry::set_note("command", "campaign");
-        }
-        return TelemetryPlan {
-            show_stats: opts.stats,
-            metrics: opts.metrics.clone(),
-            trace_out: None,
-        };
-    }
-    if let Command::Loadgen(opts) = command {
-        if let Some(n) = opts.threads {
-            nmcache::sweep::set_global_workers(Some(n));
-        }
-        return TelemetryPlan::default();
-    }
-    let Some(opts) = options_of(command) else {
-        return TelemetryPlan::default();
+/// Applies `--threads` and arms the telemetry registry when `--stats`,
+/// `--metrics`, `--trace-out` or `--log-level` asks for it; otherwise
+/// it stays off and golden outputs stay byte-identical. (`loadgen` arms
+/// and drains the registry itself: its report is the product.) Returns
+/// the options [`finish_telemetry`] exports by.
+fn configure_telemetry(command: &Command) -> RunOptions {
+    let Some((name, run)) = command.run_options() else {
+        return RunOptions::default();
     };
-    if let Some(n) = opts.threads {
+    if let Some(n) = run.threads {
         nmcache::sweep::set_global_workers(Some(n));
     }
-    let level = match opts.log_level {
-        LogLevelArg::Off => nmcache::telemetry::LogLevel::Off,
-        LogLevelArg::Info => nmcache::telemetry::LogLevel::Info,
-        LogLevelArg::Debug => nmcache::telemetry::LogLevel::Debug,
-    };
-    nmcache::telemetry::set_log_level(level);
-    let wanted = opts.stats
-        || opts.metrics.is_some()
-        || opts.trace_out.is_some()
-        || level != nmcache::telemetry::LogLevel::Off;
-    if wanted {
+    nmcache::telemetry::set_log_level(run.log_level);
+    if run.stats
+        || run.metrics.is_some()
+        || run.trace_out.is_some()
+        || run.log_level != LogLevel::Off
+    {
         nmcache::telemetry::enable();
-        nmcache::telemetry::set_note("command", command_name(command));
+        nmcache::telemetry::set_note("command", name);
     }
-    TelemetryPlan {
-        show_stats: opts.stats,
-        metrics: opts.metrics.clone(),
-        trace_out: opts.trace_out.clone(),
-    }
+    run.clone()
 }
 
-/// Exports the run's telemetry per the plan: the `--stats` table, the
-/// `--metrics` JSON report and the `--trace-out` Chrome trace all read
-/// one registry snapshot, so they always agree with each other.
-fn finish_telemetry(plan: &TelemetryPlan) -> Result<(), AppError> {
-    if !plan.show_stats && plan.metrics.is_none() && plan.trace_out.is_none() {
-        return Ok(());
-    }
+/// Exports the run's telemetry: the `--stats` table, the `--metrics`
+/// JSON report and the `--trace-out` Chrome trace all read one registry
+/// snapshot, so they always agree with each other.
+fn finish_telemetry(run: &RunOptions) -> Result<(), AppError> {
     let snapshot = nmcache::telemetry::snapshot();
-    if let Some(path) = &plan.metrics {
+    if let Some(path) = &run.metrics {
         nmcache::telemetry::RunReport::from_snapshot(snapshot.clone())
             .write(path)
-            .map_err(|e| {
-                std::io::Error::new(
-                    e.kind(),
-                    format!("cannot write metrics report {}: {e}", path.display()),
-                )
-            })?;
+            .map_err(io_context("cannot write metrics report", path))?;
         eprintln!("[metrics] {}", path.display());
     }
-    if let Some(path) = &plan.trace_out {
-        nmcache::telemetry::report::write_chrome_trace(&snapshot, path).map_err(|e| {
-            std::io::Error::new(
-                e.kind(),
-                format!("cannot write trace {}: {e}", path.display()),
-            )
-        })?;
+    if let Some(path) = &run.trace_out {
+        nmcache::telemetry::report::write_chrome_trace(&snapshot, path)
+            .map_err(io_context("cannot write trace", path))?;
         eprintln!("[trace] {}", path.display());
     }
-    if plan.show_stats {
-        let recorded: Vec<nmcache::sweep::SweepStats> = snapshot
-            .sweeps
-            .iter()
-            .map(|r| nmcache::sweep::SweepStats {
-                label: r.label.clone(),
-                items: r.items,
-                workers: r.workers,
-                wall: std::time::Duration::from_nanos(r.wall_ns),
-                faults: r.faults,
-                retries: r.retries,
-                poisoned_workers: r.poisoned_workers,
-            })
-            .collect();
-        if !recorded.is_empty() {
-            println!("\n{}", nmcache::core::report::sweep_stats_table(&recorded));
-        }
+    if run.stats && !snapshot.sweeps.is_empty() {
+        println!(
+            "\n{}",
+            nmcache::core::report::sweep_stats_table(&snapshot.sweeps)
+        );
     }
     Ok(())
 }
 
-/// The subcommand's name, recorded as the report's `command` note.
-fn command_name(command: &Command) -> &'static str {
-    match command {
-        Command::Fig1(_) => "fig1",
-        Command::Fig2(_) => "fig2",
-        Command::Schemes(_) => "schemes",
-        Command::L2Sweep(_) => "l2-sweep",
-        Command::L1Sweep(_) => "l1-sweep",
-        Command::Ablation(_) => "ablation",
-        Command::Fit(_) => "fit",
-        Command::Explore(_) => "explore",
-        Command::MissRates(_) => "missrates",
-        Command::Variation(_) => "variation",
-        Command::Thermal(_) => "thermal",
-        Command::Decay(_) => "decay",
-        Command::SplitL1(_) => "split-l1",
-        Command::TraceSim(_) => "trace-sim",
-        Command::E8(_) => "e8",
-        Command::Campaign(_) => "campaign",
-        Command::Loadgen(_) => "loadgen",
-        Command::Benchdiff(_) => "benchdiff",
-        Command::Analyze(_) => "analyze",
-        Command::List => "list",
-        Command::Help => "help",
-    }
+/// Prefixes an I/O error with what was being done to which path.
+fn io_context<'a>(
+    what: &'a str,
+    path: &'a Path,
+) -> impl FnOnce(std::io::Error) -> std::io::Error + 'a {
+    move |e| std::io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
 }
 
-fn options_of(command: &Command) -> Option<&Options> {
-    match command {
-        Command::Fig1(o)
-        | Command::Fig2(o)
-        | Command::Schemes(o)
-        | Command::L2Sweep(o)
-        | Command::L1Sweep(o)
-        | Command::Ablation(o)
-        | Command::Fit(o)
-        | Command::Explore(o)
-        | Command::MissRates(o)
-        | Command::Variation(o)
-        | Command::Thermal(o)
-        | Command::Decay(o)
-        | Command::SplitL1(o)
-        | Command::TraceSim(o)
-        | Command::E8(o) => Some(o),
-        Command::Campaign(_)
-        | Command::Loadgen(_)
-        | Command::Benchdiff(_)
-        | Command::Analyze(_)
-        | Command::List
-        | Command::Help => None,
-    }
+/// Prints a 72x22 ASCII plot of `series`.
+fn plot(series: &[Series], x_label: &str, y_label: &str) {
+    println!(
+        "{}",
+        nmcache::core::plot::ascii_plot(series, 72, 22, x_label, y_label)
+    );
 }
 
-fn suite_of(opts: &Options) -> Result<SuiteKind, AppError> {
-    match &opts.suite {
-        None => Ok(SuiteKind::Spec2000),
-        Some(name) => SuiteKind::from_name(name)
-            .ok_or_else(|| CliError(format!("unknown suite {name:?}")).into()),
-    }
-}
-
-fn scheme_of(arg: SchemeArg) -> Scheme {
-    match arg {
-        SchemeArg::Uniform => Scheme::Uniform,
-        SchemeArg::Split => Scheme::Split,
-        SchemeArg::PerComponent => Scheme::PerComponent,
-    }
-}
-
-fn emit(table: &Table, opts: &Options) -> Result<(), AppError> {
+/// Prints `table` and writes it to `--csv` when asked.
+fn emit(table: &Table, run: &RunOptions) -> Result<(), AppError> {
     println!("{table}");
-    if let Some(path) = &opts.csv {
+    if let Some(path) = &run.csv {
         table.write_csv(path)?;
         println!("[csv] {}", path.display());
     }
@@ -367,29 +250,28 @@ fn run(command: Command) -> Result<(), AppError> {
             println!("{}", nmcache::core::experiments::registry_table());
             Ok(())
         }
-        Command::Fig1(opts) => {
+        Command::Study(which, opts) => run_study(which, &opts),
+        Command::Campaign(opts) => run_campaign(&opts),
+        Command::Loadgen(opts) => run_loadgen(&opts),
+        Command::Benchdiff(opts) => run_benchdiff(&opts),
+        Command::Analyze(opts) => run_analyze(&opts),
+    }
+}
+
+/// Runs one study and emits its table, followed by the winning size for
+/// the L1/L2 sweeps.
+fn run_study(which: Study, opts: &Options) -> Result<(), AppError> {
+    let mut winner = None;
+    let table = match which {
+        Study::Fig1 => {
             let study = SingleCacheStudy::paper_16kb()?;
             let series = study.fixed_knob_curves()?;
-            println!(
-                "{}",
-                nmcache::core::plot::ascii_plot(
-                    &series,
-                    72,
-                    22,
-                    "access time (ps)",
-                    "leakage (mW)"
-                )
-            );
-            let table = Series::to_table(
-                &series,
-                "Figure 1: fixed Vth vs fixed Tox (16KB)",
-                "access time (ps)",
-                "leakage (mW)",
-            );
-            emit(&table, &opts)
+            let (x, y) = ("access time (ps)", "leakage (mW)");
+            plot(&series, x, y);
+            Series::to_table(&series, "Figure 1: fixed Vth vs fixed Tox (16KB)", x, y)
         }
-        Command::Fig2(opts) => {
-            let missrates = build_missrates(&[opts.l1_bytes], &[opts.l2_bytes], opts.quick)?;
+        Study::Fig2 => {
+            let missrates = build_missrates(&[opts.l1_bytes], &[opts.l2_bytes], opts.run.quick)?;
             let stats = *missrates.get(opts.l1_bytes, opts.l2_bytes).ok_or(
                 StudyError::MissingMissRates {
                     l1_bytes: opts.l1_bytes,
@@ -406,39 +288,36 @@ fn run(command: Command) -> Result<(), AppError> {
             )?;
             let targets = study.amat_sweep(opts.steps);
             let curves = study.tuple_curves(&TupleCounts::FIGURE2, &targets);
-            println!(
-                "{}",
-                nmcache::core::plot::ascii_plot(&curves, 72, 22, "AMAT (ps)", "total energy (pJ)")
-            );
-            emit(&study.tuple_table(&TupleCounts::FIGURE2, &targets), &opts)
+            plot(&curves, "AMAT (ps)", "total energy (pJ)");
+            study.tuple_table(&TupleCounts::FIGURE2, &targets)
         }
-        Command::Schemes(opts) => {
+        Study::Schemes => {
             let study = SingleCacheStudy::paper_16kb()?;
             let deadlines: Vec<_> = study
                 .delay_sweep(opts.steps + 1)
                 .into_iter()
                 .skip(1)
                 .collect();
-            emit(&study.scheme_comparison(&deadlines), &opts)
+            study.scheme_comparison(&deadlines)
         }
-        Command::Ablation(opts) => {
+        Study::Ablation => {
             let study = SingleCacheStudy::paper_16kb()?;
             let deadlines: Vec<_> = study
                 .delay_sweep(opts.steps + 2)
                 .into_iter()
                 .skip(2)
                 .collect();
-            emit(&study.knob_ablation(&deadlines), &opts)
+            study.knob_ablation(&deadlines)
         }
-        Command::Fit(opts) => {
+        Study::Fit => {
             let tech = TechnologyNode::bptm65();
             let circuit = nmcache::geometry::CacheCircuit::new(
                 nmcache::geometry::CacheConfig::new(opts.l1_bytes, 64, 4)?,
                 &tech,
             );
-            emit(&fit_report(&circuit, &KnobGrid::paper())?, &opts)
+            fit_report(&circuit, &KnobGrid::paper())?
         }
-        Command::Explore(opts) => {
+        Study::Explore => {
             let tech = TechnologyNode::bptm65();
             let config = nmcache::geometry::CacheConfig::new(opts.l1_bytes, 64, 4)?;
             let ranked = nmcache::geometry::explore::explore(
@@ -467,40 +346,33 @@ fn run(command: Command) -> Result<(), AppError> {
                     cell(e.metrics.leakage().total().milli(), 3),
                 ]);
             }
-            emit(&table, &opts)
+            table
         }
-        Command::L2Sweep(opts) => {
-            let study = TwoLevelStudy::standard(opts.quick)?;
+        Study::L2Sweep => {
+            let study = TwoLevelStudy::standard(opts.run.quick)?;
             let l2_sizes = TwoLevelStudy::standard_l2_sizes();
-            let target = study.amat_target(opts.l1_bytes, &l2_sizes, opts.slack)?;
-            let sweep =
-                study.l2_size_sweep(opts.l1_bytes, &l2_sizes, scheme_of(opts.scheme), target)?;
-            emit(&sweep.to_table(), &opts)?;
-            if let Some(w) = sweep.winner() {
-                println!("winner: {} KB", w.size_bytes / 1024);
-            }
-            Ok(())
+            let target = study.amat_target(opts.l1_bytes, &l2_sizes, opts.run.slack)?;
+            let sweep = study.l2_size_sweep(opts.l1_bytes, &l2_sizes, opts.scheme, target)?;
+            winner = sweep.winner().map(|w| w.size_bytes);
+            sweep.to_table()
         }
-        Command::L1Sweep(opts) => {
-            let study = TwoLevelStudy::standard(opts.quick)?;
+        Study::L1Sweep => {
+            let study = TwoLevelStudy::standard(opts.run.quick)?;
             let l1_sizes = TwoLevelStudy::standard_l1_sizes();
             let mut best = f64::INFINITY;
             for &l1 in &l1_sizes {
                 best = best.min(study.min_amat_l1_fixed(l1, opts.l2_bytes)?.0);
             }
-            let target = nmcache::device::units::Seconds(best * (1.0 + opts.slack));
+            let target = nmcache::device::units::Seconds(best * (1.0 + opts.run.slack));
             let sweep = study.l1_size_sweep(&l1_sizes, opts.l2_bytes, target)?;
-            emit(&sweep.to_table(), &opts)?;
-            if let Some(w) = sweep.winner() {
-                println!("winner: {} KB", w.size_bytes / 1024);
-            }
-            Ok(())
+            winner = sweep.winner().map(|w| w.size_bytes);
+            sweep.to_table()
         }
-        Command::MissRates(opts) => {
+        Study::MissRates => {
             let table = build_missrates(
                 &TwoLevelStudy::standard_l1_sizes(),
                 &TwoLevelStudy::standard_l2_sizes(),
-                opts.quick,
+                opts.run.quick,
             )?;
             let mut out = Table::new(
                 format!("Miss rates averaged over {:?}", table.suites()),
@@ -515,9 +387,9 @@ fn run(command: Command) -> Result<(), AppError> {
                     cell(s.global_miss_rate(), 5),
                 ]);
             }
-            emit(&out, &opts)
+            out
         }
-        Command::Variation(opts) => {
+        Study::Variation => {
             let vs: VariationStudy = paper_16kb_variation(opts.samples, 65)?;
             let deadlines: Vec<_> = vs
                 .study()
@@ -525,41 +397,33 @@ fn run(command: Command) -> Result<(), AppError> {
                 .into_iter()
                 .skip(2)
                 .collect();
-            emit(&vs.to_table(&deadlines), &opts)
+            vs.to_table(&deadlines)
         }
-        Command::Thermal(opts) => {
-            let study = ThermalStudy::paper_16kb()?;
-            emit(&study.to_table(opts.slack), &opts)
-        }
-        Command::Decay(opts) => {
+        Study::Thermal => ThermalStudy::paper_16kb()?.to_table(opts.run.slack),
+        Study::Decay => {
             let single = SingleCacheStudy::paper_16kb()?;
-            let study = DecayStudy::new(single, suite_of(&opts)?, 300_000);
-            let deadline = study.study().delay_sweep(5)[2] * (1.0 + opts.slack - 0.15);
-            emit(&study.to_table(deadline), &opts)
+            let study = DecayStudy::new(single, opts.suite, 300_000);
+            let deadline = study.study().delay_sweep(5)[2] * (1.0 + opts.run.slack - 0.15);
+            study.to_table(deadline)
         }
-        Command::SplitL1(opts) => {
+        Study::SplitL1 => {
             let study = SplitL1Study::new(
                 opts.l1_bytes,
                 opts.l1_bytes,
                 opts.l2_bytes,
-                suite_of(&opts)?,
-                if opts.quick { 150_000 } else { 500_000 },
+                opts.suite,
+                if opts.run.quick { 150_000 } else { 500_000 },
                 KnobGrid::paper(),
             )?;
-            emit(&study.to_table(&[0.08, opts.slack, 0.30]), &opts)
+            study.to_table(&[0.08, opts.run.slack, 0.30])
         }
-        Command::TraceSim(opts) => {
+        Study::TraceSim => {
             // The parser guarantees --trace was given; fail as a usage
             // error rather than panicking if that invariant ever breaks.
             let Some(path) = opts.trace.as_ref() else {
                 return Err(CliError("trace-sim requires --trace <PATH>".into()).into());
             };
-            let bytes = std::fs::read(path).map_err(|e| {
-                std::io::Error::new(
-                    e.kind(),
-                    format!("cannot read trace {}: {e}", path.display()),
-                )
-            })?;
+            let bytes = std::fs::read(path).map_err(io_context("cannot read trace", path))?;
             // Auto-detect the compact binary format by its magic.
             let trace = if bytes.starts_with(&BINARY_MAGIC) {
                 read_trace_binary(bytes.as_slice())?
@@ -593,34 +457,28 @@ fn run(command: Command) -> Result<(), AppError> {
                 cell(s.l2_global_miss_rate(), 5),
                 s.l1_writebacks.to_string(),
             ]);
-            emit(&table, &opts)
+            table
         }
-        Command::E8(opts) => {
-            let sizes = [
-                opts.level_sizes[0].unwrap_or(STANDARD_SIZES[0]),
-                opts.level_sizes[1].unwrap_or(STANDARD_SIZES[1]),
-                opts.level_sizes[2].unwrap_or(STANDARD_SIZES[2]),
-            ];
-            let upstream = [
-                tech_of(opts.upstream_techs[0].as_deref())?,
-                tech_of(opts.upstream_techs[1].as_deref())?,
-            ];
-            let candidates: Vec<TechProfile> = match &opts.l3_tech {
-                Some(name) => vec![tech_of(Some(name))?],
-                None => TechProfile::KNOWN_NAMES
-                    .iter()
-                    .map(|n| tech_of(Some(n)))
-                    .collect::<Result<_, _>>()?,
+        Study::E8 => {
+            let sizes = std::array::from_fn(|i| opts.level_sizes[i].unwrap_or(STANDARD_SIZES[i]));
+            let candidates = match &opts.l3_tech {
+                Some(tech) => vec![tech.clone()],
+                None => vec![
+                    TechProfile::sram(),
+                    TechProfile::edram(),
+                    TechProfile::stt_mram(),
+                ],
             };
-            let study = MixedTechStudy::with_shape(opts.quick, sizes, upstream)?;
-            let outcome = study.compare(&candidates, opts.slack)?;
-            emit(&outcome.to_table(), &opts)
+            let study =
+                MixedTechStudy::with_shape(opts.run.quick, sizes, opts.upstream_techs.clone())?;
+            study.compare(&candidates, opts.run.slack)?.to_table()
         }
-        Command::Campaign(opts) => run_campaign(&opts),
-        Command::Loadgen(opts) => run_loadgen(&opts),
-        Command::Benchdiff(opts) => run_benchdiff(&opts),
-        Command::Analyze(opts) => run_analyze(&opts),
+    };
+    emit(&table, &opts.run)?;
+    if let Some(bytes) = winner {
+        println!("winner: {} KB", bytes / 1024);
     }
+    Ok(())
 }
 
 /// Replays a deterministic query mix against the in-process evaluator
@@ -635,7 +493,7 @@ fn run_loadgen(opts: &LoadgenOptions) -> Result<(), AppError> {
             Some(rate_qps) => nmcache::loadgen::Mode::Open { rate_qps },
             None => nmcache::loadgen::Mode::Closed,
         },
-        quick: opts.quick,
+        quick: opts.run.quick,
     };
     nmcache::telemetry::reset();
     nmcache::telemetry::enable();
@@ -679,12 +537,7 @@ fn run_loadgen(opts: &LoadgenOptions) -> Result<(), AppError> {
     }
     nmcache::telemetry::RunReport::from_snapshot(snapshot)
         .write(&opts.out)
-        .map_err(|e| {
-            std::io::Error::new(
-                e.kind(),
-                format!("cannot write serve report {}: {e}", opts.out.display()),
-            )
-        })?;
+        .map_err(io_context("cannot write serve report", &opts.out))?;
     println!("[serve] {}", opts.out.display());
     Ok(())
 }
@@ -692,16 +545,8 @@ fn run_loadgen(opts: &LoadgenOptions) -> Result<(), AppError> {
 /// Compares two serve reports and fails with the SLO exit code when the
 /// candidate's p99 regresses past `--max-ratio` on any histogram.
 fn run_benchdiff(opts: &BenchdiffOptions) -> Result<(), AppError> {
-    let read = |path: &std::path::Path| -> Result<String, AppError> {
-        std::fs::read_to_string(path)
-            .map_err(|e| {
-                std::io::Error::new(
-                    e.kind(),
-                    format!("cannot read report {}: {e}", path.display()),
-                )
-            })
-            .map_err(AppError::from)
-    };
+    let read =
+        |path: &Path| std::fs::read_to_string(path).map_err(io_context("cannot read report", path));
     let baseline = read(&opts.baseline)?;
     let candidate = read(&opts.candidate)?;
     let report = nmcache::loadgen::diff(&baseline, &candidate, opts.max_ratio)
@@ -755,15 +600,11 @@ fn run_campaign(opts: &CampaignOptions) -> Result<(), AppError> {
     let config = CampaignConfig {
         l1_sizes: opts.l1_sizes.clone(),
         l2_sizes: opts.l2_sizes.clone(),
-        schemes: opts.schemes.iter().copied().map(scheme_of).collect(),
-        l2_techs: opts
-            .techs
-            .iter()
-            .map(|n| tech_of(Some(n)))
-            .collect::<Result<_, _>>()?,
+        schemes: opts.schemes.clone(),
+        l2_techs: opts.techs.clone(),
         temperatures_c: opts.temps_c.clone(),
-        slack: opts.slack,
-        quick: opts.quick,
+        slack: opts.run.slack,
+        quick: opts.run.quick,
         checkpoint_every: opts.checkpoint_every,
     };
     std::fs::create_dir_all(&opts.out).map_err(|e| {
@@ -789,12 +630,7 @@ fn run_campaign(opts: &CampaignOptions) -> Result<(), AppError> {
     let campaign = Campaign::new(config, store)?;
     let outcome = campaign.run(&checkpoint, opts.fresh, opts.max_cells)?;
 
-    let table = outcome.to_table();
-    println!("{table}");
-    if let Some(path) = &opts.csv {
-        table.write_csv(path)?;
-        println!("[csv] {}", path.display());
-    }
+    emit(&outcome.to_table(), &opts.run)?;
     for (cell, reason) in outcome.failures() {
         eprintln!("warning: cell {cell} failed: {reason}");
     }
@@ -822,25 +658,13 @@ fn run_analyze(opts: &AnalyzeOptions) -> Result<(), AppError> {
     let root = opts.root.clone().unwrap_or_else(|| ".".into());
     let mut config = analyze::Config::for_root(root);
     if !opts.rules.is_empty() {
-        let mut rules = Vec::new();
-        for name in &opts.rules {
-            let rule = RuleId::from_name(name)
-                .ok_or_else(|| CliError(format!("unknown rule {name:?} (expected D1..D6)")))?;
-            if !rules.contains(&rule) {
-                rules.push(rule);
-            }
-        }
-        config.rules = rules;
+        config.rules = opts.rules.clone();
     }
     let analysis = analyze::analyze(&config)?;
     print!("{}", analyze::report::render_text(&analysis));
     if let Some(path) = &opts.json {
-        std::fs::write(path, analyze::report::render_json(&analysis)).map_err(|e| {
-            std::io::Error::new(
-                e.kind(),
-                format!("cannot write findings report {}: {e}", path.display()),
-            )
-        })?;
+        std::fs::write(path, analyze::report::render_json(&analysis))
+            .map_err(io_context("cannot write findings report", path))?;
         eprintln!("[analyze] {}", path.display());
     }
     if analysis.is_clean() {
@@ -856,20 +680,6 @@ fn run_analyze(opts: &AnalyzeOptions) -> Result<(), AppError> {
                 "ies"
             },
         )))
-    }
-}
-
-/// Resolves a `--l<i>-tech` name; `None` means the SRAM baseline.
-fn tech_of(name: Option<&str>) -> Result<TechProfile, AppError> {
-    match name {
-        None => Ok(TechProfile::sram()),
-        Some(n) => TechProfile::by_name(n).ok_or_else(|| {
-            CliError(format!(
-                "unknown technology {n:?} (expected one of {:?})",
-                TechProfile::KNOWN_NAMES
-            ))
-            .into()
-        }),
     }
 }
 

@@ -345,3 +345,61 @@ fn thermal_runs_quickly_end_to_end() {
     assert!(text.contains("Temperature sensitivity"));
     assert!(text.contains("gate fraction"));
 }
+
+#[test]
+fn kb_size_overflow_is_a_usage_error() {
+    // 2^54 + 1 KB is more bytes than a u64 holds: a usage error, not a
+    // wrapped size or an arithmetic-overflow panic.
+    let huge = "18014398509481985";
+    let explore = nmcache()
+        .args(["explore", "--l1", huge])
+        .output()
+        .expect("binary runs");
+    let dir = campaign_dir("overflow");
+    let campaign = nmcache()
+        .args(["campaign", "--quick", "--l1-sizes", huge, "--out"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    for (out, flag) in [(explore, "--l1"), (campaign, "--l1-sizes")] {
+        assert_eq!(out.status.code(), Some(2), "usage errors exit with 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("bad {flag} value")), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+    assert!(
+        !dir.exists(),
+        "a rejected campaign must not create its directory"
+    );
+}
+
+#[test]
+fn unknown_engine_names_are_usage_errors() {
+    let dir = campaign_dir("bogus-tech");
+    let dir_arg = dir.to_string_lossy().into_owned();
+    for (args, message) in [
+        (vec!["decay", "--suite", "bogus"], "unknown suite \"bogus\""),
+        (
+            vec!["e8", "--l3-tech", "bogus"],
+            "unknown technology \"bogus\"",
+        ),
+        (
+            vec!["campaign", "--out", &dir_arg, "--techs", "bogus"],
+            "unknown technology \"bogus\"",
+        ),
+        (vec!["analyze", "--rules", "D9"], "unknown rule \"D9\""),
+    ] {
+        let out = nmcache().args(&args).output().expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}: usage errors exit with 2"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
+    assert!(
+        !dir.exists(),
+        "a rejected campaign must not create its directory"
+    );
+}

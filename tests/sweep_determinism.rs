@@ -7,7 +7,7 @@ use nmcache::archsim::{MissRateTable, PairStats};
 use nmcache::core::amat::MainMemory;
 use nmcache::core::memsys::{MemorySystemStudy, TupleCounts};
 use nmcache::device::{KnobGrid, TechnologyNode};
-use nmcache::sweep::{set_global_workers, stats, ParallelSweep};
+use nmcache::sweep::{set_global_workers, ParallelSweep};
 use std::num::NonZeroUsize;
 
 fn worker_counts() -> Vec<usize> {
@@ -93,15 +93,15 @@ fn tuple_curves_identical_across_worker_counts() {
 
 #[test]
 fn sweep_stats_items_match_submitted_count() {
-    stats::enable();
-    stats::drain();
+    nmcache::telemetry::enable();
+    nmcache::telemetry::drain_sweeps();
     let items: Vec<u32> = (0..37).collect();
     ParallelSweep::new()
         .with_workers(4)
         .labeled("determinism-count")
         .map(&items, |&x| x + 1);
-    let recorded = stats::drain();
-    stats::disable();
+    let recorded = nmcache::telemetry::drain_sweeps();
+    nmcache::telemetry::disable();
     let entry = recorded
         .iter()
         .find(|s| s.label == "determinism-count")
