@@ -41,6 +41,7 @@ use nm_opt::merge::{FrontPoint, MergeBase};
 use nm_opt::objective::Constraint;
 use nm_opt::{Candidate, Group};
 use nm_sweep::ParallelSweep;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -93,6 +94,83 @@ pub struct EvalStats {
 /// from scratch, which is bit-identical).
 type FrontEntry = (HierarchySpec, Arc<Vec<FrontPoint>>, Option<Arc<MergeBase>>);
 
+/// The front memo: entries bucketed under [`FrontMemo::bucket`], so a
+/// lookup costs one `O(log n)` map probe plus one structural `==` per
+/// spec in the bucket instead of one `==` per cached spec.
+///
+/// The bucket word only narrows the search; a hit is still confirmed
+/// with `HierarchySpec`'s `==`. Since `a == b` implies
+/// `bucket(a) == bucket(b)`, an equal spec is always found in its bucket
+/// (no hit is lost), and a colliding word never serves another spec's
+/// front.
+#[derive(Default)]
+struct FrontMemo(BTreeMap<u64, Vec<FrontEntry>>);
+
+impl FrontMemo {
+    /// The bucket word of a spec: its level count plus, per level, the
+    /// cache size, block size, associativity, scheme and delay weight —
+    /// all fields `HierarchySpec`'s `PartialEq` compares, so equal specs
+    /// share a word. The weight enters as the bits of `weight + 0.0`,
+    /// which maps `-0.0` to `0.0` (equal under `==`, distinct bit
+    /// patterns). Fields left out (labels, technology node, cost kind)
+    /// only make more specs share a bucket.
+    ///
+    /// Deliberately not [`persist::front_key`](crate::persist::front_key):
+    /// that key formats every circuit and hashes every grid point, which
+    /// costs more than the scan this memo replaced.
+    fn bucket(spec: &HierarchySpec) -> u64 {
+        // FxHash-style mixing: cheap, and only needs to spread the words.
+        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        spec.levels()
+            .iter()
+            .fold(spec.levels().len() as u64, |h, level| {
+                let config = level.circuit().config();
+                [
+                    config.size_bytes(),
+                    config.block_bytes(),
+                    config.associativity(),
+                    level.scheme() as u64,
+                    (level.delay_weight() + 0.0).to_bits(),
+                ]
+                .into_iter()
+                .fold(h, mix)
+            })
+    }
+
+    /// The memoized front of `spec`, if any.
+    fn get(&self, spec: &HierarchySpec) -> Option<Arc<Vec<FrontPoint>>> {
+        self.0
+            .get(&Self::bucket(spec))?
+            .iter()
+            .find(|(s, _, _)| s == spec)
+            .map(|(_, front, _)| Arc::clone(front))
+    }
+
+    /// Memoizes `front` for `spec`; callers check [`get`](Self::get)
+    /// first under the same write lock.
+    fn insert(
+        &mut self,
+        spec: &HierarchySpec,
+        front: Arc<Vec<FrontPoint>>,
+        base: Option<MergeBase>,
+    ) {
+        self.0.entry(Self::bucket(spec)).or_default().push((
+            spec.clone(),
+            front,
+            base.map(Arc::new),
+        ));
+    }
+
+    /// Every memoized merge base, for incremental merges to extend.
+    fn bases(&self) -> Vec<Arc<MergeBase>> {
+        self.0
+            .values()
+            .flatten()
+            .filter_map(|(_, _, base)| base.clone())
+            .collect()
+    }
+}
+
 /// The memoizing evaluation pipeline. One evaluator owns one knob grid;
 /// every query against it shares the same metric-surface and front
 /// caches.
@@ -101,7 +179,7 @@ pub struct Evaluator {
     points: Vec<KnobPoint>,
     cache: MetricsCache,
     prims: RwLock<Vec<(TechnologyNode, Arc<PrimsTable>)>>,
-    fronts: RwLock<Vec<FrontEntry>>,
+    fronts: RwLock<FrontMemo>,
     restricted_base: Mutex<Option<Arc<MergeBase>>>,
     /// Optional write-through persistence tier under the memo caches.
     /// Content-addressed and strictly best-effort: a missing, corrupt
@@ -217,7 +295,7 @@ impl Evaluator {
             points,
             cache: MetricsCache::default(),
             prims: RwLock::new(Vec::new()),
-            fronts: RwLock::new(Vec::new()),
+            fronts: RwLock::new(FrontMemo::default()),
             restricted_base: Mutex::new(None),
             store: None,
             fronts_built: AtomicUsize::new(0),
@@ -311,9 +389,12 @@ impl Evaluator {
     }
 
     /// Tries to satisfy a front query from the persistent store. A
-    /// loaded front is sanity-checked against the spec (choice lengths,
-    /// finite metrics) before it is installed; it carries no merge base,
-    /// so later specs extending it merge from scratch (bit-identical).
+    /// loaded front is sanity-checked against the spec before it is
+    /// installed: every choice has one entry per group, every metric is
+    /// finite, and delay strictly ascends while cost strictly descends
+    /// (the order every merged front has and the binary-search selects
+    /// rely on). It carries no merge base, so later specs extending it
+    /// fold every group anew (bit-identical).
     fn front_from_store(&self, spec: &HierarchySpec) -> Option<Arc<Vec<FrontPoint>>> {
         self.store.as_ref()?;
         let key = crate::persist::front_key(spec, &self.points);
@@ -337,13 +418,23 @@ impl Evaluator {
             }
         };
         let groups = spec.group_count();
-        let healthy = front
+        let fault = if !front
             .iter()
-            .all(|p| p.choice.len() == groups && p.delay.is_finite() && p.cost.is_finite());
-        if !healthy {
+            .all(|p| p.choice.len() == groups && p.delay.is_finite() && p.cost.is_finite())
+        {
+            Some("shape mismatch")
+        } else if !front
+            .windows(2)
+            .all(|w| w[0].delay < w[1].delay && w[0].cost > w[1].cost)
+        {
+            Some("delay must strictly ascend and cost strictly descend")
+        } else {
+            None
+        };
+        if let Some(fault) = fault {
             self.store_rejected.fetch_add(1, Ordering::Relaxed);
             nm_telemetry::counter_inc(crate::names::EVAL_STORE_REJECTED);
-            log_store_event("persisted front rejected, recomputing: shape mismatch");
+            log_store_event(&format!("persisted front rejected, recomputing: {fault}"));
             return None;
         }
         let front = Arc::new(front);
@@ -351,10 +442,10 @@ impl Evaluator {
             .fronts
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some((_, existing, _)) = fronts.iter().find(|(s, _, _)| s == spec) {
-            return Some(Arc::clone(existing));
+        if let Some(existing) = fronts.get(spec) {
+            return Some(existing);
         }
-        fronts.push((spec.clone(), Arc::clone(&front), None));
+        fronts.insert(spec, Arc::clone(&front), None);
         self.store_loaded.fetch_add(1, Ordering::Relaxed);
         nm_telemetry::counter_inc(crate::names::EVAL_STORE_LOADED);
         Some(front)
@@ -628,13 +719,11 @@ impl Evaluator {
         // Offer every cached spec's merge base: a spec sharing a group
         // prefix (same circuits, weights and costs on its leading levels)
         // re-merges only the layers past the shared prefix.
-        let bases: Vec<Arc<MergeBase>> = self
+        let bases = self
             .fronts
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .filter_map(|(_, _, b)| b.clone())
-            .collect();
+            .bases();
         let (base, reused) = MergeBase::try_new_with_bases(&groups, bases.iter().map(Arc::as_ref))?;
         if reused > 0 {
             self.fronts_incremental.fetch_add(1, Ordering::Relaxed);
@@ -647,8 +736,8 @@ impl Evaluator {
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         // Keep the first-stored front if another thread raced us there —
         // both are bit-identical, but callers may compare Arc pointers.
-        if let Some((_, existing, _)) = fronts.iter().find(|(s, _, _)| s == spec) {
-            return Ok(Arc::clone(existing));
+        if let Some(existing) = fronts.get(spec) {
+            return Ok(existing);
         }
         if self.store.is_some() {
             self.store_put(
@@ -656,7 +745,7 @@ impl Evaluator {
                 &crate::persist::encode_front(&front),
             );
         }
-        fronts.push((spec.clone(), Arc::clone(&front), Some(Arc::new(base))));
+        fronts.insert(spec, Arc::clone(&front), Some(base));
         self.fronts_built.fetch_add(1, Ordering::Relaxed);
         nm_telemetry::counter_inc(crate::names::EVAL_FRONT_BUILT);
         // Hierarchy shape of this run, for `--metrics` reports: depth per
@@ -674,9 +763,7 @@ impl Evaluator {
         self.fronts
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .iter()
-            .find(|(s, _, _)| s == spec)
-            .map(|(_, f, _)| Arc::clone(f))
+            .get(spec)
     }
 
     /// Reads a constrained optimum off the spec's (memoized) front, or
@@ -758,8 +845,7 @@ impl Evaluator {
             self.fronts
                 .read()
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .iter()
-                .filter_map(|(_, _, b)| b.clone()),
+                .bases(),
         );
         let (base, reused) =
             MergeBase::try_new_with_bases(&restricted, bases.iter().map(Arc::as_ref))?;
@@ -1145,6 +1231,77 @@ mod tests {
         assert_eq!(a, direct);
         // The second identical restriction reused every layer of the first.
         assert!(e.stats().fronts_incremental >= 1);
+    }
+
+    /// A two-level spec whose L2 carries `weight`, built independently.
+    fn two_level(l1_label: &str, tech: &TechnologyNode, weight: f64) -> HierarchySpec {
+        let at = |bytes| CacheCircuit::new(CacheConfig::new(bytes, 64, 4).unwrap(), tech);
+        HierarchySpec::new()
+            .level(
+                l1_label,
+                at(16 * 1024),
+                Scheme::Split,
+                1.0,
+                CostKind::LeakagePower,
+            )
+            .level(
+                "L2",
+                at(64 * 1024),
+                Scheme::Split,
+                weight,
+                CostKind::LeakagePower,
+            )
+    }
+
+    #[test]
+    fn equal_specs_built_apart_share_one_memo_entry() {
+        let tech = TechnologyNode::bptm65();
+        for (first, second) in [(0.05, 0.05), (0.0, -0.0)] {
+            let e = eval();
+            let a = two_level("L1", &tech, first);
+            let b = two_level("L1", &tech, second);
+            assert_eq!(a, b);
+            assert_eq!(
+                FrontMemo::bucket(&a),
+                FrontMemo::bucket(&b),
+                "{first} vs {second}"
+            );
+            let fa = e.front(&a);
+            let fb = e.front(&b);
+            assert!(Arc::ptr_eq(&fa, &fb), "{first} vs {second}");
+            assert_eq!(e.stats().fronts_built, 1);
+            assert_eq!(e.stats().front_hits, 1);
+        }
+    }
+
+    #[test]
+    fn specs_differing_outside_the_bucket_word_keep_their_own_fronts() {
+        let cool = TechnologyNode::bptm65();
+        let hot = cool.at_temperature(nm_device::units::Kelvin::from_celsius(110.0));
+        let base = two_level("L1", &cool, 0.05);
+        let relabelled = two_level("D$", &cool, 0.05);
+        let heated = two_level("L1", &hot, 0.05);
+        // All three collide on the bucket word but are distinct specs.
+        for other in [&relabelled, &heated] {
+            assert_eq!(FrontMemo::bucket(&base), FrontMemo::bucket(other));
+            assert_ne!(&base, other);
+        }
+        let e = eval();
+        let f_base = e.front(&base);
+        let f_relabelled = e.front(&relabelled);
+        let f_heated = e.front(&heated);
+        assert_eq!(e.stats().fronts_built, 3);
+        assert_eq!(e.stats().front_hits, 0);
+        assert!(!Arc::ptr_eq(&f_base, &f_relabelled));
+        assert!(!Arc::ptr_eq(&f_base, &f_heated));
+        // Leakage rises with temperature, so the heated front differs.
+        assert_ne!(*f_base, *f_heated);
+        // Each spec then hits its own entry.
+        assert!(Arc::ptr_eq(&e.front(&base), &f_base));
+        assert!(Arc::ptr_eq(&e.front(&relabelled), &f_relabelled));
+        assert!(Arc::ptr_eq(&e.front(&heated), &f_heated));
+        assert_eq!(e.stats().fronts_built, 3);
+        assert_eq!(e.stats().front_hits, 3);
     }
 
     #[test]

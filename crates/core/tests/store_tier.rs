@@ -158,3 +158,44 @@ fn cloned_evaluator_shares_the_store_tier() {
     assert!(stats.store_loaded >= 1, "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn out_of_order_persisted_front_is_rejected_and_recomputed() {
+    let spec = spec();
+    let points: Vec<nm_device::KnobPoint> = KnobGrid::coarse().points().collect();
+    let reference = Evaluator::new(KnobGrid::coarse()).front(&spec);
+    assert!(
+        reference.len() > 2,
+        "need a front with an inside to disorder"
+    );
+    // Each payload passes the decoder, the store checksums and the shape
+    // checks (group count, finite metrics), but breaks the order the
+    // binary-search selects rely on.
+    let mut reversed = reference.to_vec();
+    reversed.reverse();
+    let mut tied = reference.to_vec();
+    tied.insert(1, tied[0].clone());
+    for (tag, disordered) in [("reversed", reversed), ("tied", tied)] {
+        let dir = tmpdir(&format!("unsorted-{tag}"));
+        let store = open(&dir);
+        store
+            .put(
+                nm_cache_core::persist::front_key(&spec, &points),
+                &nm_cache_core::persist::encode_front(&disordered),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+        let e = Evaluator::with_store(KnobGrid::coarse(), store);
+        let front = e.front(&spec);
+        let stats = e.stats();
+        assert_eq!(stats.store_rejected, 1, "{tag}: {stats:?}");
+        assert_eq!(stats.store_loaded, 0, "{tag}: {stats:?}");
+        assert_eq!(stats.fronts_built, 1, "{tag}: {stats:?}");
+        assert_eq!(front.len(), reference.len(), "{tag}");
+        for (a, b) in front.iter().zip(reference.iter()) {
+            assert_eq!(a.delay.to_bits(), b.delay.to_bits(), "{tag}");
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{tag}");
+            assert_eq!(a.choice, b.choice, "{tag}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -6,9 +6,10 @@ use crate::Candidate;
 /// candidate at most as slow and strictly cheaper, or at most as
 /// expensive and strictly faster).
 ///
-/// The result is sorted by ascending delay with strictly descending cost,
-/// which is what [`crate::constraint::best_under_deadline`] binary-searches
-/// over. Exact ties in both metrics keep the first occurrence.
+/// The result is sorted by ascending delay with strictly descending
+/// cost, which is what [`crate::constraint::best_under_deadline`]
+/// and [`crate::constraint::fastest_under_budget`] binary-search over.
+/// Exact ties in both metrics keep the first occurrence.
 ///
 /// NaN candidates (a NaN delay or cost — constructible through raw
 /// `Candidate` literals, e.g. by fault-injection surfaces) are treated as

@@ -10,6 +10,7 @@
 use nm_store::{Store, StoreError, SEGMENT_FILE};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nm-store-rt-{tag}-{}", std::process::id()));
@@ -137,6 +138,10 @@ fn alien_file_is_rejected_as_incompatible() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Numbers the corruption property's cases, so each one writes its own
+/// directory whatever values it draws.
+static CORRUPTION_CASE: AtomicUsize = AtomicUsize::new(0);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -152,9 +157,8 @@ proptest! {
         corrupt_at in any::<u64>(),
         flip in 1u8..=255,
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "nm-store-prop-{}-{corrupt_at}-{flip}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let case = CORRUPTION_CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = tmpdir(&format!("corrupt-case-{case}"));
         {
             let store = Store::open(&dir).unwrap_or_else(|e| panic!("{e}"));
             for (i, p) in payloads.iter().enumerate() {

@@ -36,7 +36,9 @@ pub mod prelude {
 }
 
 /// Defines property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` that samples its strategies `cases` times.
+/// becomes a function that samples its strategies `cases` times. As in
+/// real proptest, the caller's attributes pass through unchanged and the
+/// macro adds none of its own, so each function needs its own `#[test]`.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -58,7 +60,6 @@ macro_rules! __proptest_body {
      fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block
      $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __cases = { $cfg }.cases;
             let __strategies = ($($strat,)+);
