@@ -204,15 +204,10 @@ fn in_scope(rule: RuleId, file: &SourceFile) -> bool {
         FileKind::Test => false,
         FileKind::Bench | FileKind::Example => matches!(rule, RuleId::D5 | RuleId::D6),
         FileKind::Source => match rule {
-            RuleId::D1 => true,
-            // The bench harness crate writes artifacts and may assert;
-            // panic-freedom is a library-crate contract.
-            RuleId::D2 => dir != "crates/bench",
-            // Timing is nm-telemetry's job; the bench harness measures.
-            RuleId::D3 => dir != "crates/telemetry" && dir != "crates/bench",
-            RuleId::D4 => true,
+            RuleId::D1 | RuleId::D2 | RuleId::D4 | RuleId::D6 => true,
+            // Timing is nm-telemetry's job.
+            RuleId::D3 => dir != "crates/telemetry",
             RuleId::D5 => dir != "crates/sweep",
-            RuleId::D6 => true,
         },
     }
 }
@@ -504,7 +499,7 @@ mod tests {
         assert!(scan("crates/x/tests/it.rs", "fn t() { x.unwrap(); }").is_empty());
         // Benches: D2/D3 do not apply, D5 does.
         let bench = "fn b() { let t = Instant::now(); x.unwrap(); std::thread::spawn(|| {}); }";
-        let found = scan("crates/bench/benches/b.rs", bench);
+        let found = scan("crates/x/benches/b.rs", bench);
         assert_eq!(rules_of(&found), [RuleId::D5]);
     }
 }

@@ -13,118 +13,114 @@ pub struct Experiment {
     pub artefact: &'static str,
     /// One-line description.
     pub title: &'static str,
-    /// The bench target that regenerates it (`cargo bench --bench …`).
-    pub bench: &'static str,
-    /// The `nmcache` CLI subcommand covering it, if any.
-    pub cli: Option<&'static str>,
+    /// The full command that regenerates it: an `nmcache` subcommand or
+    /// a `cargo run --release --example …` program.
+    pub command: &'static str,
 }
 
 /// Every experiment, in the order of `DESIGN.md`'s index.
-pub const ALL: [Experiment; 15] = [
+pub const ALL: [Experiment; 17] = [
     Experiment {
         id: "E1",
         artefact: "Figure 1",
         title: "fixed-Vth vs fixed-Tox leakage/access-time curves (16 KB)",
-        bench: "fig1_fixed_knobs",
-        cli: Some("fig1"),
+        command: "nmcache fig1",
     },
     Experiment {
         id: "E2",
         artefact: "Section 4",
         title: "assignment schemes I/II/III at iso-delay",
-        bench: "table2_schemes",
-        cli: Some("schemes"),
+        command: "nmcache schemes",
     },
     Experiment {
         id: "E3",
         artefact: "Section 5",
         title: "L2 size sweep with a single knob pair at iso-AMAT",
-        bench: "table3_l2_size",
-        cli: Some("l2-sweep"),
+        command: "nmcache l2-sweep",
     },
     Experiment {
         id: "E4",
         artefact: "Section 5",
-        title: "L2 split cell/periphery pairs move the winner smaller",
-        bench: "table4_l2_split",
-        cli: Some("l2-sweep --scheme split"),
+        title: "L2 split cell/periphery pairs vs a single pair",
+        command: "nmcache l2-sweep --scheme split",
     },
     Experiment {
         id: "E5",
         artefact: "Section 5",
         title: "L1 size sweep with fixed L2 (small L1 wins)",
-        bench: "table5_l1_size",
-        cli: Some("l1-sweep"),
+        command: "nmcache l1-sweep --slack 0.1",
     },
     Experiment {
         id: "E6",
         artefact: "Figure 2",
         title: "(Tox, Vth) tuple problem: energy vs AMAT",
-        bench: "fig2_tuples",
-        cli: Some("fig2"),
+        command: "nmcache fig2 --steps 9",
     },
     Experiment {
         id: "E7",
         artefact: "Section 4",
         title: "single-knob ablation ('Vth is the better knob')",
-        bench: "table6_knob_ablation",
-        cli: Some("ablation"),
+        command: "nmcache ablation --steps 7",
     },
     Experiment {
         id: "E0",
         artefact: "Section 3",
         title: "Eq.1/Eq.2 surface-fit quality per component",
-        bench: "table1_model_fit",
-        cli: Some("fit"),
+        command: "nmcache fit",
     },
     Experiment {
         id: "E8",
         artefact: "extension",
         title: "3-level mixed-technology hierarchy (SRAM/eDRAM/STT-MRAM L3)",
-        bench: "table12_mixed_tech",
-        cli: Some("e8"),
+        command: "nmcache e8",
     },
     Experiment {
         id: "X1",
         artefact: "extension",
         title: "die-to-die variation on the Scheme II optimum",
-        bench: "table7_variation",
-        cli: Some("variation"),
+        command: "nmcache variation --steps 7",
     },
     Experiment {
         id: "X2",
         artefact: "extension",
         title: "temperature sensitivity (25/80/110 °C)",
-        bench: "table8_temperature",
-        cli: Some("thermal"),
+        command: "nmcache thermal",
     },
     Experiment {
         id: "X3",
         artefact: "extension",
         title: "process knobs vs cache decay (gated-Vdd)",
-        bench: "table9_decay",
-        cli: Some("decay"),
+        command: "nmcache decay",
     },
     Experiment {
         id: "X4",
         artefact: "extension",
         title: "split I$/D$ vs unified L1 at iso mean access time",
-        bench: "table10_split_l1",
-        cli: Some("split-l1"),
+        command: "nmcache split-l1",
     },
     Experiment {
         id: "T0",
         artefact: "audit",
         title: "workload substitution audit (miss-rate shapes)",
-        bench: "table0_workload_validation",
-        cli: Some("missrates"),
+        command: "cargo run --release --example t0_workload_audit",
     },
     Experiment {
         id: "T11",
         artefact: "ablation",
         title: "calibration ablation of κ/Bg/λ",
-        bench: "table11_calibration_ablation",
-        cli: None,
+        command: "cargo run --release --example t11_calibration_ablation",
+    },
+    Experiment {
+        id: "F3",
+        artefact: "Section 4",
+        title: "scheme I/II/III leakage-delay Pareto fronts (16 KB)",
+        command: "cargo run --release --example f3_pareto_fronts",
+    },
+    Experiment {
+        id: "F4",
+        artefact: "motivation",
+        title: "gate vs subthreshold leakage crossover over Tox",
+        command: "cargo run --release --example f4_leakage_breakdown",
     },
 ];
 
@@ -137,15 +133,14 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
 pub fn registry_table() -> Table {
     let mut t = Table::new(
         "Experiment registry (see DESIGN.md / EXPERIMENTS.md)",
-        &["id", "artefact", "title", "bench", "cli"],
+        &["id", "artefact", "title", "command"],
     );
     for e in &ALL {
         t.push_row(vec![
             e.id.to_owned(),
             e.artefact.to_owned(),
             e.title.to_owned(),
-            e.bench.to_owned(),
-            e.cli.unwrap_or("-").to_owned(),
+            e.command.to_owned(),
         ]);
     }
     t
@@ -165,19 +160,9 @@ mod tests {
 
     #[test]
     fn find_is_case_insensitive() {
-        assert_eq!(find("e1").unwrap().bench, "fig1_fixed_knobs");
-        assert_eq!(find("X3").unwrap().cli, Some("decay"));
+        assert_eq!(find("e1").unwrap().command, "nmcache fig1");
+        assert_eq!(find("X3").unwrap().command, "nmcache decay");
         assert!(find("E99").is_none());
-    }
-
-    #[test]
-    fn every_bench_target_exists_on_disk() {
-        // Registry entries must point at real bench files.
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/benches");
-        for e in &ALL {
-            let path = dir.join(format!("{}.rs", e.bench));
-            assert!(path.exists(), "{}: missing {}", e.id, path.display());
-        }
     }
 
     #[test]

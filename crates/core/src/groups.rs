@@ -143,28 +143,12 @@ pub(crate) fn candidate_from_metrics<'a>(
     objective::price(p, &sample_over(metrics), delay_weight, &cost)
 }
 
-/// Evaluates one component of a circuit over the whole grid as an
-/// optimiser group.
-///
-/// `delay_weight` scales the component's delay contribution in the system
-/// objective (1 for an L1 component, the L1 miss rate for an L2 component
-/// in an AMAT study).
-pub fn component_group(
-    circuit: &CacheCircuit,
-    id: ComponentId,
-    grid: &KnobGrid,
-    delay_weight: f64,
-    cost: CostKind,
-) -> Group {
-    let candidates: Vec<Candidate> = grid
-        .points()
-        .map(|p| make_candidate(circuit, &[id], p, delay_weight, cost))
-        .collect();
-    Group::new(format!("{}:{id}", circuit.config()), candidates)
-}
-
 /// Evaluates a *tied* set of components (sharing one knob pair) over the
 /// grid as a single group.
+///
+/// `delay_weight` scales the set's delay contribution in the system
+/// objective (1 for an L1 component, the L1 miss rate for an L2 component
+/// in an AMAT study).
 pub fn tied_group(
     circuit: &CacheCircuit,
     ids: &[ComponentId],
@@ -272,7 +256,14 @@ mod tests {
     fn candidates_match_direct_analysis() {
         let c = circuit();
         let grid = KnobGrid::coarse();
-        let g = component_group(&c, ComponentId::Decoder, &grid, 1.0, CostKind::LeakagePower);
+        let g = tied_group(
+            &c,
+            &[ComponentId::Decoder],
+            &ComponentId::Decoder.to_string(),
+            &grid,
+            1.0,
+            CostKind::LeakagePower,
+        );
         for cand in g.candidates() {
             let m = c.analyze_component(ComponentId::Decoder, cand.knobs);
             assert!((cand.delay - m.delay.0).abs() < 1e-18);
@@ -307,10 +298,18 @@ mod tests {
     fn delay_weight_scales_delay_only() {
         let c = circuit();
         let grid = KnobGrid::coarse();
-        let g1 = component_group(&c, ComponentId::DataBus, &grid, 1.0, CostKind::LeakagePower);
-        let g2 = component_group(
+        let g1 = tied_group(
             &c,
-            ComponentId::DataBus,
+            &[ComponentId::DataBus],
+            &ComponentId::DataBus.to_string(),
+            &grid,
+            1.0,
+            CostKind::LeakagePower,
+        );
+        let g2 = tied_group(
+            &c,
+            &[ComponentId::DataBus],
+            &ComponentId::DataBus.to_string(),
             &grid,
             0.05,
             CostKind::LeakagePower,
@@ -326,9 +325,10 @@ mod tests {
         let c = circuit();
         let grid = KnobGrid::coarse();
         let t_ref = 1.5e-9;
-        let g = component_group(
+        let g = tied_group(
             &c,
-            ComponentId::MemoryArray,
+            &[ComponentId::MemoryArray],
+            &ComponentId::MemoryArray.to_string(),
             &grid,
             1.0,
             CostKind::Energy {

@@ -1,6 +1,6 @@
 //! Terminal scatter plots for figure-style results.
 //!
-//! The bench harness writes CSVs for real plotting; this module renders a
+//! `--csv` writes CSVs for real plotting; this module renders a
 //! quick ASCII view so `nmcache fig1`/`fig2` show the curve *shapes*
 //! directly in the terminal.
 

@@ -1,8 +1,8 @@
 //! Plain-text and CSV rendering of experiment results.
 //!
-//! Every experiment produces a [`Table`]; the bench harness prints it and
-//! optionally persists the CSV next to the Criterion output, so each paper
-//! figure/table can be regenerated and diffed from artefacts.
+//! Every experiment produces a [`Table`]; the CLI prints it and, with
+//! `--csv`, persists it as CSV, so each paper figure/table can be
+//! regenerated and diffed from artefacts.
 
 use nm_telemetry::SweepRecord;
 use serde::{Deserialize, Serialize};

@@ -137,7 +137,8 @@ impl TwoLevelStudy {
 
     /// Builds the standard study: L1 ∈ {4…64 K}, L2 ∈ {256 K…8 M},
     /// averaged over [`STANDARD_SUITES`]. `quick` trades simulation length
-    /// for speed (tests); benches use the full-length table.
+    /// for speed (tests); the CLI uses the full-length table unless
+    /// `--quick`.
     ///
     /// # Errors
     ///

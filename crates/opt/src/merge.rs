@@ -27,7 +27,7 @@
 //! [`MergeBase`] retains every intermediate layer (cheaply, behind `Arc`).
 //! When a system is re-merged and only a suffix of its groups changed —
 //! the restricted solves of the deadline studies mutate one group at a
-//! time — [`system_front_with_base`] reuses the longest unchanged prefix
+//! time — [`MergeBase::try_with_base`] reuses the longest unchanged prefix
 //! of layers verbatim. Because each layer is a pure left-fold over the
 //! pruned group fronts, a reused prefix is bit-identical to recomputing
 //! it (float addition is reassociated nowhere).
@@ -307,22 +307,6 @@ pub fn try_system_front(groups: &[Group]) -> Result<Vec<FrontPoint>, EmptySystem
     MergeBase::try_new(groups).map(|base| base.front())
 }
 
-/// [`system_front`] resuming from a previous merge: layers covering the
-/// unchanged pruned-group prefix of `base` are reused verbatim (they are
-/// bit-identical by construction). Returns the front and the number of
-/// reused layers.
-///
-/// # Panics
-///
-/// Panics when `groups` is empty.
-#[allow(clippy::expect_used)] // fingerprinted in analyze.allow: documented panicking wrapper
-pub fn system_front_with_base(groups: &[Group], base: &MergeBase) -> (Vec<FrontPoint>, usize) {
-    assert!(!groups.is_empty(), "system_front needs at least one group");
-    let (merged, reused) =
-        MergeBase::try_with_base(groups, base).expect("group emptiness was just checked");
-    (merged.front(), reused)
-}
-
 /// Computes the front when every group is forced to share **one** knob
 /// pair (the paper's Scheme III, or any fully tied study).
 ///
@@ -547,16 +531,16 @@ mod tests {
         // Mutate only the last group: the first two layers are reusable.
         let gc2 = group("c", &[(0.3, 14.0, 1.0, 2.0), (0.5, 14.0, 3.0, 0.1)]);
         let system = [ga.clone(), gb.clone(), gc2.clone()];
-        let (incremental, reused) = system_front_with_base(&system, &base);
+        let (incremental, reused) = MergeBase::try_with_base(&system, &base).unwrap();
         assert_eq!(reused, 2);
-        assert_eq!(incremental, system_front(&system));
+        assert_eq!(incremental.front(), system_front(&system));
 
         // Mutate the first group: nothing is reusable, result still equal.
         let ga2 = group("a", &[(0.25, 10.0, 1.2, 8.0), (0.45, 10.0, 4.5, 0.9)]);
         let system = [ga2, gb, gc];
-        let (incremental, reused) = system_front_with_base(&system, &base);
+        let (incremental, reused) = MergeBase::try_with_base(&system, &base).unwrap();
         assert_eq!(reused, 0);
-        assert_eq!(incremental, system_front(&system));
+        assert_eq!(incremental.front(), system_front(&system));
     }
 
     #[test]

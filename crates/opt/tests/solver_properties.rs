@@ -5,7 +5,7 @@ use nm_device::KnobPoint;
 use nm_opt::anneal::{anneal, AnnealConfig};
 use nm_opt::budget::solve_budget_dp;
 use nm_opt::constraint::{best_under_deadline, deadline_sweep, fastest_under_budget};
-use nm_opt::merge::{system_front, system_front_with_base, MergeBase};
+use nm_opt::merge::{system_front, MergeBase};
 use nm_opt::tuple::{combinations, optimize_with_tuple_counts};
 use nm_opt::{Candidate, Group};
 use proptest::prelude::*;
@@ -173,9 +173,10 @@ proptest! {
             .map(|c| Candidate::new(c.knobs, c.delay, c.cost * 1.5 + 0.01))
             .collect();
         mutated[which] = Group::new("mutated", recosted);
-        let (incremental, reused) = system_front_with_base(&mutated, &base);
+        let (incremental, reused) =
+            MergeBase::try_with_base(&mutated, &base).expect("non-empty system");
         prop_assert_eq!(reused, which);
-        prop_assert_eq!(incremental, system_front(&mutated));
+        prop_assert_eq!(incremental.front(), system_front(&mutated));
     }
 
     /// `combinations(n, k)` has binomial-coefficient cardinality and only

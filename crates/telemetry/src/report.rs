@@ -232,9 +232,9 @@ pub fn write_chrome_trace(snapshot: &Snapshot, path: &Path) -> io::Result<()> {
 /// `BTreeMap`s or fixed sequences, which is what makes reports stable.
 ///
 /// Public so sibling crates that emit machine-readable artifacts
-/// (`nm-analyze`'s findings report, the bench harness) render them
-/// through the same writer and inherit the same float formatting,
-/// escaping and stable-layout conventions as the metrics report.
+/// (`nm-analyze`'s findings report) render them through the same writer
+/// and inherit the same float formatting, escaping and stable-layout
+/// conventions as the metrics report.
 pub struct JsonWriter {
     out: String,
     // One entry per open container: `true` once it has a first element.
