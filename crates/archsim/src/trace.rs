@@ -276,18 +276,8 @@ pub struct TraceWorkload {
 }
 
 impl TraceWorkload {
-    /// Wraps a recorded trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty trace — an endless generator needs at least one
-    /// reference. Use [`try_new`](Self::try_new) where an empty trace is
-    /// an input error rather than a bug.
-    pub fn new(accesses: Vec<Access>) -> Self {
-        Self::try_new(accesses).unwrap_or_else(|_| panic!("trace must contain at least one access"))
-    }
-
-    /// Wraps a recorded trace, rejecting an empty one with a typed error.
+    /// Wraps a recorded trace, rejecting an empty one with a typed error:
+    /// an endless generator needs at least one reference.
     ///
     /// # Errors
     ///
@@ -372,19 +362,14 @@ mod tests {
 
     #[test]
     fn replay_cycles() {
-        let mut w = TraceWorkload::new(vec![Access::read(1), Access::read(2)]);
+        let mut w = TraceWorkload::try_new(vec![Access::read(1), Access::read(2)])
+            .expect("non-empty trace");
         assert_eq!(w.next_access().addr, 1);
         assert_eq!(w.next_access().addr, 2);
         assert_eq!(w.next_access().addr, 1);
         assert_eq!(w.len(), 2);
         assert!(!w.is_empty());
         assert_eq!(w.name(), "trace-replay");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one access")]
-    fn empty_trace_rejected() {
-        let _ = TraceWorkload::new(vec![]);
     }
 
     #[test]
@@ -501,7 +486,8 @@ mod tests {
     #[test]
     fn replay_feeds_simulator() {
         use crate::cache::{CacheParams, CacheSim, Replacement};
-        let mut w = TraceWorkload::new(vec![Access::read(0), Access::read(0x40)]);
+        let mut w = TraceWorkload::try_new(vec![Access::read(0), Access::read(0x40)])
+            .expect("non-empty trace");
         let mut sim = CacheSim::new(CacheParams::new(1024, 64, 2).unwrap(), Replacement::Lru);
         for _ in 0..10 {
             sim.access(w.next_access());

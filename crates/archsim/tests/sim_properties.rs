@@ -64,7 +64,7 @@ proptest! {
     /// recorded accesses, in order, cyclically.
     #[test]
     fn replay_is_faithful(trace in prop::collection::vec(arb_access(), 1..50), rounds in 1usize..4) {
-        let mut w = TraceWorkload::new(trace.clone());
+        let mut w = TraceWorkload::try_new(trace.clone()).expect("non-empty trace");
         for _ in 0..rounds {
             for &expected in &trace {
                 prop_assert_eq!(w.next_access(), expected);

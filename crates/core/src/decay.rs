@@ -19,6 +19,7 @@
 use crate::groups::Scheme;
 use crate::report::{cell, Table};
 use crate::single::SingleCacheStudy;
+use crate::StudyError;
 use nm_archsim::cache::CacheParams;
 use nm_archsim::decay::DecaySim;
 use nm_archsim::workload::SuiteKind;
@@ -161,10 +162,17 @@ impl DecayStudy {
     }
 
     /// Evaluates all four techniques at one delay constraint. Returns
-    /// `None` when the constraint is infeasible for the knob optimiser.
-    pub fn evaluate(&self, deadline: Seconds) -> Option<Vec<TechniqueRow>> {
+    /// `Ok(None)` when the constraint is infeasible for the knob
+    /// optimiser.
+    ///
+    /// # Errors
+    ///
+    /// Any evaluation failure from [`SingleCacheStudy::optimize`].
+    pub fn evaluate(&self, deadline: Seconds) -> Result<Option<Vec<TechniqueRow>>, StudyError> {
         let fastest = ComponentKnobs::uniform(KnobPoint::fastest());
-        let optimum = self.study.optimize(Scheme::Split, deadline)?;
+        let Some(optimum) = self.study.optimize(Scheme::Split, deadline)? else {
+            return Ok(None);
+        };
 
         // Decay behaviour is knob-independent (intervals are in
         // references), so each interval is simulated once; the *best*
@@ -190,16 +198,21 @@ impl DecayStudy {
         let decay_for_fast = Self::best_outcome(&outcomes, fast_array, refill);
         let decay_for_opt = Self::best_outcome(&outcomes, opt_array, refill);
 
-        Some(vec![
+        Ok(Some(vec![
             self.row("performance process", &fastest, None),
             self.row("decay only", &fastest, Some(&decay_for_fast)),
             self.row("knobs only (Scheme II)", &optimum.knobs, None),
             self.row("knobs + decay", &optimum.knobs, Some(&decay_for_opt)),
-        ])
+        ]))
     }
 
-    /// Renders the comparison as a table (powers in mW).
-    pub fn to_table(&self, deadline: Seconds) -> Table {
+    /// Renders the comparison as a table (powers in mW); an infeasible
+    /// deadline renders no rows.
+    ///
+    /// # Errors
+    ///
+    /// Any evaluation failure from [`evaluate`](Self::evaluate).
+    pub fn to_table(&self, deadline: Seconds) -> Result<Table, StudyError> {
         let mut t = Table::new(
             format!(
                 "Process knobs vs cache decay, {} at ≤ {:.0} ps ({} workload)",
@@ -215,7 +228,7 @@ impl DecayStudy {
                 "total (mW)",
             ],
         );
-        if let Some(rows) = self.evaluate(deadline) {
+        if let Some(rows) = self.evaluate(deadline)? {
             for r in rows {
                 t.push_row(vec![
                     r.name,
@@ -226,7 +239,7 @@ impl DecayStudy {
                 ]);
             }
         }
-        t
+        Ok(t)
     }
 }
 
@@ -253,7 +266,9 @@ mod tests {
     fn rows() -> Vec<TechniqueRow> {
         let s = study();
         let deadline = s.study().delay_sweep(5)[2];
-        s.evaluate(deadline).expect("mid deadline feasible")
+        s.evaluate(deadline)
+            .expect("healthy build")
+            .expect("mid deadline feasible")
     }
 
     #[test]
@@ -305,7 +320,7 @@ mod tests {
     fn table_renders_four_rows() {
         let s = study();
         let deadline = s.study().delay_sweep(5)[2];
-        assert_eq!(s.to_table(deadline).len(), 4);
+        assert_eq!(s.to_table(deadline).expect("healthy build").len(), 4);
     }
 
     #[test]

@@ -150,6 +150,22 @@ impl From<EmptySystemError> for StudyError {
     }
 }
 
+/// Unwraps a study result inside one of the four table renderers whose
+/// `-> Table` signature callers outside this workspace pin:
+/// [`scheme_comparison`](crate::single::SingleCacheStudy::scheme_comparison),
+/// [`knob_ablation`](crate::single::SingleCacheStudy::knob_ablation),
+/// [`SplitL1Study::to_table`](crate::splitl1::SplitL1Study::to_table) and
+/// [`tuple_table`](crate::memsys::MemorySystemStudy::tuple_table). This is
+/// the one place a [`StudyError`] becomes a panic; every other study
+/// operation returns it.
+///
+/// # Panics
+///
+/// Panics with the error's message when `result` is an `Err`.
+pub(crate) fn rendered<T>(result: Result<T, StudyError>) -> T {
+    result.unwrap_or_else(|e| panic!("study evaluation failed: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

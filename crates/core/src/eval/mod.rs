@@ -46,7 +46,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// A constrained optimum produced by [`Evaluator::solve`].
+/// A constrained optimum produced by [`Evaluator::try_solve`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Weighted system delay of the winning point (seconds).
@@ -57,7 +57,7 @@ pub struct Solution {
     /// The winning per-group knob choice, in spec group order.
     pub choice: Vec<KnobPoint>,
     /// The choice resolved to one [`ComponentKnobs`] per level, via the
-    /// canonical [`HierarchySpec::knobs_from_choice`].
+    /// canonical [`HierarchySpec::try_knobs_from_choice`].
     pub knobs: Vec<ComponentKnobs>,
 }
 
@@ -462,19 +462,6 @@ impl Evaluator {
         }
     }
 
-    /// Builds every not-yet-cached component surface a spec needs, fanning
-    /// the builds out through one bounded [`ParallelSweep`].
-    ///
-    /// Calling this before spawning parallel per-query jobs (the Figure 2
-    /// tuple sweep) pre-warms the cache so the jobs never start nested
-    /// sweeps; it is also called internally by [`groups`](Self::groups),
-    /// where an all-cached spec skips the sweep entirely.
-    pub fn ensure_surfaces(&self, spec: &HierarchySpec) {
-        if let Err(e) = self.try_ensure_surfaces(spec) {
-            panic!("surface build failed: {e}");
-        }
-    }
-
     /// The hoisted-primitives table for `tech` over this evaluator's
     /// grid, built on first request and cached for the evaluator's
     /// lifetime. The table depends only on `(tech, points)` — both fixed
@@ -505,10 +492,17 @@ impl Evaluator {
         table
     }
 
-    /// Fallible [`ensure_surfaces`](Self::ensure_surfaces): builds every
-    /// not-yet-cached component surface a spec needs with per-item panic
-    /// containment and validates each one *before* it is installed, so a
-    /// failed or poisoned computation never enters the memo cache.
+    /// Builds every not-yet-cached component surface a spec needs, fanning
+    /// the builds out through one bounded [`ParallelSweep`] with per-item
+    /// panic containment, and validates each one *before* it is
+    /// installed, so a failed or poisoned computation never enters the
+    /// memo cache.
+    ///
+    /// Calling this before spawning parallel per-query jobs (the Figure 2
+    /// tuple sweep) pre-warms the cache so the jobs never start nested
+    /// sweeps; it is also called internally by
+    /// [`try_groups`](Self::try_groups), where an all-cached spec skips
+    /// the sweep entirely.
     ///
     /// Every healthy surface is still installed even when some jobs fail
     /// (partial progress is kept); the first failure, in job order, is
@@ -622,16 +616,6 @@ impl Evaluator {
     /// The optimiser groups of a spec — bit-identical to concatenating
     /// [`cache_groups`](crate::groups::cache_groups) per level, but the
     /// metric surfaces behind the candidates are memoized.
-    pub fn groups(&self, spec: &HierarchySpec) -> Vec<Group> {
-        self.ensure_surfaces(spec);
-        spec.levels()
-            .iter()
-            .flat_map(|level| self.level_groups(level))
-            .collect()
-    }
-
-    /// Fallible [`groups`](Self::groups): propagates surface-build
-    /// failures instead of panicking.
     ///
     /// # Errors
     ///
@@ -691,16 +675,9 @@ impl Evaluator {
             .collect()
     }
 
-    /// The system Pareto front of a spec, memoized per spec.
-    pub fn front(&self, spec: &HierarchySpec) -> Arc<Vec<FrontPoint>> {
-        self.try_front(spec)
-            .unwrap_or_else(|e| panic!("front build failed: {e}"))
-    }
-
-    /// Fallible [`front`](Self::front): the memoized system Pareto front,
-    /// propagating surface-build failures. A failed build memoizes
-    /// nothing — neither surfaces nor front — so a later retry starts
-    /// from a clean cache.
+    /// The system Pareto front of a spec, memoized per spec. A failed
+    /// build memoizes nothing — neither the rejected surface nor the
+    /// front — so a later retry starts from a clean cache.
     ///
     /// # Errors
     ///
@@ -766,16 +743,9 @@ impl Evaluator {
             .get(spec)
     }
 
-    /// Reads a constrained optimum off the spec's (memoized) front, or
-    /// `None` when the constraint is infeasible.
-    pub fn solve<C: Constraint>(&self, spec: &HierarchySpec, constraint: &C) -> Option<Solution> {
-        let front = self.front(spec);
-        let point = constraint.select(&front)?;
-        Some(self.solution(spec, point))
-    }
-
-    /// Fallible [`solve`](Self::solve): `Ok(None)` means the constraint
-    /// is infeasible; `Err` means evaluation itself failed.
+    /// Reads a constrained optimum off the spec's (memoized) front:
+    /// `Ok(None)` means the constraint is infeasible; `Err` means
+    /// evaluation itself failed.
     ///
     /// # Errors
     ///
@@ -793,27 +763,14 @@ impl Evaluator {
             .transpose()
     }
 
-    /// [`solve`](Self::solve) with every group restricted to knob values
-    /// drawn from the given `Vth`/`Tox` value sets (the single-knob
-    /// ablation and tuple-count experiments). Returns `None` when the
-    /// restriction empties a group or the constraint is infeasible.
+    /// [`try_solve`](Self::try_solve) with every group restricted to knob
+    /// values drawn from the given `Vth`/`Tox` value sets (the
+    /// single-knob ablation and tuple-count experiments): `Ok(None)` when
+    /// the restriction empties a group or the constraint is infeasible,
+    /// `Err` when evaluation itself failed.
     ///
     /// Restricted fronts are not memoized — value-set restrictions are
     /// exponentially many — but the metric surfaces they re-price are.
-    pub fn solve_restricted<C: Constraint>(
-        &self,
-        spec: &HierarchySpec,
-        vths: &[f64],
-        toxes: &[f64],
-        constraint: &C,
-    ) -> Option<Solution> {
-        self.try_solve_restricted(spec, vths, toxes, constraint)
-            .unwrap_or_else(|e| panic!("restricted solve failed: {e}"))
-    }
-
-    /// Fallible [`solve_restricted`](Self::solve_restricted): `Ok(None)`
-    /// when the restriction empties a group or the constraint is
-    /// infeasible, `Err` when evaluation itself failed.
     ///
     /// # Errors
     ///
@@ -862,11 +819,6 @@ impl Evaluator {
             .select(&front)
             .map(|point| self.try_solution(spec, point))
             .transpose()
-    }
-
-    fn solution(&self, spec: &HierarchySpec, point: &FrontPoint) -> Solution {
-        self.try_solution(spec, point)
-            .unwrap_or_else(|e| panic!("front point does not fit the spec: {e}"))
     }
 
     fn try_solution(
@@ -925,7 +877,7 @@ mod tests {
     use nm_device::TechnologyNode;
     use nm_geometry::CacheConfig;
     use nm_opt::constraint::best_under_deadline;
-    use nm_opt::merge::system_front;
+    use nm_opt::merge::try_system_front;
     use nm_opt::objective::Deadline;
 
     fn circuit(bytes: u64) -> CacheCircuit {
@@ -944,7 +896,11 @@ mod tests {
         for scheme in Scheme::ALL {
             let spec = HierarchySpec::single(c.clone(), scheme, 1.0, CostKind::LeakagePower);
             let direct = cache_groups(&c, scheme, e.grid(), 1.0, CostKind::LeakagePower);
-            assert_eq!(e.groups(&spec), direct, "{scheme}");
+            assert_eq!(
+                e.try_groups(&spec).expect("healthy build"),
+                direct,
+                "{scheme}"
+            );
         }
         // All three schemes priced the same four surfaces: 4 builds.
         assert_eq!(e.stats().surfaces_built, 4);
@@ -959,8 +915,8 @@ mod tests {
             1.0,
             CostKind::LeakagePower,
         );
-        let a = e.front(&spec);
-        let b = e.front(&spec);
+        let a = e.try_front(&spec).expect("healthy build");
+        let b = e.try_front(&spec).expect("healthy build");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(e.stats().fronts_built, 1);
         assert_eq!(e.stats().front_hits, 1);
@@ -971,7 +927,7 @@ mod tests {
             0.5,
             CostKind::LeakagePower,
         );
-        let c = e.front(&other);
+        let c = e.try_front(&other).expect("healthy build");
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(e.stats().fronts_built, 2);
     }
@@ -981,22 +937,29 @@ mod tests {
         let e = eval();
         let c = circuit(16 * 1024);
         let spec = HierarchySpec::single(c.clone(), Scheme::Split, 1.0, CostKind::LeakagePower);
-        let front = system_front(&cache_groups(
+        let front = try_system_front(&cache_groups(
             &c,
             Scheme::Split,
             e.grid(),
             1.0,
             CostKind::LeakagePower,
-        ));
+        ))
+        .expect("non-empty system");
         let deadline = front.last().expect("non-empty front").delay;
         let manual = best_under_deadline(&front, deadline).expect("feasible");
-        let sol = e.solve(&spec, &Deadline(deadline)).expect("feasible");
+        let sol = e
+            .try_solve(&spec, &Deadline(deadline))
+            .expect("healthy build")
+            .expect("feasible");
         assert_eq!(sol.delay, manual.delay);
         assert_eq!(sol.cost, manual.cost);
         assert_eq!(sol.choice, manual.choice);
         assert_eq!(sol.knobs.len(), 1);
         // Infeasible deadline: None.
-        assert!(e.solve(&spec, &Deadline(front[0].delay * 0.5)).is_none());
+        assert!(e
+            .try_solve(&spec, &Deadline(front[0].delay * 0.5))
+            .expect("healthy build")
+            .is_none());
     }
 
     #[test]
@@ -1017,9 +980,9 @@ mod tests {
                 0.05,
                 CostKind::LeakagePower,
             );
-        e.ensure_surfaces(&spec);
+        e.try_ensure_surfaces(&spec).expect("healthy build");
         assert_eq!(e.stats().surfaces_built, 8);
-        e.ensure_surfaces(&spec);
+        e.try_ensure_surfaces(&spec).expect("healthy build");
         assert_eq!(e.stats().surfaces_built, 8);
         // Repeated levels of the same circuit build only once.
         let dup = HierarchySpec::new()
@@ -1037,7 +1000,7 @@ mod tests {
                 1.0,
                 CostKind::LeakagePower,
             );
-        e.ensure_surfaces(&dup);
+        e.try_ensure_surfaces(&dup).expect("healthy build");
         assert_eq!(e.stats().surfaces_built, 12);
     }
 
@@ -1050,14 +1013,14 @@ mod tests {
         assert_eq!(e.analyze(&c, &knobs), c.analyze(&knobs));
         // On-grid after warming: served from surfaces, still identical.
         let spec = HierarchySpec::single(c.clone(), Scheme::Uniform, 1.0, CostKind::LeakagePower);
-        e.ensure_surfaces(&spec);
+        e.try_ensure_surfaces(&spec).expect("healthy build");
         let p = e.grid().snap(KnobPoint::nominal());
         let on_grid = ComponentKnobs::uniform(p);
         assert_eq!(e.analyze(&c, &on_grid), c.analyze(&on_grid));
     }
 
     #[test]
-    fn try_solve_matches_solve_on_the_healthy_path() {
+    fn try_solve_matches_a_select_on_the_front() {
         let e = eval();
         let spec = HierarchySpec::single(
             circuit(16 * 1024),
@@ -1066,13 +1029,21 @@ mod tests {
             CostKind::LeakagePower,
         );
         let front = e.try_front(&spec).expect("healthy build");
-        let deadline = front.last().expect("non-empty front").delay;
+        let deadline = Deadline(front.last().expect("non-empty front").delay);
         let via_try = e
-            .try_solve(&spec, &Deadline(deadline))
+            .try_solve(&spec, &deadline)
             .expect("healthy build")
             .expect("feasible");
-        let via_solve = e.solve(&spec, &Deadline(deadline)).expect("feasible");
-        assert_eq!(via_try, via_solve);
+        let point = deadline.select(&front).expect("feasible");
+        let via_select = Solution {
+            delay: point.delay,
+            cost: point.cost,
+            choice: point.choice.clone(),
+            knobs: spec
+                .try_knobs_from_choice(&point.choice)
+                .expect("choice fits the spec"),
+        };
+        assert_eq!(via_try, via_select);
         // Infeasible is Ok(None), not Err.
         let infeasible = e.try_solve(&spec, &Deadline(front[0].delay * 0.5));
         assert_eq!(infeasible, Ok(None));
@@ -1179,7 +1150,7 @@ mod tests {
                 0.05,
                 CostKind::LeakagePower,
             );
-        let _ = e.front(&full);
+        let _ = e.try_front(&full).expect("healthy build");
         assert_eq!(e.stats().fronts_incremental, 0);
         // Same L1 level, different L2: the L1 merge layers are reused and
         // the front still matches a from-scratch merge.
@@ -1192,9 +1163,13 @@ mod tests {
                 0.05,
                 CostKind::LeakagePower,
             );
-        let incremental = e.front(&changed);
+        let incremental = e.try_front(&changed).expect("healthy build");
         assert_eq!(e.stats().fronts_incremental, 1);
-        assert_eq!(*incremental, system_front(&e.groups(&changed)));
+        assert_eq!(
+            *incremental,
+            try_system_front(&e.try_groups(&changed).expect("healthy build"))
+                .expect("non-empty system")
+        );
     }
 
     #[test]
@@ -1206,7 +1181,7 @@ mod tests {
             1.0,
             CostKind::LeakagePower,
         );
-        let groups = e.groups(&spec);
+        let groups = e.try_groups(&spec).expect("healthy build");
         let vths: Vec<f64> = groups[0]
             .candidates()
             .iter()
@@ -1217,17 +1192,22 @@ mod tests {
             .iter()
             .map(|c| c.knobs.tox().0)
             .collect();
-        let full_front = e.front(&spec);
+        let full_front = e.try_front(&spec).expect("healthy build");
         let deadline = full_front.last().expect("non-empty").delay;
         // The unrestricted value sets reproduce the exact solve.
         let a = e
-            .solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))
+            .try_solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))
+            .expect("healthy build")
             .expect("feasible");
         let b = e
-            .solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))
+            .try_solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))
+            .expect("healthy build")
             .expect("feasible");
         assert_eq!(a, b);
-        let direct = e.solve(&spec, &Deadline(deadline)).expect("feasible");
+        let direct = e
+            .try_solve(&spec, &Deadline(deadline))
+            .expect("healthy build")
+            .expect("feasible");
         assert_eq!(a, direct);
         // The second identical restriction reused every layer of the first.
         assert!(e.stats().fronts_incremental >= 1);
@@ -1266,8 +1246,8 @@ mod tests {
                 FrontMemo::bucket(&b),
                 "{first} vs {second}"
             );
-            let fa = e.front(&a);
-            let fb = e.front(&b);
+            let fa = e.try_front(&a).expect("healthy build");
+            let fb = e.try_front(&b).expect("healthy build");
             assert!(Arc::ptr_eq(&fa, &fb), "{first} vs {second}");
             assert_eq!(e.stats().fronts_built, 1);
             assert_eq!(e.stats().front_hits, 1);
@@ -1287,9 +1267,9 @@ mod tests {
             assert_ne!(&base, other);
         }
         let e = eval();
-        let f_base = e.front(&base);
-        let f_relabelled = e.front(&relabelled);
-        let f_heated = e.front(&heated);
+        let f_base = e.try_front(&base).expect("healthy build");
+        let f_relabelled = e.try_front(&relabelled).expect("healthy build");
+        let f_heated = e.try_front(&heated).expect("healthy build");
         assert_eq!(e.stats().fronts_built, 3);
         assert_eq!(e.stats().front_hits, 0);
         assert!(!Arc::ptr_eq(&f_base, &f_relabelled));
@@ -1297,9 +1277,18 @@ mod tests {
         // Leakage rises with temperature, so the heated front differs.
         assert_ne!(*f_base, *f_heated);
         // Each spec then hits its own entry.
-        assert!(Arc::ptr_eq(&e.front(&base), &f_base));
-        assert!(Arc::ptr_eq(&e.front(&relabelled), &f_relabelled));
-        assert!(Arc::ptr_eq(&e.front(&heated), &f_heated));
+        assert!(Arc::ptr_eq(
+            &e.try_front(&base).expect("healthy build"),
+            &f_base
+        ));
+        assert!(Arc::ptr_eq(
+            &e.try_front(&relabelled).expect("healthy build"),
+            &f_relabelled
+        ));
+        assert!(Arc::ptr_eq(
+            &e.try_front(&heated).expect("healthy build"),
+            &f_heated
+        ));
         assert_eq!(e.stats().fronts_built, 3);
         assert_eq!(e.stats().front_hits, 3);
     }
@@ -1313,7 +1302,7 @@ mod tests {
             1.0,
             CostKind::LeakagePower,
         );
-        let _ = e.front(&spec);
+        let _ = e.try_front(&spec).expect("healthy build");
         let fresh = e.clone();
         assert_eq!(fresh.stats(), EvalStats::default());
         assert_eq!(fresh.grid().len(), e.grid().len());

@@ -3,7 +3,7 @@
 //! the system objective.
 
 use crate::error::StudyError;
-use crate::groups::{knobs_from_choice, CostKind, Scheme};
+use crate::groups::{CostKind, Scheme};
 use nm_device::{KnobPoint, TechProfile};
 use nm_geometry::{CacheCircuit, ComponentKnobs};
 
@@ -61,8 +61,8 @@ impl LevelSpec {
 ///
 /// Group order across the system is the concatenation of each level's
 /// [`Scheme::layout`] in level order; a front point's choice vector uses
-/// the same order, and [`knobs_from_choice`](Self::knobs_from_choice) is
-/// the one canonical way to slice it back into per-level assignments.
+/// the same order, and [`try_knobs_from_choice`](Self::try_knobs_from_choice)
+/// is the one canonical way to slice it back into per-level assignments.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HierarchySpec {
     levels: Vec<LevelSpec>,
@@ -150,19 +150,10 @@ impl HierarchySpec {
         Ok(weights)
     }
 
-    /// Infallible [`try_amat_weights`](Self::try_amat_weights).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a miss rate is non-finite or outside `[0, 1]`.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: documented panicking wrapper
-    pub fn amat_weights(miss_rates: &[f64]) -> Vec<f64> {
-        Self::try_amat_weights(miss_rates).expect("miss rates must be probabilities")
-    }
-
-    /// Non-panicking [`knobs_from_choice`](Self::knobs_from_choice):
-    /// reconstructs each level's [`ComponentKnobs`] from a front point's
-    /// choice vector, or reports the length mismatch as a typed error.
+    /// Reconstructs each level's [`ComponentKnobs`] from a front point's
+    /// choice vector — the single canonical choice-slicing path. Each
+    /// level consumes [`Scheme::group_count`] entries in level order, one
+    /// per group of its [`Scheme::layout`].
     ///
     /// # Errors
     ///
@@ -185,31 +176,15 @@ impl HierarchySpec {
             .iter()
             .map(|l| {
                 let n = l.scheme.group_count();
-                let knobs = knobs_from_choice(l.scheme, &choice[offset..offset + n]);
+                let c = &choice[offset..offset + n];
                 offset += n;
-                knobs
+                match l.scheme {
+                    Scheme::PerComponent => ComponentKnobs::per_component(c[0], c[1], c[2], c[3]),
+                    Scheme::Split => ComponentKnobs::split(c[0], c[1]),
+                    Scheme::Uniform => ComponentKnobs::uniform(c[0]),
+                }
             })
             .collect())
-    }
-
-    /// Reconstructs each level's [`ComponentKnobs`] from a front point's
-    /// choice vector — the single canonical choice-slicing path (each
-    /// level consumes [`Scheme::group_count`] entries in level order).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `choice` does not have exactly
-    /// [`group_count`](Self::group_count) entries. Library code should
-    /// prefer [`try_knobs_from_choice`](Self::try_knobs_from_choice).
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: length asserted above
-    pub fn knobs_from_choice(&self, choice: &[KnobPoint]) -> Vec<ComponentKnobs> {
-        assert_eq!(
-            choice.len(),
-            self.group_count(),
-            "choice length does not match the spec's group count"
-        );
-        self.try_knobs_from_choice(choice)
-            .expect("length checked above")
     }
 }
 
@@ -266,7 +241,9 @@ mod tests {
         let a = KnobPoint::fastest();
         let b = KnobPoint::lowest_leakage();
         let n = KnobPoint::nominal();
-        let knobs = spec.knobs_from_choice(&[b, a, n]);
+        let knobs = spec
+            .try_knobs_from_choice(&[b, a, n])
+            .expect("one entry per group");
         assert_eq!(knobs.len(), 2);
         assert_eq!(knobs[0][ComponentId::MemoryArray], b);
         assert_eq!(knobs[0][ComponentId::Decoder], a);
@@ -275,15 +252,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "group count")]
-    fn wrong_choice_length_panics() {
-        let spec = HierarchySpec::single(
-            circuit(16 * 1024),
-            Scheme::Split,
-            1.0,
-            CostKind::LeakagePower,
-        );
-        let _ = spec.knobs_from_choice(&[KnobPoint::nominal()]);
+    fn knobs_roundtrip_per_scheme() {
+        let a = KnobPoint::fastest();
+        let b = KnobPoint::lowest_leakage();
+        let knobs = |scheme, choice: &[KnobPoint]| {
+            HierarchySpec::single(circuit(16 * 1024), scheme, 1.0, CostKind::LeakagePower)
+                .try_knobs_from_choice(choice)
+                .expect("one entry per group")[0]
+        };
+        let split = knobs(Scheme::Split, &[b, a]);
+        assert_eq!(split[ComponentId::MemoryArray], b);
+        assert_eq!(split[ComponentId::AddressBus], a);
+        let u = knobs(Scheme::Uniform, &[a]);
+        assert_eq!(u[ComponentId::Decoder], a);
+        let pc = knobs(Scheme::PerComponent, &[a, b, a, b]);
+        assert_eq!(pc[ComponentId::Decoder], b);
     }
 
     #[test]
@@ -312,9 +295,12 @@ mod tests {
 
     #[test]
     fn amat_weights_chain_products() {
-        let w = HierarchySpec::amat_weights(&[0.05, 0.25]);
+        let w = HierarchySpec::try_amat_weights(&[0.05, 0.25]).expect("probabilities");
         assert_eq!(w, vec![1.0, 0.05, 0.05 * 0.25]);
-        assert_eq!(HierarchySpec::amat_weights(&[]), vec![1.0]);
+        assert_eq!(
+            HierarchySpec::try_amat_weights(&[]).expect("probabilities"),
+            vec![1.0]
+        );
     }
 
     #[test]
@@ -323,7 +309,7 @@ mod tests {
         // studies used: weights[0] is the literal 1.0 and weights[1] is
         // the literal m1, not a rounded product.
         let m1 = 0.123456789_f64;
-        let w = HierarchySpec::amat_weights(&[m1]);
+        let w = HierarchySpec::try_amat_weights(&[m1]).expect("probabilities");
         assert_eq!(w[0].to_bits(), 1.0_f64.to_bits());
         assert_eq!(w[1].to_bits(), m1.to_bits());
     }

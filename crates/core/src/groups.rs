@@ -2,7 +2,7 @@
 //! candidate-group construction.
 
 use nm_device::{KnobGrid, KnobPoint};
-use nm_geometry::{CacheCircuit, ComponentId, ComponentKnobs, ComponentMetrics, COMPONENT_IDS};
+use nm_geometry::{CacheCircuit, ComponentId, ComponentMetrics, COMPONENT_IDS};
 use nm_opt::objective::{self, MetricSample, Objective};
 use nm_opt::{Candidate, Group};
 use serde::{Deserialize, Serialize};
@@ -48,9 +48,10 @@ impl Scheme {
     /// `"{config}:{suffix}"`).
     ///
     /// This is the single source of truth shared by [`cache_groups`], the
-    /// evaluation engine ([`crate::eval`]) and [`knobs_from_choice`] — the
-    /// three must agree on group order or knob reconstruction silently
-    /// permutes assignments.
+    /// evaluation engine ([`crate::eval`]) and
+    /// [`HierarchySpec::try_knobs_from_choice`](crate::eval::HierarchySpec::try_knobs_from_choice)
+    /// — the three must agree on group order or knob reconstruction
+    /// silently permutes assignments.
     pub fn layout(self) -> Vec<(Vec<ComponentId>, String)> {
         match self {
             Scheme::PerComponent => COMPONENT_IDS
@@ -180,8 +181,9 @@ fn make_candidate(
 
 /// Builds the optimiser groups for one cache under a scheme.
 ///
-/// Group order (used to reconstruct [`ComponentKnobs`] from a front
-/// point's choice):
+/// Group order (used to reconstruct
+/// [`ComponentKnobs`](nm_geometry::ComponentKnobs) from a front point's
+/// choice):
 ///
 /// * Scheme I — the four components in [`COMPONENT_IDS`] order;
 /// * Scheme II — `[memory array, periphery]`;
@@ -200,34 +202,11 @@ pub fn cache_groups(
         .collect()
 }
 
-/// Reconstructs a full [`ComponentKnobs`] from the per-group knob choice
-/// of a front point produced over [`cache_groups`] output.
-///
-/// # Panics
-///
-/// Panics when the choice length does not match the scheme's group count.
-pub fn knobs_from_choice(scheme: Scheme, choice: &[KnobPoint]) -> ComponentKnobs {
-    match scheme {
-        Scheme::PerComponent => {
-            assert_eq!(choice.len(), 4, "scheme I has four groups");
-            ComponentKnobs::per_component(choice[0], choice[1], choice[2], choice[3])
-        }
-        Scheme::Split => {
-            assert_eq!(choice.len(), 2, "scheme II has two groups");
-            ComponentKnobs::split(choice[0], choice[1])
-        }
-        Scheme::Uniform => {
-            assert_eq!(choice.len(), 1, "scheme III has one group");
-            ComponentKnobs::uniform(choice[0])
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nm_device::TechnologyNode;
-    use nm_geometry::CacheConfig;
+    use nm_geometry::{CacheConfig, ComponentKnobs};
 
     fn circuit() -> CacheCircuit {
         let tech = TechnologyNode::bptm65();
@@ -343,19 +322,6 @@ mod tests {
             let expected = m.leakage.total().0 * t_ref + dynamic;
             assert!((cand.cost - expected).abs() < 1e-18);
         }
-    }
-
-    #[test]
-    fn knobs_roundtrip_per_scheme() {
-        let a = KnobPoint::fastest();
-        let b = KnobPoint::lowest_leakage();
-        let knobs = knobs_from_choice(Scheme::Split, &[b, a]);
-        assert_eq!(knobs[ComponentId::MemoryArray], b);
-        assert_eq!(knobs[ComponentId::AddressBus], a);
-        let u = knobs_from_choice(Scheme::Uniform, &[a]);
-        assert_eq!(u[ComponentId::Decoder], a);
-        let pc = knobs_from_choice(Scheme::PerComponent, &[a, b, a, b]);
-        assert_eq!(pc[ComponentId::Decoder], b);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!
 //! let study = SingleCacheStudy::paper_16kb()?;
 //! let sweep = study.delay_sweep(5);
-//! let sol = study.optimize(Scheme::Split, sweep[2]).expect("feasible");
+//! let sol = study.optimize(Scheme::Split, sweep[2])?.expect("feasible");
 //! assert!(sol.leakage.total().0 > 0.0);
 //! # Ok::<(), nm_cache_core::StudyError>(())
 //! ```

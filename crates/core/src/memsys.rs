@@ -11,6 +11,7 @@
 //! resolution, so the approximation is second-order; see `DESIGN.md`).
 
 use crate::amat::{memory_energy, memory_floor, MainMemory};
+use crate::error::rendered;
 use crate::eval::{Evaluator, HierarchySpec};
 use crate::groups::{CostKind, Scheme};
 use crate::report::{cell, Series, Table};
@@ -69,6 +70,9 @@ pub struct MemorySystemStudy {
     l1: CacheCircuit,
     l2: CacheCircuit,
     stats: PairStats,
+    /// Miss-chain delay weights `[1, m1]`, validated at construction;
+    /// bit-identical to the old hand-passed constants.
+    weights: Vec<f64>,
     eval: Evaluator,
     memory: MainMemory,
 }
@@ -78,7 +82,9 @@ impl MemorySystemStudy {
     ///
     /// # Errors
     ///
-    /// Propagates impossible cache geometry.
+    /// Propagates impossible cache geometry, and
+    /// [`StudyError::MissRateRange`] when the L1 miss rate is not a
+    /// probability.
     pub fn new(
         l1_bytes: u64,
         l2_bytes: u64,
@@ -90,6 +96,7 @@ impl MemorySystemStudy {
         Ok(MemorySystemStudy {
             l1: CacheCircuit::new(CacheConfig::new(l1_bytes, 64, 4)?, tech),
             l2: CacheCircuit::new(CacheConfig::new(l2_bytes, 64, 8)?, tech),
+            weights: HierarchySpec::try_amat_weights(&[stats.l1_miss_rate])?,
             stats,
             eval: Evaluator::new(grid),
             memory,
@@ -101,9 +108,7 @@ impl MemorySystemStudy {
     /// periphery) priced for an AMAT target `t_ref` (leakage energy
     /// integrates over it).
     fn system_spec(&self, t_ref: Seconds) -> HierarchySpec {
-        // Miss-chain delay weights [1, m1]; bit-identical to the old
-        // hand-passed constants.
-        let weights = HierarchySpec::amat_weights(&[self.stats.l1_miss_rate]);
+        let weights = &self.weights;
         let l1_cost = CostKind::Energy {
             t_ref: t_ref.0,
             access_rate: 1.0,
@@ -178,7 +183,16 @@ impl MemorySystemStudy {
     /// threshold voltages and `n_tox` distinct oxide thicknesses from the
     /// grid, shared across all four system groups, minimising total
     /// energy.
-    pub fn tuple_curves(&self, tuples: &[TupleCounts], targets: &[Seconds]) -> Vec<Series> {
+    ///
+    /// # Errors
+    ///
+    /// The first evaluation failure, in job order, e.g.
+    /// [`StudyError::InvalidSurface`] from the surface build.
+    pub fn tuple_curves(
+        &self,
+        tuples: &[TupleCounts],
+        targets: &[Seconds],
+    ) -> Result<Vec<Series>, StudyError> {
         let grid = self.eval.grid();
         let vth_axis: Vec<f64> = grid.vth_values().iter().map(|v| v.0).collect();
         let tox_axis: Vec<f64> = grid.tox_values().iter().map(|t| t.0).collect();
@@ -195,7 +209,7 @@ impl MemorySystemStudy {
         // below re-prices cached surfaces instead of re-analysing the
         // grid per cell (and never starts a nested sweep).
         if let Some(&first) = targets.first() {
-            self.eval.ensure_surfaces(&self.system_spec(first));
+            self.eval.try_ensure_surfaces(&self.system_spec(first))?;
         }
 
         // Every (tuple, target) cell is independent: flatten the grid into
@@ -204,30 +218,31 @@ impl MemorySystemStudy {
         let jobs: Vec<(usize, Seconds)> = (0..tuples.len())
             .flat_map(|ti| targets.iter().map(move |&t| (ti, t)))
             .collect();
-        let points: Vec<Option<(f64, f64)>> =
-            ParallelSweep::new()
-                .labeled("tuple-curves")
-                .map(&jobs, |&(ti, target)| {
-                    let tc = tuples[ti];
-                    let budget = target.0 - floor.0;
-                    if budget <= 0.0 {
-                        return None;
-                    }
-                    let groups = self.eval.groups(&self.system_spec(target));
-                    let sols = optimize_with_tuple_counts(
-                        &groups,
-                        &vth_axis,
-                        &tox_axis,
-                        tc.n_vth,
-                        tc.n_tox,
-                        &[budget],
-                    );
-                    sols[0]
-                        .as_ref()
-                        .map(|sol| (target.picos(), (sol.point.cost + e_mem.0) * 1e12))
-                });
+        let points = ParallelSweep::new()
+            .labeled("tuple-curves")
+            .map(&jobs, |&(ti, target)| -> Result<_, StudyError> {
+                let tc = tuples[ti];
+                let budget = target.0 - floor.0;
+                if budget <= 0.0 {
+                    return Ok(None);
+                }
+                let groups = self.eval.try_groups(&self.system_spec(target))?;
+                let sols = optimize_with_tuple_counts(
+                    &groups,
+                    &vth_axis,
+                    &tox_axis,
+                    tc.n_vth,
+                    tc.n_tox,
+                    &[budget],
+                )?;
+                Ok(sols[0]
+                    .as_ref()
+                    .map(|sol| (target.picos(), (sol.point.cost + e_mem.0) * 1e12)))
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
 
-        tuples
+        Ok(tuples
             .iter()
             .enumerate()
             .map(|(ti, &tc)| {
@@ -238,12 +253,17 @@ impl MemorySystemStudy {
                     .collect();
                 series
             })
-            .collect()
+            .collect())
     }
 
     /// Renders [`tuple_curves`](Self::tuple_curves) output as a table.
+    ///
+    /// # Panics
+    ///
+    /// Panics when evaluation fails (see
+    /// [`tuple_curves`](Self::tuple_curves)).
     pub fn tuple_table(&self, tuples: &[TupleCounts], targets: &[Seconds]) -> Table {
-        let series = self.tuple_curves(tuples, targets);
+        let series = rendered(self.tuple_curves(tuples, targets));
         let mut t = Table::new(
             "Figure 2: (Tox, Vth) tuple problem — total energy vs AMAT",
             &["tuple", "AMAT (ps)", "energy (pJ)"],
@@ -337,7 +357,9 @@ mod tests {
         // more conservative knobs and less leakage energy.
         let s = study();
         let targets = s.amat_sweep(4);
-        let curves = s.tuple_curves(&[TupleCounts { n_tox: 2, n_vth: 2 }], &targets);
+        let curves = s
+            .tuple_curves(&[TupleCounts { n_tox: 2, n_vth: 2 }], &targets)
+            .expect("healthy build");
         let pts = &curves[0].points;
         assert!(pts.len() >= 3, "too few feasible targets: {pts:?}");
         assert!(
@@ -350,14 +372,16 @@ mod tests {
     fn more_values_never_hurt_energy() {
         let s = study();
         let targets = s.amat_sweep(3);
-        let curves = s.tuple_curves(
-            &[
-                TupleCounts { n_tox: 2, n_vth: 1 },
-                TupleCounts { n_tox: 2, n_vth: 2 },
-                TupleCounts { n_tox: 2, n_vth: 3 },
-            ],
-            &targets,
-        );
+        let curves = s
+            .tuple_curves(
+                &[
+                    TupleCounts { n_tox: 2, n_vth: 1 },
+                    TupleCounts { n_tox: 2, n_vth: 2 },
+                    TupleCounts { n_tox: 2, n_vth: 3 },
+                ],
+                &targets,
+            )
+            .expect("healthy build");
         for (a, b) in curves.iter().zip(curves.iter().skip(1)) {
             for (pa, pb) in a.points.iter().zip(&b.points) {
                 assert!(
@@ -377,13 +401,15 @@ mod tests {
         // observation.
         let s = study();
         let targets = s.amat_sweep(4);
-        let curves = s.tuple_curves(
-            &[
-                TupleCounts { n_tox: 2, n_vth: 1 },
-                TupleCounts { n_tox: 1, n_vth: 2 },
-            ],
-            &targets,
-        );
+        let curves = s
+            .tuple_curves(
+                &[
+                    TupleCounts { n_tox: 2, n_vth: 1 },
+                    TupleCounts { n_tox: 1, n_vth: 2 },
+                ],
+                &targets,
+            )
+            .expect("healthy build");
         let two_tox = &curves[0].points;
         let two_vth = &curves[1].points;
         let mut wins = 0;
@@ -404,6 +430,32 @@ mod tests {
         let s = study();
         let t = s.tuple_table(&[TupleCounts { n_tox: 1, n_vth: 2 }], &s.amat_sweep(3));
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn new_rejects_a_miss_rate_that_is_not_a_probability() {
+        for bad in [f64::NAN, 1.5] {
+            let stats = PairStats {
+                l1_miss_rate: bad,
+                ..stats()
+            };
+            let err = MemorySystemStudy::new(
+                16 * 1024,
+                1024 * 1024,
+                stats,
+                &TechnologyNode::bptm65(),
+                KnobGrid::coarse(),
+                MainMemory::default(),
+            )
+            .expect_err("miss rate must be a probability");
+            match err {
+                StudyError::MissRateRange { index, value } => {
+                    assert_eq!(index, 0);
+                    assert_eq!(value.to_bits(), bad.to_bits());
+                }
+                other => panic!("wrong error class: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //!   knob free, quantifying the paper's "Vth is the better design knob"
 //!   conclusion.
 
+use crate::error::rendered;
 use crate::eval::{Evaluator, HierarchySpec};
 use crate::groups::{CostKind, Scheme};
 use crate::report::{cell, Series, Table};
@@ -99,22 +100,41 @@ impl SingleCacheStudy {
     }
 
     /// Minimises total leakage under a delay constraint for one scheme
-    /// (the paper's Section 4 optimisation). Returns `None` when the
+    /// (the paper's Section 4 optimisation). Returns `Ok(None)` when the
     /// deadline is infeasible.
-    pub fn optimize(&self, scheme: Scheme, deadline: Seconds) -> Option<SchemeSolution> {
-        let sol = self.eval.solve(&self.spec(scheme), &Deadline(deadline.0))?;
+    ///
+    /// # Errors
+    ///
+    /// Any evaluation failure from
+    /// [`Evaluator::try_solve`](crate::eval::Evaluator::try_solve), e.g.
+    /// [`StudyError::InvalidSurface`].
+    pub fn optimize(
+        &self,
+        scheme: Scheme,
+        deadline: Seconds,
+    ) -> Result<Option<SchemeSolution>, StudyError> {
+        let Some(sol) = self
+            .eval
+            .try_solve(&self.spec(scheme), &Deadline(deadline.0))?
+        else {
+            return Ok(None);
+        };
         let knobs = sol.knobs[0];
         let metrics = self.eval.analyze(&self.circuit, &knobs);
-        Some(SchemeSolution {
+        Ok(Some(SchemeSolution {
             scheme,
             knobs,
             access_time: metrics.access_time(),
             leakage: metrics.leakage(),
-        })
+        }))
     }
 
     /// **E2** — compares the minimum leakage of schemes I/II/III across a
     /// delay-constraint sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics when evaluation fails (see [`optimize`](Self::optimize)).
     pub fn scheme_comparison(&self, deadlines: &[Seconds]) -> Table {
         let mut table = Table::new(
             format!("Scheme comparison, {} (Section 4)", self.circuit.config()),
@@ -128,10 +148,12 @@ impl SingleCacheStudy {
             ],
         );
         for &deadline in deadlines {
-            let sols: Vec<Option<SchemeSolution>> = Scheme::ALL
-                .iter()
-                .map(|&s| self.optimize(s, deadline))
-                .collect();
+            let sols: Vec<Option<SchemeSolution>> = rendered(
+                Scheme::ALL
+                    .iter()
+                    .map(|&s| self.optimize(s, deadline))
+                    .collect(),
+            );
             let (Some(s1), Some(s2), Some(s3)) = (&sols[0], &sols[1], &sols[2]) else {
                 continue;
             };
@@ -194,15 +216,22 @@ impl SingleCacheStudy {
     ///
     /// The paper's conclusion: "it is best to set Tox conservatively at a
     /// high value and let Vth be the knob designers can vary".
+    ///
+    /// # Panics
+    ///
+    /// Panics when evaluation fails (see
+    /// [`Evaluator::try_solve_restricted`](crate::eval::Evaluator::try_solve_restricted)).
     pub fn knob_ablation(&self, deadlines: &[Seconds]) -> Table {
         let vth_axis: Vec<f64> = self.grid().vth_values().iter().map(|v| v.0).collect();
         let tox_axis: Vec<f64> = self.grid().tox_values().iter().map(|t| t.0).collect();
 
         let spec = self.spec(Scheme::Split);
         let restricted_optimum = |vths: &[f64], toxes: &[f64], deadline: Seconds| -> Option<f64> {
-            self.eval
-                .solve_restricted(&spec, vths, toxes, &Deadline(deadline.0))
-                .map(|sol| sol.cost * 1e3)
+            rendered(
+                self.eval
+                    .try_solve_restricted(&spec, vths, toxes, &Deadline(deadline.0)),
+            )
+            .map(|sol| sol.cost * 1e3)
         };
 
         let mut table = Table::new(
@@ -259,18 +288,21 @@ mod tests {
         for deadline in s.delay_sweep(5).into_iter().skip(1) {
             let l1 = s
                 .optimize(Scheme::PerComponent, deadline)
+                .expect("healthy build")
                 .unwrap()
                 .leakage
                 .total()
                 .0;
             let l2 = s
                 .optimize(Scheme::Split, deadline)
+                .expect("healthy build")
                 .unwrap()
                 .leakage
                 .total()
                 .0;
             let l3 = s
                 .optimize(Scheme::Uniform, deadline)
+                .expect("healthy build")
                 .unwrap()
                 .leakage
                 .total()
@@ -286,12 +318,14 @@ mod tests {
         let deadline = s.delay_sweep(5)[2];
         let l1 = s
             .optimize(Scheme::PerComponent, deadline)
+            .expect("healthy build")
             .unwrap()
             .leakage
             .total()
             .0;
         let l2 = s
             .optimize(Scheme::Split, deadline)
+            .expect("healthy build")
             .unwrap()
             .leakage
             .total()
@@ -306,7 +340,10 @@ mod tests {
     fn optimum_meets_deadline() {
         let s = study();
         for deadline in s.delay_sweep(4) {
-            let sol = s.optimize(Scheme::Split, deadline).unwrap();
+            let sol = s
+                .optimize(Scheme::Split, deadline)
+                .expect("healthy build")
+                .unwrap();
             assert!(
                 sol.access_time.0 <= deadline.0 + 1e-15,
                 "violated: {} > {}",
@@ -320,7 +357,10 @@ mod tests {
     fn infeasible_deadline_returns_none() {
         let s = study();
         let too_fast = Seconds(s.circuit().fastest_access_time().0 * 0.5);
-        assert!(s.optimize(Scheme::Uniform, too_fast).is_none());
+        assert!(s
+            .optimize(Scheme::Uniform, too_fast)
+            .expect("healthy build")
+            .is_none());
     }
 
     #[test]
@@ -330,7 +370,10 @@ mod tests {
         // components have been set sufficiently low".
         let s = study();
         let deadline = s.delay_sweep(6)[2]; // a binding mid-range constraint
-        let sol = s.optimize(Scheme::Split, deadline).unwrap();
+        let sol = s
+            .optimize(Scheme::Split, deadline)
+            .expect("healthy build")
+            .unwrap();
         let cells = sol.knobs[nm_geometry::ComponentId::MemoryArray];
         let periph = sol.knobs[nm_geometry::ComponentId::Decoder];
         assert!(

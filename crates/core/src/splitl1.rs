@@ -9,6 +9,7 @@
 //! their total leakage.
 
 use crate::amat::MainMemory;
+use crate::error::rendered;
 use crate::eval::{Evaluator, HierarchySpec};
 use crate::groups::{CostKind, Scheme};
 use crate::report::{cell, Table};
@@ -133,8 +134,14 @@ impl SplitL1Study {
     }
 
     /// Optimises the split organisation (Scheme II in each of the three
-    /// caches) at a mean-access-time deadline.
-    pub fn optimize_split(&self, deadline: Seconds) -> Option<OrganisationRow> {
+    /// caches) at a mean-access-time deadline. Returns `Ok(None)` when
+    /// the deadline is infeasible.
+    ///
+    /// # Errors
+    ///
+    /// Any evaluation failure from
+    /// [`Evaluator::try_solve`](crate::eval::Evaluator::try_solve).
+    pub fn optimize_split(&self, deadline: Seconds) -> Result<Option<OrganisationRow>, StudyError> {
         let (fi, fd) = Self::mix();
         let s = &self.split_stats;
         let l2_weight = fi * s.icache_miss_rate() + fd * s.dcache_miss_rate();
@@ -162,8 +169,10 @@ impl SplitL1Study {
                 l2_weight,
                 CostKind::LeakagePower,
             );
-        let sol = self.eval.solve(&spec, &Deadline(deadline.0 - floor))?;
-        Some(OrganisationRow {
+        let Some(sol) = self.eval.try_solve(&spec, &Deadline(deadline.0 - floor))? else {
+            return Ok(None);
+        };
+        Ok(Some(OrganisationRow {
             name: format!(
                 "split {}K I$ + {}K D$",
                 self.icache_bytes / 1024,
@@ -172,11 +181,20 @@ impl SplitL1Study {
             mean_access: Seconds(sol.delay + floor),
             leakage: Watts(sol.cost),
             l1_knobs: sol.knobs[0],
-        })
+        }))
     }
 
-    /// Optimises the unified organisation at the same deadline.
-    pub fn optimize_unified(&self, deadline: Seconds) -> Option<OrganisationRow> {
+    /// Optimises the unified organisation at the same deadline. Returns
+    /// `Ok(None)` when the deadline is infeasible.
+    ///
+    /// # Errors
+    ///
+    /// Any evaluation failure from
+    /// [`Evaluator::try_solve`](crate::eval::Evaluator::try_solve).
+    pub fn optimize_unified(
+        &self,
+        deadline: Seconds,
+    ) -> Result<Option<OrganisationRow>, StudyError> {
         let l2_weight = self.unified_m1;
         let floor = self.memory.access_time.0 * l2_weight * self.unified_m2;
         let spec = HierarchySpec::new()
@@ -194,8 +212,10 @@ impl SplitL1Study {
                 l2_weight,
                 CostKind::LeakagePower,
             );
-        let sol = self.eval.solve(&spec, &Deadline(deadline.0 - floor))?;
-        Some(OrganisationRow {
+        let Some(sol) = self.eval.try_solve(&spec, &Deadline(deadline.0 - floor))? else {
+            return Ok(None);
+        };
+        Ok(Some(OrganisationRow {
             name: format!(
                 "unified {}K L1",
                 (self.icache_bytes + self.dcache_bytes) / 1024
@@ -203,7 +223,7 @@ impl SplitL1Study {
             mean_access: Seconds(sol.delay + floor),
             leakage: Watts(sol.cost),
             l1_knobs: sol.knobs[0],
-        })
+        }))
     }
 
     /// The tightest deadline both organisations can meet, scaled by
@@ -222,6 +242,11 @@ impl SplitL1Study {
     }
 
     /// Renders the comparison across a few slack levels.
+    ///
+    /// # Panics
+    ///
+    /// Panics when evaluation fails (see
+    /// [`optimize_split`](Self::optimize_split)).
     pub fn to_table(&self, slacks: &[f64]) -> Table {
         let mut t = Table::new(
             format!(
@@ -233,8 +258,8 @@ impl SplitL1Study {
         for &slack in slacks {
             let deadline = self.deadline(slack);
             for row in [
-                self.optimize_split(deadline),
-                self.optimize_unified(deadline),
+                rendered(self.optimize_split(deadline)),
+                rendered(self.optimize_unified(deadline)),
             ]
             .into_iter()
             .flatten()
@@ -286,8 +311,14 @@ mod tests {
     fn both_organisations_optimizable() {
         let st = study();
         let deadline = st.deadline(0.10);
-        let split = st.optimize_split(deadline).expect("split feasible");
-        let unified = st.optimize_unified(deadline).expect("unified feasible");
+        let split = st
+            .optimize_split(deadline)
+            .expect("healthy build")
+            .expect("split feasible");
+        let unified = st
+            .optimize_unified(deadline)
+            .expect("healthy build")
+            .expect("unified feasible");
         assert!(split.mean_access.0 <= deadline.0 + 1e-15);
         assert!(unified.mean_access.0 <= deadline.0 + 1e-15);
         assert!(split.leakage.0 > 0.0 && unified.leakage.0 > 0.0);
@@ -300,8 +331,14 @@ mod tests {
         // mid-range slack (it usually wins outright).
         let st = study();
         let deadline = st.deadline(0.15);
-        let split = st.optimize_split(deadline).expect("split feasible");
-        let unified = st.optimize_unified(deadline).expect("unified feasible");
+        let split = st
+            .optimize_split(deadline)
+            .expect("healthy build")
+            .expect("split feasible");
+        let unified = st
+            .optimize_unified(deadline)
+            .expect("healthy build")
+            .expect("unified feasible");
         assert!(
             split.leakage.0 <= unified.leakage.0 * 1.15,
             "split {:.3} mW vs unified {:.3} mW",

@@ -275,7 +275,8 @@ impl TwoLevelStudy {
     ///
     /// # Errors
     ///
-    /// Propagates missing miss rates or impossible geometry.
+    /// Propagates missing miss rates, impossible geometry or an evaluation
+    /// failure such as [`StudyError::InvalidSurface`].
     pub fn l2_size_sweep(
         &self,
         l1_bytes: u64,
@@ -314,7 +315,7 @@ impl TwoLevelStudy {
                 let weights = HierarchySpec::try_amat_weights(&[stats.l1_miss_rate])?;
                 let spec =
                     HierarchySpec::single(l2.clone(), scheme, weights[1], CostKind::LeakagePower);
-                if let Some(sol) = self.eval.solve(&spec, &Deadline(budget)) {
+                if let Some(sol) = self.eval.try_solve(&spec, &Deadline(budget))? {
                     let l2_leak = Watts(sol.cost);
                     row.amat = Some(Seconds(base.0 + sol.delay));
                     row.opt_leakage = Some(l2_leak);
@@ -340,7 +341,8 @@ impl TwoLevelStudy {
     ///
     /// # Errors
     ///
-    /// Propagates missing miss rates or impossible geometry.
+    /// Propagates missing miss rates, impossible geometry or an evaluation
+    /// failure such as [`StudyError::InvalidSurface`].
     pub fn l1_size_sweep(
         &self,
         l1_sizes: &[u64],
@@ -384,7 +386,7 @@ impl TwoLevelStudy {
                         weights[1],
                         CostKind::LeakagePower,
                     );
-                if let Some(sol) = self.eval.solve(&spec, &Deadline(budget)) {
+                if let Some(sol) = self.eval.try_solve(&spec, &Deadline(budget))? {
                     let l1_knobs = sol.knobs[0];
                     let l1_leak = self.eval.analyze(&l1, &l1_knobs).leakage().total();
                     row.amat = Some(Seconds(base.0 + sol.delay));

@@ -11,20 +11,30 @@
 //!   cache, as a typed [`StudyError::InvalidSurface`], and never serves a
 //!   later query;
 //! * after the fault plan drains, a retry completes and produces results
-//!   bit-identical to a never-faulted evaluator.
+//!   bit-identical to a never-faulted evaluator;
+//! * the studies built on the evaluator (the Section 4 optimum, the
+//!   Section 5 L2 sweep, the Figure 2 tuple curves) return that error
+//!   instead of panicking, and recover the same way.
 //!
 //! Compile with `--features faultinject`; without the feature this file
 //! is empty.
 
 #![cfg(feature = "faultinject")]
 
+use nm_archsim::workload::SuiteKind;
+use nm_archsim::{MissRateTable, PairStats};
+use nm_cache_core::amat::MainMemory;
 use nm_cache_core::eval::{Evaluator, HierarchySpec};
 use nm_cache_core::groups::{CostKind, Scheme};
+use nm_cache_core::memsys::{MemorySystemStudy, TupleCounts};
+use nm_cache_core::single::SingleCacheStudy;
+use nm_cache_core::twolevel::TwoLevelStudy;
 use nm_cache_core::StudyError;
 use nm_device::{KnobGrid, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig};
 use nm_opt::objective::Deadline;
 use nm_sweep::faultinject::{self, Fault};
+use std::fmt::Debug;
 use std::sync::{Mutex, MutexGuard};
 
 /// The fault plan is process-global; serialize every test that arms it.
@@ -187,4 +197,112 @@ fn fault_in_one_spec_leaves_other_specs_untouched() {
     );
     let front = e.try_front(&other).expect("other spec healthy");
     assert!(!front.is_empty());
+}
+
+/// Runs `call` once on a never-faulted subject, then on a fresh subject
+/// with a NaN armed on the first surface-build job: the faulted call must
+/// return [`StudyError::InvalidSurface`], and after the plan is cleared a
+/// retry on the same subject must equal the clean result bit for bit
+/// (`{:?}` round-trips every `f64`, so equal output means equal bits).
+fn nan_surface_is_returned_then_retried<S, T: Debug>(
+    make: impl Fn() -> S,
+    call: impl Fn(&S) -> Result<T, StudyError>,
+) {
+    let _guard = plan_lock();
+    faultinject::clear();
+    let clean = call(&make()).expect("healthy build");
+
+    let subject = make();
+    faultinject::arm(Some("eval-surfaces"), 0, Fault::Nan, 1);
+    let err = call(&subject).expect_err("armed NaN");
+    assert!(
+        matches!(
+            err,
+            StudyError::InvalidSurface {
+                metric: "delay",
+                ..
+            }
+        ),
+        "wrong error class: {err:?}"
+    );
+
+    faultinject::clear();
+    let retried = call(&subject).expect("retry succeeds");
+    assert_eq!(format!("{retried:?}"), format!("{clean:?}"));
+}
+
+#[test]
+fn l2_size_sweep_returns_an_invalid_surface() {
+    let missrates = MissRateTable::try_build(
+        &[16 * 1024],
+        &[256 * 1024],
+        &[SuiteKind::Spec2000],
+        2005,
+        20_000,
+        20_000,
+    )
+    .expect("legal cache shapes");
+    nan_surface_is_returned_then_retried(
+        || {
+            TwoLevelStudy::new(
+                missrates.clone(),
+                TechnologyNode::bptm65(),
+                KnobGrid::coarse(),
+                MainMemory::default(),
+            )
+        },
+        |study| {
+            let target = study.amat_target(16 * 1024, &[256 * 1024], 0.15)?;
+            study.l2_size_sweep(16 * 1024, &[256 * 1024], Scheme::Split, target)
+        },
+    );
+}
+
+#[test]
+fn single_cache_optimum_returns_an_invalid_surface() {
+    nan_surface_is_returned_then_retried(
+        || {
+            SingleCacheStudy::new(
+                CacheConfig::new(16 * 1024, 64, 4).expect("legal config"),
+                &TechnologyNode::bptm65(),
+                KnobGrid::coarse(),
+            )
+        },
+        |study| {
+            let deadline = study.delay_sweep(5)[2];
+            let sol = study.optimize(Scheme::Split, deadline)?;
+            assert!(sol.is_some(), "mid-range deadline is feasible");
+            Ok(sol)
+        },
+    );
+}
+
+#[test]
+fn tuple_curves_return_an_invalid_surface() {
+    let stats = PairStats {
+        l1_miss_rate: 0.05,
+        l2_local_miss_rate: 0.25,
+        l1_writeback_rate: 0.01,
+        write_fraction: 0.3,
+        measured: 1,
+    };
+    nan_surface_is_returned_then_retried(
+        || {
+            MemorySystemStudy::new(
+                16 * 1024,
+                1024 * 1024,
+                stats,
+                &TechnologyNode::bptm65(),
+                KnobGrid::coarse(),
+                MainMemory::default(),
+            )
+            .expect("legal configuration")
+        },
+        |study| {
+            let curves =
+                study.tuple_curves(&[TupleCounts { n_tox: 2, n_vth: 2 }], &study.amat_sweep(3))?;
+            assert!(!curves[0].points.is_empty(), "some target is feasible");
+            Ok(curves)
+        },
+    );
 }

@@ -55,9 +55,12 @@ fn warm_store_reproduces_solutions_bit_identical_without_recompute() {
 
     // Cold run: everything computed, written through.
     let cold = Evaluator::with_store(KnobGrid::coarse(), open(&dir));
-    let front = cold.front(&spec);
+    let front = cold.try_front(&spec).expect("healthy build");
     let deadline = front.last().expect("non-empty front").delay * 1.1;
-    let cold_solution = cold.solve(&spec, &Deadline(deadline)).expect("feasible");
+    let cold_solution = cold
+        .try_solve(&spec, &Deadline(deadline))
+        .expect("healthy build")
+        .expect("feasible");
     let cold_stats = cold.stats();
     assert_eq!(cold_stats.surfaces_built, 8);
     assert_eq!(cold_stats.store_loaded, 0);
@@ -65,8 +68,11 @@ fn warm_store_reproduces_solutions_bit_identical_without_recompute() {
 
     // Warm run in a fresh process-equivalent: same store, new evaluator.
     let warm = Evaluator::with_store(KnobGrid::coarse(), open(&dir));
-    let warm_front = warm.front(&spec);
-    let warm_solution = warm.solve(&spec, &Deadline(deadline)).expect("feasible");
+    let warm_front = warm.try_front(&spec).expect("healthy build");
+    let warm_solution = warm
+        .try_solve(&spec, &Deadline(deadline))
+        .expect("healthy build")
+        .expect("feasible");
     let stats = warm.stats();
     // The front came straight from the store: no surfaces were built, no
     // fronts merged.
@@ -85,7 +91,9 @@ fn warm_store_reproduces_solutions_bit_identical_without_recompute() {
 
     // Surfaces load from the store too when only surfaces are needed.
     let surfaces_only = Evaluator::with_store(KnobGrid::coarse(), open(&dir));
-    surfaces_only.ensure_surfaces(&spec);
+    surfaces_only
+        .try_ensure_surfaces(&spec)
+        .expect("healthy build");
     let stats = surfaces_only.stats();
     assert_eq!(stats.surfaces_built, 0, "{stats:?}");
     assert_eq!(stats.store_loaded, 8, "{stats:?}");
@@ -98,7 +106,7 @@ fn corrupted_store_degrades_to_recompute() {
     let spec = spec();
     {
         let e = Evaluator::with_store(KnobGrid::coarse(), open(&dir));
-        let _ = e.front(&spec);
+        let _ = e.try_front(&spec).expect("healthy build");
     }
     // Tear the segment mid-file: the open-time scan quarantines from the
     // damage onward, so some records survive and some are gone.
@@ -109,14 +117,14 @@ fn corrupted_store_degrades_to_recompute() {
     let store = open(&dir);
     assert!(store.open_report().salvage_performed());
     let e = Evaluator::with_store(KnobGrid::coarse(), Arc::clone(&store));
-    let front = e.front(&spec);
+    let front = e.try_front(&spec).expect("healthy build");
     let stats = e.stats();
     // Whatever was salvaged loaded; the rest recomputed. Either way the
     // study succeeded and the results are the same as a storeless run.
     assert_eq!(stats.store_loaded + stats.surfaces_built, 8, "{stats:?}");
     assert_eq!(stats.store_errors, 0, "{stats:?}");
     let plain = Evaluator::new(KnobGrid::coarse());
-    let reference = plain.front(&spec);
+    let reference = plain.try_front(&spec).expect("healthy build");
     assert_eq!(front.len(), reference.len());
     for (a, b) in front.iter().zip(reference.iter()) {
         assert_eq!(a.delay.to_bits(), b.delay.to_bits());
@@ -131,8 +139,8 @@ fn store_and_storeless_runs_are_bit_identical() {
     let spec = spec();
     let with = Evaluator::with_store(KnobGrid::coarse(), open(&dir));
     let without = Evaluator::new(KnobGrid::coarse());
-    let a = with.front(&spec);
-    let b = without.front(&spec);
+    let a = with.try_front(&spec).expect("healthy build");
+    let b = without.try_front(&spec).expect("healthy build");
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.delay.to_bits(), y.delay.to_bits());
@@ -147,10 +155,10 @@ fn cloned_evaluator_shares_the_store_tier() {
     let dir = tmpdir("clone");
     let spec = spec();
     let e = Evaluator::with_store(KnobGrid::coarse(), open(&dir));
-    let _ = e.front(&spec);
+    let _ = e.try_front(&spec).expect("healthy build");
     let fresh = e.clone();
     assert!(fresh.store().is_some());
-    let _ = fresh.front(&spec);
+    let _ = fresh.try_front(&spec).expect("healthy build");
     // The clone's memo caches started cold, but the store satisfied the
     // whole query.
     let stats = fresh.stats();
@@ -163,7 +171,9 @@ fn cloned_evaluator_shares_the_store_tier() {
 fn out_of_order_persisted_front_is_rejected_and_recomputed() {
     let spec = spec();
     let points: Vec<nm_device::KnobPoint> = KnobGrid::coarse().points().collect();
-    let reference = Evaluator::new(KnobGrid::coarse()).front(&spec);
+    let reference = Evaluator::new(KnobGrid::coarse())
+        .try_front(&spec)
+        .expect("healthy build");
     assert!(
         reference.len() > 2,
         "need a front with an inside to disorder"
@@ -185,7 +195,7 @@ fn out_of_order_persisted_front_is_rejected_and_recomputed() {
             )
             .unwrap_or_else(|e| panic!("{e}"));
         let e = Evaluator::with_store(KnobGrid::coarse(), store);
-        let front = e.front(&spec);
+        let front = e.try_front(&spec).expect("healthy build");
         let stats = e.stats();
         assert_eq!(stats.store_rejected, 1, "{tag}: {stats:?}");
         assert_eq!(stats.store_loaded, 0, "{tag}: {stats:?}");

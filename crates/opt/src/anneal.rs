@@ -182,7 +182,7 @@ pub fn anneal_restarts(
 mod tests {
     use super::*;
     use crate::constraint::best_under_deadline;
-    use crate::merge::system_front;
+    use crate::merge::try_system_front;
     use nm_device::units::{Angstroms, Volts};
 
     fn k(vth: f64, tox: f64) -> KnobPoint {
@@ -211,7 +211,7 @@ mod tests {
             grid_group("b", 1.7),
             grid_group("c", 0.6),
         ];
-        let front = system_front(&groups);
+        let front = try_system_front(&groups).expect("non-empty system");
         for deadline in [8.5, 10.0, 12.0] {
             let exact = best_under_deadline(&front, deadline).expect("feasible");
             let approx = anneal(&groups, deadline, AnnealConfig::default(), 42);

@@ -52,9 +52,9 @@ pub struct FrontPoint {
     pub choice: Vec<KnobPoint>,
 }
 
-/// A system had no groups to merge — the typed form of the
-/// [`system_front`] panic, for callers that must degrade gracefully
-/// (e.g. a zero-level hierarchy spec reaching the evaluation engine).
+/// A system had no groups to merge (e.g. a zero-level hierarchy spec
+/// reaching the evaluation engine) — the one failure of
+/// [`try_system_front`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmptySystemError;
 
@@ -291,18 +291,10 @@ impl MergeBase {
 /// descending cost. Each point's `choice[i]` is the knob pair selected for
 /// `groups[i]`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when `groups` is empty — a system needs at least one group.
-/// Callers that must not abort use [`try_system_front`].
-#[allow(clippy::expect_used)] // fingerprinted in analyze.allow: documented panicking wrapper
-pub fn system_front(groups: &[Group]) -> Vec<FrontPoint> {
-    assert!(!groups.is_empty(), "system_front needs at least one group");
-    try_system_front(groups).expect("group emptiness was just checked")
-}
-
-/// [`system_front`] with the empty-system case routed through a typed
-/// error instead of a panic.
+/// [`EmptySystemError`] when `groups` is empty — a system needs at least
+/// one group.
 pub fn try_system_front(groups: &[Group]) -> Result<Vec<FrontPoint>, EmptySystemError> {
     MergeBase::try_new(groups).map(|base| base.front())
 }
@@ -370,7 +362,7 @@ mod tests {
                 (0.4, 10.0, 3.0, 2.0),
             ],
         );
-        let f = system_front(&[g]);
+        let f = try_system_front(&[g]).expect("non-empty system");
         assert_eq!(f.len(), 2);
         assert_eq!(f[0].choice.len(), 1);
     }
@@ -394,7 +386,7 @@ mod tests {
                 (0.5, 12.0, 5.0, 0.5),
             ],
         );
-        let front = system_front(&[ga.clone(), gb.clone()]);
+        let front = try_system_front(&[ga.clone(), gb.clone()]).expect("non-empty system");
 
         // Brute force: every combination, then check front optimality for
         // every deadline.
@@ -426,7 +418,7 @@ mod tests {
     fn front_points_carry_consistent_choices() {
         let ga = group("a", &[(0.2, 10.0, 1.0, 9.0), (0.4, 10.0, 4.0, 1.0)]);
         let gb = group("b", &[(0.2, 12.0, 1.5, 7.0), (0.5, 12.0, 5.0, 0.5)]);
-        let front = system_front(&[ga.clone(), gb.clone()]);
+        let front = try_system_front(&[ga.clone(), gb.clone()]).expect("non-empty system");
         for p in &front {
             assert_eq!(p.choice.len(), 2);
             // Recompute delay/cost from the chosen candidates.
@@ -462,7 +454,7 @@ mod tests {
         let ga = group("a", &[(0.2, 10.0, 1.0, 9.0), (0.4, 10.0, 4.0, 1.0)]);
         let gb = group("b", &[(0.2, 10.0, 1.5, 7.0), (0.4, 10.0, 5.0, 0.5)]);
         let tied = tied_front(&[ga.clone(), gb.clone()]);
-        let free = system_front(&[ga, gb]);
+        let free = try_system_front(&[ga, gb]).expect("non-empty system");
         for t in &tied {
             let best_free = free
                 .iter()
@@ -471,12 +463,6 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             assert!(best_free <= t.cost + 1e-12);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one group")]
-    fn empty_system_panics() {
-        let _ = system_front(&[]);
     }
 
     #[test]
@@ -505,7 +491,7 @@ mod tests {
             ],
         );
         let clean = group("b", &[(0.2, 12.0, 1.5, 7.0), (0.5, 12.0, 5.0, 0.5)]);
-        let front = system_front(&[poisoned, clean]);
+        let front = try_system_front(&[poisoned, clean]).expect("non-empty system");
         assert!(!front.is_empty());
         for p in &front {
             assert!(p.delay.is_finite() && p.cost.is_finite());
@@ -533,14 +519,20 @@ mod tests {
         let system = [ga.clone(), gb.clone(), gc2.clone()];
         let (incremental, reused) = MergeBase::try_with_base(&system, &base).unwrap();
         assert_eq!(reused, 2);
-        assert_eq!(incremental.front(), system_front(&system));
+        assert_eq!(
+            incremental.front(),
+            try_system_front(&system).expect("non-empty system")
+        );
 
         // Mutate the first group: nothing is reusable, result still equal.
         let ga2 = group("a", &[(0.25, 10.0, 1.2, 8.0), (0.45, 10.0, 4.5, 0.9)]);
         let system = [ga2, gb, gc];
         let (incremental, reused) = MergeBase::try_with_base(&system, &base).unwrap();
         assert_eq!(reused, 0);
-        assert_eq!(incremental.front(), system_front(&system));
+        assert_eq!(
+            incremental.front(),
+            try_system_front(&system).expect("non-empty system")
+        );
     }
 
     #[test]
@@ -567,6 +559,9 @@ mod tests {
         let system = [ga, gb, gc];
         let (merged, reused) = MergeBase::try_new_with_bases(&system, [&shallow, &deep]).unwrap();
         assert_eq!(reused, 3);
-        assert_eq!(merged.front(), system_front(&system));
+        assert_eq!(
+            merged.front(),
+            try_system_front(&system).expect("non-empty system")
+        );
     }
 }

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let study = SingleCacheStudy::with_circuit(circuit.clone(), KnobGrid::paper());
     let deadline = circuit.fastest_access_time() * 1.12;
     let solution = study
-        .optimize(Scheme::Split, deadline)
+        .optimize(Scheme::Split, deadline)?
         .expect("12% slack is feasible");
     println!(
         "  deadline {:.0} ps -> cells {}, periphery {}",
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Variation stress.
     println!("\n— step 4: die-to-die variation —");
     let vs = VariationStudy::new(study, VariationModel::typical_65nm(), 300, 7);
-    println!("{}", vs.to_table(&[deadline]));
+    println!("{}", vs.to_table(&[deadline])?);
     println!("guard-band the deadline (or re-optimise at Vth − 2σ) before tapeout.");
     Ok(())
 }

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         study.amat_floor().picos()
     );
 
-    let curves = study.tuple_curves(&TupleCounts::FIGURE2, &targets);
+    let curves = study.tuple_curves(&TupleCounts::FIGURE2, &targets)?;
     println!("\n{}", study.tuple_table(&TupleCounts::FIGURE2, &targets));
 
     // Who wins where?

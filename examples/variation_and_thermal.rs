@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Variation -------------------------------------------------------
     let vs = paper_16kb_variation(300, 65)?;
     let deadlines: Vec<_> = vs.study().delay_sweep(7).into_iter().skip(2).collect();
-    println!("{}", vs.to_table(&deadlines));
+    println!("{}", vs.to_table(&deadlines)?);
 
     let tech = TechnologyNode::bptm65();
     let n_vt = Volts(
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Temperature -------------------------------------------------------
     let thermal = ThermalStudy::paper_16kb()?;
     for slack in [0.15, 0.40] {
-        println!("{}", thermal.to_table(slack));
+        println!("{}", thermal.to_table(slack)?);
     }
     println!("the gate-tunnelling fraction rises as the die cools: subthreshold");
     println!("collapses with temperature, the Tox-set gate floor does not —");

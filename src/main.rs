@@ -287,7 +287,7 @@ fn run_study(which: Study, opts: &Options) -> Result<(), AppError> {
                 MainMemory::default(),
             )?;
             let targets = study.amat_sweep(opts.steps);
-            let curves = study.tuple_curves(&TupleCounts::FIGURE2, &targets);
+            let curves = study.tuple_curves(&TupleCounts::FIGURE2, &targets)?;
             plot(&curves, "AMAT (ps)", "total energy (pJ)");
             study.tuple_table(&TupleCounts::FIGURE2, &targets)
         }
@@ -397,14 +397,14 @@ fn run_study(which: Study, opts: &Options) -> Result<(), AppError> {
                 .into_iter()
                 .skip(2)
                 .collect();
-            vs.to_table(&deadlines)
+            vs.to_table(&deadlines)?
         }
-        Study::Thermal => ThermalStudy::paper_16kb()?.to_table(opts.run.slack),
+        Study::Thermal => ThermalStudy::paper_16kb()?.to_table(opts.run.slack)?,
         Study::Decay => {
             let single = SingleCacheStudy::paper_16kb()?;
             let study = DecayStudy::new(single, opts.suite, 300_000);
             let deadline = study.study().delay_sweep(5)[2] * (1.0 + opts.run.slack - 0.15);
-            study.to_table(deadline)
+            study.to_table(deadline)?
         }
         Study::SplitL1 => {
             let study = SplitL1Study::new(

@@ -13,7 +13,7 @@ use nmcache::device::units::Seconds;
 use nmcache::device::{KnobGrid, TechnologyNode};
 use nmcache::opt::anneal::{anneal, AnnealConfig};
 use nmcache::opt::constraint::best_under_deadline;
-use nmcache::opt::merge::system_front;
+use nmcache::opt::merge::try_system_front;
 use std::sync::OnceLock;
 
 fn quick_study() -> &'static TwoLevelStudy {
@@ -45,18 +45,21 @@ fn headline_scheme_ranking_on_paper_grid() {
     for &deadline in &deadlines[1..] {
         let l1 = study
             .optimize(Scheme::PerComponent, deadline)
+            .expect("healthy build")
             .expect("feasible")
             .leakage
             .total()
             .0;
         let l2 = study
             .optimize(Scheme::Split, deadline)
+            .expect("healthy build")
             .expect("feasible")
             .leakage
             .total()
             .0;
         let l3 = study
             .optimize(Scheme::Uniform, deadline)
+            .expect("healthy build")
             .expect("feasible")
             .leakage
             .total()
@@ -143,7 +146,7 @@ fn annealer_confirms_exact_optimizer_on_real_cache() {
         1.0,
         CostKind::LeakagePower,
     );
-    let front = system_front(&groups);
+    let front = try_system_front(&groups).expect("non-empty system");
     let deadline = study.delay_sweep(5)[2];
     let exact = best_under_deadline(&front, deadline.0).expect("feasible");
     let approx = anneal(&groups, deadline.0, AnnealConfig::default(), 99);
@@ -177,13 +180,15 @@ fn figure2_dual_dual_is_near_optimal() {
     )
     .expect("valid");
     let targets = memsys.amat_sweep(6);
-    let curves = memsys.tuple_curves(
-        &[
-            TupleCounts { n_tox: 2, n_vth: 2 },
-            TupleCounts { n_tox: 2, n_vth: 3 },
-        ],
-        &targets,
-    );
+    let curves = memsys
+        .tuple_curves(
+            &[
+                TupleCounts { n_tox: 2, n_vth: 2 },
+                TupleCounts { n_tox: 2, n_vth: 3 },
+            ],
+            &targets,
+        )
+        .expect("healthy build");
     let dual = &curves[0].points;
     let triple = &curves[1].points;
     assert!(dual.len() >= 4);

@@ -44,6 +44,7 @@ fn a_study_can_be_shared_across_threads() {
             std::thread::spawn(move || {
                 study
                     .optimize(nmcache::core::groups::Scheme::Split, deadline)
+                    .expect("healthy build")
                     .expect("feasible")
                     .leakage
                     .total()

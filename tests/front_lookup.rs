@@ -18,7 +18,7 @@ use nmcache::device::units::Kelvin;
 use nmcache::device::{KnobGrid, KnobPoint, TechnologyNode};
 use nmcache::geometry::{CacheCircuit, CacheConfig};
 use nmcache::opt::constraint::{best_under_deadline, fastest_under_budget};
-use nmcache::opt::merge::{system_front, FrontPoint};
+use nmcache::opt::merge::{try_system_front, FrontPoint};
 use nmcache::opt::objective::{CostBudget, Deadline};
 use nmcache::opt::{Candidate, Group};
 use proptest::prelude::*;
@@ -102,7 +102,7 @@ proptest! {
         g1 in prop::collection::vec((0.1f64..10.0, 0.1f64..10.0), 1..10),
         g2 in prop::collection::vec((0.1f64..10.0, 0.1f64..10.0), 1..10),
     ) {
-        let front = system_front(&groups(&[g1, g2]));
+        let front = try_system_front(&groups(&[g1, g2])).expect("non-empty system");
         assert_strictly_ordered(&front);
         for deadline in probes(front.iter().map(|p| p.delay)) {
             let cheapest = front
@@ -127,7 +127,7 @@ proptest! {
         g1 in prop::collection::vec((0.1f64..10.0, 0.1f64..10.0), 1..10),
         g2 in prop::collection::vec((0.1f64..10.0, 0.1f64..10.0), 1..10),
     ) {
-        let front = system_front(&groups(&[g1, g2]));
+        let front = try_system_front(&groups(&[g1, g2])).expect("non-empty system");
         for budget in probes(front.iter().rev().map(|p| p.cost)) {
             let fastest = front
                 .iter()
@@ -200,7 +200,9 @@ fn evaluator_fronts_are_strictly_ordered() {
     let tech = TechnologyNode::bptm65();
     let e = Evaluator::new(KnobGrid::coarse());
     for weight in [0.0, 0.05, 0.5] {
-        let front = e.front(&two_level("L1", &tech, weight));
+        let front = e
+            .try_front(&two_level("L1", &tech, weight))
+            .expect("healthy build");
         assert!(!front.is_empty(), "weight {weight}");
         assert_strictly_ordered(&front);
     }
@@ -212,8 +214,12 @@ fn equal_specs_built_apart_hit_one_memo_entry() {
     // `-0.0 == 0.0`, so the two weights name the same spec.
     for (first, second) in [(0.05, 0.05), (0.0, -0.0)] {
         let e = Evaluator::new(KnobGrid::coarse());
-        let a = e.front(&two_level("L1", &tech, first));
-        let b = e.front(&two_level("L1", &tech, second));
+        let a = e
+            .try_front(&two_level("L1", &tech, first))
+            .expect("healthy build");
+        let b = e
+            .try_front(&two_level("L1", &tech, second))
+            .expect("healthy build");
         assert!(std::sync::Arc::ptr_eq(&a, &b), "{first} vs {second}");
         let stats = e.stats();
         assert_eq!(stats.fronts_built, 1, "{first} vs {second}: {stats:?}");
@@ -231,14 +237,20 @@ fn specs_differing_in_label_or_temperature_keep_their_own_fronts() {
         two_level("D$", &cool, 0.05),
         two_level("L1", &hot, 0.05),
     ];
-    let fronts: Vec<_> = specs.iter().map(|s| e.front(s)).collect();
+    let fronts: Vec<_> = specs
+        .iter()
+        .map(|s| e.try_front(s).expect("healthy build"))
+        .collect();
     assert_eq!(e.stats().fronts_built, 3);
     assert_eq!(e.stats().front_hits, 0);
     // The hot node leaks more, so its front differs from the cool one.
     assert_ne!(*fronts[0], *fronts[2]);
     // A second pass hits, each spec its own entry.
     for (spec, front) in specs.iter().zip(&fronts) {
-        assert!(std::sync::Arc::ptr_eq(&e.front(spec), front));
+        assert!(std::sync::Arc::ptr_eq(
+            &e.try_front(spec).expect("healthy build"),
+            front
+        ));
     }
     assert_eq!(e.stats().fronts_built, 3);
     assert_eq!(e.stats().front_hits, 3);
@@ -249,7 +261,7 @@ fn warm_solutions_match_cold_solutions_bit_for_bit() {
     let tech = TechnologyNode::bptm65();
     let spec = two_level("L1", &tech, 0.05);
     let warm = Evaluator::new(KnobGrid::coarse());
-    let front = warm.front(&spec);
+    let front = warm.try_front(&spec).expect("healthy build");
     let (fastest, slowest) = (front[0].delay, front[front.len() - 1].delay);
     let (dearest, cheapest) = (front[0].cost, front[front.len() - 1].cost);
     for step in 0..=8 {
@@ -258,13 +270,17 @@ fn warm_solutions_match_cold_solutions_bit_for_bit() {
         let budget = cheapest + t * (dearest - cheapest);
         let cold = Evaluator::new(KnobGrid::coarse());
         assert_eq!(
-            warm.solve(&spec, &Deadline(deadline)),
-            cold.solve(&spec, &Deadline(deadline)),
+            warm.try_solve(&spec, &Deadline(deadline))
+                .expect("healthy build"),
+            cold.try_solve(&spec, &Deadline(deadline))
+                .expect("healthy build"),
             "deadline {deadline}"
         );
         assert_eq!(
-            warm.solve(&spec, &CostBudget(budget)),
-            cold.solve(&spec, &CostBudget(budget)),
+            warm.try_solve(&spec, &CostBudget(budget))
+                .expect("healthy build"),
+            cold.try_solve(&spec, &CostBudget(budget))
+                .expect("healthy build"),
             "budget {budget}"
         );
     }

@@ -74,7 +74,9 @@ fn tuple_curves_identical_across_worker_counts() {
         TupleCounts { n_tox: 1, n_vth: 2 },
     ];
     assert_worker_invariant(|| {
-        let curves = study.tuple_curves(&tuples, &targets);
+        let curves = study
+            .tuple_curves(&tuples, &targets)
+            .expect("healthy build");
         // Compare the raw bits: "bit-identical" is the executor contract.
         curves
             .into_iter()
