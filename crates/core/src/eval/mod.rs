@@ -702,10 +702,7 @@ impl Evaluator {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .bases();
         let (base, reused) = MergeBase::try_new_with_bases(&groups, bases.iter().map(Arc::as_ref))?;
-        if reused > 0 {
-            self.fronts_incremental.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_add(crate::names::FRONT_MERGE_INCREMENTAL, reused as u64);
-        }
+        self.record_merge(&base, reused);
         let front = Arc::new(base.front());
         let mut fronts = self
             .fronts
@@ -734,6 +731,18 @@ impl Evaluator {
             }
         }
         Ok(front)
+    }
+
+    /// Tallies one merge: the layers it reused from a cached base and the
+    /// heap pops it spent on the rest.
+    fn record_merge(&self, base: &MergeBase, reused: usize) {
+        if reused > 0 {
+            self.fronts_incremental.fetch_add(1, Ordering::Relaxed);
+            nm_telemetry::counter_add(crate::names::FRONT_MERGE_INCREMENTAL, reused as u64);
+        }
+        if base.heap_pops() > 0 {
+            nm_telemetry::counter_add(crate::names::FRONT_MERGE_HEAP_POPS, base.heap_pops());
+        }
     }
 
     fn cached_front(&self, spec: &HierarchySpec) -> Option<Arc<Vec<FrontPoint>>> {
@@ -806,10 +815,7 @@ impl Evaluator {
         );
         let (base, reused) =
             MergeBase::try_new_with_bases(&restricted, bases.iter().map(Arc::as_ref))?;
-        if reused > 0 {
-            self.fronts_incremental.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_add(crate::names::FRONT_MERGE_INCREMENTAL, reused as u64);
-        }
+        self.record_merge(&base, reused);
         let front = base.front();
         *self
             .restricted_base

@@ -30,6 +30,8 @@ pub const EVAL_FRONT_HIT: &str = "eval.front_hit";
 pub const EVAL_FRONT_BUILT: &str = "eval.front_built";
 /// Counter: merge layers reused from a shared group prefix.
 pub const FRONT_MERGE_INCREMENTAL: &str = "front.merge.incremental";
+/// Counter: heap pops spent merging the layers that were not reused.
+pub const FRONT_MERGE_HEAP_POPS: &str = "front.merge.heap_pops";
 /// Counter: hierarchy levels across freshly built fronts.
 pub const EVAL_LEVELS: &str = "eval.levels";
 /// Counter: surfaces and fronts loaded from the persistent store

@@ -9,13 +9,39 @@
 //!
 //! ## Merge mechanics
 //!
-//! Each pairwise merge streams the sum matrix through a min-heap instead
-//! of materializing it. A pruned front is strictly ascending in delay and
-//! strictly descending in cost, so for a fixed front point the sums over
-//! the next group's candidates are already delay-sorted; a `(delay, cost,
-//! row, column)`-keyed heap therefore pops the exact global sort order
-//! (ties included) that sorting the full cross product would produce,
-//! in O(F·G·log F) time and O(F) live memory.
+//! Each pairwise merge is defined by a materialized reference: build
+//! every `(row, column)` sum of the previous layer's points (rows) and
+//! the next group's candidates (columns), sort by `(delay, cost, row,
+//! column)` with `total_cmp`, and keep each sum strictly cheaper than the
+//! last one kept. The merge produces exactly that layer without building
+//! the matrix. A pruned front is strictly ascending in delay and strictly
+//! descending in cost, and float addition is monotone, so along a row the
+//! delay sums never fall and the cost sums never rise. A min-heap holding
+//! at most one entry per row streams the sums in the reference order,
+//! and three rules keep it from popping sums the scan would reject:
+//!
+//! * **Column skipping.** After a pop, a binary search over the row's
+//!   remaining columns finds the first whose cost sum is below the last
+//!   survivor's cost; that column is pushed, or the row retires when
+//!   there is none. Survivor cost only falls, so every skipped sum would
+//!   have been popped later and rejected.
+//! * **Equal-delay runs.** Adjacent columns can round to the same delay
+//!   sum. A run of them collapses to its cheapest column (first
+//!   occurrence), which the reference sorts ahead of the rest of the
+//!   run, so each row's heap keys strictly ascend and the merged layer
+//!   never holds two points at one delay.
+//! * **Lazy row admission.** Rows ascend in delay, so a row's column-0
+//!   sum bounds its own sums and every later row's from below. A row
+//!   enters the heap only once that sum is `<=` the delay at the heap
+//!   top (delay alone: after rounding, a later row can tie the top's
+//!   delay at a lower cost and must sort ahead of it), and it skips
+//!   columns on entry. Nothing is skipped while there is no survivor
+//!   yet.
+//!
+//! A merge therefore pops about one entry per survivor plus one per
+//! retired row, and pays a binary search per push: the cost follows the
+//! size of the output front, not the F×G sum matrix.
+//! [`MergeBase::heap_pops`] reports the pops.
 //!
 //! Survivors carry only a predecessor index into the previous merged
 //! layer; per-point knob `choice` vectors are resolved once at the end by
@@ -32,7 +58,6 @@
 //! pruned group fronts, a reused prefix is bit-identical to recomputing
 //! it (float addition is reassociated nowhere).
 
-use crate::pareto;
 use crate::{Candidate, Group};
 use nm_device::KnobPoint;
 use serde::{Deserialize, Serialize};
@@ -69,7 +94,7 @@ impl std::error::Error for EmptySystemError {}
 /// The system front after folding in groups `0..=k`, index-based: point
 /// `p` chose `knobs[p]` for group `k` and continues at `prev[p]` in the
 /// previous layer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Layer {
     prev: Vec<u32>,
     knobs: Vec<KnobPoint>,
@@ -92,7 +117,7 @@ impl Layer {
     }
 }
 
-/// Heap key reproducing the seed merge's sort: `(delay, cost)` with ties
+/// Heap key reproducing the reference sort: `(delay, cost)` with ties
 /// broken by the row-major enumeration order of the sum matrix.
 struct HeapEntry {
     delay: f64,
@@ -125,59 +150,85 @@ impl PartialEq for HeapEntry {
 
 impl Eq for HeapEntry {}
 
-/// Merges the next group's pruned candidates into a layer: an F×G-way
-/// ordered stream of sums, kept when strictly cheaper than the last
-/// survivor (exactly the seed's sort-then-scan on the materialized cross
-/// product, without materializing it).
-fn merge_step(prev: &Layer, cands: &[Candidate]) -> Layer {
-    let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::with_capacity(prev.len());
-    if cands.is_empty() {
-        // A group whose candidates all pruned away (e.g. every one NaN)
-        // contributes nothing combinable: the merged front is empty.
-        return Layer {
-            prev: Vec::new(),
-            knobs: Vec::new(),
-            delay: Vec::new(),
-            cost: Vec::new(),
-        };
+/// The entry for `row` at its first column from `from` on that could
+/// still survive, or `None` when the row is spent: columns whose cost sum
+/// is not below `bound` (the last survivor's cost) are skipped, and an
+/// equal-delay run collapses to its cheapest column.
+fn row_entry(
+    prev: &Layer,
+    cands: &[Candidate],
+    row: usize,
+    from: usize,
+    bound: Option<f64>,
+) -> Option<HeapEntry> {
+    let (row_delay, row_cost) = (prev.delay[row], prev.cost[row]);
+    let rest = cands.get(from..)?;
+    let skip = bound.map_or(0, |bound| {
+        rest.partition_point(|c| row_cost + c.cost >= bound)
+    });
+    let (first, run) = rest.get(skip..)?.split_first()?;
+    let delay = row_delay + first.delay;
+    let (mut cost, mut col) = (row_cost + first.cost, from + skip);
+    for (offset, c) in run.iter().enumerate() {
+        if (row_delay + c.delay).total_cmp(&delay).is_ne() {
+            break;
+        }
+        let run_cost = row_cost + c.cost;
+        if run_cost.total_cmp(&cost).is_lt() {
+            (cost, col) = (run_cost, from + skip + 1 + offset);
+        }
     }
-    for row in 0..prev.len() {
-        heap.push(Reverse(HeapEntry {
-            delay: prev.delay[row] + cands[0].delay,
-            cost: prev.cost[row] + cands[0].cost,
-            row: row as u32,
-            col: 0,
-        }));
-    }
-    let mut next = Layer {
-        prev: Vec::new(),
-        knobs: Vec::new(),
-        delay: Vec::new(),
-        cost: Vec::new(),
+    Some(HeapEntry {
+        delay,
+        cost,
+        row: row as u32,
+        col: col as u32,
+    })
+}
+
+/// Merges the next group's pruned candidates into a layer, returning it
+/// with the number of heap pops it took. The layer equals the reference
+/// sort-then-scan over the materialized sum matrix (module docs); the
+/// heap pops only the sums that scan could keep.
+fn merge_step(prev: &Layer, cands: &[Candidate]) -> (Layer, u64) {
+    let mut next = Layer::default();
+    // A group whose candidates all pruned away (e.g. every one NaN)
+    // contributes nothing combinable: the merged front is empty.
+    let Some(head) = cands.first() else {
+        return (next, 0);
     };
-    while let Some(Reverse(e)) = heap.pop() {
-        let keep = match next.cost.last() {
-            Some(&last) => e.cost < last,
-            None => true,
+    let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
+    let mut pops = 0u64;
+    let mut admitted = 0;
+    loop {
+        // Rows ascend in delay and no sum of a row is faster than its
+        // column-0 sum, so rows whose column-0 delay exceeds the top's
+        // can wait: the top sorts ahead of every sum they hold.
+        while admitted < prev.len()
+            && heap.peek().is_none_or(|Reverse(top)| {
+                (prev.delay[admitted] + head.delay)
+                    .total_cmp(&top.delay)
+                    .is_le()
+            })
+        {
+            let bound = next.cost.last().copied();
+            heap.extend(row_entry(prev, cands, admitted, 0, bound).map(Reverse));
+            admitted += 1;
+        }
+        let Some(Reverse(e)) = heap.pop() else {
+            break;
         };
-        if keep {
+        pops += 1;
+        if next.cost.last().is_none_or(|&last| e.cost < last) {
             next.prev.push(e.row);
             next.knobs.push(cands[e.col as usize].knobs);
             next.delay.push(e.delay);
             next.cost.push(e.cost);
         }
-        let col = e.col as usize + 1;
-        if col < cands.len() {
-            let row = e.row as usize;
-            heap.push(Reverse(HeapEntry {
-                delay: prev.delay[row] + cands[col].delay,
-                cost: prev.cost[row] + cands[col].cost,
-                row: e.row,
-                col: col as u32,
-            }));
-        }
+        let bound = next.cost.last().copied();
+        heap.extend(row_entry(prev, cands, e.row as usize, e.col as usize + 1, bound).map(Reverse));
     }
-    next
+    (next, pops)
 }
 
 /// A completed system merge retaining its intermediate layers, so a
@@ -187,6 +238,7 @@ fn merge_step(prev: &Layer, cands: &[Candidate]) -> Layer {
 pub struct MergeBase {
     pruned: Vec<Vec<Candidate>>,
     layers: Vec<Arc<Layer>>,
+    heap_pops: u64,
 }
 
 impl MergeBase {
@@ -241,20 +293,36 @@ impl MergeBase {
             layers.extend(base.layers[..matched].iter().cloned());
         }
         let reused = layers.len();
+        let mut heap_pops = 0;
         for k in reused..pruned.len() {
             let layer = if k == 0 {
                 Layer::from_candidates(&pruned[0])
             } else {
-                merge_step(&layers[k - 1], &pruned[k])
+                let (layer, pops) = merge_step(&layers[k - 1], &pruned[k]);
+                heap_pops += pops;
+                layer
             };
             layers.push(Arc::new(layer));
         }
-        Ok((MergeBase { pruned, layers }, reused))
+        Ok((
+            MergeBase {
+                pruned,
+                layers,
+                heap_pops,
+            },
+            reused,
+        ))
     }
 
     /// Number of groups merged into this base.
     pub fn group_count(&self) -> usize {
         self.pruned.len()
+    }
+
+    /// Heap pops spent on the layers this base merged itself; layers
+    /// reused from another base count nothing.
+    pub fn heap_pops(&self) -> u64 {
+        self.heap_pops
     }
 
     /// Resolves the final layer into owned [`FrontPoint`]s by walking the
@@ -287,8 +355,8 @@ impl MergeBase {
 
 /// Computes the exact Pareto front of a system of additive groups.
 ///
-/// The returned points are sorted by ascending delay with strictly
-/// descending cost. Each point's `choice[i]` is the knob pair selected for
+/// The returned points strictly ascend in delay and strictly descend in
+/// cost. Each point's `choice[i]` is the knob pair selected for
 /// `groups[i]`.
 ///
 /// # Errors
@@ -299,44 +367,13 @@ pub fn try_system_front(groups: &[Group]) -> Result<Vec<FrontPoint>, EmptySystem
     MergeBase::try_new(groups).map(|base| base.front())
 }
 
-/// Computes the front when every group is forced to share **one** knob
-/// pair (the paper's Scheme III, or any fully tied study).
-///
-/// Candidates are matched across groups by knob equality, so all groups
-/// must be built over the same grid.
-///
-/// # Panics
-///
-/// Panics when `groups` is empty.
-pub fn tied_front(groups: &[Group]) -> Vec<FrontPoint> {
-    assert!(!groups.is_empty(), "tied_front needs at least one group");
-    let mut sums: Vec<Candidate> = groups[0].candidates().to_vec();
-    for group in &groups[1..] {
-        assert_eq!(
-            group.candidates().len(),
-            sums.len(),
-            "tied groups must share one grid"
-        );
-        for (acc, c) in sums.iter_mut().zip(group.candidates()) {
-            assert_eq!(acc.knobs, c.knobs, "tied groups must share one grid");
-            acc.delay += c.delay;
-            acc.cost += c.cost;
-        }
-    }
-    pareto::prune(sums)
-        .into_iter()
-        .map(|c| FrontPoint {
-            delay: c.delay,
-            cost: c.cost,
-            choice: vec![c.knobs; groups.len()],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::fastest_under_budget;
+    use crate::pareto;
     use nm_device::units::{Angstroms, Volts};
+    use proptest::prelude::*;
 
     fn k(vth: f64, tox: f64) -> KnobPoint {
         KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap()
@@ -350,6 +387,185 @@ mod tests {
                 .map(|&(vth, tox, d, c)| Candidate::new(k(vth, tox), d, c))
                 .collect(),
         )
+    }
+
+    /// The front when every group shares one knob pair (a fully tied
+    /// system), matched across groups by knob equality.
+    fn tied_front(groups: &[Group]) -> Vec<FrontPoint> {
+        let mut sums: Vec<Candidate> = groups[0].candidates().to_vec();
+        for group in &groups[1..] {
+            for (acc, c) in sums.iter_mut().zip(group.candidates()) {
+                assert_eq!(acc.knobs, c.knobs, "tied groups must share one grid");
+                acc.delay += c.delay;
+                acc.cost += c.cost;
+            }
+        }
+        pareto::prune(sums)
+            .into_iter()
+            .map(|c| FrontPoint {
+                delay: c.delay,
+                cost: c.cost,
+                choice: vec![c.knobs; groups.len()],
+            })
+            .collect()
+    }
+
+    /// The reference merge: materialize every `(row, column)` sum, sort
+    /// by `(delay, cost, row, column)` with `total_cmp`, and keep each sum
+    /// strictly cheaper than the last one kept.
+    fn oracle_step(prev: &Layer, cands: &[Candidate]) -> Layer {
+        let mut cells = Vec::with_capacity(prev.len() * cands.len());
+        for row in 0..prev.len() {
+            for (col, c) in cands.iter().enumerate() {
+                cells.push((prev.delay[row] + c.delay, prev.cost[row] + c.cost, row, col));
+            }
+        }
+        cells.sort_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then(a.1.total_cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+                .then(a.3.cmp(&b.3))
+        });
+        let mut next = Layer::default();
+        for (delay, cost, row, col) in cells {
+            if next.cost.last().is_none_or(|&last| cost < last) {
+                next.prev.push(row as u32);
+                next.knobs.push(cands[col].knobs);
+                next.delay.push(delay);
+                next.cost.push(cost);
+            }
+        }
+        next
+    }
+
+    /// A layer with its metrics as raw bits, for bit-exact comparison.
+    fn layer_bits(layer: &Layer) -> (Vec<u32>, Vec<KnobPoint>, Vec<u64>, Vec<u64>) {
+        (
+            layer.prev.clone(),
+            layer.knobs.clone(),
+            layer.delay.iter().map(|d| d.to_bits()).collect(),
+            layer.cost.iter().map(|c| c.to_bits()).collect(),
+        )
+    }
+
+    /// Asserts every layer of a fresh merge of `groups` equals the
+    /// reference fold, bit for bit.
+    fn assert_matches_oracle(groups: &[Group]) {
+        let base = MergeBase::try_new(groups).expect("non-empty system");
+        let mut want = Layer::from_candidates(&base.pruned[0]);
+        assert_eq!(layer_bits(&base.layers[0]), layer_bits(&want));
+        for k in 1..groups.len() {
+            want = oracle_step(&want, &base.pruned[k]);
+            assert_eq!(layer_bits(&base.layers[k]), layer_bits(&want), "layer {k}");
+        }
+    }
+
+    fn knob_at(i: usize) -> KnobPoint {
+        k(0.2 + 0.05 * (i % 7) as f64, 10.0 + (i / 7) as f64)
+    }
+
+    /// 2–4 groups with delays and costs spread over many octaves.
+    fn arb_spread_system() -> impl Strategy<Value = Vec<Group>> {
+        let group = prop::collection::vec((-12.0f64..12.0, -12.0f64..12.0), 1..=12);
+        prop::collection::vec(group, 2..=4).prop_map(|groups| {
+            groups
+                .into_iter()
+                .map(|points| {
+                    let cands = points
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(d, c))| Candidate::new(knob_at(i), d.exp2(), c.exp2()))
+                        .collect();
+                    Group::new("spread", cands)
+                })
+                .collect()
+        })
+    }
+
+    /// 2–4 groups whose sums collide at ulp scale: the first group's
+    /// delays are `1 + k·ε`, the others' `j·0.3ε`. Costs are multiples of
+    /// 1/4, so cost sums tie exactly, except that a later group may draw
+    /// ulp-scale costs (multiples of 0.6ε), whose sums round onto each
+    /// other.
+    fn arb_colliding_system() -> impl Strategy<Value = Vec<Group>> {
+        let group = (
+            prop::bool::ANY,
+            prop::collection::vec((0u32..8, 1u32..24), 1..=12),
+        );
+        prop::collection::vec(group, 2..=4).prop_map(|groups| {
+            groups
+                .into_iter()
+                .enumerate()
+                .map(|(g, (fine, points))| {
+                    let (delay_base, delay_step) = match g {
+                        0 => (1.0, f64::EPSILON),
+                        _ => (0.0, 0.3 * f64::EPSILON),
+                    };
+                    let cost_step = match g {
+                        0 => 0.25,
+                        _ if fine => 0.6 * f64::EPSILON,
+                        _ => 0.25,
+                    };
+                    let cands = points
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(step, quanta))| {
+                            let delay = delay_base + f64::from(step) * delay_step;
+                            Candidate::new(knob_at(i), delay, f64::from(quanta) * cost_step)
+                        })
+                        .collect();
+                    Group::new("colliding", cands)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every merged layer equals the materialized reference bit for
+        /// bit, on widely spread fronts.
+        #[test]
+        fn merge_matches_the_oracle_on_spread_fronts(groups in arb_spread_system()) {
+            assert_matches_oracle(&groups);
+        }
+
+        /// Every merged layer equals the materialized reference bit for
+        /// bit when delay and cost sums collide after rounding.
+        #[test]
+        fn merge_matches_the_oracle_on_colliding_fronts(groups in arb_colliding_system()) {
+            assert_matches_oracle(&groups);
+        }
+    }
+
+    #[test]
+    fn equal_delay_sums_keep_only_the_cheapest() {
+        // Both rows hold columns whose delay sums round to one value; the
+        // reference keeps the cheapest of each run and nothing else.
+        let eps = f64::EPSILON;
+        let ga = group("a", &[(0.2, 10.0, 1.0, 14.0), (0.3, 10.0, 1.0 + eps, 9.0)]);
+        let gb = group(
+            "b",
+            &[
+                (0.2, 12.0, 0.0, 7.0),
+                (0.3, 12.0, 0.25 * eps, 2.4),
+                (0.4, 12.0, 0.5 * eps, 1.0),
+            ],
+        );
+        let front = try_system_front(&[ga, gb]).expect("non-empty system");
+        let points: Vec<(f64, f64)> = front.iter().map(|p| (p.delay, p.cost)).collect();
+        assert_eq!(
+            points,
+            [
+                (1.0, 14.0 + 1.0),
+                (1.0 + eps, 9.0 + 2.4),
+                (1.0 + 2.0 * eps, 9.0 + 1.0)
+            ]
+        );
+        assert_eq!(front[0].choice, [k(0.2, 10.0), k(0.4, 12.0)]);
+        assert_eq!(front[1].choice, [k(0.3, 10.0), k(0.3, 12.0)]);
+        let fastest = fastest_under_budget(&front, 21.0).expect("budget is feasible");
+        assert_eq!((fastest.delay, fastest.cost), (1.0, 15.0));
     }
 
     #[test]
@@ -545,6 +761,8 @@ mod tests {
         let (refreshed, reused) = MergeBase::try_with_base(&system, &base).unwrap();
         assert_eq!(reused, 2);
         assert_eq!(refreshed.group_count(), 2);
+        assert!(base.heap_pops() > 0);
+        assert_eq!(refreshed.heap_pops(), 0, "reused layers pop nothing");
         assert_eq!(refreshed.front(), base.front());
     }
 

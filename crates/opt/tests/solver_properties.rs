@@ -33,17 +33,43 @@ fn arb_group(name: &'static str) -> impl Strategy<Value = Group> {
     })
 }
 
+/// Strategy over a group on the same grid whose sums with other such
+/// groups collide at ulp scale: delays are `offset + k·step` for small
+/// `k`, and costs are multiples of 1/4 so cost sums tie exactly.
+fn arb_colliding_group(name: &'static str, offset: f64, step: f64) -> impl Strategy<Value = Group> {
+    prop::collection::vec((0u32..8, 1u32..24), 35).prop_map(move |values| {
+        let mut cands = Vec::with_capacity(35);
+        for i in 0..7 {
+            for j in 0..5 {
+                let (k, quanta) = values[i * 5 + j];
+                let delay = offset + f64::from(k) * step;
+                cands.push(Candidate::new(knob(i, j), delay, f64::from(quanta) * 0.25));
+            }
+        }
+        Group::new(name, cands)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// System fronts are sorted by delay with strictly decreasing cost.
+    /// System fronts strictly ascend in delay and strictly descend in
+    /// cost, also when delay sums round onto each other.
     #[test]
-    fn fronts_are_sorted_and_strict(g1 in arb_group("a"), g2 in arb_group("b")) {
-        let front = try_system_front(&[g1, g2]).expect("non-empty system");
-        prop_assert!(!front.is_empty());
-        for w in front.windows(2) {
-            prop_assert!(w[0].delay < w[1].delay);
-            prop_assert!(w[0].cost > w[1].cost);
+    fn fronts_are_sorted_and_strict(
+        g1 in arb_group("a"),
+        g2 in arb_group("b"),
+        c1 in arb_colliding_group("c", 1.0, f64::EPSILON),
+        c2 in arb_colliding_group("d", 0.0, 0.3 * f64::EPSILON),
+        c3 in arb_colliding_group("e", 0.0, 0.3 * f64::EPSILON),
+    ) {
+        for system in [vec![g1, g2], vec![c1, c2, c3]] {
+            let front = try_system_front(&system).expect("non-empty system");
+            prop_assert!(!front.is_empty());
+            for w in front.windows(2) {
+                prop_assert!(w[0].delay < w[1].delay);
+                prop_assert!(w[0].cost > w[1].cost);
+            }
         }
     }
 

@@ -6,10 +6,31 @@ use nmcache::device::units::{Angstroms, Microns, Volts};
 use nmcache::device::{KnobPoint, Mosfet, TechnologyNode};
 use nmcache::geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
 use nmcache::opt::constraint::best_under_deadline;
-use nmcache::opt::merge::{tied_front, try_system_front};
+use nmcache::opt::merge::{try_system_front, FrontPoint};
 use nmcache::opt::pareto::{dominates, prune};
 use nmcache::opt::{Candidate, Group};
 use proptest::prelude::*;
+
+/// The front when every group shares one knob pair (a fully tied
+/// system), matched across groups by knob equality.
+fn tied_front(groups: &[Group]) -> Vec<FrontPoint> {
+    let mut sums: Vec<Candidate> = groups[0].candidates().to_vec();
+    for group in &groups[1..] {
+        for (acc, c) in sums.iter_mut().zip(group.candidates()) {
+            assert_eq!(acc.knobs, c.knobs, "tied groups must share one grid");
+            acc.delay += c.delay;
+            acc.cost += c.cost;
+        }
+    }
+    prune(sums)
+        .into_iter()
+        .map(|c| FrontPoint {
+            delay: c.delay,
+            cost: c.cost,
+            choice: vec![c.knobs; groups.len()],
+        })
+        .collect()
+}
 
 fn arb_knobs() -> impl Strategy<Value = KnobPoint> {
     (0.2f64..=0.5, 10.0f64..=14.0)
