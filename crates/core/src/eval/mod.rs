@@ -87,6 +87,39 @@ pub struct EvalStats {
     pub store_errors: usize,
 }
 
+/// One evaluator event. Each indexes the evaluator's counter array (read
+/// back by [`Evaluator::stats`]) and names the registry counter it also
+/// bumps, so every event is counted in exactly one place.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    FrontBuilt,
+    FrontHit,
+    /// A merge that reused cached layers; its registry counter tallies
+    /// the layers reused, not the merges.
+    FrontIncremental,
+    SurfaceRejected,
+    StoreLoaded,
+    StoreRejected,
+    StoreError,
+}
+
+impl Event {
+    const COUNT: usize = Event::StoreError as usize + 1;
+
+    fn counter(self) -> &'static str {
+        use crate::names;
+        match self {
+            Event::FrontBuilt => names::EVAL_FRONT_BUILT,
+            Event::FrontHit => names::EVAL_FRONT_HIT,
+            Event::FrontIncremental => names::FRONT_MERGE_INCREMENTAL,
+            Event::SurfaceRejected => names::EVAL_SURFACE_REJECTED,
+            Event::StoreLoaded => names::EVAL_STORE_LOADED,
+            Event::StoreRejected => names::EVAL_STORE_REJECTED,
+            Event::StoreError => names::EVAL_STORE_ERRORS,
+        }
+    }
+}
+
 /// One memoized front: the spec it answers, the merged front served to
 /// queries, and the merge base later specs extend incrementally. Fronts
 /// loaded from the persistent store carry no base — they skipped the
@@ -185,13 +218,7 @@ pub struct Evaluator {
     /// Content-addressed and strictly best-effort: a missing, corrupt
     /// or failing store degrades to recompute — never to an abort.
     store: Option<Arc<nm_store::Store>>,
-    fronts_built: AtomicUsize,
-    fronts_incremental: AtomicUsize,
-    front_hits: AtomicUsize,
-    surfaces_rejected: AtomicUsize,
-    store_loaded: AtomicUsize,
-    store_rejected: AtomicUsize,
-    store_errors: AtomicUsize,
+    events: [AtomicUsize; Event::COUNT],
 }
 
 /// `true` when every value in a metric buffer is finite and
@@ -298,13 +325,7 @@ impl Evaluator {
             fronts: RwLock::new(FrontMemo::default()),
             restricted_base: Mutex::new(None),
             store: None,
-            fronts_built: AtomicUsize::new(0),
-            fronts_incremental: AtomicUsize::new(0),
-            front_hits: AtomicUsize::new(0),
-            surfaces_rejected: AtomicUsize::new(0),
-            store_loaded: AtomicUsize::new(0),
-            store_rejected: AtomicUsize::new(0),
-            store_errors: AtomicUsize::new(0),
+            events: Default::default(),
         }
     }
 
@@ -333,17 +354,25 @@ impl Evaluator {
     /// Memoization counters so far.
     pub fn stats(&self) -> EvalStats {
         let (surfaces_built, surface_hits) = self.cache.stats();
+        let count = |event: Event| self.events[event as usize].load(Ordering::Relaxed);
         EvalStats {
             surfaces_built,
             surface_hits,
-            fronts_built: self.fronts_built.load(Ordering::Relaxed),
-            front_hits: self.front_hits.load(Ordering::Relaxed),
-            fronts_incremental: self.fronts_incremental.load(Ordering::Relaxed),
-            surfaces_rejected: self.surfaces_rejected.load(Ordering::Relaxed),
-            store_loaded: self.store_loaded.load(Ordering::Relaxed),
-            store_rejected: self.store_rejected.load(Ordering::Relaxed),
-            store_errors: self.store_errors.load(Ordering::Relaxed),
+            fronts_built: count(Event::FrontBuilt),
+            front_hits: count(Event::FrontHit),
+            fronts_incremental: count(Event::FrontIncremental),
+            surfaces_rejected: count(Event::SurfaceRejected),
+            store_loaded: count(Event::StoreLoaded),
+            store_rejected: count(Event::StoreRejected),
+            store_errors: count(Event::StoreError),
         }
+    }
+
+    /// Counts one `event` and adds `amount` to its registry counter
+    /// (1 for every event but [`Event::FrontIncremental`]).
+    fn record(&self, event: Event, amount: u64) {
+        self.events[event as usize].fetch_add(1, Ordering::Relaxed);
+        nm_telemetry::counter_add(event.counter(), amount);
     }
 
     /// Tries to satisfy one missing surface job from the persistent
@@ -360,8 +389,7 @@ impl Evaluator {
             Ok(Some(bytes)) => bytes,
             Ok(None) => return false,
             Err(e) => {
-                self.store_errors.fetch_add(1, Ordering::Relaxed);
-                nm_telemetry::counter_inc(crate::names::EVAL_STORE_ERRORS);
+                self.record(Event::StoreError, 1);
                 log_store_event(&format!("store read failed, recomputing: {e}"));
                 return false;
             }
@@ -369,8 +397,7 @@ impl Evaluator {
         let surface = match crate::persist::decode_surface(&bytes) {
             Ok(surface) => surface,
             Err(e) => {
-                self.store_rejected.fetch_add(1, Ordering::Relaxed);
-                nm_telemetry::counter_inc(crate::names::EVAL_STORE_REJECTED);
+                self.record(Event::StoreRejected, 1);
                 log_store_event(&format!("persisted surface rejected, recomputing: {e}"));
                 return false;
             }
@@ -378,13 +405,11 @@ impl Evaluator {
         if surface.points() != self.points.as_slice()
             || validate_surface(circuit, id, &surface).is_err()
         {
-            self.store_rejected.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_inc(crate::names::EVAL_STORE_REJECTED);
+            self.record(Event::StoreRejected, 1);
             return false;
         }
         self.cache.install_loaded(circuit, id, surface);
-        self.store_loaded.fetch_add(1, Ordering::Relaxed);
-        nm_telemetry::counter_inc(crate::names::EVAL_STORE_LOADED);
+        self.record(Event::StoreLoaded, 1);
         true
     }
 
@@ -402,8 +427,7 @@ impl Evaluator {
             Ok(Some(bytes)) => bytes,
             Ok(None) => return None,
             Err(e) => {
-                self.store_errors.fetch_add(1, Ordering::Relaxed);
-                nm_telemetry::counter_inc(crate::names::EVAL_STORE_ERRORS);
+                self.record(Event::StoreError, 1);
                 log_store_event(&format!("store read failed, recomputing: {e}"));
                 return None;
             }
@@ -411,8 +435,7 @@ impl Evaluator {
         let front = match crate::persist::decode_front(&bytes) {
             Ok(front) => front,
             Err(e) => {
-                self.store_rejected.fetch_add(1, Ordering::Relaxed);
-                nm_telemetry::counter_inc(crate::names::EVAL_STORE_REJECTED);
+                self.record(Event::StoreRejected, 1);
                 log_store_event(&format!("persisted front rejected, recomputing: {e}"));
                 return None;
             }
@@ -432,8 +455,7 @@ impl Evaluator {
             None
         };
         if let Some(fault) = fault {
-            self.store_rejected.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_inc(crate::names::EVAL_STORE_REJECTED);
+            self.record(Event::StoreRejected, 1);
             log_store_event(&format!("persisted front rejected, recomputing: {fault}"));
             return None;
         }
@@ -446,8 +468,7 @@ impl Evaluator {
             return Some(existing);
         }
         fronts.insert(spec, Arc::clone(&front), None);
-        self.store_loaded.fetch_add(1, Ordering::Relaxed);
-        nm_telemetry::counter_inc(crate::names::EVAL_STORE_LOADED);
+        self.record(Event::StoreLoaded, 1);
         Some(front)
     }
 
@@ -456,8 +477,7 @@ impl Evaluator {
     fn store_put(&self, key: u128, payload: &[u8]) {
         let Some(store) = &self.store else { return };
         if let Err(e) = store.put(key, payload) {
-            self.store_errors.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_inc(crate::names::EVAL_STORE_ERRORS);
+            self.record(Event::StoreError, 1);
             log_store_event(&format!("store write failed, continuing in memory: {e}"));
         }
     }
@@ -592,8 +612,7 @@ impl Evaluator {
                             self.cache.install(circuit, *id, surface);
                         }
                         Err(e) => {
-                            self.surfaces_rejected.fetch_add(1, Ordering::Relaxed);
-                            nm_telemetry::counter_inc(crate::names::EVAL_SURFACE_REJECTED);
+                            self.record(Event::SurfaceRejected, 1);
                             first_error.get_or_insert(e);
                         }
                     }
@@ -685,8 +704,7 @@ impl Evaluator {
     pub fn try_front(&self, spec: &HierarchySpec) -> Result<Arc<Vec<FrontPoint>>, StudyError> {
         let _span = nm_telemetry::span(crate::names::EVAL_FRONT);
         if let Some(front) = self.cached_front(spec) {
-            self.front_hits.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_inc(crate::names::EVAL_FRONT_HIT);
+            self.record(Event::FrontHit, 1);
             return Ok(front);
         }
         if let Some(front) = self.front_from_store(spec) {
@@ -720,8 +738,7 @@ impl Evaluator {
             );
         }
         fronts.insert(spec, Arc::clone(&front), Some(base));
-        self.fronts_built.fetch_add(1, Ordering::Relaxed);
-        nm_telemetry::counter_inc(crate::names::EVAL_FRONT_BUILT);
+        self.record(Event::FrontBuilt, 1);
         // Hierarchy shape of this run, for `--metrics` reports: depth per
         // freshly-built front plus the per-level technology mix.
         if nm_telemetry::enabled() {
@@ -737,8 +754,7 @@ impl Evaluator {
     /// heap pops it spent on the rest.
     fn record_merge(&self, base: &MergeBase, reused: usize) {
         if reused > 0 {
-            self.fronts_incremental.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_add(crate::names::FRONT_MERGE_INCREMENTAL, reused as u64);
+            self.record(Event::FrontIncremental, reused as u64);
         }
         if base.heap_pops() > 0 {
             nm_telemetry::counter_add(crate::names::FRONT_MERGE_HEAP_POPS, base.heap_pops());
@@ -772,58 +788,71 @@ impl Evaluator {
             .transpose()
     }
 
-    /// [`try_solve`](Self::try_solve) with every group restricted to knob
-    /// values drawn from the given `Vth`/`Tox` value sets (the
-    /// single-knob ablation and tuple-count experiments): `Ok(None)` when
-    /// the restriction empties a group or the constraint is infeasible,
-    /// `Err` when evaluation itself failed.
+    /// [`try_solve`](Self::try_solve) over a family of knob restrictions:
+    /// for each `(vths, toxes)` value set, every group keeps only the
+    /// candidates whose knobs are drawn from those values (the
+    /// single-knob ablation passes one set, the Figure 2 tuple search
+    /// every combination). Returns the cheapest feasible optimum over
+    /// the family, the first set winning a tie. A set that empties a
+    /// group is skipped; `Ok(None)` means no set is feasible, `Err` that
+    /// evaluation itself failed.
     ///
-    /// Restricted fronts are not memoized — value-set restrictions are
-    /// exponentially many — but the metric surfaces they re-price are.
+    /// The spec is priced once per call. Restricted fronts are not
+    /// memoized — value-set families are exponentially large — but the
+    /// metric surfaces they re-price are, and each merge re-merges only
+    /// past the group prefix it shares with the previous restriction
+    /// (carried across calls) or with a cached spec's front.
     ///
     /// # Errors
     ///
-    /// Any error from [`try_ensure_surfaces`](Self::try_ensure_surfaces).
+    /// Any error from [`try_ensure_surfaces`](Self::try_ensure_surfaces),
+    /// or [`StudyError::EmptySystem`] when a set is merged over a spec
+    /// without groups.
     pub fn try_solve_restricted<C: Constraint>(
         &self,
         spec: &HierarchySpec,
-        vths: &[f64],
-        toxes: &[f64],
+        value_sets: &[(&[f64], &[f64])],
         constraint: &C,
     ) -> Result<Option<Solution>, StudyError> {
         let groups = self.try_groups(spec)?;
-        let restricted: Option<Vec<Group>> =
-            groups.iter().map(|g| g.restricted(vths, toxes)).collect();
-        let Some(restricted) = restricted else {
-            return Ok(None);
-        };
-        // Tuple-count sweeps grow value sets monotonically, so successive
-        // restrictions often share leading groups verbatim; keep the last
-        // restricted merge base around (plus every cached spec base) and
-        // re-merge only past the shared prefix.
-        let last = self
+        // A restriction often shares leading groups verbatim with the
+        // previous one (a query stream repeating one restriction), so the
+        // last restricted base is offered to the next merge. The slot is
+        // locked once on the way in and once on the way out: locking it
+        // per set more than doubled E6's study time on a 2-vCPU VM.
+        let mut last = self
             .restricted_base
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .clone();
-        let mut bases: Vec<Arc<MergeBase>> = last.into_iter().collect();
-        bases.extend(
-            self.fronts
-                .read()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .bases(),
-        );
-        let (base, reused) =
-            MergeBase::try_new_with_bases(&restricted, bases.iter().map(Arc::as_ref))?;
-        self.record_merge(&base, reused);
-        let front = base.front();
+        let spec_bases = self
+            .fronts
+            .read()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .bases();
+        let mut best: Option<FrontPoint> = None;
+        for &(vths, toxes) in value_sets {
+            let restricted: Option<Vec<Group>> =
+                groups.iter().map(|g| g.restricted(vths, toxes)).collect();
+            let Some(restricted) = restricted else {
+                continue;
+            };
+            let bases = last.iter().chain(&spec_bases).map(Arc::as_ref);
+            let (base, reused) = MergeBase::try_new_with_bases(&restricted, bases)?;
+            self.record_merge(&base, reused);
+            let front = base.front();
+            if let Some(point) = constraint.select(&front) {
+                if best.as_ref().is_none_or(|b| point.cost < b.cost) {
+                    best = Some(point.clone());
+                }
+            }
+            last = Some(Arc::new(base));
+        }
         *self
             .restricted_base
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(Arc::new(base));
-        constraint
-            .select(&front)
-            .map(|point| self.try_solution(spec, point))
+            .unwrap_or_else(|poisoned| poisoned.into_inner()) = last;
+        best.map(|point| self.try_solution(spec, &point))
             .transpose()
     }
 
@@ -1136,7 +1165,7 @@ mod tests {
             .expect_err("no groups to merge");
         assert_eq!(err, StudyError::EmptySystem);
         let err = e
-            .try_solve_restricted(&empty, &[0.3], &[12.0], &Deadline(1.0))
+            .try_solve_restricted(&empty, &[(&[0.3], &[12.0])], &Deadline(1.0))
             .expect_err("no groups to merge");
         assert_eq!(err, StudyError::EmptySystem);
         // Nothing was memoized for the failed spec.
@@ -1202,11 +1231,11 @@ mod tests {
         let deadline = full_front.last().expect("non-empty").delay;
         // The unrestricted value sets reproduce the exact solve.
         let a = e
-            .try_solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))
+            .try_solve_restricted(&spec, &[(&vths, &toxes)], &Deadline(deadline))
             .expect("healthy build")
             .expect("feasible");
         let b = e
-            .try_solve_restricted(&spec, &vths, &toxes, &Deadline(deadline))
+            .try_solve_restricted(&spec, &[(&vths, &toxes)], &Deadline(deadline))
             .expect("healthy build")
             .expect("feasible");
         assert_eq!(a, b);

@@ -20,7 +20,8 @@ use nm_archsim::PairStats;
 use nm_device::units::Seconds;
 use nm_device::{KnobGrid, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig};
-use nm_opt::tuple::optimize_with_tuple_counts;
+use nm_opt::objective::Deadline;
+use nm_opt::tuple::combinations;
 use nm_sweep::ParallelSweep;
 use serde::{Deserialize, Serialize};
 
@@ -202,6 +203,26 @@ impl MemorySystemStudy {
             self.memory.access_energy,
         );
         let floor = self.amat_floor();
+        // Each tuple's family of value sets: every `n_vth`-subset of the
+        // `Vth` axis (outer) crossed with every `n_tox`-subset of the
+        // `Tox` axis (inner).
+        let vth_sets: Vec<_> = tuples
+            .iter()
+            .map(|tc| combinations(&vth_axis, tc.n_vth))
+            .collect();
+        let tox_sets: Vec<_> = tuples
+            .iter()
+            .map(|tc| combinations(&tox_axis, tc.n_tox))
+            .collect();
+        let families: Vec<Vec<(&[f64], &[f64])>> = vth_sets
+            .iter()
+            .zip(&tox_sets)
+            .map(|(vths, toxes)| {
+                vths.iter()
+                    .flat_map(|v| toxes.iter().map(move |t| (v.as_slice(), t.as_slice())))
+                    .collect()
+            })
+            .collect();
 
         // The metric surfaces behind every (tuple, target) cell are the
         // same eight (circuit, component) passes — only the `t_ref`
@@ -221,23 +242,16 @@ impl MemorySystemStudy {
         let points = ParallelSweep::new()
             .labeled("tuple-curves")
             .map(&jobs, |&(ti, target)| -> Result<_, StudyError> {
-                let tc = tuples[ti];
                 let budget = target.0 - floor.0;
                 if budget <= 0.0 {
                     return Ok(None);
                 }
-                let groups = self.eval.try_groups(&self.system_spec(target))?;
-                let sols = optimize_with_tuple_counts(
-                    &groups,
-                    &vth_axis,
-                    &tox_axis,
-                    tc.n_vth,
-                    tc.n_tox,
-                    &[budget],
+                let sol = self.eval.try_solve_restricted(
+                    &self.system_spec(target),
+                    &families[ti],
+                    &Deadline(budget),
                 )?;
-                Ok(sols[0]
-                    .as_ref()
-                    .map(|sol| (target.picos(), (sol.point.cost + e_mem.0) * 1e12)))
+                Ok(sol.map(|sol| (target.picos(), (sol.cost + e_mem.0) * 1e12)))
             })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;

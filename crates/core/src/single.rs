@@ -229,7 +229,7 @@ impl SingleCacheStudy {
         let restricted_optimum = |vths: &[f64], toxes: &[f64], deadline: Seconds| -> Option<f64> {
             rendered(
                 self.eval
-                    .try_solve_restricted(&spec, vths, toxes, &Deadline(deadline.0)),
+                    .try_solve_restricted(&spec, &[(vths, toxes)], &Deadline(deadline.0)),
             )
             .map(|sol| sol.cost * 1e3)
         };

@@ -121,11 +121,6 @@ impl SplitL1Study {
         &self.split_stats
     }
 
-    /// Unified (m1, m2) miss rates.
-    pub fn unified_rates(&self) -> (f64, f64) {
-        (self.unified_m1, self.unified_m2)
-    }
-
     /// Reference-mix weights: instruction share and data share of the
     /// combined stream.
     fn mix() -> (f64, f64) {

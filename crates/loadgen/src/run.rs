@@ -117,8 +117,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenSummary, StudyError> {
     if mix.has_tuple_queries() {
         eval.try_solve_restricted(
             &mix.base_spec,
-            &mix.restriction.vths,
-            &mix.restriction.toxes,
+            &[(&mix.restriction.vths, &mix.restriction.toxes)],
             &Deadline(mix.base_budget),
         )?;
     }
@@ -188,8 +187,7 @@ fn solve(eval: &Evaluator, mix: &QueryMix, q: &Query) -> Outcome {
     let result = if q.restricted {
         eval.try_solve_restricted(
             &q.spec,
-            &mix.restriction.vths,
-            &mix.restriction.toxes,
+            &[(&mix.restriction.vths, &mix.restriction.toxes)],
             &Deadline(q.budget),
         )
     } else {

@@ -1,16 +1,6 @@
 //! Reading constrained optima off a Pareto front.
 
 use crate::merge::FrontPoint;
-use crate::objective::Constraint;
-
-/// Reads the optimum off a front under any [`Constraint`] — the
-/// trait-based form of [`best_under_deadline`] / [`fastest_under_budget`].
-pub fn optimum<'a, C: Constraint>(
-    front: &'a [FrontPoint],
-    constraint: &C,
-) -> Option<&'a FrontPoint> {
-    constraint.select(front)
-}
 
 /// Returns the cheapest front point whose delay meets the deadline, or
 /// `None` when the deadline is infeasible (tighter than the fastest

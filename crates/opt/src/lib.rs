@@ -18,12 +18,12 @@
 //! * [`mod@objective`] names the [`Objective`](objective::Objective) /
 //!   [`Constraint`](objective::Constraint) trait pair every solver
 //!   consumes — studies describe *what* they optimise, never *how*;
-//! * [`mod@tuple`] enumerates the (`nTox`, `nVth`) value-count restrictions of
-//!   the paper's Figure 2;
-//! * [`anneal`] is an independent stochastic cross-check of the exact
-//!   solvers;
-//! * [`budget`] is a delay-budget dynamic program — a second independent
-//!   solver, exact up to its budget quantisation.
+//! * [`mod@tuple`] enumerates the value sets of the paper's Figure 2
+//!   (`nTox`, `nVth`) restrictions, which the evaluation engine solves
+//!   over with [`Group::restricted`];
+//! * [`budget`] is a delay-budget dynamic program — an independent,
+//!   deterministic cross-check of the merge, exact up to its budget
+//!   quantisation.
 //!
 //! The three assignment schemes of Section 4 map onto groups directly:
 //! Scheme I gives each component its own group; Scheme II groups the cell
@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anneal;
 pub mod budget;
 pub mod constraint;
 pub mod merge;

@@ -1,8 +1,7 @@
 //! The objective/constraint trait pair shared by every solver.
 //!
 //! The studies in `nm-cache-core` all minimise *some* additive cost under
-//! *some* delay-style constraint; historically each study wired its own
-//! closure into the solvers. This module names the two roles:
+//! *some* delay-style constraint. This module names the two roles:
 //!
 //! * an [`Objective`] collapses a group's raw metric sums (delay, leakage,
 //!   dynamic energy) into the scalar cost a [`Candidate`](crate::Candidate)
@@ -12,14 +11,12 @@
 //!   delay [`Deadline`] for the iso-delay/iso-AMAT studies, a
 //!   [`CostBudget`] for the dual query.
 //!
-//! The exact solvers ([`crate::merge`], [`crate::tuple`]), the annealer
-//! ([`crate::anneal`]) and the pruning layer ([`crate::pareto`]) all
-//! consume these traits, so a new study only has to describe *what* it
-//! optimises, never *how*.
+//! The evaluation engine prices candidates through [`price`] and reads
+//! every optimum (restricted or not) through [`Constraint::select`], so a
+//! new study only has to describe *what* it optimises, never *how*.
 
 use crate::constraint::{best_under_deadline, fastest_under_budget};
 use crate::merge::FrontPoint;
-use crate::pareto;
 use crate::Candidate;
 use nm_device::KnobPoint;
 use serde::{Deserialize, Serialize};
@@ -54,24 +51,9 @@ pub trait Objective: Sync {
 /// `front` is sorted by ascending delay with descending cost, as produced
 /// by [`crate::merge::try_system_front`].
 pub trait Constraint: Sync {
-    /// The constraint's scalar limit (a deadline in seconds, a cost
-    /// budget, …) — solvers that penalise violations (the annealer) scale
-    /// by it.
-    fn limit(&self) -> f64;
-
     /// The optimal feasible front point, or `None` when the constraint is
     /// infeasible.
     fn select<'a>(&self, front: &'a [FrontPoint]) -> Option<&'a FrontPoint>;
-
-    /// Relative violation of a `(delay, cost)` operating point — `0` when
-    /// the constraint is met, growing with the overshoot. Penalty-based
-    /// solvers (the annealer) square this.
-    fn violation(&self, delay: f64, cost: f64) -> f64;
-
-    /// Whether a `(delay, cost)` operating point satisfies the constraint.
-    fn satisfied(&self, delay: f64, cost: f64) -> bool {
-        self.violation(delay, cost) <= 0.0
-    }
 }
 
 /// Minimise cost subject to `total delay ≤ deadline` (iso-delay and
@@ -80,16 +62,8 @@ pub trait Constraint: Sync {
 pub struct Deadline(pub f64);
 
 impl Constraint for Deadline {
-    fn limit(&self) -> f64 {
-        self.0
-    }
-
     fn select<'a>(&self, front: &'a [FrontPoint]) -> Option<&'a FrontPoint> {
         best_under_deadline(front, self.0)
-    }
-
-    fn violation(&self, delay: f64, _cost: f64) -> f64 {
-        ((delay - self.0) / self.0).max(0.0)
     }
 }
 
@@ -98,16 +72,8 @@ impl Constraint for Deadline {
 pub struct CostBudget(pub f64);
 
 impl Constraint for CostBudget {
-    fn limit(&self) -> f64 {
-        self.0
-    }
-
     fn select<'a>(&self, front: &'a [FrontPoint]) -> Option<&'a FrontPoint> {
         fastest_under_budget(front, self.0)
-    }
-
-    fn violation(&self, _delay: f64, cost: f64) -> f64 {
-        ((cost - self.0) / self.0).max(0.0)
     }
 }
 
@@ -126,22 +92,6 @@ pub fn price<O: Objective + ?Sized>(
     objective: &O,
 ) -> Candidate {
     Candidate::new(knobs, delay_weight * sample.delay, objective.cost(sample))
-}
-
-/// Prices a whole surface of samples and prunes it to its Pareto-optimal
-/// candidates in one pass — the candidate-enumeration entry point of the
-/// evaluation engine.
-pub fn price_surface<O: Objective + ?Sized>(
-    samples: &[(KnobPoint, MetricSample)],
-    delay_weight: f64,
-    objective: &O,
-) -> Vec<Candidate> {
-    pareto::prune(
-        samples
-            .iter()
-            .map(|(p, s)| price(*p, s, delay_weight, objective))
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -185,17 +135,6 @@ mod tests {
         assert_eq!(Deadline(2.0).select(&f).unwrap().cost, 10.0);
         assert_eq!(Deadline(3.0).select(&f).unwrap().cost, 2.0);
         assert!(Deadline(0.5).select(&f).is_none());
-        assert_eq!(Deadline(2.0).limit(), 2.0);
-    }
-
-    #[test]
-    fn violation_is_relative_overshoot() {
-        assert_eq!(Deadline(2.0).violation(1.0, 99.0), 0.0);
-        assert!((Deadline(2.0).violation(3.0, 0.0) - 0.5).abs() < 1e-12);
-        assert!(Deadline(2.0).satisfied(2.0, 123.0));
-        assert!(!Deadline(2.0).satisfied(2.1, 0.0));
-        assert!((CostBudget(10.0).violation(0.0, 15.0) - 0.5).abs() < 1e-12);
-        assert!(CostBudget(10.0).satisfied(99.0, 10.0));
     }
 
     #[test]
@@ -211,16 +150,5 @@ mod tests {
         let c = price(KnobPoint::nominal(), &sample(2.0, 5.0), 0.25, &LeakageOnly);
         assert_eq!(c.delay, 0.5);
         assert_eq!(c.cost, 5.0);
-    }
-
-    #[test]
-    fn price_surface_prunes_dominated_samples() {
-        let samples = vec![
-            (KnobPoint::fastest(), sample(1.0, 9.0)),
-            (KnobPoint::nominal(), sample(2.0, 10.0)), // dominated
-            (KnobPoint::lowest_leakage(), sample(3.0, 1.0)),
-        ];
-        let priced = price_surface(&samples, 1.0, &LeakageOnly);
-        assert_eq!(priced.len(), 2);
     }
 }

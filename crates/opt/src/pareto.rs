@@ -35,53 +35,6 @@ pub fn dominates(a: &Candidate, b: &Candidate) -> bool {
     (a.delay <= b.delay && a.cost < b.cost) || (a.delay < b.delay && a.cost <= b.cost)
 }
 
-/// ε-pruning: like [`prune`], then thins the frontier so consecutive
-/// survivors differ by at least a relative `eps` in delay *or* cost.
-///
-/// Bounds the front size for very fine grids at a bounded optimality
-/// loss: for any deadline, the ε-front contains a point whose cost is
-/// within a factor `(1 + eps)` of the exact front's optimum at a deadline
-/// within `(1 + eps)` of the requested one. The fastest and cheapest
-/// points always survive.
-///
-/// # Panics
-///
-/// Panics for negative or non-finite `eps` (`eps = 0` degenerates to
-/// exact pruning).
-pub fn prune_epsilon(candidates: Vec<Candidate>, eps: f64) -> Vec<Candidate> {
-    assert!(
-        eps.is_finite() && eps >= 0.0,
-        "epsilon must be non-negative, got {eps}"
-    );
-    let exact = prune(candidates);
-    if eps == 0.0 || exact.len() <= 2 {
-        return exact;
-    }
-    let mut out: Vec<Candidate> = Vec::with_capacity(exact.len());
-    let last_index = exact.len() - 1;
-    for (i, c) in exact.iter().enumerate() {
-        if i == 0 || i == last_index {
-            out.push(*c);
-            continue;
-        }
-        // The first element is always kept, so `out` is non-empty here;
-        // degrade to keeping the point if that invariant ever breaks.
-        let (kept_delay, kept_cost) = match out.last() {
-            Some(kept) => (kept.delay, kept.cost),
-            None => {
-                out.push(*c);
-                continue;
-            }
-        };
-        let delay_gap = (c.delay - kept_delay) / kept_delay.max(f64::MIN_POSITIVE);
-        let cost_gap = (kept_cost - c.cost) / c.cost.max(f64::MIN_POSITIVE);
-        if delay_gap >= eps || cost_gap >= eps {
-            out.push(*c);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,46 +80,6 @@ mod tests {
         assert!(dominates(&c(1.0, 1.0), &c(2.0, 1.0)));
         assert!(!dominates(&c(1.0, 1.0), &c(1.0, 1.0)));
         assert!(!dominates(&c(1.0, 3.0), &c(2.0, 1.0)));
-    }
-
-    #[test]
-    fn epsilon_pruning_thins_but_keeps_endpoints() {
-        let cands: Vec<Candidate> = (0..1000)
-            .map(|i| {
-                let x = 1.0 + i as f64 * 0.001;
-                c(x, 2.0 / x)
-            })
-            .collect();
-        let exact = prune(cands.clone());
-        let thinned = prune_epsilon(cands, 0.05);
-        assert!(
-            thinned.len() < exact.len() / 5,
-            "{} vs {}",
-            thinned.len(),
-            exact.len()
-        );
-        assert_eq!(thinned.first().unwrap().delay, exact.first().unwrap().delay);
-        assert_eq!(thinned.last().unwrap().delay, exact.last().unwrap().delay);
-        // Bounded loss: every exact point has an ε-neighbour no more than
-        // (1+eps) worse on both axes.
-        for e in &exact {
-            let ok = thinned
-                .iter()
-                .any(|t| t.delay <= e.delay * 1.05 + 1e-12 && t.cost <= e.cost * 1.05 + 1e-12);
-            assert!(ok, "point ({}, {}) uncovered", e.delay, e.cost);
-        }
-    }
-
-    #[test]
-    fn epsilon_zero_is_exact() {
-        let cands = vec![c(1.0, 3.0), c(2.0, 2.0), c(3.0, 1.0)];
-        assert_eq!(prune_epsilon(cands.clone(), 0.0), prune(cands));
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon must be non-negative")]
-    fn negative_epsilon_panics() {
-        let _ = prune_epsilon(vec![c(1.0, 1.0)], -0.1);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 
 use nm_device::units::{Angstroms, Volts};
 use nm_device::KnobPoint;
-use nm_opt::anneal::{anneal, AnnealConfig};
 use nm_opt::budget::solve_budget_dp;
 use nm_opt::constraint::{best_under_deadline, deadline_sweep, fastest_under_budget};
 use nm_opt::merge::{try_system_front, MergeBase};
-use nm_opt::tuple::{combinations, optimize_with_tuple_counts};
+use nm_opt::tuple::combinations;
 use nm_opt::{Candidate, Group};
 use proptest::prelude::*;
 
@@ -99,58 +98,6 @@ proptest! {
                 prop_assert!(p.cost <= prev + 1e-12);
                 prev = p.cost;
             }
-        }
-    }
-
-    /// Annealing never beats the exact solver and stays feasible when it
-    /// reports feasibility.
-    #[test]
-    fn annealing_bounded_by_exact(g1 in arb_group("a"), g2 in arb_group("b"), frac in 0.2f64..1.0) {
-        let groups = vec![g1, g2];
-        let front = try_system_front(&groups).expect("non-empty system");
-        let lo = front.first().unwrap().delay;
-        let hi = front.last().unwrap().delay;
-        let deadline = lo + (hi - lo) * frac;
-        let exact = best_under_deadline(&front, deadline).expect("within range");
-        let cfg = AnnealConfig {
-            steps: 4000,
-            ..AnnealConfig::default()
-        };
-        let sol = anneal(&groups, deadline, cfg, 17);
-        if sol.feasible {
-            prop_assert!(sol.delay <= deadline + 1e-12);
-            prop_assert!(sol.cost >= exact.cost - 1e-9, "annealer beat exact");
-        }
-    }
-
-    /// Tuple-restricted optima respect their value-count budgets and are
-    /// monotone in the budget.
-    #[test]
-    fn tuple_counts_respected_and_monotone(g1 in arb_group("a"), g2 in arb_group("b")) {
-        let groups = vec![g1, g2];
-        let vth_axis: Vec<f64> = (0..7).map(|i| 0.2 + 0.3 * (i as f64) / 6.0).collect();
-        let tox_axis: Vec<f64> = (0..5).map(|j| 10.0 + j as f64).collect();
-        // A deadline no single-knob restriction can violate: the sum of
-        // the slowest candidate of each group.
-        let deadline: f64 = groups
-            .iter()
-            .map(|g| {
-                g.candidates()
-                    .iter()
-                    .map(|c| c.delay)
-                    .fold(0.0f64, f64::max)
-            })
-            .sum();
-        let one = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 1, 1, &[deadline]).expect("non-empty system");
-        let two = optimize_with_tuple_counts(&groups, &vth_axis, &tox_axis, 2, 2, &[deadline]).expect("non-empty system");
-        let s1 = one[0].as_ref().expect("relaxed deadline is feasible");
-        let s2 = two[0].as_ref().expect("relaxed deadline is feasible");
-        prop_assert!(s1.vths.len() == 1 && s1.toxes.len() == 1);
-        prop_assert!(s2.vths.len() == 2 && s2.toxes.len() == 2);
-        prop_assert!(s2.point.cost <= s1.point.cost + 1e-12);
-        for p in &s1.point.choice {
-            prop_assert!(s1.vths.iter().any(|&v| (p.vth().0 - v).abs() < 1e-9));
-            prop_assert!(s1.toxes.iter().any(|&t| (p.tox().0 - t).abs() < 1e-9));
         }
     }
 

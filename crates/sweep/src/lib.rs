@@ -2,7 +2,7 @@
 //!
 //! Every study in this workspace is embarrassingly parallel along some
 //! axis — (L1, L2) size pairs, AMAT targets, Monte-Carlo die corners,
-//! subarray foldings, annealing restarts. Before this crate each hot
+//! subarray foldings, Figure 2 tuple-curve cells. Before this crate each hot
 //! path either ran serially or spawned one OS thread per work item; a
 //! 16×16 size grid meant 256 simultaneous simulator threads.
 //!
