@@ -166,19 +166,21 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp or FIFO insertion order, depending on policy.
-    stamp: u64,
-}
-
 /// A set-associative, write-back, write-allocate cache simulator.
 ///
 /// Deterministic for a given access sequence and policy (the random policy
 /// uses an internal xorshift generator seeded by construction).
+///
+/// Each set is `ways` consecutive slots of `tags` and `dirty`, of which
+/// the first `fill[set]` hold lines; slots past the fill are never read.
+/// Under LRU and FIFO a set is kept newest first (most recently used,
+/// or most recently inserted), so the victim is always the last way and
+/// no per-line timestamp is stored: an LRU hit moves its way to the
+/// front, a FIFO hit moves nothing, and a miss shifts the set back by
+/// one. Under `Random` a miss fills the first empty way and otherwise
+/// replaces a way picked by the generator in place. The hit scan visits
+/// every filled way without an early exit (a tag sits in at most one
+/// way), and there is no sentinel tag, so every block address is legal.
 ///
 /// ```
 /// use nm_archsim::{Access, CacheParams, CacheSim, Replacement};
@@ -193,9 +195,13 @@ struct Line {
 pub struct CacheSim {
     params: CacheParams,
     policy: Replacement,
-    lines: Vec<Line>,
+    /// Block tags, `ways` slots per set.
+    tags: Vec<u64>,
+    /// Dirty bits, parallel to `tags`.
+    dirty: Vec<bool>,
+    /// Filled ways per set: always a prefix of the set's slots.
+    fill: Vec<u32>,
     stats: CacheStats,
-    tick: u64,
     rng_state: u64,
 }
 
@@ -206,9 +212,10 @@ impl CacheSim {
         CacheSim {
             params,
             policy,
-            lines: vec![Line::default(); total_lines],
+            tags: vec![0; total_lines],
+            dirty: vec![false; total_lines],
+            fill: vec![0; params.sets() as usize],
             stats: CacheStats::default(),
-            tick: 0,
             rng_state: 0x9e37_79b9_7f4a_7c15,
         }
     }
@@ -236,81 +243,62 @@ impl CacheSim {
 
     /// Flushes all contents and statistics back to the cold state.
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        self.fill.fill(0);
         self.stats = CacheStats::default();
-        self.tick = 0;
-    }
-
-    fn next_random(&mut self) -> u64 {
-        // xorshift64*
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
     /// Probes the cache with one reference, updating state and statistics.
     pub fn access(&mut self, access: Access) -> Outcome {
-        self.tick += 1;
+        let write = access.is_write();
         self.stats.accesses += 1;
-        if access.is_write() {
-            self.stats.writes += 1;
-        }
+        self.stats.writes += u64::from(write);
         let (set, tag) = self.params.set_and_tag(access.addr);
         let ways = self.params.ways() as usize;
         let base = set * ways;
+        let filled = self.fill[set] as usize;
+        let tags = &mut self.tags[base..base + ways];
+        let dirty = &mut self.dirty[base..base + ways];
 
-        // Hit path.
-        for i in base..base + ways {
-            if self.lines[i].valid && self.lines[i].tag == tag {
-                if self.policy == Replacement::Lru {
-                    self.lines[i].stamp = self.tick;
+        let mut way = filled;
+        for (i, &t) in tags[..filled].iter().enumerate() {
+            way = if t == tag { i } else { way };
+        }
+        if way < filled {
+            match self.policy {
+                Replacement::Lru => {
+                    let d = dirty[way] | write;
+                    promote(&mut tags[..filled], &mut dirty[..filled], way, tag, d);
                 }
-                if access.is_write() {
-                    self.lines[i].dirty = true;
-                }
-                return Outcome::Hit;
+                Replacement::Fifo | Replacement::Random => dirty[way] |= write,
             }
+            return Outcome::Hit;
         }
 
-        // Miss path: pick a victim.
         self.stats.misses += 1;
-        let victim = match self.policy {
+        let full = filled == ways;
+        if !full {
+            self.fill[set] += 1;
+        }
+        let victim_writeback = match self.policy {
             Replacement::Lru | Replacement::Fifo => {
-                let mut best = base;
-                for i in base..base + ways {
-                    if !self.lines[i].valid {
-                        best = i;
-                        break;
-                    }
-                    if self.lines[i].stamp < self.lines[best].stamp {
-                        best = i;
-                    }
-                }
-                best
+                let writeback = full && dirty[ways - 1];
+                let end = (filled + 1).min(ways);
+                promote(&mut tags[..end], &mut dirty[..end], end - 1, tag, write);
+                writeback
             }
             Replacement::Random => {
-                // Prefer an invalid way when one exists.
-                (base..base + ways)
-                    .find(|&i| !self.lines[i].valid)
-                    .unwrap_or_else(|| base + (self.next_random() as usize % ways))
+                let slot = if full {
+                    next_random(&mut self.rng_state) as usize % ways
+                } else {
+                    filled
+                };
+                let writeback = full && dirty[slot];
+                tags[slot] = tag;
+                dirty[slot] = write;
+                writeback
             }
         };
-
-        let victim_writeback = self.lines[victim].valid && self.lines[victim].dirty;
-        if victim_writeback {
-            self.stats.writebacks += 1;
-        }
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: access.is_write(),
-            stamp: self.tick,
-        };
+        self.stats.writebacks += u64::from(victim_writeback);
         Outcome::Miss { victim_writeback }
     }
 
@@ -325,9 +313,188 @@ impl CacheSim {
     }
 }
 
+/// One xorshift64* step.
+fn next_random(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+}
+
+/// Moves way `from` of a recency-ordered set to the front as `(tag,
+/// dirty)`, shifting ways `0..from` back by one. The loop runs over the
+/// whole slice and picks each way's source by arithmetic, so neither its
+/// trip count nor any branch depends on `from`.
+#[inline]
+fn promote(tags: &mut [u64], dirty: &mut [bool], from: usize, tag: u64, d: bool) {
+    let dirty = &mut dirty[..tags.len()];
+    for k in (1..tags.len()).rev() {
+        let src = k - usize::from(k <= from);
+        tags[k] = tags[src];
+        dirty[k] = dirty[src];
+    }
+    tags[0] = tag;
+    dirty[0] = d;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::AccessKind;
+    use proptest::prelude::*;
+
+    /// The stamp-based simulator the recency-ordered one replaced, kept
+    /// as the oracle of the differential test: one line per way with a
+    /// valid bit and a timestamp (last use under LRU, insertion under
+    /// FIFO); the victim is the first invalid way, else the oldest stamp.
+    struct StampSim {
+        params: CacheParams,
+        policy: Replacement,
+        lines: Vec<Line>,
+        stats: CacheStats,
+        tick: u64,
+        rng_state: u64,
+    }
+
+    #[derive(Clone, Copy, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        stamp: u64,
+    }
+
+    impl StampSim {
+        fn new(params: CacheParams, policy: Replacement) -> Self {
+            StampSim {
+                params,
+                policy,
+                lines: vec![Line::default(); (params.sets() * params.ways()) as usize],
+                stats: CacheStats::default(),
+                tick: 0,
+                rng_state: 0x9e37_79b9_7f4a_7c15,
+            }
+        }
+
+        fn flush(&mut self) {
+            self.lines.fill(Line::default());
+            self.stats = CacheStats::default();
+            self.tick = 0;
+        }
+
+        fn access(&mut self, access: Access) -> Outcome {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            if access.is_write() {
+                self.stats.writes += 1;
+            }
+            let (set, tag) = self.params.set_and_tag(access.addr);
+            let ways = self.params.ways() as usize;
+            let base = set * ways;
+            for i in base..base + ways {
+                if self.lines[i].valid && self.lines[i].tag == tag {
+                    if self.policy == Replacement::Lru {
+                        self.lines[i].stamp = self.tick;
+                    }
+                    if access.is_write() {
+                        self.lines[i].dirty = true;
+                    }
+                    return Outcome::Hit;
+                }
+            }
+            self.stats.misses += 1;
+            let victim = match self.policy {
+                Replacement::Lru | Replacement::Fifo => {
+                    let mut best = base;
+                    for i in base..base + ways {
+                        if !self.lines[i].valid {
+                            best = i;
+                            break;
+                        }
+                        if self.lines[i].stamp < self.lines[best].stamp {
+                            best = i;
+                        }
+                    }
+                    best
+                }
+                Replacement::Random => (base..base + ways)
+                    .find(|&i| !self.lines[i].valid)
+                    .unwrap_or_else(|| base + (next_random(&mut self.rng_state) as usize % ways)),
+            };
+            let victim_writeback = self.lines[victim].valid && self.lines[victim].dirty;
+            if victim_writeback {
+                self.stats.writebacks += 1;
+            }
+            self.lines[victim] = Line {
+                tag,
+                valid: true,
+                dirty: access.is_write(),
+                stamp: self.tick,
+            };
+            Outcome::Miss { victim_writeback }
+        }
+    }
+
+    /// One step of a differential trace: `op` 0 flushes, 1 resets the
+    /// statistics, anything else probes `addr`.
+    fn arb_step() -> impl Strategy<Value = (u64, bool, u8)> {
+        (0u64..(1 << 30), prop::bool::ANY, 0u8..64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The recency-ordered simulator and the stamp oracle agree on
+        /// every outcome and on the final statistics, for every policy,
+        /// over shapes from direct-mapped to fully associative, blocks of
+        /// 1 to 64 bytes, and traces that flush and reset partway.
+        #[test]
+        fn recency_order_matches_stamp_oracle(
+            block_log in 0u32..=6,
+            ways_log in 0u32..=5,
+            sets_log in 0u32..=5,
+            policy in 0u8..3,
+            trace in prop::collection::vec(arb_step(), 1..2000),
+        ) {
+            let block = 1u64 << block_log;
+            let ways = 1u64 << ways_log;
+            let p = params((block * ways) << sets_log, block, ways);
+            let policy = [Replacement::Lru, Replacement::Fifo, Replacement::Random]
+                [usize::from(policy)];
+            let mut sim = CacheSim::new(p, policy);
+            let mut oracle = StampSim::new(p, policy);
+            for (step, &(raw, write, op)) in trace.iter().enumerate() {
+                match op {
+                    0 => {
+                        sim.flush();
+                        oracle.flush();
+                    }
+                    1 => {
+                        sim.reset_stats();
+                        oracle.stats = CacheStats::default();
+                    }
+                    _ => {
+                        let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                        // Spread over every set, with about twice as
+                        // many tags per set as ways.
+                        let set = raw % p.sets();
+                        let tag = (raw >> 8) % (2 * ways + 1);
+                        let offset = (raw >> 20) % block;
+                        let addr = (tag * p.sets() + set) * block + offset;
+                        let access = Access { addr, kind };
+                        prop_assert_eq!(
+                            sim.access(access),
+                            oracle.access(access),
+                            "{} {:?}, step {}", p, policy, step
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(sim.stats(), oracle.stats, "{} {:?}", p, policy);
+        }
+    }
 
     fn params(size: u64, block: u64, ways: u64) -> CacheParams {
         CacheParams::new(size, block, ways).unwrap()

@@ -101,8 +101,7 @@ pub fn simulate_pair(
 /// One L1 whose misses are replayed into one L2 per size, in the order
 /// [`MultiLevel::access`] serves them. The L1 never sees an L2 (there is
 /// no back-invalidation), so each (L1, L2) pair evolves exactly as its
-/// own [`TwoLevel`] hierarchy would, while the stream and the L1 are
-/// simulated once.
+/// own [`TwoLevel`] hierarchy would, while the L1 is simulated once.
 struct L2Fanout {
     l1: CacheSim,
     l2s: Vec<(CacheSim, CacheStats)>,
@@ -137,28 +136,56 @@ impl L2Fanout {
             *demand = CacheStats::default();
         }
     }
+}
 
-    /// `warmup` references to populate the caches, then `measure`
-    /// references of statistics: the [`PairStats`] of each L2 in turn.
-    fn simulate(
-        mut self,
-        workload: &mut (dyn Workload + Send),
-        warmup: u64,
-        measure: u64,
-    ) -> Vec<PairStats> {
-        for _ in 0..warmup {
-            self.access(workload.next_access());
+/// References generated per block of a suite stream. Each block is fed
+/// to every L1 in turn while it is still in the host's data cache, and
+/// the stream itself is never held whole.
+const STREAM_BLOCK: usize = 4096;
+
+/// One suite's stream through one [`L2Fanout`] per L1 size: `warmup`
+/// references to populate the caches, then `measure` references of
+/// statistics. Returns `[i][j]`, the [`PairStats`] of L1 `i` and L2 `j`.
+fn simulate_suite(
+    suite: SuiteKind,
+    seed: u64,
+    l1s: &[CacheParams],
+    l2s: &[CacheParams],
+    warmup: u64,
+    measure: u64,
+) -> Vec<Vec<PairStats>> {
+    let mut workload = suite.build(seed);
+    let mut fanouts: Vec<L2Fanout> = l1s.iter().map(|&l1| L2Fanout::new(l1, l2s)).collect();
+    let mut block = Vec::with_capacity(STREAM_BLOCK);
+    let mut feed = |fanouts: &mut [L2Fanout], mut remaining: u64| {
+        while remaining > 0 {
+            let len = remaining.min(STREAM_BLOCK as u64);
+            block.clear();
+            block.extend((0..len).map(|_| workload.next_access()));
+            for fanout in fanouts.iter_mut() {
+                for &access in &block {
+                    fanout.access(access);
+                }
+            }
+            remaining -= len;
         }
-        self.reset_stats();
-        for _ in 0..measure {
-            self.access(workload.next_access());
-        }
-        let l1 = self.l1.stats();
-        self.l2s
-            .iter()
-            .map(|&(_, demand)| PairStats::from_counts(l1, demand, measure))
-            .collect()
+    };
+    feed(&mut fanouts, warmup);
+    for fanout in &mut fanouts {
+        fanout.reset_stats();
     }
+    feed(&mut fanouts, measure);
+    fanouts
+        .iter()
+        .map(|fanout| {
+            let l1 = fanout.l1.stats();
+            fanout
+                .l2s
+                .iter()
+                .map(|&(_, demand)| PairStats::from_counts(l1, demand, measure))
+                .collect()
+        })
+        .collect()
 }
 
 /// Steady-state statistics for one N-level size chain.
@@ -219,10 +246,11 @@ pub fn simulate_chain(
 /// a suite mix.
 ///
 /// Built once per study and then queried by the optimisers. Construction
-/// runs one unit per (suite, L1 size) on the shared bounded executor
+/// runs one unit per suite on the shared bounded executor
 /// ([`nm_sweep::ParallelSweep`]): the unit generates the suite's stream
-/// once, runs it through its L1 and replays each L1 miss into one live
-/// cache per L2 size, so it holds every L2 of the grid at once.
+/// once, in blocks of 4096 references, and feeds each block through one
+/// L1 per size, each of which replays its misses into one live cache per
+/// L2 size. A unit therefore holds every cache of the grid at once.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MissRateTable {
     entries: BTreeMap<(u64, u64), PairStats>,
@@ -257,26 +285,18 @@ impl MissRateTable {
             .iter()
             .map(|&b| CacheParams::new(b, 64, 8))
             .collect::<Result<_, _>>()?;
-        let units: Vec<(CacheParams, SuiteKind)> = l1_params
-            .iter()
-            .flat_map(|&l1| suites.iter().map(move |&suite| (l1, suite)))
-            .collect();
-
-        // `per_unit[i * suites.len() + k][j]`: L1 `i`, suite `k`, L2 `j`.
-        let per_unit =
-            ParallelSweep::new()
-                .labeled("missrate-table")
-                .map(&units, |&(l1, suite)| {
-                    let mut w = suite.build(seed);
-                    L2Fanout::new(l1, &l2_params).simulate(w.as_mut(), warmup, measure)
-                });
+        // `per_suite[k][i][j]`: suite `k`, L1 `i`, L2 `j`.
+        let per_suite = ParallelSweep::new()
+            .labeled("missrate-table")
+            .map(suites, |&suite| {
+                simulate_suite(suite, seed, &l1_params, &l2_params, warmup, measure)
+            });
 
         let mut entries = BTreeMap::new();
         for (i, &l1) in l1_sizes.iter().enumerate() {
-            let unit_row = &per_unit[i * suites.len()..(i + 1) * suites.len()];
             for (j, &l2) in l2_sizes.iter().enumerate() {
-                let per_suite = unit_row.iter().map(|unit| unit[j]);
-                entries.insert((l1, l2), PairStats::suite_mean(per_suite, suites.len()));
+                let cells = per_suite.iter().map(|suite| suite[i][j]);
+                entries.insert((l1, l2), PairStats::suite_mean(cells, suites.len()));
             }
         }
 
@@ -432,13 +452,15 @@ mod tests {
 
     #[test]
     fn table_cells_are_bit_identical_to_simulate_pair() {
-        let l1_sizes = [2 * 1024, 8 * 1024];
+        // Three L1 sizes, so one unit drives several fan-outs.
+        let l1_sizes = [2 * 1024, 4 * 1024, 8 * 1024];
         let l2_sizes = [16 * 1024, 64 * 1024, 256 * 1024];
         let suites = [SuiteKind::Spec2000, SuiteKind::TpcC, SuiteKind::SpecWeb];
-        // (warm-up, measured): the usual split, plus both edge cases — the
+        // (warm-up, measured): the usual split; a split whose boundary and
+        // end both fall inside a stream block; and both edge cases — the
         // stats reset at the boundary even when no measured reference
         // follows it.
-        for (warmup, measure) in [(4_000, 12_000), (0, 8_000), (8_000, 0)] {
+        for (warmup, measure) in [(4_000, 12_000), (4_097, 8_191), (0, 8_000), (8_000, 0)] {
             let table = MissRateTable::try_build(&l1_sizes, &l2_sizes, &suites, 5, warmup, measure)
                 .unwrap();
             assert_eq!(table.len(), l1_sizes.len() * l2_sizes.len());

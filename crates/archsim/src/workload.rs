@@ -46,6 +46,8 @@ pub fn take<W: Workload>(workload: &mut W, n: u64) -> impl Iterator<Item = Acces
 /// sharing a cache).
 pub struct Mix {
     components: Vec<(f64, Box<dyn Workload + Send>)>,
+    /// Sum of the weights, in component order.
+    total: f64,
     rng: StdRng,
 }
 
@@ -64,6 +66,7 @@ impl Mix {
             "mix weights must be positive and finite"
         );
         Mix {
+            total: components.iter().map(|(w, _)| w).sum(),
             components,
             rng: StdRng::seed_from_u64(seed ^ 0x1313),
         }
@@ -89,21 +92,19 @@ impl std::fmt::Debug for Mix {
 }
 
 impl Workload for Mix {
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: components non-empty by construction
     fn next_access(&mut self) -> Access {
-        let total: f64 = self.components.iter().map(|(w, _)| w).sum();
-        let mut draw = self.rng.gen::<f64>() * total;
-        for (w, workload) in &mut self.components {
-            draw -= *w;
-            if draw <= 0.0 {
-                return workload.next_access();
-            }
-        }
-        self.components
-            .last_mut()
-            .expect("non-empty by construction")
-            .1
-            .next_access()
+        let mut draw = self.rng.gen::<f64>() * self.total;
+        // Rounding can leave `draw` above zero after the last weight: the
+        // last component takes that remainder.
+        let pick = self
+            .components
+            .iter()
+            .position(|(w, _)| {
+                draw -= w;
+                draw <= 0.0
+            })
+            .unwrap_or(self.components.len() - 1);
+        self.components[pick].1.next_access()
     }
 
     fn name(&self) -> &'static str {
@@ -655,6 +656,47 @@ mod tests {
             (0..500).map(|_| m.next_access()).collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn mix_draws_are_pinned() {
+        // The first 64 references of a three-component mix, as drawn when
+        // the weights were summed on every draw: summing once at
+        // construction, in the same order, must not move a single draw.
+        #[rustfmt::skip]
+        const ADDRS: [u64; 64] = [
+            0x7f0000000628, 0x20000000, 0x10103170, 0x20000000,
+            0x100002e8, 0x7f0000000168, 0x40212000, 0x7f00000003e8,
+            0x7f0000000060, 0x7f00000006f8, 0x7f00000000d8, 0x7f0000000778,
+            0x20000008, 0x7f0000000088, 0x7f00000002c8, 0x40212008,
+            0x7f00000003b0, 0x7f00000001a8, 0x100008c0, 0x7f00000004d0,
+            0x10002b40, 0x20000010, 0x10000328, 0x7f0000000720,
+            0x20000018, 0x7f0000000148, 0x100001a8, 0x100003b8,
+            0x7f0000000268, 0x20000020, 0x20000008, 0x7f0000000330,
+            0x100001c0, 0x7f00000002c8, 0x7f00000003a0, 0x7f0000000260,
+            0x7f0000000190, 0x7f00000005c8, 0x7f00000000a0, 0x10000480,
+            0x7f00000001e0, 0x20000010, 0x7f0000000390, 0x7f00000001d0,
+            0x7f00000000c0, 0x7f00000001a0, 0x20000028, 0x20000030,
+            0x7f0000000368, 0x7f0000000218, 0x7f0000000370, 0x7f0000000140,
+            0x7f0000000058, 0x20000038, 0x7f0000000208, 0x20000040,
+            0x10000178, 0x1002f800, 0x40212010, 0x7f0000000768,
+            0x20000048, 0x10000090, 0x20000050, 0x7f0000000148,
+        ];
+        // Bit `i` set: reference `i` is a store.
+        const WRITES: u64 = 0x9804_0608_e208_0e02;
+        let mut mix = Mix::new(
+            vec![
+                (2.0, SuiteKind::Spec2000.build(3)),
+                (1.0, SuiteKind::TpcC.build(3)),
+                (0.5, SuiteKind::SpecWeb.build(3)),
+            ],
+            21,
+        );
+        for (i, &addr) in ADDRS.iter().enumerate() {
+            let a = mix.next_access();
+            assert_eq!(a.addr, addr, "reference {i}");
+            assert_eq!(a.is_write(), (WRITES >> i) & 1 == 1, "reference {i}");
+        }
     }
 
     #[test]
