@@ -5,6 +5,7 @@ use crate::access::Access;
 use crate::error::SimError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hint::select_unpredictable;
 
 /// Replacement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -87,10 +88,31 @@ impl CacheParams {
     /// Decodes `addr` into its set index and tag: the block number's low
     /// `log2(sets)` bits pick the set, the rest are the tag.
     pub fn set_and_tag(self, addr: u64) -> (usize, u64) {
-        let block = addr >> self.block_bytes.trailing_zeros();
-        let set_bits = self.set_bits();
-        let set = (block & ((1 << set_bits) - 1)) as usize;
-        (set, block >> set_bits)
+        Decoder::new(self).set_and_tag(addr)
+    }
+}
+
+/// A shape's address decoding with its shift counts worked out once, so
+/// that a probe does not recount them.
+#[derive(Debug, Clone, Copy)]
+struct Decoder {
+    block_bits: u32,
+    set_bits: u32,
+}
+
+impl Decoder {
+    fn new(params: CacheParams) -> Self {
+        Decoder {
+            block_bits: params.block_bytes.trailing_zeros(),
+            set_bits: params.set_bits(),
+        }
+    }
+
+    #[inline(always)]
+    fn set_and_tag(self, addr: u64) -> (usize, u64) {
+        let block = addr >> self.block_bits;
+        let set = (block & ((1 << self.set_bits) - 1)) as usize;
+        (set, block >> self.set_bits)
     }
 }
 
@@ -171,16 +193,31 @@ impl CacheStats {
 /// Deterministic for a given access sequence and policy (the random policy
 /// uses an internal xorshift generator seeded by construction).
 ///
-/// Each set is `ways` consecutive slots of `tags` and `dirty`, of which
-/// the first `fill[set]` hold lines; slots past the fill are never read.
-/// Under LRU and FIFO a set is kept newest first (most recently used,
-/// or most recently inserted), so the victim is always the last way and
-/// no per-line timestamp is stored: an LRU hit moves its way to the
-/// front, a FIFO hit moves nothing, and a miss shifts the set back by
-/// one. Under `Random` a miss fills the first empty way and otherwise
-/// replaces a way picked by the generator in place. The hit scan visits
-/// every filled way without an early exit (a tag sits in at most one
-/// way), and there is no sentinel tag, so every block address is legal.
+/// Each set is one record of `sets`: `ways` tags, then a state header of
+/// two bits per way (valid, dirty), 32 ways to a `u64` word. The valid
+/// ways are always a prefix of the set, so the valid bits double as the
+/// fill count. Under LRU and FIFO a set is kept newest first (most
+/// recently used, or most recently inserted), so the victim is always
+/// the last way and no per-line timestamp is stored: an LRU hit moves
+/// its way to the front, a FIFO hit moves nothing, and a miss shifts the
+/// set back by one. Under `Random` a miss fills the first empty way and
+/// otherwise replaces a way picked by the generator in place.
+///
+/// The probe scans all `ways` tags of the set without an early exit for
+/// the first match, and counts a hit only when that way is below the
+/// fill. Stale tags past the fill (left by `flush`, or never written)
+/// can therefore never shadow a live one, and there is no sentinel tag,
+/// so every block address is legal. Under LRU a hit and a miss share one
+/// path of selects, with no branch on which happened: both shift the
+/// ways in front of `from` back by one and put the block first, `from`
+/// being the hit way or, on a miss, the first empty way (the victim when
+/// the set is full).
+///
+/// [`access`](Self::access) dispatches once per probe on the shape: LRU
+/// sets of 4, 8 and 16 ways (the widths of the studies' L1, L2 and L3)
+/// run an instance of the probe with the width fixed at compile time,
+/// inlined at the call site; every other width and policy runs the same
+/// body with the width read at run time.
 ///
 /// ```
 /// use nm_archsim::{Access, CacheParams, CacheSim, Replacement};
@@ -194,27 +231,39 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     params: CacheParams,
+    decoder: Decoder,
     policy: Replacement,
-    /// Block tags, `ways` slots per set.
-    tags: Vec<u64>,
-    /// Dirty bits, parallel to `tags`.
-    dirty: Vec<bool>,
-    /// Filled ways per set: always a prefix of the set's slots.
-    fill: Vec<u32>,
+    /// One record per set: `ways` tags, then
+    /// [`state_words`]`(ways)` words of per-way state.
+    sets: Vec<u64>,
     stats: CacheStats,
     rng_state: u64,
+}
+
+/// A way's valid bit within its two-bit state.
+const VALID: u64 = 0b01;
+/// A way's dirty bit within its two-bit state.
+const DIRTY: u64 = 0b10;
+/// Every dirty bit of a state word.
+const DIRTY_BITS: u64 = 0xaaaa_aaaa_aaaa_aaaa;
+/// Ways whose state one header word holds.
+const WAYS_PER_WORD: usize = 32;
+
+/// Header words of a `ways`-way set.
+const fn state_words(ways: usize) -> usize {
+    ways.div_ceil(WAYS_PER_WORD)
 }
 
 impl CacheSim {
     /// Creates an empty (cold) cache.
     pub fn new(params: CacheParams, policy: Replacement) -> Self {
-        let total_lines = (params.sets() * params.ways()) as usize;
+        let ways = params.ways() as usize;
+        let record = ways + state_words(ways);
         CacheSim {
             params,
+            decoder: Decoder::new(params),
             policy,
-            tags: vec![0; total_lines],
-            dirty: vec![false; total_lines],
-            fill: vec![0; params.sets() as usize],
+            sets: vec![0; params.sets() as usize * record],
             stats: CacheStats::default(),
             rng_state: 0x9e37_79b9_7f4a_7c15,
         }
@@ -243,74 +292,128 @@ impl CacheSim {
 
     /// Flushes all contents and statistics back to the cold state.
     pub fn flush(&mut self) {
-        self.fill.fill(0);
+        let ways = self.params.ways() as usize;
+        let record = ways + state_words(ways);
+        for set in self.sets.chunks_exact_mut(record) {
+            set[ways..].fill(0);
+        }
         self.stats = CacheStats::default();
     }
 
     /// Probes the cache with one reference, updating state and statistics.
+    #[inline(always)]
     pub fn access(&mut self, access: Access) -> Outcome {
         let write = access.is_write();
-        self.stats.accesses += 1;
-        self.stats.writes += u64::from(write);
-        let (set, tag) = self.params.set_and_tag(access.addr);
-        let ways = self.params.ways() as usize;
-        let base = set * ways;
-        let filled = self.fill[set] as usize;
-        let tags = &mut self.tags[base..base + ways];
-        let dirty = &mut self.dirty[base..base + ways];
-
-        let mut way = filled;
-        for (i, &t) in tags[..filled].iter().enumerate() {
-            way = if t == tag { i } else { way };
+        let (set, tag) = self.decoder.set_and_tag(access.addr);
+        match (self.params.ways(), self.policy) {
+            (4, Replacement::Lru) => self.probe::<4>(Replacement::Lru, set, tag, write),
+            (8, Replacement::Lru) => self.probe::<8>(Replacement::Lru, set, tag, write),
+            (16, Replacement::Lru) => self.probe::<16>(Replacement::Lru, set, tag, write),
+            _ => self.probe_any(set, tag, write),
         }
-        if way < filled {
-            match self.policy {
-                Replacement::Lru => {
-                    let d = dirty[way] | write;
-                    promote(&mut tags[..filled], &mut dirty[..filled], way, tag, d);
-                }
-                Replacement::Fifo | Replacement::Random => dirty[way] |= write,
+    }
+
+    /// The probe at the shape's width and policy, read at run time.
+    #[inline(never)]
+    fn probe_any(&mut self, set: usize, tag: u64, write: bool) -> Outcome {
+        self.probe::<0>(self.policy, set, tag, write)
+    }
+
+    /// The probe body: looks `tag` up in `set` under `policy` and updates
+    /// the set's tags and state. `W` is the associativity as a
+    /// compile-time constant, which unrolls the scan and the shift, or 0
+    /// to read it from the shape.
+    #[inline(always)]
+    fn probe<const W: usize>(
+        &mut self,
+        policy: Replacement,
+        set: usize,
+        tag: u64,
+        write: bool,
+    ) -> Outcome {
+        let ways = if W == 0 {
+            self.params.ways() as usize
+        } else {
+            W
+        };
+        let record = ways + state_words(ways);
+        let (tags, state) = self.sets[set * record..(set + 1) * record].split_at_mut(ways);
+        let filled = fill(state);
+        let written = u64::from(write) * DIRTY;
+
+        // The first matching way, scanned from the back by select so
+        // that neither the trip count nor a branch depends on the data.
+        let mut way = ways;
+        for i in (0..ways).rev() {
+            way = select_unpredictable(tags[i] == tag, i, way);
+        }
+        let hit = way < filled;
+        let victim = ways - 1;
+        let victim_writeback = match policy {
+            // No branch on the outcome: in a large cache it is close to a
+            // coin flip, which a branch would mispredict about as often.
+            Replacement::Lru => {
+                let from = select_unpredictable(hit, way, filled.min(victim));
+                let kept = select_unpredictable(hit, way_state(state, from) & DIRTY, 0);
+                let writeback = !hit & (way_state(state, victim) == VALID | DIRTY);
+                promote(tags, state, from, tag, VALID | kept | written);
+                writeback
             }
-            return Outcome::Hit;
-        }
-
-        self.stats.misses += 1;
-        let full = filled == ways;
-        if !full {
-            self.fill[set] += 1;
-        }
-        let victim_writeback = match self.policy {
-            Replacement::Lru | Replacement::Fifo => {
-                let writeback = full && dirty[ways - 1];
-                let end = (filled + 1).min(ways);
-                promote(&mut tags[..end], &mut dirty[..end], end - 1, tag, write);
+            Replacement::Fifo | Replacement::Random if hit => {
+                state[way / WAYS_PER_WORD] |= written << shift(way);
+                false
+            }
+            Replacement::Fifo => {
+                let writeback = way_state(state, victim) == VALID | DIRTY;
+                promote(tags, state, filled.min(victim), tag, VALID | written);
                 writeback
             }
             Replacement::Random => {
-                let slot = if full {
+                let slot = if filled == ways {
                     next_random(&mut self.rng_state) as usize % ways
                 } else {
                     filled
                 };
-                let writeback = full && dirty[slot];
+                let writeback = way_state(state, slot) == VALID | DIRTY;
                 tags[slot] = tag;
-                dirty[slot] = write;
+                let word = &mut state[slot / WAYS_PER_WORD];
+                *word =
+                    *word & !((VALID | DIRTY) << shift(slot)) | (VALID | written) << shift(slot);
                 writeback
             }
         };
+        self.stats.accesses += 1;
+        self.stats.writes += u64::from(write);
+        self.stats.misses += u64::from(!hit);
         self.stats.writebacks += u64::from(victim_writeback);
-        Outcome::Miss { victim_writeback }
-    }
-
-    /// Runs a whole iterator of accesses, returning the number processed.
-    pub fn run<I: IntoIterator<Item = Access>>(&mut self, accesses: I) -> u64 {
-        let mut n = 0;
-        for a in accesses {
-            self.access(a);
-            n += 1;
+        if hit {
+            Outcome::Hit
+        } else {
+            Outcome::Miss { victim_writeback }
         }
-        n
     }
+}
+
+/// Bit offset of `way`'s state within its header word.
+#[inline(always)]
+fn shift(way: usize) -> usize {
+    2 * (way % WAYS_PER_WORD)
+}
+
+/// The two state bits of `way`.
+#[inline(always)]
+fn way_state(state: &[u64], way: usize) -> u64 {
+    state[way / WAYS_PER_WORD] >> shift(way) & (VALID | DIRTY)
+}
+
+/// The number of valid ways: the valid bits form a prefix, so this is
+/// the length of the run of valid bits from way 0 on.
+#[inline(always)]
+fn fill(state: &[u64]) -> usize {
+    state
+        .iter()
+        .map(|&word| ((word | DIRTY_BITS).trailing_ones() / 2) as usize)
+        .sum()
 }
 
 /// One xorshift64* step.
@@ -323,20 +426,31 @@ fn next_random(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
-/// Moves way `from` of a recency-ordered set to the front as `(tag,
-/// dirty)`, shifting ways `0..from` back by one. The loop runs over the
-/// whole slice and picks each way's source by arithmetic, so neither its
-/// trip count nor any branch depends on `from`.
-#[inline]
-fn promote(tags: &mut [u64], dirty: &mut [bool], from: usize, tag: u64, d: bool) {
-    let dirty = &mut dirty[..tags.len()];
+/// Moves way `from` of a recency-ordered set to the front as `tag` with
+/// two-bit state `front`, shifting ways `0..from` back by one. Every tag
+/// slot picks its source by arithmetic, so neither the trip count nor a
+/// branch depends on `from`; the state moves by a masked shift of each
+/// header word up to the one holding `from`.
+#[inline(always)]
+fn promote(tags: &mut [u64], state: &mut [u64], from: usize, tag: u64, front: u64) {
     for k in (1..tags.len()).rev() {
-        let src = k - usize::from(k <= from);
-        tags[k] = tags[src];
-        dirty[k] = dirty[src];
+        tags[k] = tags[k - usize::from(k <= from)];
     }
     tags[0] = tag;
-    dirty[0] = d;
+
+    let last = from / WAYS_PER_WORD;
+    let mut carry = front;
+    for (k, word) in state.iter_mut().enumerate().take(last + 1) {
+        // The bits above `from`'s state keep their place.
+        let keep = if k < last {
+            0
+        } else {
+            !0 << 1 << (shift(from) + 1)
+        };
+        let shifted = *word << 2 | carry;
+        carry = *word >> 62;
+        *word = *word & keep | shifted & !keep;
+    }
 }
 
 #[cfg(test)]
@@ -483,6 +597,69 @@ mod tests {
                         let tag = (raw >> 8) % (2 * ways + 1);
                         let offset = (raw >> 20) % block;
                         let addr = (tag * p.sets() + set) * block + offset;
+                        let access = Access { addr, kind };
+                        prop_assert_eq!(
+                            sim.access(access),
+                            oracle.access(access),
+                            "{} {:?}, step {}", p, policy, step
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(sim.stats(), oracle.stats, "{} {:?}", p, policy);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The oracle agreement again, on full-width tags: every address
+        /// uses all 64 bits, tags differ in their top two bits as well as
+        /// their low ones, and sets run to 128 ways, past every
+        /// fixed-width instance of the probe and past one state word. A
+        /// layout that stole tag bits for state, or mishandled the
+        /// run-time width, would alias or mis-shift here.
+        #[test]
+        fn full_width_tags_match_stamp_oracle(
+            block_log in 0u32..=6,
+            ways_log in 0u32..=7,
+            sets_log in 0u32..=2,
+            policy in 0u8..3,
+            salt in any::<u64>(),
+            trace in prop::collection::vec(arb_step(), 1..3000),
+        ) {
+            let block = 1u64 << block_log;
+            let ways = 1u64 << ways_log;
+            let p = params((block * ways) << sets_log, block, ways);
+            let policy = [Replacement::Lru, Replacement::Fifo, Replacement::Random]
+                [usize::from(policy)];
+            let low_bits = block_log + sets_log;
+            let tag_bits = 64 - low_bits;
+            let tag_max = u64::MAX >> low_bits;
+            let top = [0, 1 << (tag_bits - 1), 1 << (tag_bits - 2), 3 << (tag_bits - 2)];
+            let mut sim = CacheSim::new(p, policy);
+            let mut oracle = StampSim::new(p, policy);
+            for (step, &(raw, write, op)) in trace.iter().enumerate() {
+                match op {
+                    0 => {
+                        sim.flush();
+                        oracle.flush();
+                    }
+                    1 => {
+                        sim.reset_stats();
+                        oracle.stats = CacheStats::default();
+                    }
+                    _ => {
+                        let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                        // About twice as many tags per set as ways, in
+                        // groups of four that differ only in the top two
+                        // tag bits, below a salted all-ones tag.
+                        let set = raw % p.sets();
+                        let pick = (raw >> 8) % (2 * ways + 1);
+                        let tag = (tag_max - pick / 4) ^ (salt & 0xff) ^ top[(pick % 4) as usize];
+                        let offset = (raw >> 20) % block;
+                        let addr = tag << low_bits | set << block_log | offset;
+                        prop_assert_eq!(p.set_and_tag(addr), (set as usize, tag));
                         let access = Access { addr, kind };
                         prop_assert_eq!(
                             sim.access(access),
@@ -649,13 +826,5 @@ mod tests {
         assert!((s.miss_rate() - 0.25).abs() < 1e-12);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn run_consumes_iterator() {
-        let mut c = CacheSim::new(params(1024, 64, 2), Replacement::Lru);
-        let n = c.run((0..100u64).map(|i| Access::read(i * 64)));
-        assert_eq!(n, 100);
-        assert_eq!(c.stats().accesses, 100);
     }
 }

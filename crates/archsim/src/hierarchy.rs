@@ -175,16 +175,6 @@ impl MultiLevel {
         hit
     }
 
-    /// Runs a whole access iterator; returns references processed.
-    pub fn run<I: IntoIterator<Item = Access>>(&mut self, accesses: I) -> u64 {
-        let mut n = 0;
-        for a in accesses {
-            self.access(a);
-            n += 1;
-        }
-        n
-    }
-
     /// Snapshot of the per-level statistics.
     pub fn stats(&self) -> MultiLevelStats {
         MultiLevelStats {
@@ -212,9 +202,11 @@ impl MultiLevel {
 /// ([`MissRateTable::try_build`](crate::MissRateTable::try_build)) share.
 ///
 /// First the level absorbs `victims` writes, one per dirty line the
-/// level above evicted on this reference. A victim's address is unknown
-/// to the tag-only model, so each write goes to `access.addr`; lower
-/// levels are large enough that this does not disturb the demand stream.
+/// level above evicted on this reference. The model does not track a
+/// victim's address, so each write goes to `access.addr`. That write
+/// allocates the demand block itself, dirty, so whenever the level above
+/// evicted a dirty line the demand probe that follows always hits: on
+/// streams with stores this understates the level's demand miss rate.
 /// Then, when `demand` is given (the reference missed every level above),
 /// the level takes the demand probe and tallies it into `demand`, its
 /// demand-stream statistics, which exclude the writeback traffic.
@@ -294,11 +286,6 @@ impl TwoLevel {
             Some(_) => (false, Some(true)),
             None => (false, Some(false)),
         }
-    }
-
-    /// Runs a whole access iterator; returns references processed.
-    pub fn run<I: IntoIterator<Item = Access>>(&mut self, accesses: I) -> u64 {
-        self.inner.run(accesses)
     }
 
     /// Snapshot of the hierarchy statistics.

@@ -36,11 +36,6 @@ pub trait Workload {
     fn name(&self) -> &'static str;
 }
 
-/// Adapter exposing any workload as an iterator of `n` accesses.
-pub fn take<W: Workload>(workload: &mut W, n: u64) -> impl Iterator<Item = Access> + '_ {
-    (0..n).map(move |_| workload.next_access())
-}
-
 /// A probabilistic mixture of workloads: each reference is drawn from one
 /// component, chosen by weight (models multiprogrammed reference streams
 /// sharing a cache).
@@ -610,12 +605,6 @@ mod tests {
         assert_eq!(SuiteKind::from_name("SPEC"), Some(SuiteKind::Spec2000));
         assert_eq!(SuiteKind::from_name("web"), Some(SuiteKind::SpecWeb));
         assert_eq!(SuiteKind::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn take_yields_exactly_n() {
-        let mut w = SpecLoops::default_suite(3);
-        assert_eq!(take(&mut w, 123).count(), 123);
     }
 
     #[test]
