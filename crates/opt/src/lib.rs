@@ -140,15 +140,6 @@ impl Group {
         &self.candidates
     }
 
-    /// Returns this group reduced to its Pareto-optimal candidates.
-    #[must_use]
-    pub fn pruned(&self) -> Group {
-        Group {
-            name: self.name.clone(),
-            candidates: pareto::prune(self.candidates.clone()),
-        }
-    }
-
     /// Returns this group restricted to candidates whose knob values are
     /// drawn from the given `Vth` and `Tox` value sets (used by the
     /// tuple-count experiments). Returns `None` if nothing survives.
@@ -209,20 +200,6 @@ mod tests {
         let r = g.restricted(&[0.2], &[10.0, 14.0]).unwrap();
         assert_eq!(r.candidates().len(), 2);
         assert!(g.restricted(&[0.4], &[10.0]).is_none());
-    }
-
-    #[test]
-    fn pruned_removes_dominated() {
-        let g = Group::new(
-            "g",
-            vec![
-                Candidate::new(k(0.2, 10.0), 1.0, 1.0),
-                Candidate::new(k(0.3, 10.0), 2.0, 2.0), // dominated
-                Candidate::new(k(0.4, 10.0), 0.5, 2.0),
-            ],
-        );
-        assert_eq!(g.pruned().candidates().len(), 2);
-        assert_eq!(g.pruned().name(), "g");
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!
 //! * **Column skipping.** After a pop, a binary search over the row's
 //!   remaining columns finds the first whose cost sum is below the last
-//!   survivor's cost; that column is pushed, or the row retires when
-//!   there is none. Survivor cost only falls, so every skipped sum would
-//!   have been popped later and rejected.
+//!   survivor's cost; that column replaces the popped entry, or the row
+//!   retires when there is none. Survivor cost only falls, so every
+//!   skipped sum would have been popped later and rejected.
 //! * **Equal-delay runs.** Adjacent columns can round to the same delay
 //!   sum. A run of them collapses to its cheapest column (first
 //!   occurrence), which the reference sorts ahead of the rest of the
@@ -38,10 +38,24 @@
 //!   columns on entry. Nothing is skipped while there is no survivor
 //!   yet.
 //!
-//! A merge therefore pops about one entry per survivor plus one per
-//! retired row, and pays a binary search per push: the cost follows the
-//! size of the output front, not the F×G sum matrix.
-//! [`MergeBase::heap_pops`] reports the pops.
+//! The heap is a flat binary min-heap of entries keyed by integers: the
+//! delay and cost sums mapped once, on push, to `u64`s whose unsigned
+//! order is the `total_cmp` order (`pareto::order_key`), compared as one
+//! `u128`, with ties broken by row alone (the heap never holds two
+//! entries for one row, so the column never decides). A pop that does not
+//! retire its row writes the row's next entry over the top and sifts it
+//! down once, instead of a pop followed by a push.
+//!
+//! Every pop either keeps a survivor or rejects a *stale* entry: one
+//! whose cost was below the last survivor's when it was pushed, but no
+//! longer is when it reaches the top, because the survivors kept in
+//! between cost less. Stale pops dominate on wide fronts. Averaged over
+//! `cold_split`'s timed queries (seed 1), the third step (605 rows × 58
+//! columns) pops 4,966 entries to keep 1,289 survivors, and a whole
+//! query pops 6,732 to keep 2,120. Each pop pays one binary search and
+//! one sift over a heap of a few dozen rows, so the cost still follows
+//! the output front, not the F×G sum matrix. [`MergeBase::heap_pops`]
+//! reports the pops.
 //!
 //! Survivors carry only a predecessor index into the previous merged
 //! layer; per-point knob `choice` vectors are resolved once at the end by
@@ -58,11 +72,10 @@
 //! pruned group fronts, a reused prefix is bit-identical to recomputing
 //! it (float addition is reassociated nowhere).
 
+use crate::pareto::{self, from_order_key, order_key};
 use crate::{Candidate, Group};
 use nm_device::KnobPoint;
 use serde::{Deserialize, Serialize};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -117,38 +130,86 @@ impl Layer {
     }
 }
 
-/// Heap key reproducing the reference sort: `(delay, cost)` with ties
-/// broken by the row-major enumeration order of the sum matrix.
+/// One row's next candidate sum, keyed in the reference sort order:
+/// `(delay, cost)` under `total_cmp` as [`order_key`]s, with ties broken
+/// by row. The heap never holds two entries for one row, so the column
+/// never decides.
+#[derive(Clone, Copy)]
 struct HeapEntry {
-    delay: f64,
-    cost: f64,
+    delay: u64,
+    cost: u64,
     row: u32,
     col: u32,
 }
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.delay
-            .total_cmp(&other.delay)
-            .then(self.cost.total_cmp(&other.cost))
-            .then(self.row.cmp(&other.row))
-            .then(self.col.cmp(&other.col))
+impl HeapEntry {
+    fn key(&self) -> (u128, u32) {
+        ((self.delay as u128) << 64 | self.cost as u128, self.row)
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// A binary min-heap of [`HeapEntry`]s in one flat array. Besides push
+/// and pop it replaces its top in place with a single sift-down: the step
+/// a pop takes when its row does not retire.
+#[derive(Default)]
+struct MinHeap {
+    slots: Vec<HeapEntry>,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl MinHeap {
+    fn peek(&self) -> Option<&HeapEntry> {
+        self.slots.first()
+    }
+
+    fn push(&mut self, entry: HeapEntry) {
+        let mut hole = self.slots.len();
+        self.slots.push(entry);
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if self.slots[parent].key() <= entry.key() {
+                break;
+            }
+            self.slots[hole] = self.slots[parent];
+            hole = parent;
+        }
+        self.slots[hole] = entry;
+    }
+
+    /// Writes `entry` over the top and sifts it down to its place; on an
+    /// empty heap `entry` becomes the only entry.
+    fn replace_top(&mut self, entry: HeapEntry) {
+        let len = self.slots.len();
+        if len == 0 {
+            self.slots.push(entry);
+            return;
+        }
+        let mut hole = 0;
+        loop {
+            let mut child = 2 * hole + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len {
+                child += usize::from(self.slots[child + 1].key() < self.slots[child].key());
+            }
+            if entry.key() <= self.slots[child].key() {
+                break;
+            }
+            self.slots[hole] = self.slots[child];
+            hole = child;
+        }
+        self.slots[hole] = entry;
+    }
+
+    /// Removes the top; a no-op on an empty heap.
+    fn pop_top(&mut self) {
+        if let Some(last) = self.slots.pop() {
+            if !self.slots.is_empty() {
+                self.replace_top(last);
+            }
+        }
     }
 }
-
-impl Eq for HeapEntry {}
 
 /// The entry for `row` at its first column from `from` on that could
 /// still survive, or `None` when the row is spent: columns whose cost sum
@@ -179,8 +240,8 @@ fn row_entry(
         }
     }
     Some(HeapEntry {
-        delay,
-        cost,
+        delay: order_key(delay),
+        cost: order_key(cost),
         row: row as u32,
         col: col as u32,
     })
@@ -197,36 +258,41 @@ fn merge_step(prev: &Layer, cands: &[Candidate]) -> (Layer, u64) {
     let Some(head) = cands.first() else {
         return (next, 0);
     };
-    let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
+    let mut heap = MinHeap::default();
     let mut pops = 0u64;
+    // Rows ascend in delay and no sum of a row is faster than its
+    // column-0 sum, so rows whose column-0 delay exceeds the top's can
+    // wait: the top sorts ahead of every sum they hold.
+    let admit_key = |row: usize| prev.delay.get(row).map(|&d| order_key(d + head.delay));
     let mut admitted = 0;
+    let mut waiting = admit_key(0);
     loop {
-        // Rows ascend in delay and no sum of a row is faster than its
-        // column-0 sum, so rows whose column-0 delay exceeds the top's
-        // can wait: the top sorts ahead of every sum they hold.
-        while admitted < prev.len()
-            && heap.peek().is_none_or(|Reverse(top)| {
-                (prev.delay[admitted] + head.delay)
-                    .total_cmp(&top.delay)
-                    .is_le()
-            })
-        {
+        while waiting.is_some_and(|key| heap.peek().is_none_or(|top| key <= top.delay)) {
             let bound = next.cost.last().copied();
-            heap.extend(row_entry(prev, cands, admitted, 0, bound).map(Reverse));
+            if let Some(entry) = row_entry(prev, cands, admitted, 0, bound) {
+                heap.push(entry);
+            }
             admitted += 1;
+            waiting = admit_key(admitted);
         }
-        let Some(Reverse(e)) = heap.pop() else {
+        let Some(&top) = heap.peek() else {
             break;
         };
         pops += 1;
-        if next.cost.last().is_none_or(|&last| e.cost < last) {
-            next.prev.push(e.row);
-            next.knobs.push(cands[e.col as usize].knobs);
-            next.delay.push(e.delay);
-            next.cost.push(e.cost);
+        let cost = from_order_key(top.cost);
+        if next.cost.last().is_none_or(|&last| cost < last) {
+            next.prev.push(top.row);
+            next.knobs.push(cands[top.col as usize].knobs);
+            next.delay.push(from_order_key(top.delay));
+            next.cost.push(cost);
         }
+        // The popped row's next entry takes its place at the top, or the
+        // row retires.
         let bound = next.cost.last().copied();
-        heap.extend(row_entry(prev, cands, e.row as usize, e.col as usize + 1, bound).map(Reverse));
+        match row_entry(prev, cands, top.row as usize, top.col as usize + 1, bound) {
+            Some(entry) => heap.replace_top(entry),
+            None => heap.pop_top(),
+        }
     }
     (next, pops)
 }
@@ -274,7 +340,7 @@ impl MergeBase {
         }
         let pruned: Vec<Vec<Candidate>> = groups
             .iter()
-            .map(|g| g.pruned().candidates().to_vec())
+            .map(|g| pareto::prune(g.candidates()))
             .collect();
         let mut best: Option<(&MergeBase, usize)> = None;
         for base in bases {
@@ -400,7 +466,7 @@ mod tests {
                 acc.cost += c.cost;
             }
         }
-        pareto::prune(sums)
+        pareto::prune(&sums)
             .into_iter()
             .map(|c| FrontPoint {
                 delay: c.delay,
@@ -449,8 +515,8 @@ mod tests {
     }
 
     /// Asserts every layer of a fresh merge of `groups` equals the
-    /// reference fold, bit for bit.
-    fn assert_matches_oracle(groups: &[Group]) {
+    /// reference fold, bit for bit, and returns the largest layer's size.
+    fn assert_matches_oracle(groups: &[Group]) -> usize {
         let base = MergeBase::try_new(groups).expect("non-empty system");
         let mut want = Layer::from_candidates(&base.pruned[0]);
         assert_eq!(layer_bits(&base.layers[0]), layer_bits(&want));
@@ -458,10 +524,16 @@ mod tests {
             want = oracle_step(&want, &base.pruned[k]);
             assert_eq!(layer_bits(&base.layers[k]), layer_bits(&want), "layer {k}");
         }
+        base.layers
+            .iter()
+            .map(|layer| layer.len())
+            .max()
+            .unwrap_or(0)
     }
 
+    /// A distinct knob for each `i` below 279 (the paper's 31 × 9 grid).
     fn knob_at(i: usize) -> KnobPoint {
-        k(0.2 + 0.05 * (i % 7) as f64, 10.0 + (i / 7) as f64)
+        k(0.2 + 0.01 * (i % 31) as f64, 10.0 + 0.5 * (i / 31) as f64)
     }
 
     /// 2–4 groups with delays and costs spread over many octaves.
@@ -518,6 +590,99 @@ mod tests {
                 })
                 .collect()
         })
+    }
+
+    /// Running sums of `steps`: strictly ascending when every step is
+    /// positive and large against the sums' ulp.
+    fn running_sums(origin: f64, steps: impl Iterator<Item = f64>) -> Vec<f64> {
+        steps
+            .scan(origin, |sum, step| {
+                *sum += step;
+                Some(*sum)
+            })
+            .collect()
+    }
+
+    /// A group whose candidates are exactly the given strictly ascending
+    /// delays and strictly descending costs, so all of them survive the
+    /// prune.
+    fn monotone_group(delays: &[f64], costs: &[f64]) -> Group {
+        let cands = delays
+            .iter()
+            .zip(costs)
+            .enumerate()
+            .map(|(i, (&d, &c))| Candidate::new(knob_at(i), d, c))
+            .collect();
+        Group::new("monotone", cands)
+    }
+
+    /// Four strictly monotone fronts of 40–80 points each, at
+    /// `cold_split`'s scale: the merged layers grow into the hundreds.
+    /// Steps spread over two octaves, so the fronts bend both ways.
+    fn arb_wide_system() -> impl Strategy<Value = Vec<Group>> {
+        let group = (
+            0.0f64..100.0,
+            prop::collection::vec((0.5f64..2.0, 0.5f64..2.0), 40..=80),
+        );
+        prop::collection::vec(group, 4..=4).prop_map(|groups| {
+            groups
+                .into_iter()
+                .map(|(origin, steps)| {
+                    let delays = running_sums(origin, steps.iter().map(|s| s.0));
+                    let mut costs = running_sums(0.0, steps.iter().rev().map(|s| s.1));
+                    costs.reverse();
+                    monotone_group(&delays, &costs)
+                })
+                .collect()
+        })
+    }
+
+    /// [`arb_wide_system`] with ulp-scale delays: the first group's delays
+    /// are `1 + k·ε`, the others' `k·0.3ε`, for strictly ascending `k`, so
+    /// delay sums tie after rounding across many rows. Costs are strictly
+    /// descending multiples of 1/4, so cost sums tie exactly too.
+    fn arb_wide_colliding_system() -> impl Strategy<Value = Vec<Group>> {
+        let group = prop::collection::vec((1u32..4, 1u32..4), 40..=80);
+        prop::collection::vec(group, 4..=4).prop_map(|groups| {
+            groups
+                .into_iter()
+                .enumerate()
+                .map(|(g, steps)| {
+                    let (origin, unit) = match g {
+                        0 => (1.0, f64::EPSILON),
+                        _ => (0.0, 0.3 * f64::EPSILON),
+                    };
+                    let ticks = running_sums(0.0, steps.iter().map(|s| f64::from(s.0)));
+                    let delays: Vec<f64> = ticks.iter().map(|t| origin + t * unit).collect();
+                    let mut quanta = running_sums(0.0, steps.iter().rev().map(|s| f64::from(s.1)));
+                    quanta.reverse();
+                    let costs: Vec<f64> = quanta.iter().map(|q| q * 0.25).collect();
+                    monotone_group(&delays, &costs)
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every merged layer equals the materialized reference bit for
+        /// bit on four wide, strictly monotone fronts.
+        #[test]
+        fn merge_matches_the_oracle_at_cold_split_scale(groups in arb_wide_system()) {
+            let widest = assert_matches_oracle(&groups);
+            prop_assert!(widest >= 200, "largest layer holds only {widest} points");
+        }
+
+        /// Every merged layer equals the materialized reference bit for
+        /// bit on four wide fronts whose sums collide at ulp scale.
+        #[test]
+        fn merge_matches_the_oracle_on_wide_colliding_fronts(
+            groups in arb_wide_colliding_system()
+        ) {
+            let widest = assert_matches_oracle(&groups);
+            prop_assert!(widest >= 100, "largest layer holds only {widest} points");
+        }
     }
 
     proptest! {

@@ -22,7 +22,7 @@ fn tied_front(groups: &[Group]) -> Vec<FrontPoint> {
             acc.cost += c.cost;
         }
     }
-    prune(sums)
+    prune(&sums)
         .into_iter()
         .map(|c| FrontPoint {
             delay: c.delay,
@@ -120,7 +120,7 @@ proptest! {
             .iter()
             .map(|&(d, c)| Candidate::new(KnobPoint::nominal(), d, c))
             .collect();
-        let front = prune(cands.clone());
+        let front = prune(&cands);
         prop_assert!(!front.is_empty());
         for (i, a) in front.iter().enumerate() {
             for (j, b) in front.iter().enumerate() {
