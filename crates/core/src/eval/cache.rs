@@ -8,9 +8,7 @@
 //! most once per `(component, knob point)` within one
 //! [`Evaluator`](crate::eval::Evaluator).
 
-use nm_device::KnobPoint;
 use nm_geometry::{CacheCircuit, ComponentId, ComponentSurface};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// One cached circuit: the circuit identity plus a compute-once slot per
@@ -20,15 +18,13 @@ struct Surfaces {
     slots: [OnceLock<Arc<ComponentSurface>>; 4],
 }
 
-/// Find-or-compute store of component surfaces, shared across every query
+/// Write-once store of component surfaces, shared across every query
 /// an evaluator answers. Circuits are matched structurally (`PartialEq`)
 /// by linear scan — a study touches a handful of circuits, never enough
 /// to need hashing.
 #[derive(Debug, Default)]
 pub(crate) struct MetricsCache {
     entries: RwLock<Vec<(CacheCircuit, Arc<Surfaces>)>>,
-    built: AtomicUsize,
-    hits: AtomicUsize,
 }
 
 impl MetricsCache {
@@ -57,9 +53,7 @@ impl MetricsCache {
         surfaces
     }
 
-    /// The already-built surface for `(circuit, id)`, if any. Does not
-    /// count as a cache hit — used to plan bulk builds and for opportunistic
-    /// single-point lookups.
+    /// The already-built surface for `(circuit, id)`, if any.
     pub(crate) fn peek(
         &self,
         circuit: &CacheCircuit,
@@ -73,74 +67,26 @@ impl MetricsCache {
             .and_then(|(_, s)| s.slots[id.index()].get().cloned())
     }
 
-    /// The surface for `(circuit, id)`, computing it over `points` when
-    /// absent. The computation runs at most once per slot even under
-    /// concurrent callers.
-    pub(crate) fn surface(
-        &self,
-        circuit: &CacheCircuit,
-        id: ComponentId,
-        points: &[KnobPoint],
-    ) -> Arc<ComponentSurface> {
-        let surfaces = self.surfaces_of(circuit);
-        let slot = &surfaces.slots[id.index()];
-        if let Some(existing) = slot.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_inc(crate::names::EVAL_SURFACE_HIT);
-            return Arc::clone(existing);
-        }
-        let built = slot.get_or_init(|| {
-            self.built.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_inc(crate::names::EVAL_SURFACE_BUILT);
-            Arc::new(circuit.component_surface(id, points))
-        });
-        Arc::clone(built)
-    }
-
-    /// Installs a surface built externally (the evaluator's parallel bulk
-    /// build). A concurrently installed surface wins the race and this one
-    /// is dropped — both are bit-identical by purity of the circuit model.
+    /// Installs a surface built or loaded outside the cache and returns
+    /// whether it won the slot. A concurrently installed surface wins the
+    /// race and this one is dropped — both are bit-identical by purity of
+    /// the circuit model.
     pub(crate) fn install(
         &self,
         circuit: &CacheCircuit,
         id: ComponentId,
         surface: ComponentSurface,
-    ) {
-        let surfaces = self.surfaces_of(circuit);
-        if surfaces.slots[id.index()].set(Arc::new(surface)).is_ok() {
-            self.built.fetch_add(1, Ordering::Relaxed);
-            nm_telemetry::counter_inc(crate::names::EVAL_SURFACE_BUILT);
-        }
-    }
-
-    /// Installs a surface loaded from the persistence tier: like
-    /// [`install`](Self::install), but the surface does not count as
-    /// *built* — it was loaded, not computed (the caller accounts for
-    /// loads separately, so `surfaces_built` keeps meaning "circuit
-    /// model passes actually run").
-    pub(crate) fn install_loaded(
-        &self,
-        circuit: &CacheCircuit,
-        id: ComponentId,
-        surface: ComponentSurface,
-    ) {
-        let surfaces = self.surfaces_of(circuit);
-        let _ = surfaces.slots[id.index()].set(Arc::new(surface));
-    }
-
-    /// `(surfaces built, cache hits)` so far.
-    pub(crate) fn stats(&self) -> (usize, usize) {
-        (
-            self.built.load(Ordering::Relaxed),
-            self.hits.load(Ordering::Relaxed),
-        )
+    ) -> bool {
+        self.surfaces_of(circuit).slots[id.index()]
+            .set(Arc::new(surface))
+            .is_ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nm_device::{KnobGrid, TechnologyNode};
+    use nm_device::{KnobGrid, KnobPoint, TechnologyNode};
     use nm_geometry::CacheConfig;
 
     fn circuit(bytes: u64) -> CacheCircuit {
@@ -148,40 +94,42 @@ mod tests {
         CacheCircuit::new(CacheConfig::new(bytes, 64, 4).unwrap(), &tech)
     }
 
+    fn build(c: &CacheCircuit, id: ComponentId) -> ComponentSurface {
+        let points: Vec<KnobPoint> = KnobGrid::coarse().points().collect();
+        c.component_surface(id, &points)
+    }
+
     #[test]
-    fn second_lookup_hits_without_rebuilding() {
+    fn second_install_loses_the_slot() {
         let cache = MetricsCache::default();
         let c = circuit(16 * 1024);
-        let points: Vec<KnobPoint> = KnobGrid::coarse().points().collect();
-        let a = cache.surface(&c, ComponentId::Decoder, &points);
-        let b = cache.surface(&c, ComponentId::Decoder, &points);
+        assert!(cache.install(&c, ComponentId::Decoder, build(&c, ComponentId::Decoder)));
+        let a = cache.peek(&c, ComponentId::Decoder).expect("installed");
+        assert!(!cache.install(&c, ComponentId::Decoder, build(&c, ComponentId::Decoder)));
+        let b = cache.peek(&c, ComponentId::Decoder).expect("installed");
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats(), (1, 1));
     }
 
     #[test]
     fn distinct_circuits_get_distinct_surfaces() {
         let cache = MetricsCache::default();
-        let points: Vec<KnobPoint> = KnobGrid::coarse().points().collect();
-        let small = cache.surface(&circuit(16 * 1024), ComponentId::MemoryArray, &points);
-        let big = cache.surface(&circuit(64 * 1024), ComponentId::MemoryArray, &points);
+        let (small, big) = (circuit(16 * 1024), circuit(64 * 1024));
+        let id = ComponentId::MemoryArray;
+        assert!(cache.install(&small, id, build(&small, id)));
+        assert!(cache.install(&big, id, build(&big, id)));
+        let small = cache.peek(&small, id).expect("installed");
+        let big = cache.peek(&big, id).expect("installed");
         assert_ne!(small.metric_at(0), big.metric_at(0));
-        assert_eq!(cache.stats(), (2, 0));
     }
 
     #[test]
     fn peek_and_install_round_trip() {
         let cache = MetricsCache::default();
         let c = circuit(16 * 1024);
-        let points: Vec<KnobPoint> = KnobGrid::coarse().points().collect();
         assert!(cache.peek(&c, ComponentId::DataBus).is_none());
-        cache.install(
-            &c,
-            ComponentId::DataBus,
-            c.component_surface(ComponentId::DataBus, &points),
-        );
+        assert!(cache.install(&c, ComponentId::DataBus, build(&c, ComponentId::DataBus)));
         let peeked = cache.peek(&c, ComponentId::DataBus).expect("installed");
-        assert_eq!(peeked.len(), points.len());
-        assert_eq!(cache.stats(), (1, 0));
+        assert_eq!(peeked.len(), KnobGrid::coarse().points().count());
+        assert!(cache.peek(&c, ComponentId::Decoder).is_none());
     }
 }

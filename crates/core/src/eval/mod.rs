@@ -44,7 +44,7 @@ use nm_sweep::ParallelSweep;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// A constrained optimum produced by [`Evaluator::try_solve`].
 #[derive(Debug, Clone, PartialEq)]
@@ -92,6 +92,10 @@ pub struct EvalStats {
 /// bumps, so every event is counted in exactly one place.
 #[derive(Debug, Clone, Copy)]
 enum Event {
+    SurfaceBuilt,
+    /// A `(circuit, component)` surface a spec needs found already
+    /// cached (built, installed or loaded earlier).
+    SurfaceHit,
     FrontBuilt,
     FrontHit,
     /// A merge that reused cached layers; its registry counter tallies
@@ -109,6 +113,8 @@ impl Event {
     fn counter(self) -> &'static str {
         use crate::names;
         match self {
+            Event::SurfaceBuilt => names::EVAL_SURFACE_BUILT,
+            Event::SurfaceHit => names::EVAL_SURFACE_HIT,
             Event::FrontBuilt => names::EVAL_FRONT_BUILT,
             Event::FrontHit => names::EVAL_FRONT_HIT,
             Event::FrontIncremental => names::FRONT_MERGE_INCREMENTAL,
@@ -213,7 +219,6 @@ pub struct Evaluator {
     cache: MetricsCache,
     prims: RwLock<Vec<(TechnologyNode, Arc<PrimsTable>)>>,
     fronts: RwLock<FrontMemo>,
-    restricted_base: Mutex<Option<Arc<MergeBase>>>,
     /// Optional write-through persistence tier under the memo caches.
     /// Content-addressed and strictly best-effort: a missing, corrupt
     /// or failing store degrades to recompute — never to an abort.
@@ -323,7 +328,6 @@ impl Evaluator {
             cache: MetricsCache::default(),
             prims: RwLock::new(Vec::new()),
             fronts: RwLock::new(FrontMemo::default()),
-            restricted_base: Mutex::new(None),
             store: None,
             events: Default::default(),
         }
@@ -353,11 +357,10 @@ impl Evaluator {
 
     /// Memoization counters so far.
     pub fn stats(&self) -> EvalStats {
-        let (surfaces_built, surface_hits) = self.cache.stats();
         let count = |event: Event| self.events[event as usize].load(Ordering::Relaxed);
         EvalStats {
-            surfaces_built,
-            surface_hits,
+            surfaces_built: count(Event::SurfaceBuilt),
+            surface_hits: count(Event::SurfaceHit),
             fronts_built: count(Event::FrontBuilt),
             front_hits: count(Event::FrontHit),
             fronts_incremental: count(Event::FrontIncremental),
@@ -408,7 +411,9 @@ impl Evaluator {
             self.record(Event::StoreRejected, 1);
             return false;
         }
-        self.cache.install_loaded(circuit, id, surface);
+        // Loaded, not computed: `surfaces_built` keeps meaning "circuit
+        // model passes actually run".
+        self.cache.install(circuit, id, surface);
         self.record(Event::StoreLoaded, 1);
         true
     }
@@ -538,9 +543,9 @@ impl Evaluator {
         let mut jobs: Vec<(CacheCircuit, ComponentId)> = Vec::new();
         for level in spec.levels() {
             for id in COMPONENT_IDS {
-                if self.cache.peek(level.circuit(), id).is_none()
-                    && !jobs.iter().any(|(c, i)| *i == id && c == level.circuit())
-                {
+                if self.cache.peek(level.circuit(), id).is_some() {
+                    self.record(Event::SurfaceHit, 1);
+                } else if !jobs.iter().any(|(c, i)| *i == id && c == level.circuit()) {
                     jobs.push((level.circuit().clone(), id));
                 }
             }
@@ -575,7 +580,7 @@ impl Evaluator {
                 .map(|(_, prims)| prims.as_ref())
                 .expect("every job's technology node has a precomputed table")
         };
-        let run = ParallelSweep::new()
+        let out = ParallelSweep::new()
             .labeled("eval-surfaces")
             .try_map(&jobs, |(circuit, id)| {
                 let prims = table_for(circuit);
@@ -590,7 +595,7 @@ impl Evaluator {
             });
 
         let mut first_error: Option<StudyError> = None;
-        for (job_index, ((circuit, id), outcome)) in jobs.iter().zip(run.results).enumerate() {
+        for (job_index, ((circuit, id), outcome)) in jobs.iter().zip(out).enumerate() {
             match outcome {
                 Ok(surface) => {
                     #[cfg(feature = "faultinject")]
@@ -609,7 +614,9 @@ impl Evaluator {
                                     &crate::persist::encode_surface(&surface),
                                 );
                             }
-                            self.cache.install(circuit, *id, surface);
+                            if self.cache.install(circuit, *id, surface) {
+                                self.record(Event::SurfaceBuilt, 1);
+                            }
                         }
                         Err(e) => {
                             self.record(Event::SurfaceRejected, 1);
@@ -649,8 +656,13 @@ impl Evaluator {
     }
 
     fn level_groups(&self, level: &LevelSpec) -> Vec<Group> {
-        let surfaces: [Arc<ComponentSurface>; 4] =
-            COMPONENT_IDS.map(|id| self.cache.surface(level.circuit(), id, &self.points));
+        // `try_ensure_surfaces` filled every slot; the direct build is its
+        // bit-identical stand-in and never runs after a successful ensure.
+        let surfaces: [Arc<ComponentSurface>; 4] = COMPONENT_IDS.map(|id| {
+            self.cache
+                .peek(level.circuit(), id)
+                .unwrap_or_else(|| Arc::new(level.circuit().component_surface(id, &self.points)))
+        });
         // Materialize each surface's point-major metric column once per
         // level, so pricing reads the exact per-point records the pre-SoA
         // layout stored and `candidate_from_metrics` sums them in the
@@ -800,8 +812,8 @@ impl Evaluator {
     /// The spec is priced once per call. Restricted fronts are not
     /// memoized — value-set families are exponentially large — but the
     /// metric surfaces they re-price are, and each merge re-merges only
-    /// past the group prefix it shares with the previous restriction
-    /// (carried across calls) or with a cached spec's front.
+    /// past the group prefix it shares with the previous set of the same
+    /// call.
     ///
     /// # Errors
     ///
@@ -815,21 +827,9 @@ impl Evaluator {
         constraint: &C,
     ) -> Result<Option<Solution>, StudyError> {
         let groups = self.try_groups(spec)?;
-        // A restriction often shares leading groups verbatim with the
-        // previous one (a query stream repeating one restriction), so the
-        // last restricted base is offered to the next merge. The slot is
-        // locked once on the way in and once on the way out: locking it
-        // per set more than doubled E6's study time on a 2-vCPU VM.
-        let mut last = self
-            .restricted_base
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone();
-        let spec_bases = self
-            .fronts
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .bases();
+        // Each set's merge resumes from the previous set's base where
+        // their restricted group prefixes agree.
+        let mut last: Option<MergeBase> = None;
         let mut best: Option<FrontPoint> = None;
         for &(vths, toxes) in value_sets {
             let restricted: Option<Vec<Group>> =
@@ -837,8 +837,7 @@ impl Evaluator {
             let Some(restricted) = restricted else {
                 continue;
             };
-            let bases = last.iter().chain(&spec_bases).map(Arc::as_ref);
-            let (base, reused) = MergeBase::try_new_with_bases(&restricted, bases)?;
+            let (base, reused) = MergeBase::try_new_with_bases(&restricted, &last)?;
             self.record_merge(&base, reused);
             let front = base.front();
             if let Some(point) = constraint.select(&front) {
@@ -846,12 +845,8 @@ impl Evaluator {
                     best = Some(point.clone());
                 }
             }
-            last = Some(Arc::new(base));
+            last = Some(base);
         }
-        *self
-            .restricted_base
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = last;
         best.map(|point| self.try_solution(spec, &point))
             .transpose()
     }
@@ -1040,6 +1035,17 @@ mod tests {
     }
 
     #[test]
+    fn second_spec_over_the_same_circuit_hits_its_surfaces() {
+        let e = eval();
+        let c = circuit(16 * 1024);
+        let spec = |scheme| HierarchySpec::single(c.clone(), scheme, 1.0, CostKind::LeakagePower);
+        e.try_front(&spec(Scheme::Uniform)).expect("healthy build");
+        assert_eq!((e.stats().surfaces_built, e.stats().surface_hits), (4, 0));
+        e.try_front(&spec(Scheme::Split)).expect("healthy build");
+        assert_eq!((e.stats().surfaces_built, e.stats().surface_hits), (4, 4));
+    }
+
+    #[test]
     fn analyze_agrees_with_direct_analysis() {
         let e = eval();
         let c = circuit(16 * 1024);
@@ -1205,47 +1211,6 @@ mod tests {
             try_system_front(&e.try_groups(&changed).expect("healthy build"))
                 .expect("non-empty system")
         );
-    }
-
-    #[test]
-    fn restricted_solves_reuse_the_last_restricted_base() {
-        let e = eval();
-        let spec = HierarchySpec::single(
-            circuit(16 * 1024),
-            Scheme::Split,
-            1.0,
-            CostKind::LeakagePower,
-        );
-        let groups = e.try_groups(&spec).expect("healthy build");
-        let vths: Vec<f64> = groups[0]
-            .candidates()
-            .iter()
-            .map(|c| c.knobs.vth().0)
-            .collect();
-        let toxes: Vec<f64> = groups[0]
-            .candidates()
-            .iter()
-            .map(|c| c.knobs.tox().0)
-            .collect();
-        let full_front = e.try_front(&spec).expect("healthy build");
-        let deadline = full_front.last().expect("non-empty").delay;
-        // The unrestricted value sets reproduce the exact solve.
-        let a = e
-            .try_solve_restricted(&spec, &[(&vths, &toxes)], &Deadline(deadline))
-            .expect("healthy build")
-            .expect("feasible");
-        let b = e
-            .try_solve_restricted(&spec, &[(&vths, &toxes)], &Deadline(deadline))
-            .expect("healthy build")
-            .expect("feasible");
-        assert_eq!(a, b);
-        let direct = e
-            .try_solve(&spec, &Deadline(deadline))
-            .expect("healthy build")
-            .expect("feasible");
-        assert_eq!(a, direct);
-        // The second identical restriction reused every layer of the first.
-        assert!(e.stats().fronts_incremental >= 1);
     }
 
     /// A two-level spec whose L2 carries `weight`, built independently.

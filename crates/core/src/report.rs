@@ -160,8 +160,6 @@ pub fn sweep_stats_table(sweeps: &[SweepRecord]) -> Table {
             "wall (ms)",
             "items/s",
             "faults",
-            "retries",
-            "dead",
         ],
     );
     for s in sweeps {
@@ -178,8 +176,6 @@ pub fn sweep_stats_table(sweeps: &[SweepRecord]) -> Table {
             cell(secs * 1e3, 1),
             cell(items_per_sec, 0),
             s.faults.to_string(),
-            s.retries.to_string(),
-            s.poisoned_workers.to_string(),
         ]);
     }
     t
@@ -275,8 +271,6 @@ mod tests {
                 workers: 4,
                 wall_ns: 120_000_000,
                 faults: 0,
-                retries: 0,
-                poisoned_workers: 0,
             },
             SweepRecord {
                 label: "tuple-curves".into(),
@@ -284,8 +278,6 @@ mod tests {
                 workers: 8,
                 wall_ns: 0,
                 faults: 1,
-                retries: 2,
-                poisoned_workers: 0,
             },
         ];
         let t = sweep_stats_table(&sweeps);
@@ -298,15 +290,13 @@ mod tests {
                 "workers",
                 "wall (ms)",
                 "items/s",
-                "faults",
-                "retries",
-                "dead"
+                "faults"
             ]
         );
         let csv = t.to_csv();
-        assert!(csv.contains("missrate-table,9,4,120.0,75,0,0,0"), "{csv}");
+        assert!(csv.contains("missrate-table,9,4,120.0,75,0"), "{csv}");
         // An instantaneous sweep reports 0 items/s, not infinity.
-        assert!(csv.contains("tuple-curves,30,8,0.0,0,1,2,0"), "{csv}");
+        assert!(csv.contains("tuple-curves,30,8,0.0,0,1"), "{csv}");
     }
 
     #[test]

@@ -231,12 +231,6 @@ impl QueryMix {
         })
     }
 
-    /// `true` when at least one tuple query is present (the runner then
-    /// primes the restricted merge base).
-    pub fn has_tuple_queries(&self) -> bool {
-        self.counts[class_slot(QueryClass::Tuple)] > 0
-    }
-
     /// The mix composition as a stable note string,
     /// `cold=N,warm=N,tuple=N,adversarial=N,mixed=N`.
     pub fn composition(&self) -> String {

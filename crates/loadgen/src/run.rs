@@ -9,10 +9,10 @@
 //! Counter determinism: for a fixed `(seed, query count, thread count)`
 //! every counter in the drained snapshot is identical across runs.
 //! Shared-spec classes (warm / tuple / adversarial) all target one base
-//! spec whose front — and whose restricted merge base — are built
-//! *serially before* the parallel replay, so cache hit/built counters
-//! cannot race; cold and mixed specs are unique per query index, so each
-//! builds its own surfaces exactly once regardless of interleaving.
+//! spec whose front is built *serially before* the parallel replay, so
+//! cache hit/built counters cannot race; cold and mixed specs are unique
+//! per query index, so each builds its own surfaces exactly once
+//! regardless of interleaving.
 
 use crate::mix::{Query, QueryMix};
 use crate::names;
@@ -111,16 +111,8 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenSummary, StudyError> {
     nm_telemetry::set_gauge(names::SLO_MACHINE_SCALE, machine_scale_seconds());
 
     // Serial prime: build the shared base front (warm / adversarial
-    // queries then always hit it) and, when the mix contains tuple
-    // queries, the restricted merge base they all re-merge from.
+    // queries then always hit it, and tuple queries find its surfaces).
     eval.try_front(&mix.base_spec)?;
-    if mix.has_tuple_queries() {
-        eval.try_solve_restricted(
-            &mix.base_spec,
-            &[(&mix.restriction.vths, &mix.restriction.toxes)],
-            &Deadline(mix.base_budget),
-        )?;
-    }
 
     let run_clock = Stopwatch::start();
     let outcomes: Vec<Outcome> = ParallelSweep::new()

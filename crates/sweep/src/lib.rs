@@ -1,4 +1,4 @@
-//! Bounded, deterministic, fault-tolerant parallel-sweep executor.
+//! Bounded, deterministic, panic-containing parallel-sweep executor.
 //!
 //! Every study in this workspace is embarrassingly parallel along some
 //! axis — (L1, L2) size pairs, AMAT targets, Monte-Carlo die corners,
@@ -16,16 +16,18 @@
 //!   and results are reduced in *submission order*, so the output is
 //!   bit-identical no matter how many workers ran or how the scheduler
 //!   interleaved them.
-//! * **Fault-tolerant** — [`try_map`](ParallelSweep::try_map) contains
-//!   each item in [`std::panic::catch_unwind`], retries it under a
-//!   bounded deterministic [`RetryPolicy`], records exhausted items as
-//!   typed [`ItemFault`]s instead of unwinding the sweep, and degrades
-//!   to serial execution on the calling thread for any items lost to a
-//!   dead worker.
+//! * **Contained** — every item runs inside [`std::panic::catch_unwind`]
+//!   in one drain loop shared by both entry points.
+//!   [`try_map`](ParallelSweep::try_map) returns each panic as a typed
+//!   [`ItemFault`] and keeps the rest of the sweep;
+//!   [`map`](ParallelSweep::map) finishes the sweep and then re-raises
+//!   the lowest-index panic. Items are pure functions of their input,
+//!   so a failed item is never re-run, and since no item panic can
+//!   escape its containment, no worker dies mid-sweep.
 //! * **Observable** — while [`nm_telemetry`] records, each sweep adds a
-//!   [`SweepRecord`] (items, workers, wall time, faults, retries,
-//!   poisoned workers) and the `sweep.*` counters to the unified
-//!   registry, which the CLI prints with `--stats`.
+//!   [`SweepRecord`] (items, workers, wall time, faults) and the
+//!   `sweep.*` counters to the unified registry, which the CLI prints
+//!   with `--stats`.
 //!
 //! ```
 //! use nm_sweep::ParallelSweep;
@@ -39,23 +41,21 @@
 //! ```
 //! use nm_sweep::ParallelSweep;
 //!
-//! let run = ParallelSweep::new().try_map(&[1u64, 0, 3], |&x| {
+//! let results = ParallelSweep::new().try_map(&[1u64, 0, 3], |&x| {
 //!     assert!(x != 0, "zero is not invertible");
 //!     1.0 / x as f64
 //! });
-//! assert_eq!(run.fault_count(), 1);
-//! assert!(run.results[0].is_ok() && run.results[2].is_ok());
-//! assert!(run.results[1].as_ref().unwrap_err().message.contains("zero"));
+//! assert!(results[0].is_ok() && results[2].is_ok());
+//! assert!(results[1].as_ref().unwrap_err().message.contains("zero"));
 //! ```
 //!
 //! The `faultinject` feature adds a deterministic fault-injection plan
-//! (panics, stalls, worker kills, NaN poisoning) keyed by sweep label
-//! and item index, so all of the above is testable in CI without
-//! wall-clock randomness.
+//! (panics, stalls, NaN poisoning) keyed by sweep label and item index,
+//! so all of the above is testable in CI without wall-clock randomness.
 
 use nm_telemetry::{Stopwatch, SweepRecord};
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod names;
@@ -102,121 +102,30 @@ fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Bounded, deterministic per-item retry policy for contained sweeps.
-///
-/// An item is attempted up to `attempts` times (so `attempts − 1`
-/// retries); there is no wall-clock backoff or jitter, which keeps
-/// contained sweeps reproducible — the same inputs fail (or recover)
-/// identically on every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    attempts: usize,
-}
-
-impl RetryPolicy {
-    /// A policy allowing up to `attempts` total attempts per item
-    /// (clamped to ≥ 1).
-    pub fn new(attempts: usize) -> Self {
-        RetryPolicy {
-            attempts: attempts.max(1),
-        }
-    }
-
-    /// The default policy: one attempt, no retries.
-    pub fn none() -> Self {
-        Self::new(1)
-    }
-
-    /// Total attempts allowed per item (≥ 1).
-    pub fn attempts(&self) -> usize {
-        self.attempts
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
-/// A contained per-item failure: the item panicked on every allowed
-/// attempt.
+/// A contained per-item failure: the item panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ItemFault {
     /// Submission-order index of the failed item.
     pub index: usize,
-    /// Attempts made before giving up.
-    pub attempts: usize,
-    /// Panic message of the final attempt (best-effort extraction).
+    /// The item's panic message (best-effort extraction).
     pub message: String,
 }
 
 impl std::fmt::Display for ItemFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "item {} failed after {} attempt{}: {}",
-            self.index,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.message
-        )
+        write!(f, "item {} failed: {}", self.index, self.message)
     }
 }
 
 impl std::error::Error for ItemFault {}
 
-/// Outcome of a contained sweep ([`ParallelSweep::try_map`]): one
-/// `Result` per item in submission order, plus fault accounting.
-#[derive(Debug)]
-pub struct SweepRun<R> {
-    /// Per-item outcomes, position `i` corresponding to `items[i]`.
-    pub results: Vec<Result<R, ItemFault>>,
-    /// Extra attempts spent recovering items (beyond each first try).
-    pub retries: usize,
-    /// Worker threads that died mid-sweep (their lost items were
-    /// re-executed serially on the calling thread).
-    pub poisoned_workers: usize,
-}
-
-impl<R> SweepRun<R> {
-    /// Number of items that completed successfully.
-    pub fn ok_count(&self) -> usize {
-        self.results.iter().filter(|r| r.is_ok()).count()
-    }
-
-    /// Number of items that exhausted their attempts.
-    pub fn fault_count(&self) -> usize {
-        self.results.len() - self.ok_count()
-    }
-
-    /// The contained faults, in item order.
-    pub fn faults(&self) -> impl Iterator<Item = &ItemFault> {
-        self.results.iter().filter_map(|r| r.as_ref().err())
-    }
-
-    /// All results when every item succeeded, or the first fault.
-    ///
-    /// # Errors
-    ///
-    /// The lowest-index [`ItemFault`] when any item failed.
-    pub fn into_oks(self) -> Result<Vec<R>, ItemFault> {
-        let mut out = Vec::with_capacity(self.results.len());
-        for r in self.results {
-            out.push(r?);
-        }
-        Ok(out)
-    }
-}
-
-/// Faults the executor can observe or inject (always compiled; the
-/// `faultinject` feature only adds the machinery that *arms* them).
+/// Faults the executor can inject (always compiled; the `faultinject`
+/// feature only adds the machinery that *arms* them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(not(feature = "faultinject"), allow(dead_code))]
 enum ExecFault {
     Panic,
     Stall(u32),
-    KillWorker,
 }
 
 /// The armed execution fault for `(label, index)`, if any. Compiles to
@@ -261,17 +170,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct ParallelSweep {
     workers: usize,
     label: Option<String>,
-    retry: RetryPolicy,
 }
 
 impl ParallelSweep {
     /// A sweep with the default worker count (see [`set_global_workers`]
-    /// and [`THREADS_ENV`] for the resolution order) and no retries.
+    /// and [`THREADS_ENV`] for the resolution order).
     pub fn new() -> Self {
         ParallelSweep {
             workers: default_workers(),
             label: None,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -290,22 +197,9 @@ impl ParallelSweep {
         self
     }
 
-    /// Sets the per-item retry policy used by [`try_map`](Self::try_map)
-    /// (ignored by the fail-fast [`map`](Self::map)).
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// The configured worker bound.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The configured retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Applies `f` to every item and returns the results in item order.
@@ -315,115 +209,63 @@ impl ParallelSweep {
     /// is always `f(&items[i])`, so results are bit-identical for any
     /// worker count.
     ///
-    /// This is the fail-fast path: a panicking item unwinds the whole
-    /// sweep. Use [`try_map`](Self::try_map) where one poisoned item
-    /// must not sink the run.
+    /// This is the fail-fast path: every item still runs, and a
+    /// panicking item then unwinds the calling thread. Use
+    /// [`try_map`](Self::try_map) where one poisoned item must not sink
+    /// the run.
     ///
     /// # Panics
     ///
-    /// Re-raises the first worker panic on the calling thread.
+    /// Re-raises the lowest-index item's panic, with its original
+    /// payload, on the calling thread — the same panic for any worker
+    /// count.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let start = Stopwatch::start();
-        let n = items.len();
-        let workers = self.workers.min(n.max(1));
-        // Per-item latency is only timed while telemetry records; with it
-        // off the hot loop is untouched (one relaxed load per sweep).
-        let item_hist = nm_telemetry::enabled()
-            .then(|| format!("sweep.item.{}", self.label.as_deref().unwrap_or("sweep")));
-        let _sweep_span = item_hist.as_ref().map(|_| {
-            nm_telemetry::span(format!(
-                "sweep.{}",
-                self.label.as_deref().unwrap_or("sweep")
-            ))
-        });
-
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-
-        let run_one = |i: usize| -> R {
-            match &item_hist {
-                Some(hist) => {
-                    let t0 = Stopwatch::start();
-                    let r = f(&items[i]);
-                    nm_telemetry::observe_seconds(hist, t0.elapsed_seconds());
-                    r
-                }
-                None => f(&items[i]),
-            }
-        };
-
-        if workers == 1 {
-            // Inline fast path: a one-worker pool is a serial loop, so run
-            // it on the calling thread and skip the scope/spawn/join
-            // round-trip entirely. Results, panics (re-raised here by
-            // unwinding naturally) and stats are identical to a one-thread
-            // pool; on a single-CPU host this is the cold path's executor.
-            for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(run_one(i));
-            }
-        } else if n > 0 {
-            let next = AtomicUsize::new(0);
-            let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                local.push((i, run_one(i)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(results) => results,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-            for (i, r) in per_worker.into_iter().flatten() {
-                slots[i] = Some(r);
-            }
-        }
-
-        self.record(n, workers, &start, 0, 0, 0);
-
-        #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: executor fill invariant
-        let results: Vec<R> = slots
+        self.run(items, f)
             .into_iter()
-            .map(|r| r.expect("every index was claimed exactly once"))
-            .collect();
-        results
+            .map(|outcome| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     }
 
     /// Applies `f` to every item with per-item panic containment and
     /// returns one `Result` per item in submission order.
     ///
-    /// Each item runs inside [`std::panic::catch_unwind`]; a panic is
-    /// retried up to the configured [`RetryPolicy`]'s attempt budget and
-    /// then recorded as a typed [`ItemFault`] carrying the panic
-    /// message. The remaining items always complete. Should a worker
-    /// thread itself die (a panic escaping the per-item containment),
-    /// the sweep degrades gracefully: surviving workers drain the queue
-    /// and any items lost with the dead worker are re-executed serially
-    /// on the calling thread, still contained. Dead workers are counted
-    /// in [`SweepRun::poisoned_workers`] and the [`SweepRecord`].
+    /// A panicking item is recorded as a typed [`ItemFault`] carrying
+    /// its panic message; the remaining items always complete. A failed
+    /// item is not re-run: items are pure functions of their input, so
+    /// its panic would only repeat.
     ///
     /// Determinism: successful results are bit-identical to
-    /// [`map`](Self::map) for any worker count, and the retry policy
-    /// contains no wall-clock randomness.
-    pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> SweepRun<R>
+    /// [`map`](Self::map) for any worker count.
+    pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> Vec<Result<R, ItemFault>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        self.run(items, f)
+            .into_iter()
+            .enumerate()
+            .map(|(index, outcome)| {
+                outcome.map_err(|payload| ItemFault {
+                    index,
+                    message: panic_message(payload.as_ref()),
+                })
+            })
+            .collect()
+    }
+
+    /// The one drain loop behind [`map`](Self::map) and
+    /// [`try_map`](Self::try_map): every item runs under
+    /// [`catch_unwind`], and its outcome — value or panic payload —
+    /// comes back at its submission index. A one-worker pool drains on
+    /// the calling thread with no spawn; on a single-CPU host that is
+    /// the cold path's executor.
+    fn run<T, R, F>(&self, items: &[T], f: F) -> Vec<std::thread::Result<R>>
     where
         T: Sync,
         R: Send,
@@ -433,174 +275,84 @@ impl ParallelSweep {
         let n = items.len();
         let workers = self.workers.min(n.max(1));
         let label = self.label.as_deref();
-        let attempts = self.retry.attempts();
-        let retries = AtomicUsize::new(0);
+        // Per-item latency is only timed while telemetry records; with it
+        // off the hot loop is untouched (one relaxed load per sweep).
         let item_hist =
             nm_telemetry::enabled().then(|| format!("sweep.item.{}", label.unwrap_or("sweep")));
         let _sweep_span = item_hist
             .as_ref()
             .map(|_| nm_telemetry::span(format!("sweep.{}", label.unwrap_or("sweep"))));
 
-        // One contained execution of item `i`, shared by the parallel
-        // and the degraded-serial paths. In degraded mode an injected
-        // worker-kill is contained like an ordinary panic — the calling
-        // thread must survive.
-        let run_item = |i: usize, degraded: bool| -> Result<R, ItemFault> {
-            let mut last = String::new();
-            let item_start = item_hist.as_ref().map(|_| Stopwatch::start());
-            for attempt in 1..=attempts {
-                let fault = exec_fault(label, i);
-                if matches!(fault, Some(ExecFault::KillWorker)) && !degraded {
-                    // Escapes the per-item containment below, taking the
-                    // worker thread down with it.
-                    panic!("faultinject: worker killed at item {i}");
+        let run_item = |i: usize| -> std::thread::Result<R> {
+            let t0 = item_hist.as_ref().map(|_| Stopwatch::start());
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                match exec_fault(label, i) {
+                    Some(ExecFault::Panic) => panic!("faultinject: item {i} panics"),
+                    Some(ExecFault::Stall(spins)) => spin(spins),
+                    None => {}
                 }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    match fault {
-                        Some(ExecFault::Panic) => panic!("faultinject: item {i} panics"),
-                        Some(ExecFault::KillWorker) => {
-                            panic!("faultinject: worker kill contained serially at item {i}")
-                        }
-                        Some(ExecFault::Stall(spins)) => spin(spins),
-                        None => {}
-                    }
-                    f(&items[i])
-                }));
-                match outcome {
-                    Ok(r) => {
-                        if let (Some(hist), Some(t0)) = (&item_hist, item_start) {
-                            nm_telemetry::observe_seconds(hist, t0.elapsed_seconds());
-                        }
-                        return Ok(r);
-                    }
-                    Err(payload) => {
-                        last = panic_message(payload.as_ref());
-                        if attempt < attempts {
-                            retries.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
+                f(&items[i])
+            }));
+            if let (Some(hist), Some(t0), Ok(_)) = (&item_hist, t0, &outcome) {
+                nm_telemetry::observe_seconds(hist, t0.elapsed_seconds());
             }
-            Err(ItemFault {
-                index: i,
-                attempts,
-                message: last,
-            })
+            outcome
+        };
+        let next = AtomicUsize::new(0);
+        let drain = || {
+            let mut claimed = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                claimed.push((i, run_item(i)));
+            }
+            claimed
         };
 
-        let mut slots: Vec<Option<Result<R, ItemFault>>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let mut poisoned = 0usize;
+        let mut claimed = if workers == 1 {
+            drain()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+                // Items panic inside `catch_unwind`, so a join fails only
+                // if the loop itself did; that is re-raised, not absorbed.
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                    .collect::<Vec<_>>()
+            })
+        };
+        // Each index was claimed exactly once; ordering by it restores
+        // submission order whatever the interleaving.
+        claimed.sort_unstable_by_key(|&(i, _)| i);
+        let outcomes: Vec<_> = claimed.into_iter().map(|(_, outcome)| outcome).collect();
 
-        if n > 0 {
-            let next = AtomicUsize::new(0);
-            // (index, contained outcome) pairs one worker carries home.
-            type WorkerBatch<R> = Vec<(usize, Result<R, ItemFault>)>;
-            let joined: Vec<std::thread::Result<WorkerBatch<R>>> = if workers == 1 {
-                // Inline fast path: run the single worker's drain loop on
-                // the calling thread instead of spawning it. The loop is
-                // wrapped in `catch_unwind` so a panic that escapes the
-                // per-item containment (an injected worker kill) still
-                // reads as a dead worker — its claimed items are lost and
-                // re-run by the degraded serial pass below, exactly as if
-                // a spawned worker had died.
-                vec![catch_unwind(AssertUnwindSafe(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, run_item(i, false)));
-                    }
-                    local
-                }))]
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            scope.spawn(|| {
-                                let mut local = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= n {
-                                        break;
-                                    }
-                                    local.push((i, run_item(i, false)));
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join()).collect()
-                })
-            };
-            for outcome in joined {
-                match outcome {
-                    Ok(local) => {
-                        for (i, r) in local {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    Err(_) => poisoned += 1,
-                }
-            }
-            // Degraded serial pass: items claimed by a dead worker (or
-            // never claimed because every worker died) run here,
-            // contained, on the calling thread.
-            if poisoned > 0 {
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        *slot = Some(run_item(i, true));
-                    }
-                }
-            }
-        }
-
-        #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: executor fill invariant
-        let results: Vec<Result<R, ItemFault>> = slots
-            .into_iter()
-            .map(|r| r.expect("every index ran in the pool or the serial fallback"))
-            .collect();
-        let faults = results.iter().filter(|r| r.is_err()).count();
-        let retries = retries.load(Ordering::Relaxed);
-
-        self.record(n, workers, &start, faults, retries, poisoned);
-
-        SweepRun {
-            results,
-            retries,
-            poisoned_workers: poisoned,
-        }
+        self.record(
+            n,
+            workers,
+            &start,
+            outcomes.iter().filter(|o| o.is_err()).count(),
+        );
+        outcomes
     }
 
     /// Adds this finished sweep's [`SweepRecord`] and the `sweep.*`
     /// counters to the telemetry registry. The gate is checked first, so
     /// a run that is not recording skips even the label clone.
-    fn record(
-        &self,
-        items: usize,
-        workers: usize,
-        start: &Stopwatch,
-        faults: usize,
-        retries: usize,
-        poisoned_workers: usize,
-    ) {
+    fn record(&self, items: usize, workers: usize, start: &Stopwatch, faults: usize) {
         if !nm_telemetry::enabled() {
             return;
         }
         nm_telemetry::counter_add(names::ITEMS, items as u64);
         nm_telemetry::counter_add(names::FAULTS, faults as u64);
-        nm_telemetry::counter_add(names::RETRIES, retries as u64);
-        nm_telemetry::counter_add(names::POISONED_WORKERS, poisoned_workers as u64);
         nm_telemetry::record_sweep(SweepRecord {
             label: self.label.clone().unwrap_or_else(|| "sweep".to_owned()),
             items,
             workers,
             wall_ns: start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             faults,
-            retries,
-            poisoned_workers,
         });
     }
 }
@@ -620,8 +372,8 @@ pub mod faultinject {
     //! and *consumed* as the executor (or a metric-producing layer, for
     //! [`Fault::Nan`]) reaches the matching `(label, index)` — each
     //! armed fault fires a bounded number of times and then disarms, so
-    //! a retried item can deterministically fail N times and recover on
-    //! attempt N + 1. No wall-clock randomness anywhere.
+    //! a sweep run N + 1 times fails deterministically on the first N.
+    //! No wall-clock randomness anywhere.
     //!
     //! The plan is process-global: tests that arm faults must serialise
     //! against each other (e.g. with a shared mutex) and [`clear`] the
@@ -638,9 +390,6 @@ pub mod faultinject {
         /// The worker busy-spins this many iterations before the item
         /// runs (the item still succeeds).
         Stall(u32),
-        /// The worker thread dies: the panic escapes the per-item
-        /// containment, exercising the serial degradation path.
-        KillWorker,
         /// Value poisoning: a metric-producing layer that polls
         /// [`take_nan`] replaces the item's computed values with NaN.
         /// The executor itself ignores this kind.
@@ -701,13 +450,12 @@ pub mod faultinject {
         Some(fault)
     }
 
-    /// Consumes the next armed execution fault (panic / stall / kill)
-    /// for `(label, index)`, if any.
+    /// Consumes the next armed execution fault (panic / stall) for
+    /// `(label, index)`, if any.
     pub(crate) fn next_exec_fault(label: Option<&str>, index: usize) -> Option<super::ExecFault> {
         match consume(label, index, true)? {
             Fault::Panic => Some(super::ExecFault::Panic),
             Fault::Stall(spins) => Some(super::ExecFault::Stall(spins)),
-            Fault::KillWorker => Some(super::ExecFault::KillWorker),
             Fault::Nan => None,
         }
     }
@@ -800,10 +548,7 @@ mod tests {
             .expect("tiny sweep recorded");
         assert_eq!(entry.items, 2);
         assert!(entry.workers <= 2);
-        assert_eq!(
-            (entry.faults, entry.retries, entry.poisoned_workers),
-            (0, 0, 0)
-        );
+        assert_eq!(entry.faults, 0);
     }
 
     #[test]
@@ -862,22 +607,42 @@ mod tests {
     }
 
     #[test]
+    fn map_reraises_the_lowest_index_panic() {
+        let items: Vec<u32> = (0..16).collect();
+        for workers in [1, 2, 8] {
+            let result = std::panic::catch_unwind(|| {
+                ParallelSweep::new()
+                    .with_workers(workers)
+                    .map(&items, |&x| {
+                        assert!(x != 3 && x != 9, "item {x} is bad");
+                        x
+                    })
+            });
+            let payload = result.expect_err("sweep must propagate a panic");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(msg, "item 3 is bad", "workers = {workers}");
+        }
+    }
+
+    #[test]
     fn try_map_contains_a_panicking_item() {
         for workers in [1, 2, 8] {
             let items: Vec<u32> = (0..16).collect();
-            let run = ParallelSweep::new()
+            let results = ParallelSweep::new()
                 .with_workers(workers)
                 .try_map(&items, |&x| {
                     assert!(x != 5, "item {x} is poisoned");
                     x * 2
                 });
-            assert_eq!(run.fault_count(), 1, "workers = {workers}");
-            assert_eq!(run.ok_count(), 15);
-            assert_eq!(run.poisoned_workers, 0);
-            let fault = run.faults().next().expect("one fault");
+            let faults: Vec<&ItemFault> = results.iter().filter_map(|r| r.as_ref().err()).collect();
+            assert_eq!(faults.len(), 1, "workers = {workers}");
+            let fault = faults[0];
             assert_eq!(fault.index, 5);
             assert!(fault.message.contains("poisoned"), "{fault}");
-            for (i, r) in run.results.iter().enumerate() {
+            for (i, r) in results.iter().enumerate() {
                 if i != 5 {
                     assert_eq!(*r.as_ref().expect("healthy item"), i as u32 * 2);
                 }
@@ -894,57 +659,16 @@ mod tests {
         let via_try = ParallelSweep::new()
             .with_workers(4)
             .try_map(&items, |&x| (x.cos() * 1e9).to_bits())
-            .into_oks()
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
             .expect("no faults");
         assert_eq!(via_map, via_try);
     }
 
     #[test]
-    fn try_map_retries_deterministically() {
-        use std::collections::HashMap;
-        use std::sync::Mutex;
-        // Item 3 fails twice then succeeds; a 3-attempt policy recovers
-        // it and records exactly 2 retries.
-        let attempts: Mutex<HashMap<usize, usize>> = Mutex::new(HashMap::new());
-        let items: Vec<usize> = (0..8).collect();
-        let run = ParallelSweep::new()
-            .with_workers(2)
-            .with_retry(RetryPolicy::new(3))
-            .try_map(&items, |&i| {
-                let count = {
-                    let mut seen = attempts
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    let count = seen.entry(i).or_insert(0);
-                    *count += 1;
-                    *count
-                };
-                assert!(!(i == 3 && count <= 2), "transient failure on item {i}");
-                i * 10
-            });
-        assert_eq!(run.fault_count(), 0);
-        assert_eq!(run.retries, 2);
-        assert_eq!(*run.results[3].as_ref().expect("recovered"), 30);
-    }
-
-    #[test]
-    fn try_map_exhausts_attempts_and_reports_them() {
-        let run = ParallelSweep::new()
-            .with_workers(2)
-            .with_retry(RetryPolicy::new(3))
-            .try_map(&[0u8], |_| -> u8 { panic!("always fails") });
-        assert_eq!(run.fault_count(), 1);
-        assert_eq!(run.retries, 2);
-        let fault = run.faults().next().expect("fault recorded");
-        assert_eq!(fault.attempts, 3);
-        assert!(fault.message.contains("always fails"));
-    }
-
-    #[test]
     fn try_map_empty_input() {
-        let run: SweepRun<u8> = ParallelSweep::new().try_map(&[] as &[u8], |&x| x);
-        assert!(run.results.is_empty());
-        assert_eq!(run.fault_count(), 0);
+        let results = ParallelSweep::new().try_map(&[] as &[u8], |&x| x);
+        assert!(results.is_empty());
     }
 
     #[test]
@@ -954,7 +678,6 @@ mod tests {
         nm_telemetry::drain_sweeps();
         ParallelSweep::new()
             .with_workers(2)
-            .with_retry(RetryPolicy::new(2))
             .labeled("faulty")
             .try_map(&[0, 1, 2], |&x: &i32| {
                 assert!(x != 1, "bad");
@@ -967,44 +690,14 @@ mod tests {
             .find(|s| s.label == "faulty")
             .expect("faulty sweep recorded");
         assert_eq!(entry.faults, 1);
-        assert_eq!(entry.retries, 1);
-        assert_eq!(entry.poisoned_workers, 0);
-    }
-
-    #[test]
-    fn retry_policy_clamps_and_defaults() {
-        assert_eq!(RetryPolicy::new(0).attempts(), 1);
-        assert_eq!(RetryPolicy::default().attempts(), 1);
-        assert_eq!(ParallelSweep::new().retry_policy(), RetryPolicy::none());
-        assert_eq!(
-            ParallelSweep::new()
-                .with_retry(RetryPolicy::new(4))
-                .retry_policy()
-                .attempts(),
-            4
-        );
     }
 
     #[test]
     fn item_fault_displays_context() {
         let f = ItemFault {
             index: 7,
-            attempts: 2,
             message: "boom".into(),
         };
-        let text = f.to_string();
-        assert!(text.contains("item 7") && text.contains("2 attempts") && text.contains("boom"));
-    }
-
-    #[test]
-    fn into_oks_surfaces_first_fault() {
-        let run = ParallelSweep::new()
-            .with_workers(2)
-            .try_map(&[0, 1, 2], |&x: &i32| {
-                assert!(x != 2, "late fault");
-                x
-            });
-        let err = run.into_oks().expect_err("fault propagates");
-        assert_eq!(err.index, 2);
+        assert_eq!(f.to_string(), "item 7 failed: boom");
     }
 }

@@ -10,9 +10,6 @@
 
 /// Counter: total work items submitted across all sweeps.
 pub const ITEMS: &str = "sweep.items";
-/// Counter: items that exhausted their retry budget.
+/// Counter: items that panicked (contained by `try_map`, re-raised by
+/// `map`).
 pub const FAULTS: &str = "sweep.faults";
-/// Counter: extra contained attempts beyond each item's first try.
-pub const RETRIES: &str = "sweep.retries";
-/// Counter: worker threads that died mid-sweep.
-pub const POISONED_WORKERS: &str = "sweep.poisoned_workers";

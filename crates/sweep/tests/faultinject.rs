@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 
 use nm_sweep::faultinject::{arm, armed, clear, take_nan, Fault};
-use nm_sweep::{ParallelSweep, RetryPolicy};
+use nm_sweep::{ItemFault, ParallelSweep};
 
 /// Serialises tests sharing the process-global injection plan.
 fn plan_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -21,22 +21,26 @@ fn items(n: usize) -> Vec<usize> {
     (0..n).collect()
 }
 
+fn faults<R>(results: &[Result<R, ItemFault>]) -> Vec<&ItemFault> {
+    results.iter().filter_map(|r| r.as_ref().err()).collect()
+}
+
 #[test]
 fn injected_panic_faults_only_its_item() {
     let _guard = plan_lock();
     clear();
     arm(Some("inj"), 4, Fault::Panic, 1);
 
-    let run = ParallelSweep::new()
+    let results = ParallelSweep::new()
         .with_workers(3)
         .labeled("inj")
         .try_map(&items(10), |&i| i * 2);
 
-    assert_eq!(run.fault_count(), 1);
-    let fault = run.faults().next().expect("one fault");
-    assert_eq!(fault.index, 4);
-    assert!(fault.message.contains("faultinject"), "{fault}");
-    for (i, r) in run.results.iter().enumerate() {
+    let faults = faults(&results);
+    assert_eq!(faults.len(), 1);
+    assert_eq!(faults[0].index, 4);
+    assert!(faults[0].message.contains("faultinject"), "{}", faults[0]);
+    for (i, r) in results.iter().enumerate() {
         if i != 4 {
             assert_eq!(*r.as_ref().expect("healthy item"), i * 2);
         }
@@ -46,122 +50,19 @@ fn injected_panic_faults_only_its_item() {
 }
 
 #[test]
-fn injected_panic_recovers_under_retry() {
-    let _guard = plan_lock();
-    clear();
-    // Fires twice; a 3-attempt policy recovers the item on attempt 3.
-    arm(Some("retry"), 2, Fault::Panic, 2);
-
-    let run = ParallelSweep::new()
-        .with_workers(2)
-        .with_retry(RetryPolicy::new(3))
-        .labeled("retry")
-        .try_map(&items(5), |&i| i + 100);
-
-    assert_eq!(run.fault_count(), 0, "item recovered");
-    assert_eq!(run.retries, 2);
-    assert_eq!(*run.results[2].as_ref().expect("recovered"), 102);
-    clear();
-}
-
-#[test]
 fn labels_scope_the_injection() {
     let _guard = plan_lock();
     clear();
     arm(Some("other-sweep"), 0, Fault::Panic, 1);
 
-    let run = ParallelSweep::new()
+    let results = ParallelSweep::new()
         .labeled("this-sweep")
         .try_map(&items(3), |&i| i);
-    assert_eq!(run.fault_count(), 0, "fault armed for a different label");
+    assert!(
+        faults(&results).is_empty(),
+        "fault armed for a different label"
+    );
     assert_eq!(armed(), 1, "fault still armed");
-    clear();
-}
-
-#[test]
-fn killed_worker_degrades_to_serial_and_completes() {
-    let _guard = plan_lock();
-    clear();
-    arm(Some("kill"), 3, Fault::KillWorker, 1);
-
-    let run = ParallelSweep::new()
-        .with_workers(2)
-        .labeled("kill")
-        .try_map(&items(12), |&i| i * i);
-
-    assert_eq!(run.poisoned_workers, 1, "one worker died");
-    // The kill fires once in the pool; the serial fallback re-runs the
-    // item with no fault armed, so every item completes.
-    assert_eq!(run.fault_count(), 0);
-    for (i, r) in run.results.iter().enumerate() {
-        assert_eq!(*r.as_ref().expect("completed"), i * i);
-    }
-    clear();
-}
-
-#[test]
-fn killed_single_inline_worker_degrades_to_serial_and_completes() {
-    let _guard = plan_lock();
-    clear();
-    arm(Some("inline-kill"), 2, Fault::KillWorker, 1);
-
-    // A one-worker pool runs inline on the calling thread; the escaping
-    // kill must still read as a dead worker (not sink the caller), with
-    // the lost items re-run by the degraded serial pass.
-    let run = ParallelSweep::new()
-        .with_workers(1)
-        .labeled("inline-kill")
-        .try_map(&items(6), |&i| i * 3);
-
-    assert_eq!(run.poisoned_workers, 1, "inline worker counted as dead");
-    assert_eq!(run.fault_count(), 0);
-    for (i, r) in run.results.iter().enumerate() {
-        assert_eq!(*r.as_ref().expect("completed"), i * 3);
-    }
-    clear();
-}
-
-#[test]
-fn all_workers_killed_still_completes_serially() {
-    let _guard = plan_lock();
-    clear();
-    // Two workers, two kills on distinct early items: both workers can
-    // die, leaving the calling thread to finish the sweep alone.
-    arm(Some("massacre"), 0, Fault::KillWorker, 1);
-    arm(Some("massacre"), 1, Fault::KillWorker, 1);
-
-    let run = ParallelSweep::new()
-        .with_workers(2)
-        .labeled("massacre")
-        .try_map(&items(8), |&i| i + 1);
-
-    assert!(run.poisoned_workers >= 1, "at least one worker died");
-    assert_eq!(run.fault_count(), 0);
-    for (i, r) in run.results.iter().enumerate() {
-        assert_eq!(*r.as_ref().expect("completed"), i + 1);
-    }
-    clear();
-}
-
-#[test]
-fn persistent_kill_is_contained_by_the_serial_fallback() {
-    let _guard = plan_lock();
-    clear();
-    // The kill fires in the pool AND again in the serial fallback; the
-    // fallback contains it as an ordinary item fault instead of
-    // unwinding the calling thread.
-    arm(Some("stubborn"), 1, Fault::KillWorker, 2);
-
-    let run = ParallelSweep::new()
-        .with_workers(2)
-        .labeled("stubborn")
-        .try_map(&items(6), |&i| i);
-
-    assert_eq!(run.poisoned_workers, 1);
-    assert_eq!(run.fault_count(), 1);
-    let fault = run.faults().next().expect("contained kill");
-    assert_eq!(fault.index, 1);
-    assert_eq!(run.ok_count(), 5);
     clear();
 }
 
@@ -171,13 +72,13 @@ fn stall_delays_but_does_not_fail() {
     clear();
     arm(Some("slow"), 0, Fault::Stall(1_000_000), 1);
 
-    let run = ParallelSweep::new()
+    let results = ParallelSweep::new()
         .with_workers(2)
         .labeled("slow")
         .try_map(&items(4), |&i| i * 3);
 
-    assert_eq!(run.fault_count(), 0);
-    assert_eq!(*run.results[0].as_ref().expect("stalled item succeeds"), 0);
+    assert!(faults(&results).is_empty());
+    assert_eq!(*results[0].as_ref().expect("stalled item succeeds"), 0);
     clear();
 }
 
@@ -188,10 +89,10 @@ fn nan_faults_are_ignored_by_the_executor_and_served_to_consumers() {
     arm(Some("surface"), 2, Fault::Nan, 1);
 
     // The executor never consumes Nan faults...
-    let run = ParallelSweep::new()
+    let results = ParallelSweep::new()
         .labeled("surface")
         .try_map(&items(4), |&i| i);
-    assert_eq!(run.fault_count(), 0);
+    assert!(faults(&results).is_empty());
     assert_eq!(armed(), 1, "Nan fault left for the metric layer");
 
     // ...a metric-producing layer polls take_nan per item instead.

@@ -4,7 +4,7 @@
 //! evaluator kept private `EvalStats` counters, the sweep executor kept
 //! its own statistics registry, and the benches hand-formatted JSON.
 //! There was no single place to answer *where did this study spend its
-//! time, which surfaces were cache hits, how many retries fired?*
+//! time, which surfaces were cache hits, how many items faulted?*
 //!
 //! This crate is that place: a **zero-external-dependency, thread-safe**
 //! global registry of
@@ -14,7 +14,7 @@
 //!   aggregation in the run report;
 //! * **counters** ([`counter_add`]) and **gauges** ([`set_gauge`]) —
 //!   memo hits/misses, surfaces built, device evaluations, trace records
-//!   parsed, retries, faults, poisoned workers;
+//!   parsed, sweep items and faults;
 //! * **histograms** ([`observe_seconds`]) — per-item sweep latency,
 //!   surface build latency, with log₂ buckets for quantile estimates;
 //! * **sweep records** ([`record_sweep`]) — the executor's per-sweep
@@ -242,8 +242,6 @@ mod tests {
             workers: 1,
             wall_ns: 1,
             faults: 0,
-            retries: 0,
-            poisoned_workers: 0,
         });
         let snap = drain();
         assert!(snap.counters.is_empty());
@@ -431,8 +429,6 @@ mod tests {
             workers: 2,
             wall_ns: 1000,
             faults: 1,
-            retries: 2,
-            poisoned_workers: 0,
         });
         let sweeps = drain_sweeps();
         assert_eq!(sweeps.len(), 1);

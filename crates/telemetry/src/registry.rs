@@ -20,12 +20,8 @@ pub struct SweepRecord {
     pub workers: usize,
     /// Wall-clock time of the whole sweep, in nanoseconds.
     pub wall_ns: u64,
-    /// Items that exhausted their attempts.
+    /// Items that panicked.
     pub faults: usize,
-    /// Extra contained attempts beyond each item's first try.
-    pub retries: usize,
-    /// Worker threads that died mid-sweep.
-    pub poisoned_workers: usize,
 }
 
 /// Log₂-bucketed summary of a stream of observations (seconds).

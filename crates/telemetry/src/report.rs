@@ -163,10 +163,6 @@ fn sweeps(records: &[SweepRecord], w: &mut JsonWriter) {
         w.f64(s.wall_ns as f64 / 1e6);
         w.key("faults");
         w.u64(s.faults as u64);
-        w.key("retries");
-        w.u64(s.retries as u64);
-        w.key("poisoned_workers");
-        w.u64(s.poisoned_workers as u64);
         w.end_object();
     }
     w.end_array();
@@ -437,8 +433,6 @@ mod tests {
             workers: 4,
             wall_ns: 3_000_000,
             faults: 0,
-            retries: 0,
-            poisoned_workers: 0,
         });
         snap
     }
