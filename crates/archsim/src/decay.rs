@@ -55,7 +55,6 @@ struct Line {
     valid: bool,
     dirty: bool,
     last_touch: u64,
-    stamp: u64,
 }
 
 /// A set-associative LRU cache whose lines decay (power off, contents
@@ -160,7 +159,6 @@ impl DecaySim {
                     self.lines[i].dirty = true;
                 }
                 self.lines[i].last_touch = self.tick;
-                self.lines[i].stamp = self.tick;
                 return (!decayed, decayed);
             }
         }
@@ -173,7 +171,7 @@ impl DecaySim {
                 victim = i;
                 break;
             }
-            if self.lines[i].stamp < self.lines[victim].stamp {
+            if self.lines[i].last_touch < self.lines[victim].last_touch {
                 victim = i;
             }
         }
@@ -193,19 +191,8 @@ impl DecaySim {
             valid: true,
             dirty: access.is_write(),
             last_touch: self.tick,
-            stamp: self.tick,
         };
         (false, false)
-    }
-
-    /// Runs an iterator of accesses; returns the number processed.
-    pub fn run<I: IntoIterator<Item = Access>>(&mut self, accesses: I) -> u64 {
-        let mut n = 0;
-        for a in accesses {
-            self.access(a);
-            n += 1;
-        }
-        n
     }
 }
 

@@ -4,46 +4,14 @@
 //! probes level 0, misses fall through to the next level, and misses at
 //! the last level go to main memory. Dirty victims are written back into
 //! the next level down (and propagate further when the writeback itself
-//! evicts a dirty line). [`TwoLevel`] is the classic L1 + L2 shape as a
-//! thin wrapper — bit-for-bit the same behaviour and statistics as the
-//! dedicated two-level simulator it replaced.
+//! evicts a dirty line). `serve_level` is the one rule that hands a
+//! reference from one level to the next; the miss-rate table's L2
+//! fan-out and the split-L1 hierarchy call it too.
 
 use crate::access::Access;
 use crate::cache::{CacheParams, CacheSim, CacheStats, Outcome, Replacement};
 use crate::error::SimError;
 use serde::{Deserialize, Serialize};
-
-/// Hierarchy-level statistics.
-///
-/// `l1` covers every CPU reference; `l2` covers the *demand* stream only
-/// (L1 misses). L1 dirty-victim writebacks are serviced by L2 but excluded
-/// from the demand statistics, since the AMAT model prices demand misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct HierarchyStats {
-    /// L1 statistics over all references.
-    pub l1: CacheStats,
-    /// L2 statistics over the demand stream (L1 misses).
-    pub l2: CacheStats,
-    /// L1 dirty victims written back into L2 (not part of `l2`).
-    pub l1_writebacks: u64,
-}
-
-impl HierarchyStats {
-    /// L1 miss rate over all references.
-    pub fn l1_miss_rate(&self) -> f64 {
-        self.l1.miss_rate()
-    }
-
-    /// Local L2 miss rate (misses per L2 demand probe).
-    pub fn l2_local_miss_rate(&self) -> f64 {
-        self.l2.miss_rate()
-    }
-
-    /// Global L2 miss rate (main-memory accesses per CPU reference).
-    pub fn l2_global_miss_rate(&self) -> f64 {
-        self.l1_miss_rate() * self.l2_local_miss_rate()
-    }
-}
 
 /// Per-level statistics of an N-level hierarchy.
 ///
@@ -198,8 +166,10 @@ impl MultiLevel {
 }
 
 /// Serves one CPU reference at one level of a miss chain — the rule
-/// [`MultiLevel`] and the miss-rate table's L2 fan-out
-/// ([`MissRateTable::try_build`](crate::MissRateTable::try_build)) share.
+/// [`MultiLevel`], the miss-rate table's L2 fan-out
+/// ([`MissRateTable::try_build`](crate::MissRateTable::try_build)) and the
+/// split-L1 hierarchy ([`SplitHierarchy`](crate::splitl1::SplitHierarchy))
+/// share.
 ///
 /// First the level absorbs `victims` writes, one per dirty line the
 /// level above evicted on this reference. The model does not track a
@@ -236,94 +206,20 @@ pub(crate) fn serve_level(
     (out, evicted)
 }
 
-/// An L1 + L2 hierarchy: the two-level view over [`MultiLevel`].
-///
-/// ```
-/// use nm_archsim::{TwoLevel, CacheParams, Replacement, Access};
-///
-/// let mut h = TwoLevel::new(
-///     CacheParams::new(16 * 1024, 64, 4)?,
-///     CacheParams::new(1024 * 1024, 64, 8)?,
-///     Replacement::Lru,
-/// );
-/// for i in 0..1000u64 {
-///     h.access(Access::read(i * 64));
-/// }
-/// assert!(h.stats().l1_miss_rate() > 0.9); // pure cold streaming
-/// # Ok::<(), nm_archsim::SimError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct TwoLevel {
-    inner: MultiLevel,
-}
-
-impl TwoLevel {
-    /// Builds a cold hierarchy with a shared replacement policy.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: two levels are non-zero
-    pub fn new(l1: CacheParams, l2: CacheParams, policy: Replacement) -> Self {
-        TwoLevel {
-            inner: MultiLevel::new(vec![l1, l2], policy).expect("two levels are not zero"),
-        }
-    }
-
-    /// L1 parameters.
-    pub fn l1_params(&self) -> CacheParams {
-        self.inner.params(0)
-    }
-
-    /// L2 parameters.
-    pub fn l2_params(&self) -> CacheParams {
-        self.inner.params(1)
-    }
-
-    /// Issues one CPU reference through the hierarchy.
-    ///
-    /// Returns `(l1_hit, l2_hit)`; `l2_hit` is `None` when L1 hit and the
-    /// reference never reached L2.
-    pub fn access(&mut self, access: Access) -> (bool, Option<bool>) {
-        match self.inner.access(access) {
-            Some(0) => (true, None),
-            Some(_) => (false, Some(true)),
-            None => (false, Some(false)),
-        }
-    }
-
-    /// Snapshot of the hierarchy statistics.
-    pub fn stats(&self) -> HierarchyStats {
-        let s = self.inner.stats();
-        HierarchyStats {
-            l1: s.levels[0],
-            l2: s.levels[1],
-            l1_writebacks: s.writebacks[0],
-        }
-    }
-
-    /// Clears statistics after warm-up, keeping contents.
-    pub fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn hierarchy(l1: u64, l2: u64) -> TwoLevel {
-        TwoLevel::new(
-            CacheParams::new(l1, 64, 4).unwrap(),
-            CacheParams::new(l2, 64, 8).unwrap(),
-            Replacement::Lru,
-        )
+    fn hierarchy(l1: u64, l2: u64) -> MultiLevel {
+        chain(&[l1, l2], &[4, 8])
     }
 
     #[test]
     fn l1_hit_never_reaches_l2() {
         let mut h = hierarchy(16 * 1024, 256 * 1024);
         h.access(Access::read(0x40));
-        let (hit, l2) = h.access(Access::read(0x40));
-        assert!(hit);
-        assert_eq!(l2, None);
-        assert_eq!(h.stats().l2.accesses, 1); // only the initial miss
+        assert_eq!(h.access(Access::read(0x40)), Some(0));
+        assert_eq!(h.stats().levels[1].accesses, 1); // only the initial miss
     }
 
     #[test]
@@ -336,13 +232,9 @@ mod tests {
                 h.access(Access::read(b * 64));
             }
         }
-        let s = h.stats();
-        assert!(s.l1_miss_rate() > 0.5, "l1 mr = {}", s.l1_miss_rate());
-        assert!(
-            s.l2_local_miss_rate() < 0.35,
-            "l2 local mr = {}",
-            s.l2_local_miss_rate()
-        );
+        let rates = h.stats().local_miss_rates();
+        assert!(rates[0] > 0.5, "l1 mr = {}", rates[0]);
+        assert!(rates[1] < 0.35, "l2 local mr = {}", rates[1]);
     }
 
     #[test]
@@ -352,8 +244,8 @@ mod tests {
             h.access(Access::read((i * 2654435761) % (1 << 21)));
         }
         let s = h.stats();
-        let expected = s.l1_miss_rate() * s.l2_local_miss_rate();
-        assert!((s.l2_global_miss_rate() - expected).abs() < 1e-12);
+        let expected = s.levels[0].miss_rate() * s.levels[1].miss_rate();
+        assert!((s.global_miss_rate() - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -364,7 +256,7 @@ mod tests {
                 // 1 MB working set with strided reuse.
                 h.access(Access::read((i.wrapping_mul(0x9e3779b9)) % (1 << 20)));
             }
-            h.stats().l2_local_miss_rate()
+            h.stats().levels[1].miss_rate()
         };
         let small = run(128 * 1024);
         let big = run(1024 * 1024);
@@ -381,9 +273,9 @@ mod tests {
             }
         }
         let s = h.stats();
-        assert!(s.l1_writebacks > 0);
+        assert!(s.writebacks[0] > 0);
         // Demand accesses equal L1 misses exactly.
-        assert_eq!(s.l2.accesses, s.l1.misses);
+        assert_eq!(s.levels[1].accesses, s.levels[0].misses);
     }
 
     #[test]
@@ -396,8 +288,8 @@ mod tests {
         for b in 0..64u64 {
             h.access(Access::read(b * 64));
         }
-        assert!(h.stats().l1_miss_rate() < 0.01);
-        assert_eq!(h.stats().l2.accesses, 0);
+        assert!(h.stats().levels[0].miss_rate() < 0.01);
+        assert_eq!(h.stats().levels[1].accesses, 0);
     }
 
     fn chain(sizes: &[u64], ways: &[u64]) -> MultiLevel {
@@ -476,35 +368,6 @@ mod tests {
         // L1 evicted dirty 0 into L2, whose write in turn evicted its own
         // dirty copy of 0 (filled by the store's demand probe) to memory.
         assert_eq!(s.writebacks, vec![1, 1]);
-    }
-
-    #[test]
-    fn two_level_wrapper_is_bit_identical_to_multilevel() {
-        let l1 = CacheParams::new(4 * 1024, 64, 4).unwrap();
-        let l2 = CacheParams::new(64 * 1024, 64, 8).unwrap();
-        let mut two = TwoLevel::new(l1, l2, Replacement::Lru);
-        let mut multi = MultiLevel::new(vec![l1, l2], Replacement::Lru).unwrap();
-        for i in 0..50_000u64 {
-            let addr = (i.wrapping_mul(0x9e3779b9)) % (1 << 20);
-            let access = if i % 3 == 0 {
-                Access::write(addr)
-            } else {
-                Access::read(addr)
-            };
-            let (l1_hit, l2_hit) = two.access(access);
-            let level = multi.access(access);
-            match level {
-                Some(0) => assert!(l1_hit),
-                Some(1) => assert_eq!((l1_hit, l2_hit), (false, Some(true))),
-                None => assert_eq!((l1_hit, l2_hit), (false, Some(false))),
-                Some(_) => unreachable!(),
-            }
-        }
-        let t = two.stats();
-        let m = multi.stats();
-        assert_eq!(t.l1, m.levels[0]);
-        assert_eq!(t.l2, m.levels[1]);
-        assert_eq!(t.l1_writebacks, m.writebacks[0]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * [`cache::CacheSim`] — a set-associative cache with LRU/FIFO/random
 //!   replacement and write-back/write-allocate semantics,
 //! * [`hierarchy::MultiLevel`] — an N-level miss-chain hierarchy with
-//!   per-level demand accounting ([`hierarchy::TwoLevel`] is the L1 + L2
-//!   view over it),
+//!   per-level demand accounting; its one level-to-level rule also serves
+//!   the miss-rate table and the split-L1 hierarchy ([`splitl1`]),
 //! * [`workload`] — synthetic trace generators standing in for the
 //!   benchmark suites (loop-locality "spec-like", Zipf-working-set
 //!   "tpcc-like", request-stream "web-like", and a pointer chaser),
@@ -46,7 +46,6 @@ pub mod hierarchy;
 pub mod missrates;
 pub mod names;
 pub mod splitl1;
-pub mod stats;
 pub mod trace;
 pub mod workload;
 pub mod zipf;
@@ -57,6 +56,6 @@ pub use access::{Access, AccessKind};
 pub use cache::{CacheParams, CacheSim, Replacement};
 pub use decay::{DecaySim, DecayStats};
 pub use error::SimError;
-pub use hierarchy::{HierarchyStats, MultiLevel, MultiLevelStats, TwoLevel};
+pub use hierarchy::{MultiLevel, MultiLevelStats};
 pub use missrates::{simulate_chain, ChainStats, MissRateTable, PairStats};
 pub use trace::{TraceError, TraceWorkload};

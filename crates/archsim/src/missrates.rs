@@ -4,7 +4,7 @@
 use crate::access::Access;
 use crate::cache::{CacheParams, CacheSim, CacheStats, Replacement};
 use crate::error::SimError;
-use crate::hierarchy::{serve_level, MultiLevel, TwoLevel};
+use crate::hierarchy::{serve_level, MultiLevel, MultiLevelStats};
 use crate::workload::{SuiteKind, Workload};
 use nm_sweep::ParallelSweep;
 use serde::{Deserialize, Serialize};
@@ -79,14 +79,32 @@ impl PairStats {
 
 /// Simulates one (L1, L2) pair against a workload: `warmup` references to
 /// populate the hierarchy, then `measure` references of statistics.
+///
+/// # Errors
+///
+/// None in practice: the `Result` is [`MultiLevel::new`]'s, which
+/// rejects only an empty level list.
 pub fn simulate_pair(
     l1: CacheParams,
     l2: CacheParams,
     workload: &mut (dyn Workload + Send),
     warmup: u64,
     measure: u64,
-) -> PairStats {
-    let mut h = TwoLevel::new(l1, l2, Replacement::Lru);
+) -> Result<PairStats, SimError> {
+    let s = run_warm(&[l1, l2], workload, warmup, measure)?;
+    Ok(PairStats::from_counts(s.levels[0], s.levels[1], measure))
+}
+
+/// Runs `warmup` references of `workload` through a cold LRU
+/// [`MultiLevel`] over `levels`, clears its statistics, and returns the
+/// statistics of the next `measure` references.
+fn run_warm(
+    levels: &[CacheParams],
+    workload: &mut (dyn Workload + Send),
+    warmup: u64,
+    measure: u64,
+) -> Result<MultiLevelStats, SimError> {
+    let mut h = MultiLevel::new(levels.to_vec(), Replacement::Lru)?;
     for _ in 0..warmup {
         h.access(workload.next_access());
     }
@@ -94,14 +112,13 @@ pub fn simulate_pair(
     for _ in 0..measure {
         h.access(workload.next_access());
     }
-    let s = h.stats();
-    PairStats::from_counts(s.l1, s.l2, measure)
+    Ok(h.stats())
 }
 
 /// One L1 whose misses are replayed into one L2 per size, in the order
 /// [`MultiLevel::access`] serves them. The L1 never sees an L2 (there is
 /// no back-invalidation), so each (L1, L2) pair evolves exactly as its
-/// own [`TwoLevel`] hierarchy would, while the L1 is simulated once.
+/// own two-level [`MultiLevel`] would, while the L1 is simulated once.
 struct L2Fanout {
     l1: CacheSim,
     l2s: Vec<(CacheSim, CacheStats)>,
@@ -222,15 +239,7 @@ pub fn simulate_chain(
     warmup: u64,
     measure: u64,
 ) -> Result<ChainStats, SimError> {
-    let mut h = MultiLevel::new(levels.to_vec(), Replacement::Lru)?;
-    for _ in 0..warmup {
-        h.access(workload.next_access());
-    }
-    h.reset_stats();
-    for _ in 0..measure {
-        h.access(workload.next_access());
-    }
-    let s = h.stats();
+    let s = run_warm(levels, workload, warmup, measure)?;
     Ok(ChainStats {
         local_miss_rates: s.try_local_miss_rates()?,
         write_fraction: if s.levels[0].accesses == 0 {
@@ -346,7 +355,8 @@ mod tests {
             &mut w,
             20_000,
             50_000,
-        );
+        )
+        .unwrap();
         assert!(s.l1_miss_rate > 0.0 && s.l1_miss_rate < 0.3);
         assert!(s.l2_local_miss_rate >= 0.0 && s.l2_local_miss_rate <= 1.0);
         assert_eq!(s.measured, 50_000);
@@ -358,7 +368,7 @@ mod tests {
         let l1 = CacheParams::new(8 * 1024, 64, 4).unwrap();
         let l2 = CacheParams::new(256 * 1024, 64, 8).unwrap();
         let mut w = SpecLoops::default_suite(11);
-        let pair = simulate_pair(l1, l2, &mut w, 20_000, 50_000);
+        let pair = simulate_pair(l1, l2, &mut w, 20_000, 50_000).unwrap();
         let mut w = SpecLoops::default_suite(11);
         let chain = simulate_chain(&[l1, l2], &mut w, 20_000, 50_000).unwrap();
         // Same workload seed, same hierarchy: bit-identical rates.
@@ -434,9 +444,9 @@ mod tests {
     ) -> PairStats {
         let l1 = CacheParams::new(l1, 64, 4).unwrap();
         let l2 = CacheParams::new(l2, 64, 8).unwrap();
-        let per_suite = suites
-            .iter()
-            .map(|suite| simulate_pair(l1, l2, suite.build(seed).as_mut(), warmup, measure));
+        let per_suite = suites.iter().map(|suite| {
+            simulate_pair(l1, l2, suite.build(seed).as_mut(), warmup, measure).unwrap()
+        });
         PairStats::suite_mean(per_suite, suites.len())
     }
 

@@ -9,6 +9,8 @@
 
 use crate::access::Access;
 use crate::cache::{CacheParams, CacheSim, CacheStats, Replacement};
+use crate::error::SimError;
+use crate::hierarchy::{serve_level, MultiLevel};
 use crate::workload::Workload;
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
@@ -146,36 +148,30 @@ impl SplitHierarchy {
         }
     }
 
-    /// Issues an instruction fetch.
+    /// Issues an instruction fetch; returns `true` on an I$ hit.
     pub fn fetch(&mut self, access: Access) -> bool {
-        let hit = self.icache.access(access).is_hit();
-        if !hit {
-            self.probe_l2(access);
-        }
-        hit
+        self.issue(access, true)
     }
 
-    /// Issues a data reference.
+    /// Issues a data reference; returns `true` on a D$ hit.
     pub fn data(&mut self, access: Access) -> bool {
-        let out = self.dcache.access(access);
-        if let crate::cache::Outcome::Miss {
-            victim_writeback: true,
-        } = out
-        {
-            self.l2.access(Access::write(access.addr));
-        }
+        self.issue(access, false)
+    }
+
+    /// Probes the I$ (`fetch`) or the D$ with one reference; a miss
+    /// goes down to the unified L2 through [`serve_level`].
+    fn issue(&mut self, access: Access, fetch: bool) -> bool {
+        let l1 = if fetch {
+            &mut self.icache
+        } else {
+            &mut self.dcache
+        };
+        let out = l1.access(access);
         if !out.is_hit() {
-            self.probe_l2(access);
+            let victims = u64::from(out.victim_writeback());
+            serve_level(&mut self.l2, victims, Some(&mut self.demand_l2), access);
         }
         out.is_hit()
-    }
-
-    fn probe_l2(&mut self, access: Access) {
-        let out = self.l2.access(access);
-        self.demand_l2.accesses += 1;
-        if !out.is_hit() {
-            self.demand_l2.misses += 1;
-        }
     }
 
     /// Snapshot of the statistics.
@@ -196,6 +192,33 @@ impl SplitHierarchy {
     }
 }
 
+/// Drives the interleaved instruction/data stream through `h`: every
+/// step fetches one instruction and, with probability `data_per_inst`,
+/// issues one data reference. `issue(h, access, fetch)` serves one
+/// reference; `reset` clears the statistics when the warm-up half ends.
+fn interleave<H>(
+    h: &mut H,
+    issue: impl Fn(&mut H, Access, bool),
+    reset: impl Fn(&mut H),
+    data_workload: &mut (dyn Workload + Send),
+    seed: u64,
+    steps: u64,
+    data_per_inst: f64,
+) {
+    let mut inst = InstStream::default_suite(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xd1ce);
+    let warmup = steps / 2;
+    for step in 0..steps {
+        if step == warmup {
+            reset(h);
+        }
+        issue(h, inst.next_access(), true);
+        if rng.gen_bool(data_per_inst) {
+            issue(h, data_workload.next_access(), false);
+        }
+    }
+}
+
 /// Runs an interleaved instruction/data simulation: every step fetches
 /// one instruction and, with probability `data_per_inst`, issues one data
 /// reference. Returns steady-state statistics after a warm-up half.
@@ -209,24 +232,28 @@ pub fn simulate_split(
     data_per_inst: f64,
 ) -> SplitStats {
     let mut h = SplitHierarchy::new(icache, dcache, l2);
-    let mut inst = InstStream::default_suite(seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xd1ce);
-    let warmup = steps / 2;
-    for step in 0..steps {
-        if step == warmup {
-            h.reset_stats();
-        }
-        h.fetch(inst.next_access());
-        if rng.gen_bool(data_per_inst) {
-            h.data(data_workload.next_access());
-        }
-    }
+    interleave(
+        &mut h,
+        |h, access, fetch| {
+            h.issue(access, fetch);
+        },
+        SplitHierarchy::reset_stats,
+        data_workload,
+        seed,
+        steps,
+        data_per_inst,
+    );
     h.stats()
 }
 
 /// Runs the same interleaved stream through a *unified* L1 (instructions
 /// and data share one cache) + L2, for comparison against the split
 /// organisation. Returns `(l1_stats, l2_demand_stats)`.
+///
+/// # Errors
+///
+/// None in practice: the `Result` is [`MultiLevel::new`]'s, which
+/// rejects only an empty level list.
 pub fn simulate_unified(
     l1: CacheParams,
     l2: CacheParams,
@@ -234,52 +261,27 @@ pub fn simulate_unified(
     seed: u64,
     steps: u64,
     data_per_inst: f64,
-) -> (CacheStats, CacheStats) {
-    let mut l1_sim = CacheSim::new(l1, Replacement::Lru);
-    let mut l2_sim = CacheSim::new(l2, Replacement::Lru);
-    let mut demand = CacheStats::default();
-    let mut inst = InstStream::default_suite(seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xd1ce);
-    let warmup = steps / 2;
-    let probe =
-        |l1_sim: &mut CacheSim, l2_sim: &mut CacheSim, demand: &mut CacheStats, a: Access| {
-            let out = l1_sim.access(a);
-            if let crate::cache::Outcome::Miss {
-                victim_writeback: true,
-            } = out
-            {
-                l2_sim.access(Access::write(a.addr));
-            }
-            if !out.is_hit() {
-                demand.accesses += 1;
-                if !l2_sim.access(a).is_hit() {
-                    demand.misses += 1;
-                }
-            }
-        };
-    for step in 0..steps {
-        if step == warmup {
-            l1_sim.reset_stats();
-            l2_sim.reset_stats();
-            demand = CacheStats::default();
-        }
-        probe(&mut l1_sim, &mut l2_sim, &mut demand, inst.next_access());
-        if rng.gen_bool(data_per_inst) {
-            probe(
-                &mut l1_sim,
-                &mut l2_sim,
-                &mut demand,
-                data_workload.next_access(),
-            );
-        }
-    }
-    (l1_sim.stats(), demand)
+) -> Result<(CacheStats, CacheStats), SimError> {
+    let mut h = MultiLevel::new(vec![l1, l2], Replacement::Lru)?;
+    interleave(
+        &mut h,
+        |h, access, _| {
+            h.access(access);
+        },
+        MultiLevel::reset_stats,
+        data_workload,
+        seed,
+        steps,
+        data_per_inst,
+    );
+    let s = h.stats();
+    Ok((s.levels[0], s.levels[1]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::SpecLoops;
+    use crate::workload::{SpecLoops, SuiteKind};
 
     fn params(kb: u64, ways: u64) -> CacheParams {
         CacheParams::new(kb * 1024, 64, ways).unwrap()
@@ -362,10 +364,43 @@ mod tests {
             11,
             120_000,
             0.35,
-        );
+        )
+        .unwrap();
         let split_total = split.icache.accesses + split.dcache.accesses;
         assert_eq!(unified.accesses, split_total);
         assert!(unified.miss_rate() < 0.3);
+    }
+
+    #[test]
+    fn raw_counts_are_pinned() {
+        // Small L1s under the TPC-C-like suite, whose stores make the D$
+        // and the unified L1 evict dirty lines into the L2.
+        let mut data = SuiteKind::TpcC.build(2005);
+        let s = simulate_split(
+            params(8, 2),
+            params(8, 4),
+            params(256, 8),
+            data.as_mut(),
+            2005,
+            60_000,
+            0.35,
+        );
+        let counts = |c: CacheStats| (c.accesses, c.misses, c.writebacks);
+        assert_eq!(counts(s.icache), (30_000, 81, 0));
+        assert_eq!(counts(s.dcache), (10_402, 1_453, 286));
+        assert_eq!((s.l2.accesses, s.l2.misses), (1_534, 754));
+        let mut data = SuiteKind::TpcC.build(2005);
+        let (l1, l2) = simulate_unified(
+            params(16, 4),
+            params(256, 8),
+            data.as_mut(),
+            2005,
+            60_000,
+            0.35,
+        )
+        .unwrap();
+        assert_eq!(counts(l1), (40_402, 1_389, 278));
+        assert_eq!((l2.accesses, l2.misses), (1_389, 735));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use nm_archsim::cache::{CacheParams, CacheSim, Replacement};
 use nm_archsim::decay::DecaySim;
-use nm_archsim::hierarchy::TwoLevel;
+use nm_archsim::hierarchy::MultiLevel;
 use nm_archsim::trace::{read_trace, read_trace_binary, write_trace, TraceWorkload};
 use nm_archsim::workload::Workload;
 use nm_archsim::{Access, AccessKind};
@@ -104,19 +104,22 @@ proptest! {
     /// the global rate is the product of the locals.
     #[test]
     fn hierarchy_demand_accounting(trace in prop::collection::vec(arb_access(), 50..400)) {
-        let mut h = TwoLevel::new(
-            CacheParams::new(4 * 1024, 64, 2).unwrap(),
-            CacheParams::new(64 * 1024, 64, 4).unwrap(),
+        let mut h = MultiLevel::new(
+            vec![
+                CacheParams::new(4 * 1024, 64, 2).unwrap(),
+                CacheParams::new(64 * 1024, 64, 4).unwrap(),
+            ],
             Replacement::Lru,
-        );
+        )
+        .unwrap();
         for &a in &trace {
             h.access(a);
         }
         let s = h.stats();
-        prop_assert_eq!(s.l2.accesses, s.l1.misses);
-        prop_assert!(s.l2.misses <= s.l2.accesses);
-        let expected = s.l1_miss_rate() * s.l2_local_miss_rate();
-        prop_assert!((s.l2_global_miss_rate() - expected).abs() < 1e-12);
+        prop_assert_eq!(s.levels[1].accesses, s.levels[0].misses);
+        prop_assert!(s.levels[1].misses <= s.levels[1].accesses);
+        let expected = s.levels[0].miss_rate() * s.levels[1].miss_rate();
+        prop_assert!((s.global_miss_rate() - expected).abs() < 1e-12);
     }
 
     /// With decay disabled, `DecaySim` is reference-equal to the plain

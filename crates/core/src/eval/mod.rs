@@ -811,9 +811,7 @@ impl Evaluator {
     ///
     /// The spec is priced once per call. Restricted fronts are not
     /// memoized — value-set families are exponentially large — but the
-    /// metric surfaces they re-price are, and each merge re-merges only
-    /// past the group prefix it shares with the previous set of the same
-    /// call.
+    /// metric surfaces they re-price are.
     ///
     /// # Errors
     ///
@@ -827,9 +825,6 @@ impl Evaluator {
         constraint: &C,
     ) -> Result<Option<Solution>, StudyError> {
         let groups = self.try_groups(spec)?;
-        // Each set's merge resumes from the previous set's base where
-        // their restricted group prefixes agree.
-        let mut last: Option<MergeBase> = None;
         let mut best: Option<FrontPoint> = None;
         for &(vths, toxes) in value_sets {
             let restricted: Option<Vec<Group>> =
@@ -837,15 +832,14 @@ impl Evaluator {
             let Some(restricted) = restricted else {
                 continue;
             };
-            let (base, reused) = MergeBase::try_new_with_bases(&restricted, &last)?;
-            self.record_merge(&base, reused);
+            let base = MergeBase::try_new(&restricted)?;
+            self.record_merge(&base, 0);
             let front = base.front();
             if let Some(point) = constraint.select(&front) {
                 if best.as_ref().is_none_or(|b| point.cost < b.cost) {
                     best = Some(point.clone());
                 }
             }
-            last = Some(base);
         }
         best.map(|point| self.try_solution(spec, &point))
             .transpose()

@@ -88,7 +88,7 @@ impl SplitL1Study {
         );
         let mut data_b = suite.build(2005);
         let (u_l1, u_l2) =
-            simulate_unified(unified, l2, data_b.as_mut(), 2005, steps, DATA_PER_INST);
+            simulate_unified(unified, l2, data_b.as_mut(), 2005, steps, DATA_PER_INST)?;
 
         // Build every circuit here so impossible geometry surfaces as a
         // typed error at construction — the query methods then have no

@@ -29,9 +29,8 @@
 //! * [`leakage`] — per-transistor subthreshold / gate / junction leakage.
 //! * [`drive`] — alpha-power on-current, effective resistance, capacitances.
 //! * [`transistor`] — a sized [`Mosfet`] combining the above.
-//! * [`technology`] — the per-level [`DeviceTechnology`] axis (SRAM
-//!   baseline, eDRAM, STT-MRAM) and the [`TechProfile`] handle hierarchy
-//!   specs carry.
+//! * [`technology`] — the per-level technology axis: the [`TechProfile`]
+//!   handle hierarchy specs carry (SRAM baseline, eDRAM, STT-MRAM).
 //! * [`fit`] — least-squares fitting of the paper's Eq. 1/Eq. 2 forms plus
 //!   a small dense linear-algebra kernel.
 //!
@@ -78,7 +77,7 @@ pub use knobs::{KnobGrid, KnobPoint};
 pub use leakage::LeakageBreakdown;
 pub use prims::{HoistedPrims, PointPrims, PrimsTable, ScalarPrims};
 pub use tech::TechnologyNode;
-pub use technology::{DeviceTechnology, Edram, SramBptm65, SttMram, TechProfile};
+pub use technology::TechProfile;
 pub use transistor::{Mosfet, MosfetKind};
 pub use units::{
     Amperes, Angstroms, Farads, Joules, Kelvin, Meters, Microns, Ohms, Seconds, SquareMicrons,

@@ -4,18 +4,14 @@
 //! The paper studies one technology — BPTM-65 SRAM — so the original
 //! engine hard-wired "a cache is SRAM at one node". Multi-level studies
 //! past L2 want a *per-level* choice (an eDRAM or STT-MRAM L3 behind SRAM
-//! L1/L2), which this module supplies in two forms:
-//!
-//! * [`DeviceTechnology`] — the trait describing a memory technology: its
-//!   electrical base (a [`TechnologyNode`] for the CMOS periphery and the
-//!   knob-dependent Eq.1/Eq.2 surfaces) plus the cell-array transforms
-//!   that distinguish it from the SRAM baseline (read/write energy
-//!   asymmetry, leakage scaling, refresh power as a static-power term,
-//!   latency and density factors).
-//! * [`TechProfile`] — the concrete, comparable, serializable handle the
-//!   spec and geometry layers carry. Profiles are plain data so a
-//!   `HierarchySpec` stays a pure memo key; every trait impl renders one
-//!   via [`DeviceTechnology::profile`].
+//! L1/L2), which [`TechProfile`] supplies: the concrete, comparable,
+//! serializable handle the spec and geometry layers carry. A profile is
+//! the cell-array transforms that distinguish a technology from the SRAM
+//! baseline (read/write energy asymmetry, leakage scaling, refresh power
+//! as a static-power term, latency and density factors); the CMOS
+//! periphery and the knob-dependent Eq.1/Eq.2 surfaces stay those of the
+//! base [`TechnologyNode`](crate::TechnologyNode). Profiles are plain data
+//! so a `HierarchySpec` stays a pure memo key.
 //!
 //! The SRAM baseline is the **identity** profile: every scale is exactly
 //! 1 and refresh power is exactly 0, and consumers short-circuit on
@@ -27,123 +23,9 @@
 //! relative latency and area from published cache-technology surveys);
 //! only the ratios enter the model, so they compose with any base node.
 
-use crate::tech::TechnologyNode;
 use crate::units::Watts;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// A memory technology a cache level can be built from.
-///
-/// Implementations pair an electrical base node (the CMOS the periphery
-/// and knob sweeps are evaluated in) with the multiplicative transforms
-/// that map an SRAM cell array's metrics onto this technology's array.
-/// All transform methods default to the SRAM identity.
-pub trait DeviceTechnology {
-    /// Short machine-readable name (`"sram"`, `"edram"`, `"stt-mram"`).
-    fn name(&self) -> &str;
-
-    /// The electrical base node: periphery devices, knob ranges and the
-    /// Eq.1/Eq.2 primitive surfaces are evaluated against it. Hoisted
-    /// [`PrimsTable`](crate::prims::PrimsTable)s are cached per node, so
-    /// technologies sharing a base share one table.
-    fn node(&self) -> &TechnologyNode;
-
-    /// Array read-energy multiplier relative to the SRAM baseline.
-    fn read_energy_scale(&self) -> f64 {
-        1.0
-    }
-
-    /// Array write-energy multiplier relative to the SRAM baseline
-    /// (STT-MRAM's write asymmetry lives here).
-    fn write_energy_scale(&self) -> f64 {
-        1.0
-    }
-
-    /// Array leakage multiplier relative to the SRAM baseline (applied to
-    /// every leakage component of the cell array).
-    fn leakage_scale(&self) -> f64 {
-        1.0
-    }
-
-    /// Refresh power per stored bit — a knob-independent static-power
-    /// term charged to the cell array (0 for non-volatile and static
-    /// cells).
-    fn refresh_power_per_bit(&self) -> Watts {
-        Watts(0.0)
-    }
-
-    /// Array access-delay multiplier relative to the SRAM baseline.
-    fn delay_scale(&self) -> f64 {
-        1.0
-    }
-
-    /// Array area multiplier relative to the SRAM baseline (density).
-    fn area_scale(&self) -> f64 {
-        1.0
-    }
-
-    /// Renders the concrete, comparable [`TechProfile`] handle of this
-    /// technology (the form the spec and geometry layers carry).
-    fn profile(&self) -> TechProfile {
-        TechProfile {
-            name: self.name().to_owned(),
-            read_energy_scale: self.read_energy_scale(),
-            write_energy_scale: self.write_energy_scale(),
-            leakage_scale: self.leakage_scale(),
-            refresh_power_per_bit: self.refresh_power_per_bit(),
-            delay_scale: self.delay_scale(),
-            area_scale: self.area_scale(),
-        }
-    }
-}
-
-/// The BPTM-65 SRAM baseline — the paper's technology, as a
-/// [`DeviceTechnology`] impl. Every transform is the identity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SramBptm65 {
-    node: TechnologyNode,
-}
-
-impl SramBptm65 {
-    /// The standard baseline over [`TechnologyNode::bptm65`].
-    pub fn new() -> Self {
-        SramBptm65 {
-            node: TechnologyNode::bptm65(),
-        }
-    }
-
-    /// The baseline over a custom base node (thermal/variation studies).
-    pub fn over(node: TechnologyNode) -> Self {
-        SramBptm65 { node }
-    }
-}
-
-impl Default for SramBptm65 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeviceTechnology for SramBptm65 {
-    fn name(&self) -> &str {
-        "sram"
-    }
-
-    fn node(&self) -> &TechnologyNode {
-        &self.node
-    }
-}
-
-/// Embedded DRAM: ~3× denser and ~3× slower than SRAM, with far lower
-/// cell leakage but a standing refresh cost.
-///
-/// Reference ratios (vs a 0.05 pJ / 80 mW-per-MB high-density SRAM):
-/// 0.15 pJ read/write (3×), ~5 mW/MB total static split into a residual
-/// leakage floor and the refresh term, 3× latency, 1/3 area.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Edram {
-    node: TechnologyNode,
-}
 
 /// eDRAM total static power per bit at the reference point: 5 mW/MB.
 const EDRAM_STATIC_PER_BIT: f64 = 5.0e-3 / (8.0 * 1024.0 * 1024.0);
@@ -152,117 +34,8 @@ const EDRAM_STATIC_PER_BIT: f64 = 5.0e-3 / (8.0 * 1024.0 * 1024.0);
 /// (access transistors); the rest is knob-independent refresh.
 const EDRAM_LEAKAGE_SHARE: f64 = 0.4;
 
-impl Edram {
-    /// eDRAM over the standard BPTM-65 periphery.
-    pub fn new() -> Self {
-        Edram {
-            node: TechnologyNode::bptm65(),
-        }
-    }
-}
-
-impl Default for Edram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeviceTechnology for Edram {
-    fn name(&self) -> &str {
-        "edram"
-    }
-
-    fn node(&self) -> &TechnologyNode {
-        &self.node
-    }
-
-    fn read_energy_scale(&self) -> f64 {
-        3.0
-    }
-
-    fn write_energy_scale(&self) -> f64 {
-        3.0
-    }
-
-    fn leakage_scale(&self) -> f64 {
-        // 1T1C cells leak through one access transistor instead of a
-        // 6T cross-coupled pair: the knob-tracking share of 5 mW/MB
-        // against the 80 mW/MB SRAM reference.
-        EDRAM_LEAKAGE_SHARE * 5.0 / 80.0
-    }
-
-    fn refresh_power_per_bit(&self) -> Watts {
-        Watts((1.0 - EDRAM_LEAKAGE_SHARE) * EDRAM_STATIC_PER_BIT)
-    }
-
-    fn delay_scale(&self) -> f64 {
-        3.0
-    }
-
-    fn area_scale(&self) -> f64 {
-        1.0 / 3.0
-    }
-}
-
-/// STT-MRAM: non-volatile, near-zero cell leakage, no refresh, with a
-/// pronounced read/write energy asymmetry and the slowest access of the
-/// three.
-///
-/// Reference ratios (vs the same SRAM reference): 0.20 pJ read (4×),
-/// 0.50 pJ write (10×), 0.1 mW/MB static (near-zero, 1/800 of SRAM),
-/// 5× latency, 1/2 area.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SttMram {
-    node: TechnologyNode,
-}
-
-impl SttMram {
-    /// STT-MRAM over the standard BPTM-65 periphery.
-    pub fn new() -> Self {
-        SttMram {
-            node: TechnologyNode::bptm65(),
-        }
-    }
-}
-
-impl Default for SttMram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeviceTechnology for SttMram {
-    fn name(&self) -> &str {
-        "stt-mram"
-    }
-
-    fn node(&self) -> &TechnologyNode {
-        &self.node
-    }
-
-    fn read_energy_scale(&self) -> f64 {
-        4.0
-    }
-
-    fn write_energy_scale(&self) -> f64 {
-        10.0
-    }
-
-    fn leakage_scale(&self) -> f64 {
-        0.1 / 80.0
-    }
-
-    fn delay_scale(&self) -> f64 {
-        5.0
-    }
-
-    fn area_scale(&self) -> f64 {
-        0.5
-    }
-}
-
 /// The concrete technology handle carried by cache circuits and hierarchy
-/// specs: a [`DeviceTechnology`]'s name and transforms as plain,
+/// specs: a technology's name and cell-array transforms as plain,
 /// comparable data.
 ///
 /// The default profile is the SRAM identity; consumers short-circuit on
@@ -287,19 +60,58 @@ pub struct TechProfile {
 }
 
 impl TechProfile {
-    /// The SRAM identity profile.
+    /// The SRAM identity profile: the paper's BPTM-65 baseline, every
+    /// transform the identity.
     pub fn sram() -> Self {
-        SramBptm65::new().profile()
+        TechProfile {
+            name: "sram".to_owned(),
+            read_energy_scale: 1.0,
+            write_energy_scale: 1.0,
+            leakage_scale: 1.0,
+            refresh_power_per_bit: Watts(0.0),
+            delay_scale: 1.0,
+            area_scale: 1.0,
+        }
     }
 
-    /// The eDRAM profile (see [`Edram`]).
+    /// Embedded DRAM: ~3× denser and ~3× slower than SRAM, with far lower
+    /// cell leakage but a standing refresh cost.
+    ///
+    /// Reference ratios (vs a 0.05 pJ / 80 mW-per-MB high-density SRAM):
+    /// 0.15 pJ read/write (3×), ~5 mW/MB total static split into a
+    /// residual leakage floor and the refresh term, 3× latency, 1/3 area.
     pub fn edram() -> Self {
-        Edram::new().profile()
+        TechProfile {
+            name: "edram".to_owned(),
+            read_energy_scale: 3.0,
+            write_energy_scale: 3.0,
+            // 1T1C cells leak through one access transistor instead of a
+            // 6T cross-coupled pair: the knob-tracking share of 5 mW/MB
+            // against the 80 mW/MB SRAM reference.
+            leakage_scale: EDRAM_LEAKAGE_SHARE * 5.0 / 80.0,
+            refresh_power_per_bit: Watts((1.0 - EDRAM_LEAKAGE_SHARE) * EDRAM_STATIC_PER_BIT),
+            delay_scale: 3.0,
+            area_scale: 1.0 / 3.0,
+        }
     }
 
-    /// The STT-MRAM profile (see [`SttMram`]).
+    /// STT-MRAM: non-volatile, near-zero cell leakage, no refresh, with a
+    /// pronounced read/write energy asymmetry and the slowest access of
+    /// the three.
+    ///
+    /// Reference ratios (vs the same SRAM reference): 0.20 pJ read (4×),
+    /// 0.50 pJ write (10×), 0.1 mW/MB static (near-zero, 1/800 of SRAM),
+    /// 5× latency, 1/2 area.
     pub fn stt_mram() -> Self {
-        SttMram::new().profile()
+        TechProfile {
+            name: "stt-mram".to_owned(),
+            read_energy_scale: 4.0,
+            write_energy_scale: 10.0,
+            leakage_scale: 0.1 / 80.0,
+            refresh_power_per_bit: Watts(0.0),
+            delay_scale: 5.0,
+            area_scale: 0.5,
+        }
     }
 
     /// Resolves a profile by its machine name, as the CLI's per-level
@@ -396,16 +208,6 @@ mod tests {
         let sram_leak_per_mb = 80.0e-3;
         let total = e.leakage_scale * sram_leak_per_mb + e.refresh_power_per_bit.0 * bits;
         assert!((total - 5.0e-3).abs() < 1.0e-4, "static/MB = {total}");
-    }
-
-    #[test]
-    fn trait_profiles_round_trip_their_scales() {
-        let d = Edram::new();
-        let p = d.profile();
-        assert_eq!(p.delay_scale, d.delay_scale());
-        assert_eq!(p.read_energy_scale, d.read_energy_scale());
-        assert_eq!(p.refresh_power_per_bit, d.refresh_power_per_bit());
-        assert_eq!(d.node(), &TechnologyNode::bptm65());
     }
 
     #[test]

@@ -112,9 +112,8 @@ impl QueryClass {
 
 /// The fixed knob-value restriction all tuple queries share: every grid
 /// value except the largest on each axis. One shared restriction means
-/// every tuple query after the serial prime re-merges the identical
-/// restricted groups and reuses the full cached prefix, so merge
-/// counters do not depend on replay interleaving.
+/// every tuple query merges the identical restricted groups from
+/// scratch, so merge counters do not depend on replay interleaving.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Restriction {
     /// Allowed `Vth` values (volts).

@@ -66,8 +66,8 @@
 //!
 //! [`MergeBase`] retains every intermediate layer (cheaply, behind `Arc`).
 //! When a system is re-merged and only a suffix of its groups changed —
-//! the restricted solves of the deadline studies mutate one group at a
-//! time — [`MergeBase::try_with_base`] reuses the longest unchanged prefix
+//! a spec that shares its leading levels with one merged before —
+//! [`MergeBase::try_new_with_bases`] reuses the longest unchanged prefix
 //! of layers verbatim. Because each layer is a pure left-fold over the
 //! pruned group fronts, a reused prefix is bit-identical to recomputing
 //! it (float addition is reassociated nowhere).
@@ -311,15 +311,6 @@ impl MergeBase {
     /// Merges `groups` from scratch.
     pub fn try_new(groups: &[Group]) -> Result<Self, EmptySystemError> {
         Self::try_new_with_bases(groups, []).map(|(base, _)| base)
-    }
-
-    /// Merges `groups`, resuming from `base` where its group prefix is
-    /// unchanged. Returns the new base and the number of reused layers.
-    pub fn try_with_base(
-        groups: &[Group],
-        base: &MergeBase,
-    ) -> Result<(Self, usize), EmptySystemError> {
-        Self::try_new_with_bases(groups, [base])
     }
 
     /// Merges `groups`, resuming from whichever of `bases` shares the
@@ -898,7 +889,7 @@ mod tests {
         // Mutate only the last group: the first two layers are reusable.
         let gc2 = group("c", &[(0.3, 14.0, 1.0, 2.0), (0.5, 14.0, 3.0, 0.1)]);
         let system = [ga.clone(), gb.clone(), gc2.clone()];
-        let (incremental, reused) = MergeBase::try_with_base(&system, &base).unwrap();
+        let (incremental, reused) = MergeBase::try_new_with_bases(&system, [&base]).unwrap();
         assert_eq!(reused, 2);
         assert_eq!(
             incremental.front(),
@@ -908,7 +899,7 @@ mod tests {
         // Mutate the first group: nothing is reusable, result still equal.
         let ga2 = group("a", &[(0.25, 10.0, 1.2, 8.0), (0.45, 10.0, 4.5, 0.9)]);
         let system = [ga2, gb, gc];
-        let (incremental, reused) = MergeBase::try_with_base(&system, &base).unwrap();
+        let (incremental, reused) = MergeBase::try_new_with_bases(&system, [&base]).unwrap();
         assert_eq!(reused, 0);
         assert_eq!(
             incremental.front(),
@@ -923,7 +914,7 @@ mod tests {
             group("b", &[(0.2, 12.0, 1.5, 7.0), (0.5, 12.0, 5.0, 0.5)]),
         ];
         let base = MergeBase::try_new(&system).unwrap();
-        let (refreshed, reused) = MergeBase::try_with_base(&system, &base).unwrap();
+        let (refreshed, reused) = MergeBase::try_new_with_bases(&system, [&base]).unwrap();
         assert_eq!(reused, 2);
         assert_eq!(refreshed.group_count(), 2);
         assert!(base.heap_pops() > 0);

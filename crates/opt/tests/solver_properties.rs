@@ -147,7 +147,7 @@ proptest! {
             .collect();
         mutated[which] = Group::new("mutated", recosted);
         let (incremental, reused) =
-            MergeBase::try_with_base(&mutated, &base).expect("non-empty system");
+            MergeBase::try_new_with_bases(&mutated, [&base]).expect("non-empty system");
         prop_assert_eq!(reused, which);
         prop_assert_eq!(incremental.front(), try_system_front(&mutated).expect("non-empty system"));
     }

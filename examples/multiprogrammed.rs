@@ -10,25 +10,20 @@
 //! the leakage-optimal L2 size.
 
 use nmcache::archsim::cache::CacheParams;
-use nmcache::archsim::hierarchy::TwoLevel;
+use nmcache::archsim::missrates::simulate_pair;
 use nmcache::archsim::workload::{Mix, SuiteKind, Workload};
-use nmcache::archsim::Replacement;
 
-fn run(workload: &mut dyn Workload, l2_kb: u64) -> (f64, f64) {
-    let mut h = TwoLevel::new(
+/// Local L2 miss rate behind a 16 KB L1 after a 300k-reference warm-up.
+fn run(workload: &mut (dyn Workload + Send), l2_kb: u64) -> f64 {
+    simulate_pair(
         CacheParams::new(16 * 1024, 64, 4).expect("legal L1"),
         CacheParams::new(l2_kb * 1024, 64, 8).expect("legal L2"),
-        Replacement::Lru,
-    );
-    for _ in 0..300_000 {
-        h.access(workload.next_access());
-    }
-    h.reset_stats();
-    for _ in 0..400_000 {
-        h.access(workload.next_access());
-    }
-    let s = h.stats();
-    (s.l1_miss_rate(), s.l2_local_miss_rate())
+        workload,
+        300_000,
+        400_000,
+    )
+    .expect("two levels")
+    .l2_local_miss_rate
 }
 
 fn main() {
@@ -41,7 +36,7 @@ fn main() {
         print!("{:<22}", suite.name());
         for &l2 in &l2_sizes {
             let mut w = suite.build(7);
-            let (_, m2) = run(w.as_mut(), l2);
+            let m2 = run(w.as_mut(), l2);
             print!("{m2:>12.4}");
         }
         println!();
@@ -58,7 +53,7 @@ fn main() {
             ],
             99,
         );
-        let (_, m2) = run(&mut mix, l2);
+        let m2 = run(&mut mix, l2);
         print!("{m2:>12.4}");
     }
     println!();

@@ -10,18 +10,21 @@
 //! generators have the locality structure the Section 5 studies assume.
 
 use nmcache::archsim::cache::{CacheParams, Replacement};
-use nmcache::archsim::hierarchy::TwoLevel;
+use nmcache::archsim::hierarchy::MultiLevel;
 use nmcache::archsim::workload::SuiteKind;
 
 const WARMUP: u64 = 200_000;
 const MEASURE: u64 = 400_000;
 
 fn run(suite: SuiteKind, l1: u64, l2: u64, policy: Replacement) -> (f64, f64) {
-    let mut h = TwoLevel::new(
-        CacheParams::new(l1, 64, 4).expect("legal L1"),
-        CacheParams::new(l2, 64, 8).expect("legal L2"),
+    let mut h = MultiLevel::new(
+        vec![
+            CacheParams::new(l1, 64, 4).expect("legal L1"),
+            CacheParams::new(l2, 64, 8).expect("legal L2"),
+        ],
         policy,
-    );
+    )
+    .expect("two levels");
     let mut w = suite.build(7);
     for _ in 0..WARMUP {
         h.access(w.next_access());
@@ -30,8 +33,8 @@ fn run(suite: SuiteKind, l1: u64, l2: u64, policy: Replacement) -> (f64, f64) {
     for _ in 0..MEASURE {
         h.access(w.next_access());
     }
-    let s = h.stats();
-    (s.l1_miss_rate(), s.l2_local_miss_rate())
+    let rates = h.stats().local_miss_rates();
+    (rates[0], rates[1])
 }
 
 fn main() {

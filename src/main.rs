@@ -2,7 +2,7 @@
 
 use nmcache::analyze::{self, AnalyzeError};
 use nmcache::archsim::cache::{CacheParams, Replacement};
-use nmcache::archsim::hierarchy::TwoLevel;
+use nmcache::archsim::hierarchy::MultiLevel;
 use nmcache::archsim::trace::{
     read_trace, read_trace_binary, TraceError, TraceWorkload, BINARY_MAGIC,
 };
@@ -432,11 +432,13 @@ fn run_study(which: Study, opts: &Options) -> Result<(), AppError> {
             };
             println!("{}: {} references", path.display(), trace.len());
             let mut workload = TraceWorkload::try_new(trace)?;
-            let mut h = TwoLevel::new(
-                CacheParams::new(opts.l1_bytes, 64, 4)?,
-                CacheParams::new(opts.l2_bytes, 64, 8)?,
+            let mut h = MultiLevel::new(
+                vec![
+                    CacheParams::new(opts.l1_bytes, 64, 4)?,
+                    CacheParams::new(opts.l2_bytes, 64, 8)?,
+                ],
                 Replacement::Lru,
-            );
+            )?;
             let n = (workload.len() as u64).max(1);
             for _ in 0..n {
                 h.access(workload.next_access());
@@ -452,10 +454,10 @@ fn run_study(which: Study, opts: &Options) -> Result<(), AppError> {
             );
             table.push_row(vec![
                 n.to_string(),
-                cell(s.l1_miss_rate(), 4),
-                cell(s.l2_local_miss_rate(), 4),
-                cell(s.l2_global_miss_rate(), 5),
-                s.l1_writebacks.to_string(),
+                cell(s.levels[0].miss_rate(), 4),
+                cell(s.levels[1].miss_rate(), 4),
+                cell(s.global_miss_rate(), 5),
+                s.writebacks[0].to_string(),
             ]);
             table
         }

@@ -151,7 +151,19 @@ fn trace_sim_replays_a_file() {
     let dir = std::env::temp_dir().join("nmcache-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace = dir.join("t.trace");
-    std::fs::write(&trace, "# demo\nR 0x40\nW 0x80\nR 0x40\n").expect("trace written");
+    // A hot 4 KB set interleaved with a 32 KB sweep, one store in five:
+    // the sweep overflows the 8 KB L1, which evicts dirty lines into L2.
+    let mut text = String::from("# demo\n");
+    for i in 0..2048u64 {
+        let addr = if i % 2 == 0 {
+            (i / 2 % 64) * 64
+        } else {
+            0x10000 + (i * 37 % 512) * 64
+        };
+        let kind = if i % 5 == 0 { 'W' } else { 'R' };
+        text += &format!("{kind} {addr:#x}\n");
+    }
+    std::fs::write(&trace, text).expect("trace written");
     let out = nmcache()
         .args(["trace-sim", "--l1", "8", "--l2", "256", "--trace"])
         .arg(&trace)
@@ -163,8 +175,20 @@ fn trace_sim_replays_a_file() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("3 references"));
+    assert!(text.contains("2048 references"));
     assert!(text.contains("Trace replay"));
+    // references, m1, m2, global, L1 writebacks.
+    let row: Vec<&str> = text
+        .lines()
+        .rfind(|line| !line.trim().is_empty())
+        .expect("a table row")
+        .split_whitespace()
+        .collect();
+    assert_eq!(
+        row,
+        ["2048", "0.7656", "0.1760", "0.13477", "293"],
+        "{text}"
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Facade-level contracts: re-exports resolve, and the types users hold
 //! across threads are `Send`/`Sync` (C-SEND-SYNC).
 
-use nmcache::archsim::{CacheSim, MissRateTable, TwoLevel};
+use nmcache::archsim::{CacheSim, MissRateTable, MultiLevel};
 use nmcache::core::single::SingleCacheStudy;
 use nmcache::core::twolevel::TwoLevelStudy;
 use nmcache::core::Table;
@@ -30,7 +30,7 @@ fn core_types_are_send_sync() {
 #[test]
 fn simulators_are_send() {
     assert_send::<CacheSim>();
-    assert_send::<TwoLevel>();
+    assert_send::<MultiLevel>();
     assert_send::<nmcache::archsim::DecaySim>();
 }
 
