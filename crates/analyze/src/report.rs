@@ -1,4 +1,4 @@
-//! Rendering an [`Analysis`](crate::Analysis) for humans and machines.
+//! Rendering an [`Analysis`] for humans and machines.
 //!
 //! The human form is one diagnostic per line in the familiar
 //! `path:line:col: RULE: message` shape, followed by the fix hint and

@@ -10,7 +10,7 @@
 //! * a [`HierarchySpec`] *describes* the problem — cache levels, their
 //!   [`Scheme`](crate::groups::Scheme) grouping, delay weights and
 //!   [`CostKind`](crate::groups::CostKind) pricing;
-//! * any [`Constraint`](nm_opt::objective::Constraint) describes what
+//! * any [`Constraint`] describes what
 //!   "optimal" means (a [`Deadline`](nm_opt::objective::Deadline) for the
 //!   iso-delay/iso-AMAT studies);
 //! * the [`Evaluator`] runs the pipeline, **memoizing** component metric
@@ -20,8 +20,7 @@
 //!
 //! Results are bit-identical to the direct pipeline: the circuit model is
 //! pure, so cached metrics equal freshly computed ones, and the engine
-//! routes pricing through the same
-//! [`candidate_from_metrics`](crate::groups::candidate_from_metrics) path
+//! routes pricing through the same `groups::candidate_from_metrics` path
 //! with the same summation order as [`crate::groups::cache_groups`].
 
 mod cache;

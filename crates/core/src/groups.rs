@@ -3,7 +3,6 @@
 
 use nm_device::{KnobGrid, KnobPoint};
 use nm_geometry::{CacheCircuit, ComponentId, ComponentMetrics, COMPONENT_IDS};
-use nm_opt::objective::{self, MetricSample, Objective};
 use nm_opt::{Candidate, Group};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -102,8 +101,9 @@ pub enum CostKind {
     },
 }
 
-impl Objective for CostKind {
-    fn cost(&self, sample: &MetricSample) -> f64 {
+impl CostKind {
+    /// The cost of one group sample (additive across groups).
+    pub(crate) fn cost(&self, sample: &MetricSample) -> f64 {
         match *self {
             CostKind::LeakagePower => sample.leakage,
             CostKind::Energy {
@@ -119,8 +119,22 @@ impl Objective for CostKind {
     }
 }
 
+/// Raw metric sums of one component group under one knob pair, before a
+/// [`CostKind`] prices them. All fields are plain SI values.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct MetricSample {
+    /// Summed delay contribution, seconds (unweighted).
+    pub(crate) delay: f64,
+    /// Summed standby leakage power, watts.
+    pub(crate) leakage: f64,
+    /// Summed dynamic energy per read access, joules.
+    pub(crate) read_energy: f64,
+    /// Summed dynamic energy per write access, joules.
+    pub(crate) write_energy: f64,
+}
+
 /// Sums per-component metrics (in the given iteration order) into the raw
-/// [`MetricSample`] an [`Objective`] prices.
+/// [`MetricSample`] a [`CostKind`] prices.
 pub(crate) fn sample_over<'a>(metrics: impl Iterator<Item = &'a ComponentMetrics>) -> MetricSample {
     let mut sample = MetricSample::default();
     for m in metrics {
@@ -141,7 +155,8 @@ pub(crate) fn candidate_from_metrics<'a>(
     delay_weight: f64,
     cost: CostKind,
 ) -> Candidate {
-    objective::price(p, &sample_over(metrics), delay_weight, &cost)
+    let sample = sample_over(metrics);
+    Candidate::new(p, delay_weight * sample.delay, cost.cost(&sample))
 }
 
 /// Evaluates a *tied* set of components (sharing one knob pair) over the

@@ -21,13 +21,17 @@
 //!
 //! * [`units`] — strongly-typed physical quantities ([`Volts`],
 //!   [`Angstroms`], [`Watts`], [`Seconds`], …).
-//! * [`tech`] — the [`TechnologyNode`] parameter set (BPTM-65-like).
+//! * [`tech`] — the [`TechnologyNode`] parameter set (BPTM-65-like),
+//!   including the paper's rule that drawn channel length (and memory cell
+//!   width) must scale with `Tox` to preserve electrostatic integrity
+//!   ([`TechnologyNode::drawn_length`], [`TechnologyNode::cell_scale`]).
 //! * [`knobs`] — the (`Vth`, `Tox`) design knobs: [`KnobPoint`] and the
 //!   discrete [`KnobGrid`] the optimisers search over.
-//! * [`scaling`] — the paper's rule that drawn channel length (and memory
-//!   cell width) must scale with `Tox` to preserve electrostatic integrity.
 //! * [`leakage`] — per-transistor subthreshold / gate / junction leakage.
 //! * [`drive`] — alpha-power on-current, effective resistance, capacitances.
+//! * [`prims`] — [`HoistedPrims`], the leakage and drive primitives with
+//!   their knob-only factors computed once per point: the one provider
+//!   the `nm-geometry` circuit models use.
 //! * [`transistor`] — a sized [`Mosfet`] combining the above.
 //! * [`technology`] — the per-level technology axis: the [`TechProfile`]
 //!   handle hierarchy specs carry (SRAM baseline, eDRAM, STT-MRAM).
@@ -62,7 +66,6 @@ pub mod knobs;
 pub mod leakage;
 pub mod names;
 pub mod prims;
-pub mod scaling;
 pub mod snm;
 pub mod tech;
 pub mod technology;
@@ -75,7 +78,7 @@ mod error;
 pub use error::DeviceError;
 pub use knobs::{KnobGrid, KnobPoint};
 pub use leakage::LeakageBreakdown;
-pub use prims::{HoistedPrims, PointPrims, PrimsTable, ScalarPrims};
+pub use prims::{HoistedPrims, PrimsTable};
 pub use tech::TechnologyNode;
 pub use technology::TechProfile;
 pub use transistor::{Mosfet, MosfetKind};

@@ -1,4 +1,4 @@
-//! Per-point primitive providers for grid-bulk evaluation.
+//! Hoisted device primitives: the one provider every circuit model uses.
 //!
 //! The circuit models in `nm-geometry` compose a handful of device
 //! primitives — subthreshold and gate-tunnelling currents, drive
@@ -6,135 +6,36 @@
 //! component analysis. Every one of those primitives factors into a part
 //! that depends only on the knob pair (the `exp`/`powf` terms of the
 //! paper's Eq.1/Eq.2 fitted forms) and a cheap multiplier chain over the
-//! device geometry. When a whole knob grid is evaluated at once, the
-//! expensive factors can be hoisted out and computed once per point.
+//! device geometry. [`HoistedPrims`] computes the knob-only factors once
+//! per point; each method then finishes with the **same left-to-right
+//! multiply chain** as its reference function in [`crate::leakage`] or
+//! [`crate::drive`], so its results are bit-identical to those functions
+//! evaluated at the drawn length `tech.drawn_length(tox)`.
 //!
-//! [`PointPrims`] abstracts that factoring:
+//! [`PrimsTable`] builds a `HoistedPrims` per grid point, deduplicating
+//! the per-axis work (`Tox`-only and `Vth`-only terms are computed once
+//! per distinct axis value, not once per point).
 //!
-//! * [`ScalarPrims`] delegates every call to the reference functions in
-//!   [`crate::leakage`] / [`crate::drive`] — the seed arithmetic,
-//!   unchanged;
-//! * [`HoistedPrims`] carries the precomputed per-point factors and
-//!   finishes each call with the **same left-to-right multiply chain**
-//!   the reference functions use, so its results are bit-identical;
-//! * [`PrimsTable`] builds a `HoistedPrims` per grid point, deduplicating
-//!   the per-axis work (`Tox`-only and `Vth`-only terms are computed once
-//!   per distinct axis value, not once per point).
-//!
-//! Bit-identity is load-bearing: the evaluation engine's golden tables
-//! pin results to the last decimal, so the hoisted path must reproduce
-//! the exact floating-point operation order of the scalar path. Each
-//! `HoistedPrims` method documents the chain it replicates.
+//! Bit-identity with the reference functions is load-bearing: the golden
+//! tables pin results to the last decimal, and this module's tests check
+//! every method against its reference function over random off-grid
+//! points, widths and operating temperatures. Each method documents the
+//! chain it replicates.
 
-use crate::drive;
 use crate::knobs::KnobPoint;
-use crate::leakage::{self, ConductionState};
+use crate::leakage::ConductionState;
 use crate::tech::TechnologyNode;
 use crate::transistor::MosfetKind;
 use crate::units::{Amperes, Farads, Meters, Microns, Ohms};
-
-/// Device primitives evaluated at one knob point.
-///
-/// All lengths are the drawn length mandated by the point's `Tox` (the
-/// only length the cache geometry models use).
-pub trait PointPrims {
-    /// The knob point these primitives are evaluated at.
-    fn point(&self) -> KnobPoint;
-
-    /// Drawn channel length mandated by this point's `Tox`.
-    fn drawn_length(&self, tech: &TechnologyNode) -> Meters;
-
-    /// Linear cell-scale factor of this point's `Tox`.
-    fn cell_scale(&self, tech: &TechnologyNode) -> f64;
-
-    /// Subthreshold current of an off device of the given width (drawn
-    /// length), as [`leakage::subthreshold_current`].
-    fn subthreshold_current(&self, tech: &TechnologyNode, width: Microns) -> Amperes;
-
-    /// Gate-tunnelling current of a device of the given width, as
-    /// [`leakage::gate_current`].
-    fn gate_current(
-        &self,
-        tech: &TechnologyNode,
-        width: Microns,
-        state: ConductionState,
-    ) -> Amperes;
-
-    /// Saturation drive current, as [`drive::on_current`].
-    fn on_current(&self, tech: &TechnologyNode, width: Microns, kind: MosfetKind) -> Amperes;
-
-    /// Effective switching resistance, as [`drive::effective_resistance`].
-    fn effective_resistance(&self, tech: &TechnologyNode, width: Microns, kind: MosfetKind)
-        -> Ohms;
-
-    /// Total gate capacitance, as [`drive::gate_capacitance`].
-    fn gate_capacitance(&self, tech: &TechnologyNode, width: Microns) -> Farads;
-}
-
-/// The reference provider: every call goes straight to the scalar device
-/// functions with `length = tech.drawn_length(tox)`. Zero precomputation,
-/// bit-identical to calling [`crate::leakage`] / [`crate::drive`] by hand.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalarPrims(KnobPoint);
-
-impl ScalarPrims {
-    /// Wraps a knob point.
-    pub fn new(knobs: KnobPoint) -> Self {
-        ScalarPrims(knobs)
-    }
-}
-
-impl PointPrims for ScalarPrims {
-    fn point(&self) -> KnobPoint {
-        self.0
-    }
-
-    fn drawn_length(&self, tech: &TechnologyNode) -> Meters {
-        tech.drawn_length(self.0.tox())
-    }
-
-    fn cell_scale(&self, tech: &TechnologyNode) -> f64 {
-        tech.cell_scale(self.0.tox())
-    }
-
-    fn subthreshold_current(&self, tech: &TechnologyNode, width: Microns) -> Amperes {
-        leakage::subthreshold_current(tech, self.0, width, self.drawn_length(tech))
-    }
-
-    fn gate_current(
-        &self,
-        tech: &TechnologyNode,
-        width: Microns,
-        state: ConductionState,
-    ) -> Amperes {
-        leakage::gate_current(tech, self.0, width, self.drawn_length(tech), state)
-    }
-
-    fn on_current(&self, tech: &TechnologyNode, width: Microns, kind: MosfetKind) -> Amperes {
-        drive::on_current(tech, self.0, width, self.drawn_length(tech), kind)
-    }
-
-    fn effective_resistance(
-        &self,
-        tech: &TechnologyNode,
-        width: Microns,
-        kind: MosfetKind,
-    ) -> Ohms {
-        drive::effective_resistance(tech, self.0, width, self.drawn_length(tech), kind)
-    }
-
-    fn gate_capacitance(&self, tech: &TechnologyNode, width: Microns) -> Farads {
-        drive::gate_capacitance(tech, self.0, width, self.drawn_length(tech))
-    }
-}
 
 /// Precomputed per-point factors of every device primitive.
 ///
 /// Construction pays one `exp` (the joint subthreshold exponent), one
 /// `powf` (the alpha-power overdrive) and one more `exp` (the
-/// gate-tunnelling density) per point; every [`PointPrims`] call is then
-/// a short multiply chain, width- and component-independent work having
-/// been hoisted.
+/// gate-tunnelling density) per point; every method is then a short
+/// multiply chain, width- and component-independent work having been
+/// hoisted. All lengths are the drawn length mandated by the point's
+/// `Tox` (the only length the cache geometry models use).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoistedPrims {
     knobs: KnobPoint,
@@ -246,36 +147,40 @@ impl HoistedPrims {
             cfringe: tech.cfringe_per_width(),
         }
     }
-}
 
-impl PointPrims for HoistedPrims {
-    fn point(&self) -> KnobPoint {
+    /// The knob point these primitives are evaluated at.
+    #[inline]
+    pub fn point(&self) -> KnobPoint {
         self.knobs
     }
 
-    fn drawn_length(&self, _tech: &TechnologyNode) -> Meters {
+    /// Drawn channel length mandated by this point's `Tox`.
+    #[inline]
+    pub fn drawn_length(&self) -> Meters {
         self.length
     }
 
-    fn cell_scale(&self, _tech: &TechnologyNode) -> f64 {
+    /// Linear cell-scale factor of this point's `Tox`.
+    #[inline]
+    pub fn cell_scale(&self) -> f64 {
         self.scale
     }
 
-    // `μ·Cox · (W/L) · vT · vT · e^(…) · (1 − e^(−Vdd/vT))` — the exact
-    // left-to-right chain of `leakage::subthreshold_current` with the
-    // first pair and both exponentials precomputed.
-    fn subthreshold_current(&self, _tech: &TechnologyNode, width: Microns) -> Amperes {
+    /// Subthreshold current of an off device of the given width, as
+    /// [`crate::leakage::subthreshold_current`]:
+    /// `μ·Cox · (W/L) · vT · vT · e^(…) · (1 − e^(−Vdd/vT))`, the same
+    /// left-to-right chain with the first pair and both exponentials
+    /// precomputed.
+    #[inline]
+    pub fn subthreshold_current(&self, width: Microns) -> Amperes {
         let w_over_l = width.meters().0 / self.length.0;
         Amperes(self.sub_k * w_over_l * self.vt * self.vt * self.sub_exp * self.drain_term)
     }
 
-    // `density · W·L · state_factor`, as `leakage::gate_current`.
-    fn gate_current(
-        &self,
-        _tech: &TechnologyNode,
-        width: Microns,
-        state: ConductionState,
-    ) -> Amperes {
+    /// Gate-tunnelling current of a device of the given width, as
+    /// [`crate::leakage::gate_current`]: `density · W·L · state_factor`.
+    #[inline]
+    pub fn gate_current(&self, width: Microns, state: ConductionState) -> Amperes {
         let area = width.meters().0 * self.length.0;
         let state_factor = match state {
             ConductionState::On => 1.0,
@@ -284,9 +189,10 @@ impl PointPrims for HoistedPrims {
         Amperes(self.gate_density * area * state_factor)
     }
 
-    // `k · kind_factor · (W/L) · Cox · (Vdd − Vth)^α`, as
-    // `drive::on_current`.
-    fn on_current(&self, _tech: &TechnologyNode, width: Microns, kind: MosfetKind) -> Amperes {
+    /// Saturation drive current, as [`crate::drive::on_current`]:
+    /// `k · kind_factor · (W/L) · Cox · (Vdd − Vth)^α`.
+    #[inline]
+    pub fn on_current(&self, width: Microns, kind: MosfetKind) -> Amperes {
         let w_over_l = width.meters().0 / self.length.0;
         let kind_factor = match kind {
             MosfetKind::Nmos => 1.0,
@@ -295,21 +201,20 @@ impl PointPrims for HoistedPrims {
         Amperes(self.k_drive * kind_factor * w_over_l * self.cox * self.drive_pow)
     }
 
-    // `(0.7·Vdd)/Ion · 1/(1 − λ·Vth/Vdd)`, as
-    // `drive::effective_resistance`.
-    fn effective_resistance(
-        &self,
-        tech: &TechnologyNode,
-        width: Microns,
-        kind: MosfetKind,
-    ) -> Ohms {
-        let ion = self.on_current(tech, width, kind);
+    /// Effective switching resistance, as
+    /// [`crate::drive::effective_resistance`]:
+    /// `(0.7·Vdd)/Ion · 1/(1 − λ·Vth/Vdd)`.
+    #[inline]
+    pub fn effective_resistance(&self, width: Microns, kind: MosfetKind) -> Ohms {
+        let ion = self.on_current(width, kind);
         let base = self.r_num / ion.0;
         Ohms(base * self.near_vth)
     }
 
-    // `Cox·W·L + cfringe·W`, as `drive::gate_capacitance`.
-    fn gate_capacitance(&self, _tech: &TechnologyNode, width: Microns) -> Farads {
+    /// Total gate capacitance, as [`crate::drive::gate_capacitance`]:
+    /// `Cox·W·L + cfringe·W`.
+    #[inline]
+    pub fn gate_capacitance(&self, width: Microns) -> Farads {
         let w = width.meters().0;
         let plate = self.cox * w * self.length.0;
         let fringe = self.cfringe * w;
@@ -378,8 +283,9 @@ impl PrimsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knobs::KnobGrid;
-    use crate::units::{Angstroms, Volts};
+    use crate::units::{Angstroms, Kelvin, Volts};
+    use crate::{drive, leakage};
+    use proptest::prelude::*;
 
     fn tech() -> TechnologyNode {
         TechnologyNode::bptm65()
@@ -389,76 +295,57 @@ mod tests {
         KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap()
     }
 
-    /// Every primitive of the hoisted provider must agree bit-for-bit
-    /// with the scalar reference over the full paper grid.
-    #[test]
-    fn hoisted_matches_scalar_bit_for_bit() {
-        let t = tech();
-        let points: Vec<KnobPoint> = KnobGrid::paper().points().collect();
-        let table = PrimsTable::new(&t, &points);
-        assert_eq!(table.len(), points.len());
-        for (p, h) in points.iter().zip(table.items()) {
-            let s = ScalarPrims::new(*p);
-            assert_eq!(h.point(), s.point());
-            assert_eq!(
-                h.drawn_length(&t).0.to_bits(),
-                s.drawn_length(&t).0.to_bits()
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every primitive agrees bit-for-bit with its reference function
+        /// in `leakage`/`drive` at the drawn length `tech.drawn_length`,
+        /// for random off-grid points, widths and operating temperatures.
+        #[test]
+        fn hoisted_matches_reference_bit_for_bit(
+            vth in 0.2f64..=0.5,
+            tox in 10.0f64..=14.0,
+            width in 0.05f64..=20.0,
+            celsius in 0.0f64..=125.0,
+        ) {
+            let t = tech().at_temperature(Kelvin::from_celsius(celsius));
+            let p = k(vth, tox);
+            let w = Microns(width);
+            let h = HoistedPrims::new(&t, p);
+            let l = t.drawn_length(p.tox());
+            prop_assert_eq!(h.point(), p);
+            prop_assert_eq!(h.drawn_length().0.to_bits(), l.0.to_bits());
+            prop_assert_eq!(h.cell_scale().to_bits(), t.cell_scale(p.tox()).to_bits());
+            prop_assert_eq!(
+                h.subthreshold_current(w).0.to_bits(),
+                leakage::subthreshold_current(&t, p, w, l).0.to_bits(),
+                "sub at {} {:?} {} °C", p, w, celsius
             );
-            assert_eq!(h.cell_scale(&t).to_bits(), s.cell_scale(&t).to_bits());
-            for width in [Microns(0.15), Microns(0.5), Microns(4.0)] {
-                assert_eq!(
-                    h.subthreshold_current(&t, width).0.to_bits(),
-                    s.subthreshold_current(&t, width).0.to_bits(),
-                    "sub at {p}"
-                );
-                for state in [ConductionState::On, ConductionState::Off] {
-                    assert_eq!(
-                        h.gate_current(&t, width, state).0.to_bits(),
-                        s.gate_current(&t, width, state).0.to_bits(),
-                        "gate at {p}"
-                    );
-                }
-                for kind in [MosfetKind::Nmos, MosfetKind::Pmos] {
-                    assert_eq!(
-                        h.on_current(&t, width, kind).0.to_bits(),
-                        s.on_current(&t, width, kind).0.to_bits(),
-                        "ion at {p}"
-                    );
-                    assert_eq!(
-                        h.effective_resistance(&t, width, kind).0.to_bits(),
-                        s.effective_resistance(&t, width, kind).0.to_bits(),
-                        "reff at {p}"
-                    );
-                }
-                assert_eq!(
-                    h.gate_capacitance(&t, width).0.to_bits(),
-                    s.gate_capacitance(&t, width).0.to_bits(),
-                    "cg at {p}"
+            for state in [ConductionState::On, ConductionState::Off] {
+                prop_assert_eq!(
+                    h.gate_current(w, state).0.to_bits(),
+                    leakage::gate_current(&t, p, w, l, state).0.to_bits(),
+                    "gate {:?} at {} {:?} {} °C", state, p, w, celsius
                 );
             }
+            for kind in [MosfetKind::Nmos, MosfetKind::Pmos] {
+                prop_assert_eq!(
+                    h.on_current(w, kind).0.to_bits(),
+                    drive::on_current(&t, p, w, l, kind).0.to_bits(),
+                    "ion {:?} at {} {:?} {} °C", kind, p, w, celsius
+                );
+                prop_assert_eq!(
+                    h.effective_resistance(w, kind).0.to_bits(),
+                    drive::effective_resistance(&t, p, w, l, kind).0.to_bits(),
+                    "reff {:?} at {} {:?} {} °C", kind, p, w, celsius
+                );
+            }
+            prop_assert_eq!(
+                h.gate_capacitance(w).0.to_bits(),
+                drive::gate_capacitance(&t, p, w, l).0.to_bits(),
+                "cg at {} {:?} {} °C", p, w, celsius
+            );
         }
-    }
-
-    /// The hoisted factors must also be identical under modified nodes
-    /// (the temperature and sensitivity studies re-derive the node).
-    #[test]
-    fn hoisted_tracks_modified_nodes() {
-        let hot = tech().at_temperature(crate::units::Kelvin::from_celsius(110.0));
-        let p = k(0.35, 11.5);
-        let h = HoistedPrims::new(&hot, p);
-        let s = ScalarPrims::new(p);
-        assert_eq!(
-            h.subthreshold_current(&hot, Microns(1.0)).0.to_bits(),
-            s.subthreshold_current(&hot, Microns(1.0)).0.to_bits()
-        );
-        assert_eq!(
-            h.effective_resistance(&hot, Microns(1.0), MosfetKind::Pmos)
-                .0
-                .to_bits(),
-            s.effective_resistance(&hot, Microns(1.0), MosfetKind::Pmos)
-                .0
-                .to_bits()
-        );
     }
 
     /// Axis dedup must not change results relative to direct
@@ -469,6 +356,7 @@ mod tests {
         let points = [k(0.2, 10.0), k(0.2, 14.0), k(0.5, 10.0), k(0.2, 10.0)];
         let table = PrimsTable::new(&t, &points);
         assert!(!table.is_empty());
+        assert_eq!(table.len(), points.len());
         for (p, h) in points.iter().zip(table.items()) {
             assert_eq!(*h, HoistedPrims::new(&t, *p));
         }

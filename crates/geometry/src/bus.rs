@@ -8,10 +8,10 @@
 
 use crate::cache::ComponentMetrics;
 use crate::config::Organization;
-use crate::logic::{repeated_wire_with, Gate, Wire};
+use crate::logic::{repeated_wire, Gate, Wire};
 use crate::sram::SramCell;
 use nm_device::units::{Joules, Meters, Microns, SquareMicrons};
-use nm_device::{KnobPoint, PointPrims, ScalarPrims, TechnologyNode};
+use nm_device::{HoistedPrims, KnobPoint, TechnologyNode};
 
 /// NMOS width of bus repeater drivers.
 const REPEATER_WN: Microns = Microns(4.0);
@@ -35,34 +35,34 @@ const AREA_PER_TRANSISTOR: f64 = 0.6;
 
 /// Floorplan-derived bus length for this organisation (nominal corner).
 pub fn bus_length(tech: &TechnologyNode, org: &Organization, cell: &SramCell) -> Meters {
-    let nominal = KnobPoint::nominal();
-    let macro_area_um2 = cell.area(tech, nominal).0 * org.total_cells() as f64;
+    // Only the nominal cell scale is needed: building a `HoistedPrims`
+    // here would pay its exponentials on every bus analysis.
+    let nominal_scale = tech.cell_scale(KnobPoint::nominal().tox());
+    let macro_area_um2 = cell.area(nominal_scale).0 * org.total_cells() as f64;
     let side_um = macro_area_um2.sqrt();
     let htree_levels = (org.subarrays.max(1) as f64).log2();
     Meters(side_um * 1e-6 * (ROUTING_FACTOR + HTREE_PER_LEVEL * htree_levels))
 }
 
-fn analyze_bus<P: PointPrims>(
+fn analyze_bus(
     tech: &TechnologyNode,
     org: &Organization,
     cell: &SramCell,
-    prims: &P,
+    prims: &HoistedPrims,
     bits: u64,
     length_factor: f64,
 ) -> ComponentMetrics {
     let length = Meters(bus_length(tech, org, cell).0 * length_factor);
-    let (delay, stages) = repeated_wire_with(tech, prims, REPEATER_WN, length);
+    let (delay, stages) = repeated_wire(tech, prims, REPEATER_WN, length);
 
     let driver = Gate::inverter(REPEATER_WN, prims.point());
     let drivers = stages * bits;
-    let leakage = driver.leakage_with(tech, prims) * drivers as f64;
+    let leakage = driver.leakage(tech, prims) * drivers as f64;
 
     let wire = Wire::new(tech, length);
     let vdd = tech.vdd().0;
-    let e_per_bit = 0.5
-        * (wire.capacitance.0 + stages as f64 * driver.input_capacitance_with(tech, prims).0)
-        * vdd
-        * vdd;
+    let e_per_bit =
+        0.5 * (wire.capacitance.0 + stages as f64 * driver.input_capacitance(prims).0) * vdd * vdd;
     let read_energy = Joules(e_per_bit * bits as f64 * ACTIVITY);
 
     let transistors = drivers * 2;
@@ -79,22 +79,13 @@ fn analyze_bus<P: PointPrims>(
     }
 }
 
-/// Analyses the address-bus driver component (one wire per address bit).
+/// Analyses the address-bus driver component (one wire per address bit)
+/// under `prims`' knob pair.
 pub fn analyze_address(
     tech: &TechnologyNode,
     org: &Organization,
     cell: &SramCell,
-    knobs: KnobPoint,
-) -> ComponentMetrics {
-    analyze_address_with(tech, org, cell, &ScalarPrims::new(knobs))
-}
-
-/// [`analyze_address`] through a primitive provider.
-pub fn analyze_address_with<P: PointPrims>(
-    tech: &TechnologyNode,
-    org: &Organization,
-    cell: &SramCell,
-    prims: &P,
+    prims: &HoistedPrims,
 ) -> ComponentMetrics {
     analyze_bus(
         tech,
@@ -107,22 +98,12 @@ pub fn analyze_address_with<P: PointPrims>(
 }
 
 /// Analyses the data-bus driver component (one wire per delivered data
-/// bit, over the longer datapath route).
+/// bit, over the longer datapath route) under `prims`' knob pair.
 pub fn analyze_data(
     tech: &TechnologyNode,
     org: &Organization,
     cell: &SramCell,
-    knobs: KnobPoint,
-) -> ComponentMetrics {
-    analyze_data_with(tech, org, cell, &ScalarPrims::new(knobs))
-}
-
-/// [`analyze_data`] through a primitive provider.
-pub fn analyze_data_with<P: PointPrims>(
-    tech: &TechnologyNode,
-    org: &Organization,
-    cell: &SramCell,
-    prims: &P,
+    prims: &HoistedPrims,
 ) -> ComponentMetrics {
     analyze_bus(
         tech,
@@ -144,8 +125,13 @@ mod tests {
         CacheConfig::new(size, 64, 4).unwrap().organization()
     }
 
-    fn k(vth: f64, tox: f64) -> KnobPoint {
-        KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap()
+    fn k(vth: f64, tox: f64) -> HoistedPrims {
+        let knobs = KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap();
+        HoistedPrims::new(&TechnologyNode::bptm65(), knobs)
+    }
+
+    fn nominal() -> HoistedPrims {
+        HoistedPrims::new(&TechnologyNode::bptm65(), KnobPoint::nominal())
     }
 
     #[test]
@@ -164,8 +150,8 @@ mod tests {
         let tech = TechnologyNode::bptm65();
         let cell = SramCell::default_65nm();
         let o = org(1024 * 1024);
-        let a = analyze_address(&tech, &o, &cell, KnobPoint::nominal());
-        let d = analyze_data(&tech, &o, &cell, KnobPoint::nominal());
+        let a = analyze_address(&tech, &o, &cell, &nominal());
+        let d = analyze_data(&tech, &o, &cell, &nominal());
         assert!(d.delay.0 > a.delay.0);
     }
 
@@ -174,8 +160,8 @@ mod tests {
         let tech = TechnologyNode::bptm65();
         let cell = SramCell::default_65nm();
         let o = org(1024 * 1024);
-        let fast = analyze_address(&tech, &o, &cell, k(0.2, 10.0));
-        let slow = analyze_address(&tech, &o, &cell, k(0.5, 14.0));
+        let fast = analyze_address(&tech, &o, &cell, &k(0.2, 10.0));
+        let slow = analyze_address(&tech, &o, &cell, &k(0.5, 14.0));
         assert!(slow.delay.0 > fast.delay.0);
         assert!(fast.leakage.total().0 > slow.leakage.total().0);
     }
@@ -187,8 +173,8 @@ mod tests {
         let tech = TechnologyNode::bptm65();
         let cell = SramCell::default_65nm();
         let o = org(64 * 1024);
-        let a = analyze_address(&tech, &o, &cell, KnobPoint::nominal());
-        let b = analyze_address(&tech, &o, &cell, KnobPoint::nominal());
+        let a = analyze_address(&tech, &o, &cell, &nominal());
+        let b = analyze_address(&tech, &o, &cell, &nominal());
         assert_eq!(a, b);
     }
 
@@ -196,7 +182,7 @@ mod tests {
     fn l2_size_bus_delay_is_hundreds_of_ps() {
         let tech = TechnologyNode::bptm65();
         let cell = SramCell::default_65nm();
-        let m = analyze_data(&tech, &org(2 * 1024 * 1024), &cell, KnobPoint::nominal());
+        let m = analyze_data(&tech, &org(2 * 1024 * 1024), &cell, &nominal());
         assert!(
             (50.0..3000.0).contains(&m.delay.picos()),
             "delay = {} ps",
@@ -209,8 +195,8 @@ mod tests {
         let tech = TechnologyNode::bptm65();
         let cell = SramCell::default_65nm();
         let o = org(64 * 1024);
-        let a = analyze_address(&tech, &o, &cell, KnobPoint::nominal());
-        let d = analyze_data(&tech, &o, &cell, KnobPoint::nominal());
+        let a = analyze_address(&tech, &o, &cell, &nominal());
+        let d = analyze_data(&tech, &o, &cell, &nominal());
         // Data bus carries more bits over a longer route → more energy.
         assert!(d.read_energy.0 > a.read_energy.0);
     }

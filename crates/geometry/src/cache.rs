@@ -21,7 +21,7 @@ use crate::decoder;
 use crate::sram::SramCell;
 use nm_device::leakage::LeakageBreakdown;
 use nm_device::units::{Joules, Seconds, SquareMicrons, Watts};
-use nm_device::{KnobPoint, PointPrims, PrimsTable, TechProfile, TechnologyNode};
+use nm_device::{HoistedPrims, KnobPoint, PrimsTable, TechProfile, TechnologyNode};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -264,34 +264,18 @@ impl CacheCircuit {
     /// depend only on `(id, knobs)` — the independence the optimisers
     /// rely on.
     pub fn analyze_component(&self, id: ComponentId, knobs: KnobPoint) -> ComponentMetrics {
-        let org = self.org;
-        let m = match id {
-            ComponentId::MemoryArray => array::analyze(&self.tech, &org, &self.cell, knobs),
-            ComponentId::Decoder => decoder::analyze(&self.tech, &org, &self.cell, knobs),
-            ComponentId::AddressBus => bus::analyze_address(&self.tech, &org, &self.cell, knobs),
-            ComponentId::DataBus => bus::analyze_data(&self.tech, &org, &self.cell, knobs),
-        };
-        self.apply_profile(id, m)
+        self.analyze_at(id, &HoistedPrims::new(&self.tech, knobs))
     }
 
-    /// [`analyze_component`](Self::analyze_component) through a primitive
-    /// provider — the bulk path used by [`component_surface_with`]
-    /// (hoisted per-point device primitives shared across components).
-    ///
-    /// [`component_surface_with`]: Self::component_surface_with
-    pub fn analyze_component_with<P: PointPrims>(
-        &self,
-        id: ComponentId,
-        prims: &P,
-    ) -> ComponentMetrics {
-        let org = self.org;
+    /// The one component-analysis path: pointwise calls and bulk surfaces
+    /// both evaluate the circuit models through hoisted device primitives.
+    fn analyze_at(&self, id: ComponentId, prims: &HoistedPrims) -> ComponentMetrics {
+        let (tech, org, cell) = (&self.tech, &self.org, &self.cell);
         let m = match id {
-            ComponentId::MemoryArray => array::analyze_with(&self.tech, &org, &self.cell, prims),
-            ComponentId::Decoder => decoder::analyze_with(&self.tech, &org, &self.cell, prims),
-            ComponentId::AddressBus => {
-                bus::analyze_address_with(&self.tech, &org, &self.cell, prims)
-            }
-            ComponentId::DataBus => bus::analyze_data_with(&self.tech, &org, &self.cell, prims),
+            ComponentId::MemoryArray => array::analyze(tech, org, cell, prims),
+            ComponentId::Decoder => decoder::analyze(tech, org, prims),
+            ComponentId::AddressBus => bus::analyze_address(tech, org, cell, prims),
+            ComponentId::DataBus => bus::analyze_data(tech, org, cell, prims),
         };
         self.apply_profile(id, m)
     }
@@ -342,7 +326,7 @@ impl CacheCircuit {
             prims
                 .items()
                 .iter()
-                .map(|h| self.analyze_component_with(id, h))
+                .map(|h| self.analyze_at(id, h))
                 .collect(),
         )
     }

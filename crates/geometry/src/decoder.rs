@@ -4,9 +4,8 @@
 use crate::cache::ComponentMetrics;
 use crate::config::Organization;
 use crate::logic::Gate;
-use crate::sram::SramCell;
 use nm_device::units::{Farads, Joules, Microns, Seconds, SquareMicrons};
-use nm_device::{KnobPoint, PointPrims, ScalarPrims, TechnologyNode};
+use nm_device::{HoistedPrims, TechnologyNode};
 
 /// Per-stage electrical effort the decode tree is buffered to.
 const STAGE_EFFORT: f64 = 4.0;
@@ -32,22 +31,11 @@ fn stage_count(total_effort: f64) -> u32 {
     n.max(2)
 }
 
-/// Analyses the decoder under its knob pair.
+/// Analyses the decoder under `prims`' knob pair.
 pub fn analyze(
     tech: &TechnologyNode,
     org: &Organization,
-    cell: &SramCell,
-    knobs: KnobPoint,
-) -> ComponentMetrics {
-    analyze_with(tech, org, cell, &ScalarPrims::new(knobs))
-}
-
-/// [`analyze`] through a primitive provider (the grid-bulk path).
-pub fn analyze_with<P: PointPrims>(
-    tech: &TechnologyNode,
-    org: &Organization,
-    _cell: &SramCell,
-    prims: &P,
+    prims: &HoistedPrims,
 ) -> ComponentMetrics {
     let knobs = prims.point();
     let wordlines = org.rows * org.subarrays;
@@ -59,9 +47,9 @@ pub fn analyze_with<P: PointPrims>(
     // gates of the selected mat group; branching ≈ wordlines.
     let total_effort = wordlines as f64;
     let stages = stage_count(total_effort);
-    let fo_load = Farads(tree_gate.input_capacitance_with(tech, prims).0 * STAGE_EFFORT);
-    let t_tree = Seconds(tree_gate.delay_with(tech, prims, fo_load).0 * f64::from(stages));
-    let t_driver = driver.delay_with(tech, prims, Farads(BOUNDARY_WORDLINE_FF * 1e-15));
+    let fo_load = Farads(tree_gate.input_capacitance(prims).0 * STAGE_EFFORT);
+    let t_tree = Seconds(tree_gate.delay(tech, prims, fo_load).0 * f64::from(stages));
+    let t_driver = driver.delay(tech, prims, Farads(BOUNDARY_WORDLINE_FF * 1e-15));
     let delay = t_tree + t_driver;
 
     // --- Leakage -------------------------------------------------------------
@@ -69,17 +57,17 @@ pub fn analyze_with<P: PointPrims>(
     // an eighth the size of the row-gate rank.
     let row_gates = wordlines as f64;
     let predecode_gates = (row_gates / 8.0).max(4.0);
-    let leakage = tree_gate.leakage_with(tech, prims) * (row_gates + predecode_gates)
-        + driver.leakage_with(tech, prims) * row_gates;
+    let leakage = tree_gate.leakage(tech, prims) * (row_gates + predecode_gates)
+        + driver.leakage(tech, prims) * row_gates;
 
     // --- Dynamic energy ------------------------------------------------------
     // Per access: the address buffers and two predecode ranks switch, one
     // row gate and one driver fire per active subarray.
     let switched_tree = f64::from(org.decoder_bits) * 2.0 + predecode_gates * 0.25 + 2.0;
-    let e_tree = Joules(tree_gate.switching_energy_with(tech, prims, fo_load).0 * switched_tree);
+    let e_tree = Joules(tree_gate.switching_energy(tech, prims, fo_load).0 * switched_tree);
     let e_driver = Joules(
         driver
-            .switching_energy_with(tech, prims, Farads(BOUNDARY_WORDLINE_FF * 1e-15))
+            .switching_energy(tech, prims, Farads(BOUNDARY_WORDLINE_FF * 1e-15))
             .0
             * 2.0,
     );
@@ -105,13 +93,19 @@ mod tests {
     use super::*;
     use crate::config::CacheConfig;
     use nm_device::units::{Angstroms, Volts};
+    use nm_device::KnobPoint;
 
     fn org(size: u64) -> Organization {
         CacheConfig::new(size, 64, 4).unwrap().organization()
     }
 
-    fn k(vth: f64, tox: f64) -> KnobPoint {
-        KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap()
+    fn k(vth: f64, tox: f64) -> HoistedPrims {
+        let knobs = KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap();
+        HoistedPrims::new(&TechnologyNode::bptm65(), knobs)
+    }
+
+    fn nominal() -> HoistedPrims {
+        HoistedPrims::new(&TechnologyNode::bptm65(), KnobPoint::nominal())
     }
 
     #[test]
@@ -124,9 +118,8 @@ mod tests {
     #[test]
     fn bigger_cache_has_slower_bigger_decoder() {
         let tech = TechnologyNode::bptm65();
-        let cell = SramCell::default_65nm();
-        let small = analyze(&tech, &org(16 * 1024), &cell, KnobPoint::nominal());
-        let big = analyze(&tech, &org(4 * 1024 * 1024), &cell, KnobPoint::nominal());
+        let small = analyze(&tech, &org(16 * 1024), &nominal());
+        let big = analyze(&tech, &org(4 * 1024 * 1024), &nominal());
         assert!(big.delay.0 > small.delay.0);
         assert!(big.leakage.total().0 > small.leakage.total().0);
         assert!(big.transistors > small.transistors);
@@ -135,12 +128,7 @@ mod tests {
     #[test]
     fn decoder_delay_tens_to_hundreds_of_ps() {
         let tech = TechnologyNode::bptm65();
-        let m = analyze(
-            &tech,
-            &org(16 * 1024),
-            &SramCell::default_65nm(),
-            KnobPoint::nominal(),
-        );
+        let m = analyze(&tech, &org(16 * 1024), &nominal());
         assert!(
             (10.0..500.0).contains(&m.delay.picos()),
             "{} ps",
@@ -151,9 +139,8 @@ mod tests {
     #[test]
     fn low_vth_decoder_is_fast_and_leaky() {
         let tech = TechnologyNode::bptm65();
-        let cell = SramCell::default_65nm();
-        let fast = analyze(&tech, &org(64 * 1024), &cell, k(0.2, 10.0));
-        let slow = analyze(&tech, &org(64 * 1024), &cell, k(0.5, 14.0));
+        let fast = analyze(&tech, &org(64 * 1024), &k(0.2, 10.0));
+        let slow = analyze(&tech, &org(64 * 1024), &k(0.5, 14.0));
         assert!(fast.delay.0 < slow.delay.0);
         assert!(fast.leakage.total().0 > slow.leakage.total().0);
     }
@@ -161,12 +148,7 @@ mod tests {
     #[test]
     fn energy_positive_and_modest() {
         let tech = TechnologyNode::bptm65();
-        let m = analyze(
-            &tech,
-            &org(16 * 1024),
-            &SramCell::default_65nm(),
-            KnobPoint::nominal(),
-        );
+        let m = analyze(&tech, &org(16 * 1024), &nominal());
         assert!(m.read_energy.picos() > 0.0);
         assert!(m.read_energy.picos() < 20.0);
     }

@@ -4,7 +4,7 @@
 use nm_device::leakage::{self, ConductionState, LeakageBreakdown};
 use nm_device::transistor::MosfetKind;
 use nm_device::units::{Farads, Joules, Meters, Microns, Ohms, Seconds};
-use nm_device::{drive, KnobPoint, PointPrims, ScalarPrims, TechnologyNode};
+use nm_device::{drive, HoistedPrims, KnobPoint, TechnologyNode};
 use serde::{Deserialize, Serialize};
 
 /// Ratio of PMOS to NMOS width in a balanced static gate.
@@ -50,36 +50,19 @@ impl Gate {
         self.wn * PN_RATIO
     }
 
-    /// Drawn channel length mandated by this gate's `Tox`.
-    pub fn length(self, tech: &TechnologyNode) -> Meters {
-        tech.drawn_length(self.knobs.tox())
-    }
-
     /// Worst-case switching resistance (pull-down path including the
     /// stack factor).
-    pub fn resistance(self, tech: &TechnologyNode) -> Ohms {
-        self.resistance_with(tech, &ScalarPrims::new(self.knobs))
-    }
-
-    /// [`resistance`](Self::resistance) evaluated through a primitive
-    /// provider (the grid-bulk path).
-    pub fn resistance_with<P: PointPrims>(self, tech: &TechnologyNode, prims: &P) -> Ohms {
+    pub fn resistance(self, prims: &HoistedPrims) -> Ohms {
         debug_assert_eq!(self.knobs, prims.point(), "prims must match gate knobs");
-        let r = prims.effective_resistance(tech, self.wn, MosfetKind::Nmos);
+        let r = prims.effective_resistance(self.wn, MosfetKind::Nmos);
         Ohms(r.0 * self.stack)
     }
 
     /// Input capacitance presented to the previous stage (both gates).
-    pub fn input_capacitance(self, tech: &TechnologyNode) -> Farads {
-        self.input_capacitance_with(tech, &ScalarPrims::new(self.knobs))
-    }
-
-    /// [`input_capacitance`](Self::input_capacitance) through a primitive
-    /// provider.
-    pub fn input_capacitance_with<P: PointPrims>(self, tech: &TechnologyNode, prims: &P) -> Farads {
+    pub fn input_capacitance(self, prims: &HoistedPrims) -> Farads {
         debug_assert_eq!(self.knobs, prims.point(), "prims must match gate knobs");
-        let cn = prims.gate_capacitance(tech, self.wn);
-        let cp = prims.gate_capacitance(tech, self.wp());
+        let cn = prims.gate_capacitance(self.wn);
+        let cp = prims.gate_capacitance(self.wp());
         cn + cp
     }
 
@@ -89,36 +72,21 @@ impl Gate {
     }
 
     /// Propagation delay driving an external load.
-    pub fn delay(self, tech: &TechnologyNode, load: Farads) -> Seconds {
-        self.delay_with(tech, &ScalarPrims::new(self.knobs), load)
-    }
-
-    /// [`delay`](Self::delay) through a primitive provider.
-    pub fn delay_with<P: PointPrims>(
-        self,
-        tech: &TechnologyNode,
-        prims: &P,
-        load: Farads,
-    ) -> Seconds {
+    pub fn delay(self, tech: &TechnologyNode, prims: &HoistedPrims, load: Farads) -> Seconds {
         let c = self.self_capacitance(tech) + load;
-        Seconds(ELMORE * self.resistance_with(tech, prims).0 * c.0)
+        Seconds(ELMORE * self.resistance(prims).0 * c.0)
     }
 
     /// Standby leakage of the gate, averaged over input states: at any
     /// time one transistor of the pair is off (subthreshold + edge gate
     /// tunnelling) and the other is on (full gate tunnelling).
-    pub fn leakage(self, tech: &TechnologyNode) -> LeakageBreakdown {
-        self.leakage_with(tech, &ScalarPrims::new(self.knobs))
-    }
-
-    /// [`leakage`](Self::leakage) through a primitive provider.
-    pub fn leakage_with<P: PointPrims>(self, tech: &TechnologyNode, prims: &P) -> LeakageBreakdown {
+    pub fn leakage(self, tech: &TechnologyNode, prims: &HoistedPrims) -> LeakageBreakdown {
         debug_assert_eq!(self.knobs, prims.point(), "prims must match gate knobs");
         let vdd = tech.vdd();
         let half = |w: Microns| {
-            let sub = prims.subthreshold_current(tech, w);
-            let g_off = prims.gate_current(tech, w, ConductionState::Off);
-            let g_on = prims.gate_current(tech, w, ConductionState::On);
+            let sub = prims.subthreshold_current(w);
+            let g_off = prims.gate_current(w, ConductionState::Off);
+            let g_on = prims.gate_current(w, ConductionState::On);
             let j = leakage::junction_current(tech, w);
             // 50 % duty in each state.
             LeakageBreakdown::from_currents(vdd, sub * 0.5, (g_off + g_on) * 0.5, j)
@@ -131,19 +99,13 @@ impl Gate {
     }
 
     /// Energy dissipated by one output transition driving `load`.
-    pub fn switching_energy(self, tech: &TechnologyNode, load: Farads) -> Joules {
-        self.switching_energy_with(tech, &ScalarPrims::new(self.knobs), load)
-    }
-
-    /// [`switching_energy`](Self::switching_energy) through a primitive
-    /// provider.
-    pub fn switching_energy_with<P: PointPrims>(
+    pub fn switching_energy(
         self,
         tech: &TechnologyNode,
-        prims: &P,
+        prims: &HoistedPrims,
         load: Farads,
     ) -> Joules {
-        let c = self.self_capacitance(tech) + self.input_capacitance_with(tech, prims) + load;
+        let c = self.self_capacitance(tech) + self.input_capacitance(prims) + load;
         // One full charge/discharge cycle dissipates C·V²; a single
         // transition dissipates half.
         Joules(0.5 * c.0 * tech.vdd().0 * tech.vdd().0)
@@ -179,23 +141,13 @@ impl Wire {
 }
 
 /// Delay and driver cost of a repeated (buffer-inserted) wire of length
-/// `length` driven by identical gates of width `wn`.
+/// `length` driven by identical gates of width `wn` at `prims`' knobs.
 ///
 /// Returns `(delay, repeater_count)` with one repeater per
 /// a fixed repeater pitch (0.5 mm; at least one driver).
 pub fn repeated_wire(
     tech: &TechnologyNode,
-    knobs: KnobPoint,
-    wn: Microns,
-    length: Meters,
-) -> (Seconds, u64) {
-    repeated_wire_with(tech, &ScalarPrims::new(knobs), wn, length)
-}
-
-/// [`repeated_wire`] through a primitive provider.
-pub fn repeated_wire_with<P: PointPrims>(
-    tech: &TechnologyNode,
-    prims: &P,
+    prims: &HoistedPrims,
     wn: Microns,
     length: Meters,
 ) -> (Seconds, u64) {
@@ -205,56 +157,9 @@ pub fn repeated_wire_with<P: PointPrims>(
     let seg = Meters(length.0 / stages as f64);
     let driver = Gate::inverter(wn, prims.point());
     let wire = Wire::new(tech, seg);
-    let per_stage = wire.elmore_delay(
-        driver.resistance_with(tech, prims),
-        driver.input_capacitance_with(tech, prims),
-    ) + driver.delay_with(tech, prims, Farads(0.0));
+    let per_stage = wire.elmore_delay(driver.resistance(prims), driver.input_capacitance(prims))
+        + driver.delay(tech, prims, Farads(0.0));
     (Seconds(per_stage.0 * stages as f64), stages)
-}
-
-/// Searches driver widths and stage counts for the fastest repeated-wire
-/// configuration, returning `(delay, width, stages)`.
-///
-/// A small discrete search (rather than the classic closed form) so it
-/// remains exact under this model's near-threshold resistance term; used
-/// to sanity-check the fixed-pitch default in [`repeated_wire`].
-#[allow(clippy::expect_used)] // fingerprinted in analyze.allow: fixed search space is non-empty
-pub fn optimal_repeaters(
-    tech: &TechnologyNode,
-    knobs: KnobPoint,
-    length: Meters,
-) -> (Seconds, Microns, u64) {
-    let mut best: Option<(Seconds, Microns, u64)> = None;
-    for width_um in [1.0, 2.0, 4.0, 8.0, 16.0] {
-        let wn = Microns(width_um);
-        let driver = Gate::inverter(wn, knobs);
-        for stages in 1..=64u64 {
-            let seg = Meters(length.0 / stages as f64);
-            let wire = Wire::new(tech, seg);
-            let per_stage = wire
-                .elmore_delay(driver.resistance(tech), driver.input_capacitance(tech))
-                + driver.delay(tech, Farads(0.0));
-            let total = Seconds(per_stage.0 * stages as f64);
-            if best.as_ref().is_none_or(|(t, _, _)| total.0 < t.0) {
-                best = Some((total, wn, stages));
-            }
-        }
-    }
-    best.expect("search space is non-empty")
-}
-
-/// Delay of a logical-effort chain of `stages` identical gates each
-/// driving `fanout` copies of the next.
-pub fn chain_delay(
-    tech: &TechnologyNode,
-    knobs: KnobPoint,
-    wn: Microns,
-    stages: u32,
-    fanout: f64,
-) -> Seconds {
-    let g = Gate::inverter(wn, knobs);
-    let load = Farads(g.input_capacitance(tech).0 * fanout);
-    Seconds(g.delay(tech, load).0 * f64::from(stages))
 }
 
 #[cfg(test)]
@@ -270,32 +175,87 @@ mod tests {
         KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap()
     }
 
+    fn prims(knobs: KnobPoint) -> HoistedPrims {
+        HoistedPrims::new(&tech(), knobs)
+    }
+
+    /// Searches driver widths and stage counts for the fastest
+    /// repeated-wire configuration, returning `(delay, width, stages)`.
+    ///
+    /// A small discrete search (rather than the classic closed form) so
+    /// it remains exact under this model's near-threshold resistance
+    /// term; used to sanity-check the fixed-pitch default in
+    /// [`repeated_wire`].
+    fn optimal_repeaters(
+        tech: &TechnologyNode,
+        knobs: KnobPoint,
+        length: Meters,
+    ) -> (Seconds, Microns, u64) {
+        let h = HoistedPrims::new(tech, knobs);
+        let mut best: Option<(Seconds, Microns, u64)> = None;
+        for width_um in [1.0, 2.0, 4.0, 8.0, 16.0] {
+            let wn = Microns(width_um);
+            let driver = Gate::inverter(wn, knobs);
+            for stages in 1..=64u64 {
+                let seg = Meters(length.0 / stages as f64);
+                let wire = Wire::new(tech, seg);
+                let per_stage = wire
+                    .elmore_delay(driver.resistance(&h), driver.input_capacitance(&h))
+                    + driver.delay(tech, &h, Farads(0.0));
+                let total = Seconds(per_stage.0 * stages as f64);
+                if best.as_ref().is_none_or(|(t, _, _)| total.0 < t.0) {
+                    best = Some((total, wn, stages));
+                }
+            }
+        }
+        best.expect("search space is non-empty")
+    }
+
+    /// Delay of a logical-effort chain of `stages` identical gates each
+    /// driving `fanout` copies of the next.
+    fn chain_delay(
+        tech: &TechnologyNode,
+        knobs: KnobPoint,
+        wn: Microns,
+        stages: u32,
+        fanout: f64,
+    ) -> Seconds {
+        let h = HoistedPrims::new(tech, knobs);
+        let g = Gate::inverter(wn, knobs);
+        let load = Farads(g.input_capacitance(&h).0 * fanout);
+        Seconds(g.delay(tech, &h, load).0 * f64::from(stages))
+    }
+
     #[test]
     fn inverter_delay_is_picoseconds() {
         let t = tech();
+        let h = prims(KnobPoint::nominal());
         let g = Gate::inverter(Microns(1.0), KnobPoint::nominal());
-        let d = g.delay(&t, g.input_capacitance(&t) * 4.0);
+        let d = g.delay(&t, &h, g.input_capacitance(&h) * 4.0);
         assert!((1.0..100.0).contains(&d.picos()), "d = {} ps", d.picos());
     }
 
     #[test]
     fn higher_vth_is_slower_and_less_leaky() {
         let t = tech();
-        let fast = Gate::inverter(Microns(1.0), k(0.2, 12.0));
-        let slow = Gate::inverter(Microns(1.0), k(0.5, 12.0));
-        let load = fast.input_capacitance(&t);
-        assert!(slow.delay(&t, load).0 > fast.delay(&t, load).0);
-        assert!(slow.leakage(&t).total().0 < fast.leakage(&t).total().0);
+        let (fk, sk) = (k(0.2, 12.0), k(0.5, 12.0));
+        let (fh, sh) = (prims(fk), prims(sk));
+        let fast = Gate::inverter(Microns(1.0), fk);
+        let slow = Gate::inverter(Microns(1.0), sk);
+        let load = fast.input_capacitance(&fh);
+        assert!(slow.delay(&t, &sh, load).0 > fast.delay(&t, &fh, load).0);
+        assert!(slow.leakage(&t, &sh).total().0 < fast.leakage(&t, &fh).total().0);
     }
 
     #[test]
     fn nand_stack_slower_but_leaks_less_subthreshold() {
         let t = tech();
+        let h = prims(KnobPoint::nominal());
         let inv = Gate::inverter(Microns(1.0), KnobPoint::nominal());
         let nand = Gate::nand2(Microns(1.0), KnobPoint::nominal());
-        let load = inv.input_capacitance(&t);
-        assert!(nand.delay(&t, load).0 > inv.delay(&t, load).0);
-        assert!(nand.leakage(&t).subthreshold.0 < inv.leakage(&t).subthreshold.0);
+        let load = inv.input_capacitance(&h);
+        assert!(nand.delay(&t, &h, load).0 > inv.delay(&t, &h, load).0);
+        assert!(nand.leakage(&t, &h).subthreshold.0 < inv.leakage(&t, &h).subthreshold.0);
     }
 
     #[test]
@@ -314,11 +274,12 @@ mod tests {
     fn repeaters_help_long_wires() {
         let t = tech();
         let knobs = KnobPoint::nominal();
+        let h = prims(knobs);
         let wn = Microns(4.0);
         let len = Meters(4e-3);
-        let (rep, stages) = repeated_wire(&t, knobs, wn, len);
+        let (rep, stages) = repeated_wire(&t, &h, wn, len);
         let g = Gate::inverter(wn, knobs);
-        let raw = Wire::new(&t, len).elmore_delay(g.resistance(&t), Farads(0.0));
+        let raw = Wire::new(&t, len).elmore_delay(g.resistance(&h), Farads(0.0));
         assert!(stages >= 4);
         assert!(
             rep.0 < raw.0,
@@ -334,7 +295,7 @@ mod tests {
         let knobs = KnobPoint::nominal();
         for len_mm in [1.0, 4.0] {
             let length = Meters(len_mm * 1e-3);
-            let (fixed, _) = repeated_wire(&t, knobs, Microns(4.0), length);
+            let (fixed, _) = repeated_wire(&t, &prims(knobs), Microns(4.0), length);
             let (opt, w, stages) = optimal_repeaters(&t, knobs, length);
             assert!(
                 opt.0 <= fixed.0 + 1e-18,
@@ -366,9 +327,10 @@ mod tests {
     #[test]
     fn switching_energy_positive_and_grows_with_load() {
         let t = tech();
+        let h = prims(KnobPoint::nominal());
         let g = Gate::inverter(Microns(1.0), KnobPoint::nominal());
-        let e0 = g.switching_energy(&t, Farads(0.0));
-        let e1 = g.switching_energy(&t, Farads::from_femtos(100.0));
+        let e0 = g.switching_energy(&t, &h, Farads(0.0));
+        let e1 = g.switching_energy(&t, &h, Farads::from_femtos(100.0));
         assert!(e0.0 > 0.0);
         assert!(e1.0 > e0.0);
     }
@@ -376,8 +338,9 @@ mod tests {
     #[test]
     fn gate_leakage_sensitive_to_tox() {
         let t = tech();
-        let thin = Gate::inverter(Microns(1.0), k(0.3, 10.0)).leakage(&t);
-        let thick = Gate::inverter(Microns(1.0), k(0.3, 14.0)).leakage(&t);
+        let leak = |knobs| Gate::inverter(Microns(1.0), knobs).leakage(&t, &prims(knobs));
+        let thin = leak(k(0.3, 10.0));
+        let thick = leak(k(0.3, 14.0));
         assert!(thin.gate.0 / thick.gate.0 > 10.0);
     }
 }

@@ -5,10 +5,9 @@
 //! its area grows quadratically with the `Tox`-driven scale factor.
 
 use nm_device::leakage::{self, ConductionState, LeakageBreakdown};
-use nm_device::scaling::scaled_area;
 use nm_device::transistor::MosfetKind;
 use nm_device::units::{Amperes, Farads, Microns, SquareMicrons};
-use nm_device::{drive, KnobPoint, PointPrims, ScalarPrims, TechnologyNode};
+use nm_device::{drive, HoistedPrims, TechnologyNode};
 use serde::{Deserialize, Serialize};
 
 /// A 6T SRAM cell design (widths quoted at the minimum-`Tox` process
@@ -39,38 +38,20 @@ impl SramCell {
         }
     }
 
-    /// Cell area under a given `Tox` assignment (grows quadratically with
-    /// the scale factor).
-    pub fn area(&self, tech: &TechnologyNode, knobs: KnobPoint) -> SquareMicrons {
-        let base = SquareMicrons(self.pitch_x.0 * self.pitch_y.0);
-        scaled_area(tech, base, knobs.tox())
+    /// Cell area at the linear cell-scale factor of a `Tox` assignment
+    /// ([`HoistedPrims::cell_scale`]); grows quadratically with it.
+    pub fn area(&self, scale: f64) -> SquareMicrons {
+        SquareMicrons(self.pitch_x.0 * self.pitch_y.0 * scale * scale)
     }
 
-    /// [`area`](Self::area) through a primitive provider.
-    pub fn area_with<P: PointPrims>(&self, tech: &TechnologyNode, prims: &P) -> SquareMicrons {
-        let base = SquareMicrons(self.pitch_x.0 * self.pitch_y.0);
-        let s = prims.cell_scale(tech);
-        SquareMicrons(base.0 * s * s)
+    /// Cell width (bitline pitch) under `prims`' `Tox`.
+    pub fn scaled_pitch_x(&self, prims: &HoistedPrims) -> Microns {
+        self.pitch_x * prims.cell_scale()
     }
 
-    /// Cell width (bitline pitch) under a `Tox` assignment.
-    pub fn scaled_pitch_x(&self, tech: &TechnologyNode, knobs: KnobPoint) -> Microns {
-        self.pitch_x * tech.cell_scale(knobs.tox())
-    }
-
-    /// [`scaled_pitch_x`](Self::scaled_pitch_x) through a primitive provider.
-    pub fn scaled_pitch_x_with<P: PointPrims>(&self, tech: &TechnologyNode, prims: &P) -> Microns {
-        self.pitch_x * prims.cell_scale(tech)
-    }
-
-    /// Cell height (wordline pitch) under a `Tox` assignment.
-    pub fn scaled_pitch_y(&self, tech: &TechnologyNode, knobs: KnobPoint) -> Microns {
-        self.pitch_y * tech.cell_scale(knobs.tox())
-    }
-
-    /// [`scaled_pitch_y`](Self::scaled_pitch_y) through a primitive provider.
-    pub fn scaled_pitch_y_with<P: PointPrims>(&self, tech: &TechnologyNode, prims: &P) -> Microns {
-        self.pitch_y * prims.cell_scale(tech)
+    /// Cell height (wordline pitch) under `prims`' `Tox`.
+    pub fn scaled_pitch_y(&self, prims: &HoistedPrims) -> Microns {
+        self.pitch_y * prims.cell_scale()
     }
 
     /// Standby leakage of one cell holding a value with both bitlines
@@ -87,24 +68,15 @@ impl SramCell {
     ///   no subthreshold.
     ///
     /// Junction leakage accrues once per transistor.
-    pub fn leakage(&self, tech: &TechnologyNode, knobs: KnobPoint) -> LeakageBreakdown {
-        self.leakage_with(tech, &ScalarPrims::new(knobs))
-    }
-
-    /// [`leakage`](Self::leakage) through a primitive provider.
-    pub fn leakage_with<P: PointPrims>(
-        &self,
-        tech: &TechnologyNode,
-        prims: &P,
-    ) -> LeakageBreakdown {
-        let scale = prims.cell_scale(tech);
+    pub fn leakage(&self, tech: &TechnologyNode, prims: &HoistedPrims) -> LeakageBreakdown {
+        let scale = prims.cell_scale();
         let vdd = tech.vdd();
         let wa = self.w_access * scale;
         let wd = self.w_pulldown * scale;
         let wu = self.w_pullup * scale;
 
-        let sub = |w: Microns| prims.subthreshold_current(tech, w);
-        let gate = |w: Microns, s: ConductionState| prims.gate_current(tech, w, s);
+        let sub = |w: Microns| prims.subthreshold_current(w);
+        let gate = |w: Microns, s: ConductionState| prims.gate_current(w, s);
         let junc = |w: Microns| leakage::junction_current(tech, w);
 
         // Subthreshold: PD-R, PU-L, access-L (PMOS pull-up leaks about
@@ -125,37 +97,22 @@ impl SramCell {
     /// Read current discharging the bitline: the series access/pull-down
     /// path, dominated by the weaker access device (20 % series
     /// degradation).
-    pub fn read_current(&self, tech: &TechnologyNode, knobs: KnobPoint) -> Amperes {
-        self.read_current_with(tech, &ScalarPrims::new(knobs))
-    }
-
-    /// [`read_current`](Self::read_current) through a primitive provider.
-    pub fn read_current_with<P: PointPrims>(&self, tech: &TechnologyNode, prims: &P) -> Amperes {
-        let scale = prims.cell_scale(tech);
-        let i = prims.on_current(tech, self.w_access * scale, MosfetKind::Nmos);
+    pub fn read_current(&self, prims: &HoistedPrims) -> Amperes {
+        let scale = prims.cell_scale();
+        let i = prims.on_current(self.w_access * scale, MosfetKind::Nmos);
         i * 0.8
     }
 
     /// Capacitance one cell adds to its bitline (access drain junction).
-    pub fn bitline_load(&self, tech: &TechnologyNode, knobs: KnobPoint) -> Farads {
-        self.bitline_load_with(tech, &ScalarPrims::new(knobs))
-    }
-
-    /// [`bitline_load`](Self::bitline_load) through a primitive provider.
-    pub fn bitline_load_with<P: PointPrims>(&self, tech: &TechnologyNode, prims: &P) -> Farads {
-        let scale = prims.cell_scale(tech);
+    pub fn bitline_load(&self, tech: &TechnologyNode, prims: &HoistedPrims) -> Farads {
+        let scale = prims.cell_scale();
         drive::drain_capacitance(tech, self.w_access * scale)
     }
 
     /// Capacitance one cell adds to its wordline (two access gates).
-    pub fn wordline_load(&self, tech: &TechnologyNode, knobs: KnobPoint) -> Farads {
-        self.wordline_load_with(tech, &ScalarPrims::new(knobs))
-    }
-
-    /// [`wordline_load`](Self::wordline_load) through a primitive provider.
-    pub fn wordline_load_with<P: PointPrims>(&self, tech: &TechnologyNode, prims: &P) -> Farads {
-        let scale = prims.cell_scale(tech);
-        prims.gate_capacitance(tech, self.w_access * scale) * 2.0
+    pub fn wordline_load(&self, prims: &HoistedPrims) -> Farads {
+        let scale = prims.cell_scale();
+        prims.gate_capacitance(self.w_access * scale) * 2.0
     }
 }
 
@@ -169,32 +126,38 @@ impl Default for SramCell {
 mod tests {
     use super::*;
     use nm_device::units::{Angstroms, Volts};
+    use nm_device::KnobPoint;
 
     fn tech() -> TechnologyNode {
         TechnologyNode::bptm65()
     }
 
-    fn k(vth: f64, tox: f64) -> KnobPoint {
-        KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap()
+    fn k(vth: f64, tox: f64) -> HoistedPrims {
+        let knobs = KnobPoint::new(Volts(vth), Angstroms(tox)).unwrap();
+        HoistedPrims::new(&tech(), knobs)
     }
 
     #[test]
     fn default_cell_is_half_square_micron() {
         let c = SramCell::default_65nm();
-        let a = c.area(&tech(), k(0.3, 10.0));
+        let a = c.area(k(0.3, 10.0).cell_scale());
         assert!((a.0 - 0.5).abs() < 1e-9, "area = {a}");
     }
 
     #[test]
     fn area_grows_with_tox() {
         let c = SramCell::default_65nm();
-        let t = tech();
-        let a10 = c.area(&t, k(0.3, 10.0)).0;
-        let a14 = c.area(&t, k(0.3, 14.0)).0;
+        let a10 = c.area(k(0.3, 10.0).cell_scale()).0;
+        let a14 = c.area(k(0.3, 14.0).cell_scale()).0;
         assert!(
             a14 > a10 * 1.2 && a14 < a10 * 2.0,
             "a10 = {a10}, a14 = {a14}"
         );
+        let areas: Vec<f64> = [10.0, 11.0, 12.0, 13.0, 14.0]
+            .iter()
+            .map(|&tox| c.area(k(0.3, tox).cell_scale()).0)
+            .collect();
+        assert!(areas.windows(2).all(|w| w[1] > w[0]), "{areas:?}");
     }
 
     #[test]
@@ -202,7 +165,7 @@ mod tests {
         // At (0.2 V, 10 Å) a cell should leak ~0.1–1 µW so a 16 KB array
         // lands in the paper's tens-of-mW band.
         let c = SramCell::default_65nm();
-        let w = c.leakage(&tech(), k(0.2, 10.0)).total();
+        let w = c.leakage(&tech(), &k(0.2, 10.0)).total();
         assert!(
             (0.05..1.5).contains(&w.micro()),
             "cell leakage = {} µW",
@@ -214,8 +177,8 @@ mod tests {
     fn quiet_corner_is_orders_quieter() {
         let c = SramCell::default_65nm();
         let t = tech();
-        let loud = c.leakage(&t, k(0.2, 10.0)).total().0;
-        let quiet = c.leakage(&t, k(0.5, 14.0)).total().0;
+        let loud = c.leakage(&t, &k(0.2, 10.0)).total().0;
+        let quiet = c.leakage(&t, &k(0.5, 14.0)).total().0;
         assert!(loud / quiet > 50.0, "ratio = {}", loud / quiet);
     }
 
@@ -223,9 +186,9 @@ mod tests {
     fn vth_controls_subthreshold_tox_controls_gate() {
         let c = SramCell::default_65nm();
         let t = tech();
-        let base = c.leakage(&t, k(0.3, 12.0));
-        let hi_vth = c.leakage(&t, k(0.45, 12.0));
-        let hi_tox = c.leakage(&t, k(0.3, 14.0));
+        let base = c.leakage(&t, &k(0.3, 12.0));
+        let hi_vth = c.leakage(&t, &k(0.45, 12.0));
+        let hi_tox = c.leakage(&t, &k(0.3, 14.0));
         assert!(hi_vth.subthreshold.0 < base.subthreshold.0 / 10.0);
         assert!(hi_tox.gate.0 < base.gate.0 / 5.0);
         // And the knobs mostly do not cross over.
@@ -235,7 +198,7 @@ mod tests {
     #[test]
     fn gate_dominates_at_thin_oxide() {
         let c = SramCell::default_65nm();
-        let b = c.leakage(&tech(), k(0.4, 10.0));
+        let b = c.leakage(&tech(), &k(0.4, 10.0));
         assert!(
             b.gate_fraction() > 0.5,
             "gate fraction = {}",
@@ -246,7 +209,7 @@ mod tests {
     #[test]
     fn read_current_is_tens_of_microamps() {
         let c = SramCell::default_65nm();
-        let i = c.read_current(&tech(), KnobPoint::nominal());
+        let i = c.read_current(&HoistedPrims::new(&tech(), KnobPoint::nominal()));
         assert!((20.0..200.0).contains(&i.micro()), "I = {} µA", i.micro());
     }
 
@@ -254,14 +217,13 @@ mod tests {
     fn loads_scale_with_tox() {
         let c = SramCell::default_65nm();
         let t = tech();
-        assert!(c.bitline_load(&t, k(0.3, 14.0)).0 > c.bitline_load(&t, k(0.3, 10.0)).0);
-        assert!(c.wordline_load(&t, k(0.3, 10.0)).0 > 0.0);
+        assert!(c.bitline_load(&t, &k(0.3, 14.0)).0 > c.bitline_load(&t, &k(0.3, 10.0)).0);
+        assert!(c.wordline_load(&k(0.3, 10.0)).0 > 0.0);
     }
 
     #[test]
     fn higher_vth_weakens_read_current() {
         let c = SramCell::default_65nm();
-        let t = tech();
-        assert!(c.read_current(&t, k(0.5, 12.0)).0 < c.read_current(&t, k(0.2, 12.0)).0);
+        assert!(c.read_current(&k(0.5, 12.0)).0 < c.read_current(&k(0.2, 12.0)).0);
     }
 }

@@ -1,5 +1,5 @@
-//! Property tests: the structure-of-arrays surface layout is bit-identical
-//! to the seed's per-point analysis path.
+//! Property tests: the structure-of-arrays surface layout, built over a
+//! deduplicated prims table, is bit-identical to per-point analysis.
 
 use nm_device::units::{Angstroms, Volts};
 use nm_device::{KnobPoint, PrimsTable, TechnologyNode};
@@ -30,8 +30,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every metric buffer of a SoA surface carries the exact bits the
-    /// seed's per-point `analyze_component` computes, for random circuits
-    /// over random point sets.
+    /// per-point `analyze_component` computes, for random circuits over
+    /// random point sets.
     #[test]
     fn soa_surface_is_bitwise_identical_to_pointwise_analysis(
         config in arb_config(),
@@ -73,9 +73,11 @@ proptest! {
     }
 
     /// One prims table shared across all four components of a circuit
-    /// produces the same surfaces as the scalar per-call path.
+    /// produces the same surfaces as a fresh table per component. (That
+    /// the table's primitives match the device reference functions is
+    /// checked in `nm_device::prims`.)
     #[test]
-    fn shared_prims_table_matches_scalar_path(
+    fn shared_prims_table_matches_per_component_tables(
         config in arb_config(),
         points in arb_points(),
     ) {
@@ -84,8 +86,8 @@ proptest! {
         let table = PrimsTable::new(&tech, &points);
         for id in COMPONENT_IDS {
             let via_table = c.component_surface_with(id, &points, &table);
-            let via_scalar = c.component_surface(id, &points);
-            prop_assert_eq!(via_table, via_scalar);
+            let per_component = c.component_surface(id, &points);
+            prop_assert_eq!(via_table, per_component);
         }
     }
 }

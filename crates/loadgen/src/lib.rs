@@ -6,7 +6,7 @@
 //! * [`mix`] — seeded synthesis of a five-class query mix (cold, warm,
 //!   tuple-search, adversarial, mixed-technology) that is byte-stable
 //!   for a fixed `(seed, count)`;
-//! * [`run`] — replay of a mix against one shared in-process
+//! * [`mod@run`] — replay of a mix against one shared in-process
 //!   [`Evaluator`](nm_cache_core::eval::Evaluator) through the bounded
 //!   `nm-sweep` pool, in closed- or open-loop mode, recording per-class
 //!   latency histograms and throughput into the telemetry registry (the

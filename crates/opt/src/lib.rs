@@ -15,9 +15,9 @@
 //!   front carries the knob choice that achieves it;
 //! * [`constraint::best_under_deadline`] reads the optimum off the front
 //!   for any delay constraint;
-//! * [`mod@objective`] names the [`Objective`](objective::Objective) /
-//!   [`Constraint`](objective::Constraint) trait pair every solver
-//!   consumes — studies describe *what* they optimise, never *how*;
+//! * [`mod@objective`] names the [`Constraint`](objective::Constraint)
+//!   role every solver consumes — studies describe *what* they optimise,
+//!   never *how*;
 //! * [`mod@tuple`] enumerates the value sets of the paper's Figure 2
 //!   (`nTox`, `nVth`) restrictions, which the evaluation engine solves
 //!   over with [`Group::restricted`];

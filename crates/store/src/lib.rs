@@ -29,7 +29,7 @@
 //! toolchains, not for adversarial collision resistance.
 //!
 //! Under the `storefault` cargo feature the crate compiles a
-//! deterministic fault-injection plan ([`storefault`]) mirroring
+//! deterministic fault-injection plan (the `storefault` module) mirroring
 //! `nm_sweep::faultinject`: tests arm truncate-on-write, short-write,
 //! bit-flip, rename-failure, and disk-full faults at exact operation
 //! indices and assert recovery invariants. Production builds compile

@@ -164,8 +164,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A bounded worker pool that maps a closure over a slice of work items
 /// and returns the results in submission order.
 ///
-/// Construction is cheap (no threads are created until [`map`]
-/// (Self::map) or [`try_map`](Self::try_map) runs); build one per sweep.
+/// Construction is cheap (no threads are created until
+/// [`map`](Self::map) or [`try_map`](Self::try_map) runs); build one per
+/// sweep.
 #[derive(Debug, Clone)]
 pub struct ParallelSweep {
     workers: usize,
