@@ -33,7 +33,7 @@ use crate::StudyError;
 use cache::MetricsCache;
 use nm_device::{KnobGrid, KnobPoint, PrimsTable, TechnologyNode};
 use nm_geometry::{
-    CacheCircuit, CacheMetrics, ComponentId, ComponentKnobs, ComponentMetrics, ComponentSurface,
+    CacheCircuit, CacheMetrics, ComponentId, ComponentKnobs, ComponentSurface, PointSet,
     COMPONENT_IDS,
 };
 use nm_opt::merge::{FrontPoint, MergeBase};
@@ -214,7 +214,8 @@ impl FrontMemo {
 /// caches.
 pub struct Evaluator {
     grid: KnobGrid,
-    points: Vec<KnobPoint>,
+    /// The grid's points, indexed once and shared by every surface.
+    points: Arc<PointSet>,
     cache: MetricsCache,
     prims: RwLock<Vec<(TechnologyNode, Arc<PrimsTable>)>>,
     fronts: RwLock<FrontMemo>,
@@ -320,7 +321,7 @@ fn poison_if_armed(surface: ComponentSurface, job_index: usize) -> ComponentSurf
 impl Evaluator {
     /// Creates an evaluator over a knob grid with empty caches.
     pub fn new(grid: KnobGrid) -> Self {
-        let points = grid.points().collect();
+        let points = Arc::new(PointSet::new(grid.points().collect()));
         Evaluator {
             grid,
             points,
@@ -386,7 +387,7 @@ impl Evaluator {
         let Some(store) = &self.store else {
             return false;
         };
-        let key = crate::persist::surface_key(circuit, id, &self.points);
+        let key = crate::persist::surface_key(circuit, id, self.points.points());
         let bytes = match store.get(key) {
             Ok(Some(bytes)) => bytes,
             Ok(None) => return false,
@@ -404,7 +405,7 @@ impl Evaluator {
                 return false;
             }
         };
-        if surface.points() != self.points.as_slice()
+        if surface.points() != self.points.points()
             || validate_surface(circuit, id, &surface).is_err()
         {
             self.record(Event::StoreRejected, 1);
@@ -426,7 +427,7 @@ impl Evaluator {
     /// fold every group anew (bit-identical).
     fn front_from_store(&self, spec: &HierarchySpec) -> Option<Arc<Vec<FrontPoint>>> {
         self.store.as_ref()?;
-        let key = crate::persist::front_key(spec, &self.points);
+        let key = crate::persist::front_key(spec, self.points.points());
         let bytes = match self.store.as_ref()?.get(key) {
             Ok(Some(bytes)) => bytes,
             Ok(None) => return None,
@@ -502,7 +503,7 @@ impl Evaluator {
         {
             return table;
         }
-        let table = Arc::new(PrimsTable::new(tech, &self.points));
+        let table = Arc::new(PrimsTable::new(tech, self.points.points()));
         let mut cached = self
             .prims
             .write()
@@ -539,13 +540,13 @@ impl Evaluator {
     /// The first failed or rejected surface build, in job order.
     pub fn try_ensure_surfaces(&self, spec: &HierarchySpec) -> Result<(), StudyError> {
         let _span = nm_telemetry::span(crate::names::EVAL_ENSURE_SURFACES);
-        let mut jobs: Vec<(CacheCircuit, ComponentId)> = Vec::new();
+        let mut jobs: Vec<(&CacheCircuit, ComponentId)> = Vec::new();
         for level in spec.levels() {
             for id in COMPONENT_IDS {
                 if self.cache.peek(level.circuit(), id).is_some() {
                     self.record(Event::SurfaceHit, 1);
-                } else if !jobs.iter().any(|(c, i)| *i == id && c == level.circuit()) {
-                    jobs.push((level.circuit().clone(), id));
+                } else if !jobs.iter().any(|(c, i)| *i == id && *c == level.circuit()) {
+                    jobs.push((level.circuit(), id));
                 }
             }
         }
@@ -585,11 +586,11 @@ impl Evaluator {
                 let prims = table_for(circuit);
                 if nm_telemetry::enabled() {
                     let t0 = nm_telemetry::Stopwatch::start();
-                    let surface = circuit.component_surface_with(*id, &self.points, prims);
+                    let surface = circuit.component_surface_over(*id, &self.points, prims);
                     t0.observe(crate::names::EVAL_SURFACE_BUILD_SECONDS);
                     surface
                 } else {
-                    circuit.component_surface_with(*id, &self.points, prims)
+                    circuit.component_surface_over(*id, &self.points, prims)
                 }
             });
 
@@ -609,7 +610,7 @@ impl Evaluator {
                             );
                             if self.store.is_some() {
                                 self.store_put(
-                                    crate::persist::surface_key(circuit, *id, &self.points),
+                                    crate::persist::surface_key(circuit, *id, self.points.points()),
                                     &crate::persist::encode_surface(&surface),
                                 );
                             }
@@ -658,28 +659,30 @@ impl Evaluator {
         // `try_ensure_surfaces` filled every slot; the direct build is its
         // bit-identical stand-in and never runs after a successful ensure.
         let surfaces: [Arc<ComponentSurface>; 4] = COMPONENT_IDS.map(|id| {
-            self.cache
-                .peek(level.circuit(), id)
-                .unwrap_or_else(|| Arc::new(level.circuit().component_surface(id, &self.points)))
+            self.cache.peek(level.circuit(), id).unwrap_or_else(|| {
+                let prims = self.prims_table(level.circuit().tech());
+                Arc::new(
+                    level
+                        .circuit()
+                        .component_surface_over(id, &self.points, &prims),
+                )
+            })
         });
-        // Materialize each surface's point-major metric column once per
-        // level, so pricing reads the exact per-point records the pre-SoA
-        // layout stored and `candidate_from_metrics` sums them in the
-        // identical order.
-        let columns: [Vec<ComponentMetrics>; 4] =
-            COMPONENT_IDS.map(|id| surfaces[id.index()].metrics_vec());
         level
             .scheme()
             .layout()
             .iter()
             .map(|(ids, suffix)| {
+                // Each candidate reads its components' rows straight from
+                // the surface columns, summed in group order.
                 let candidates: Vec<Candidate> = self
                     .points
+                    .points()
                     .iter()
                     .enumerate()
                     .map(|(i, &p)| {
                         candidate_from_metrics(
-                            ids.iter().map(|id| &columns[id.index()][i]),
+                            ids.iter().map(|id| surfaces[id.index()].metric_at(i)),
                             p,
                             level.delay_weight(),
                             level.cost(),
@@ -744,7 +747,7 @@ impl Evaluator {
         }
         if self.store.is_some() {
             self.store_put(
-                crate::persist::front_key(spec, &self.points),
+                crate::persist::front_key(spec, self.points.points()),
                 &crate::persist::encode_front(&front),
             );
         }

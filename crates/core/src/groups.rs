@@ -135,7 +135,7 @@ pub(crate) struct MetricSample {
 
 /// Sums per-component metrics (in the given iteration order) into the raw
 /// [`MetricSample`] a [`CostKind`] prices.
-pub(crate) fn sample_over<'a>(metrics: impl Iterator<Item = &'a ComponentMetrics>) -> MetricSample {
+pub(crate) fn sample_over(metrics: impl Iterator<Item = ComponentMetrics>) -> MetricSample {
     let mut sample = MetricSample::default();
     for m in metrics {
         sample.delay += m.delay.0;
@@ -149,8 +149,8 @@ pub(crate) fn sample_over<'a>(metrics: impl Iterator<Item = &'a ComponentMetrics
 /// Prices a tied component set's summed metrics as one candidate — the
 /// one pricing path shared by [`cache_groups`] and the evaluation
 /// engine's memoized surfaces, so both produce bit-identical candidates.
-pub(crate) fn candidate_from_metrics<'a>(
-    metrics: impl Iterator<Item = &'a ComponentMetrics>,
+pub(crate) fn candidate_from_metrics(
+    metrics: impl Iterator<Item = ComponentMetrics>,
     p: KnobPoint,
     delay_weight: f64,
     cost: CostKind,
@@ -187,11 +187,8 @@ fn make_candidate(
     delay_weight: f64,
     cost: CostKind,
 ) -> Candidate {
-    let metrics: Vec<ComponentMetrics> = ids
-        .iter()
-        .map(|&id| circuit.analyze_component(id, p))
-        .collect();
-    candidate_from_metrics(metrics.iter(), p, delay_weight, cost)
+    let metrics = ids.iter().map(|&id| circuit.analyze_component(id, p));
+    candidate_from_metrics(metrics, p, delay_weight, cost)
 }
 
 /// Builds the optimiser groups for one cache under a scheme.
@@ -375,7 +372,7 @@ mod tests {
                     .iter()
                     .map(|&id| c.analyze_component(id, cand.knobs))
                     .collect();
-                let sample = sample_over(metrics.iter());
+                let sample = sample_over(metrics.iter().copied());
                 assert_eq!(cand.cost, cost.cost(&sample));
                 assert_eq!(cand.delay, sample.delay);
             }

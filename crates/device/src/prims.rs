@@ -14,7 +14,8 @@
 //!
 //! [`PrimsTable`] builds a `HoistedPrims` per grid point, deduplicating
 //! the per-axis work (`Tox`-only and `Vth`-only terms are computed once
-//! per distinct axis value, not once per point).
+//! per distinct axis value, not once per point) and computing the
+//! knob-independent drain term once per table.
 //!
 //! Bit-identity with the reference functions is load-bearing: the golden
 //! tables pin results to the last decimal, and this module's tests check
@@ -94,6 +95,13 @@ impl ToxDerived {
     }
 }
 
+/// The drain factor `1 − e^(−Vdd/vT)` of the subthreshold chain, as
+/// `leakage::subthreshold_current` computes it. It depends on the node
+/// alone (supply and temperature), never on the knobs.
+fn drain_term(tech: &TechnologyNode) -> f64 {
+    1.0 - (-tech.vdd().0 / tech.thermal_voltage().0).exp()
+}
+
 /// `Vth`-only derived quantities, computed once per distinct axis value.
 #[derive(Debug, Clone, Copy)]
 struct VthDerived {
@@ -120,10 +128,17 @@ impl HoistedPrims {
             knobs,
             &ToxDerived::new(tech, knobs.tox()),
             &VthDerived::new(tech, knobs.vth()),
+            drain_term(tech),
         )
     }
 
-    fn from_axes(tech: &TechnologyNode, knobs: KnobPoint, t: &ToxDerived, v: &VthDerived) -> Self {
+    fn from_axes(
+        tech: &TechnologyNode,
+        knobs: KnobPoint,
+        t: &ToxDerived,
+        v: &VthDerived,
+        drain_term: f64,
+    ) -> Self {
         let vt = tech.thermal_voltage().0;
         let vdd = tech.vdd().0;
         // Replicates the exponent of `leakage::subthreshold_current`.
@@ -136,7 +151,7 @@ impl HoistedPrims {
             vt,
             sub_k: tech.mu_eff() * t.cox,
             sub_exp: exponent.exp(),
-            drain_term: 1.0 - (-vdd / vt).exp(),
+            drain_term,
             gate_density: t.gate_density,
             gate_off: tech.gate_off_factor(),
             k_drive: tech.k_drive(),
@@ -224,41 +239,63 @@ impl HoistedPrims {
 
 /// A [`HoistedPrims`] per knob point, built with per-axis deduplication:
 /// the `Tox`-only and `Vth`-only derived quantities are computed once per
-/// distinct axis value (matched by bit pattern), so building a table over
-/// an `nV × nT` grid costs `nV + nT` axis evaluations plus one joint
-/// subthreshold `exp` per point.
+/// distinct axis value (matched by bit pattern) and the knob-independent
+/// drain term once per table, so building a table over an `nV × nT` grid
+/// costs `nV + nT` axis evaluations plus one joint subthreshold `exp` per
+/// point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrimsTable {
     items: Vec<HoistedPrims>,
 }
 
+/// The distinct values of one knob axis seen so far, in first-seen order,
+/// each with its derived quantities.
+///
+/// A lookup scans from the last hit onwards, wrapping around. Walking a
+/// `Tox`-major grid (the layout [`crate::KnobGrid::points`] produces)
+/// then finds a known `Tox` on the first probe and a known `Vth` on the
+/// second; other point sets pay at most one pass over the axis.
+struct Axis<D> {
+    values: Vec<(u64, D)>,
+    last: usize,
+}
+
+impl<D: Copy> Axis<D> {
+    fn new() -> Self {
+        Axis {
+            values: Vec::new(),
+            last: 0,
+        }
+    }
+
+    /// The derived quantities of the value with bit pattern `bits`,
+    /// computed with `derive` on first sight.
+    fn get(&mut self, bits: u64, derive: impl FnOnce() -> D) -> D {
+        let n = self.values.len();
+        let i = (self.last..n)
+            .chain(0..self.last)
+            .find(|&i| self.values[i].0 == bits)
+            .unwrap_or_else(|| {
+                self.values.push((bits, derive()));
+                n
+            });
+        self.last = i;
+        self.values[i].1
+    }
+}
+
 impl PrimsTable {
     /// Builds the table for a point set under one technology node.
     pub fn new(tech: &TechnologyNode, points: &[KnobPoint]) -> Self {
-        let mut tox_cache: Vec<(u64, ToxDerived)> = Vec::new();
-        let mut vth_cache: Vec<(u64, VthDerived)> = Vec::new();
+        let drain = drain_term(tech);
+        let mut toxes = Axis::new();
+        let mut vths = Axis::new();
         let items = points
             .iter()
             .map(|&p| {
-                let tox_bits = p.tox().0.to_bits();
-                let t = match tox_cache.iter().find(|(b, _)| *b == tox_bits) {
-                    Some((_, t)) => *t,
-                    None => {
-                        let t = ToxDerived::new(tech, p.tox());
-                        tox_cache.push((tox_bits, t));
-                        t
-                    }
-                };
-                let vth_bits = p.vth().0.to_bits();
-                let v = match vth_cache.iter().find(|(b, _)| *b == vth_bits) {
-                    Some((_, v)) => *v,
-                    None => {
-                        let v = VthDerived::new(tech, p.vth());
-                        vth_cache.push((vth_bits, v));
-                        v
-                    }
-                };
-                HoistedPrims::from_axes(tech, p, &t, &v)
+                let t = toxes.get(p.tox().0.to_bits(), || ToxDerived::new(tech, p.tox()));
+                let v = vths.get(p.vth().0.to_bits(), || VthDerived::new(tech, p.vth()));
+                HoistedPrims::from_axes(tech, p, &t, &v, drain)
             })
             .collect();
         PrimsTable { items }
@@ -286,6 +323,8 @@ mod tests {
     use crate::units::{Angstroms, Kelvin, Volts};
     use crate::{drive, leakage};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn tech() -> TechnologyNode {
         TechnologyNode::bptm65()
@@ -348,17 +387,41 @@ mod tests {
         }
     }
 
-    /// Axis dedup must not change results relative to direct
-    /// per-point construction.
-    #[test]
-    fn table_dedup_equals_per_point_construction() {
-        let t = tech();
-        let points = [k(0.2, 10.0), k(0.2, 14.0), k(0.5, 10.0), k(0.2, 10.0)];
-        let table = PrimsTable::new(&t, &points);
-        assert!(!table.is_empty());
-        assert_eq!(table.len(), points.len());
-        for (p, h) in points.iter().zip(table.items()) {
-            assert_eq!(*h, HoistedPrims::new(&t, *p));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The axis-walking table equals per-point construction for the
+        /// paper grid (`Tox`-major), the grid shuffled, grid points drawn
+        /// with repeats and off-grid points, at random temperatures (the
+        /// per-table drain term depends on `vT`).
+        #[test]
+        fn table_dedup_equals_per_point_construction(
+            celsius in 0.0f64..=125.0,
+            kind in 0u32..4,
+            seed in any::<u64>(),
+            off in prop::collection::vec((0.2f64..=0.5, 10.0f64..=14.0), 1..40),
+        ) {
+            let t = tech().at_temperature(Kelvin::from_celsius(celsius));
+            let grid: Vec<KnobPoint> = crate::KnobGrid::paper().points().collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let points: Vec<KnobPoint> = match kind {
+                0 => grid,
+                1 => {
+                    let mut shuffled = grid;
+                    for i in (1..shuffled.len()).rev() {
+                        shuffled.swap(i, rng.gen_range(0..=i));
+                    }
+                    shuffled
+                }
+                2 => (0..80).map(|_| grid[rng.gen_range(0..grid.len())]).collect(),
+                _ => off.into_iter().map(|(v, x)| k(v, x)).collect(),
+            };
+            let table = PrimsTable::new(&t, &points);
+            prop_assert!(!table.is_empty());
+            prop_assert_eq!(table.len(), points.len());
+            for (p, h) in points.iter().zip(table.items()) {
+                prop_assert_eq!(*h, HoistedPrims::new(&t, *p), "at {} {} °C", p, celsius);
+            }
         }
     }
 }

@@ -34,77 +34,106 @@ pub const ACTIVE_SUBARRAYS: f64 = 2.0;
 pub const AREA_OVERHEAD: f64 = 1.15;
 
 /// Inverter-equivalents of leakage per sense amplifier.
-const SENSE_AMP_INVERTER_EQ: f64 = 3.0;
+pub(crate) const SENSE_AMP_INVERTER_EQ: f64 = 3.0;
 
 /// NMOS width of the sense-amp equivalent gates.
-const SENSE_AMP_WN: Microns = Microns(0.5);
+pub(crate) const SENSE_AMP_WN: Microns = Microns(0.5);
 
 /// Transistors per sense amplifier (latch + precharge + mux).
-const SENSE_AMP_TRANSISTORS: u64 = 10;
+pub(crate) const SENSE_AMP_TRANSISTORS: u64 = 10;
 
-/// Analyses the array component under `prims`' knob pair.
-pub fn analyze(
-    tech: &TechnologyNode,
-    org: &Organization,
-    cell: &SramCell,
-    prims: &HoistedPrims,
-) -> ComponentMetrics {
-    let vdd = tech.vdd();
-    let knobs = prims.point();
+/// The array model planned for one circuit: the organisation's counts,
+/// the sense-amp gate and the census, fixed before any knob point is
+/// evaluated. [`at`](Self::at) finishes the model at one point.
+#[derive(Debug, Clone, Copy)]
+pub struct ArrayPlan<'a> {
+    tech: &'a TechnologyNode,
+    cell: SramCell,
+    cols: f64,
+    rows: f64,
+    cells: f64,
+    /// Bitline differential swing, volts.
+    swing: f64,
+    sense_gate: Gate,
+    /// Inverter-equivalents of sense-amp leakage.
+    sense_amp_gates: f64,
+    /// Sense amps firing per access.
+    active_sense: f64,
+    transistors: u64,
+}
 
-    // --- Wordline propagation ------------------------------------------
-    let wl_length = Meters(cell.scaled_pitch_x(prims).meters().0 * org.cols as f64);
-    let wl_wire = Wire::new(tech, wl_length);
-    let wl_gate_load = Farads(cell.wordline_load(prims).0 * org.cols as f64);
-    let t_wordline = wl_wire.elmore_delay(Ohms(BOUNDARY_DRIVER_OHMS), wl_gate_load);
+impl<'a> ArrayPlan<'a> {
+    /// Plans the array of `org` built from `cell` on `tech`.
+    pub fn new(tech: &'a TechnologyNode, org: &Organization, cell: &SramCell) -> Self {
+        ArrayPlan {
+            tech,
+            cell: *cell,
+            cols: org.cols as f64,
+            rows: org.rows as f64,
+            cells: org.total_cells() as f64,
+            swing: tech.vdd().0 * SENSE_SWING,
+            sense_gate: Gate::inverter(tech, SENSE_AMP_WN),
+            sense_amp_gates: SENSE_AMP_INVERTER_EQ * org.sense_amps as f64,
+            active_sense: org.cols as f64 * ACTIVE_SUBARRAYS / Organization::COLUMN_MUX as f64,
+            transistors: org.total_cells() * 6 + org.sense_amps * SENSE_AMP_TRANSISTORS,
+        }
+    }
 
-    // --- Bitline development --------------------------------------------
-    let bl_wire_len = Meters(cell.scaled_pitch_y(prims).meters().0 * org.rows as f64);
-    let bl_wire = Wire::new(tech, bl_wire_len);
-    let c_bitline =
-        Farads(cell.bitline_load(tech, prims).0 * org.rows as f64 + bl_wire.capacitance.0);
-    let i_read = cell.read_current(prims);
-    let swing = vdd.0 * SENSE_SWING;
-    let t_bitline = Seconds(c_bitline.0 * swing / i_read.0)
-        + Seconds(ELMORE * bl_wire.resistance.0 * 0.5 * c_bitline.0);
+    /// The array's metrics at `prims`' knob pair.
+    pub fn at(&self, prims: &HoistedPrims) -> ComponentMetrics {
+        let (tech, cell) = (self.tech, &self.cell);
+        let vdd = tech.vdd();
 
-    // --- Sense amplification ---------------------------------------------
-    let sense_gate = Gate::inverter(SENSE_AMP_WN, knobs);
-    let fo4_load = sense_gate.input_capacitance(prims) * 4.0;
-    let t_sense = Seconds(sense_gate.delay(tech, prims, fo4_load).0 * f64::from(SENSE_STAGES));
+        // --- Wordline propagation ------------------------------------------
+        let wl_length = Meters(cell.scaled_pitch_x(prims).meters().0 * self.cols);
+        let wl_wire = Wire::new(tech, wl_length);
+        let wl_gate_load = Farads(cell.wordline_load(prims).0 * self.cols);
+        let t_wordline = wl_wire.elmore_delay(Ohms(BOUNDARY_DRIVER_OHMS), wl_gate_load);
 
-    let delay = t_wordline + t_bitline + t_sense;
+        // --- Bitline development --------------------------------------------
+        let bl_wire_len = Meters(cell.scaled_pitch_y(prims).meters().0 * self.rows);
+        let bl_wire = Wire::new(tech, bl_wire_len);
+        let c_bitline =
+            Farads(cell.bitline_load(tech, prims).0 * self.rows + bl_wire.capacitance.0);
+        let i_read = cell.read_current(prims);
+        let t_bitline = Seconds(c_bitline.0 * self.swing / i_read.0)
+            + Seconds(ELMORE * bl_wire.resistance.0 * 0.5 * c_bitline.0);
 
-    // --- Leakage -----------------------------------------------------------
-    let cells = org.total_cells() as f64;
-    let cell_leak = cell.leakage(tech, prims) * cells;
-    let sa_leak = sense_gate.leakage(tech, prims) * (SENSE_AMP_INVERTER_EQ * org.sense_amps as f64);
-    let leakage = cell_leak + sa_leak;
+        // --- Sense amplification ---------------------------------------------
+        let sense_gate = self.sense_gate;
+        let fo4_load = sense_gate.input_capacitance(prims) * 4.0;
+        let t_sense = Seconds(sense_gate.delay(prims, fo4_load).0 * f64::from(SENSE_STAGES));
 
-    // --- Dynamic read energy -----------------------------------------------
-    // Active wordlines charge fully; active bitline pairs swing by the
-    // sense margin; sense amps burn a latch transition each.
-    let e_wordline =
-        Joules((wl_wire.capacitance.0 + wl_gate_load.0) * vdd.0 * vdd.0) * ACTIVE_SUBARRAYS;
-    let e_bitline = Joules(c_bitline.0 * vdd.0 * swing * org.cols as f64) * ACTIVE_SUBARRAYS;
-    let active_sense = org.cols as f64 * ACTIVE_SUBARRAYS / Organization::COLUMN_MUX as f64;
-    let e_sense = Joules(sense_gate.switching_energy(tech, prims, fo4_load).0 * active_sense);
-    let read_energy = e_wordline + e_bitline + e_sense;
-    // Writes drive the selected bitline pairs full rail (no sensing).
-    let e_bitline_write = Joules(c_bitline.0 * vdd.0 * vdd.0 * org.cols as f64) * ACTIVE_SUBARRAYS;
-    let write_energy = e_wordline + e_bitline_write;
+        let delay = t_wordline + t_bitline + t_sense;
 
-    // --- Census --------------------------------------------------------------
-    let transistors = org.total_cells() * 6 + org.sense_amps * SENSE_AMP_TRANSISTORS;
-    let area = SquareMicrons(cell.area(prims.cell_scale()).0 * cells * AREA_OVERHEAD);
+        // --- Leakage -----------------------------------------------------------
+        let cell_leak = cell.leakage(tech, prims) * self.cells;
+        let sa_leak = sense_gate.leakage(prims) * self.sense_amp_gates;
+        let leakage = cell_leak + sa_leak;
 
-    ComponentMetrics {
-        delay,
-        leakage,
-        read_energy,
-        write_energy,
-        transistors,
-        area,
+        // --- Dynamic read energy -----------------------------------------------
+        // Active wordlines charge fully; active bitline pairs swing by the
+        // sense margin; sense amps burn a latch transition each.
+        let e_wordline =
+            Joules((wl_wire.capacitance.0 + wl_gate_load.0) * vdd.0 * vdd.0) * ACTIVE_SUBARRAYS;
+        let e_bitline = Joules(c_bitline.0 * vdd.0 * self.swing * self.cols) * ACTIVE_SUBARRAYS;
+        let e_sense = Joules(sense_gate.switching_energy(prims, fo4_load).0 * self.active_sense);
+        let read_energy = e_wordline + e_bitline + e_sense;
+        // Writes drive the selected bitline pairs full rail (no sensing).
+        let e_bitline_write = Joules(c_bitline.0 * vdd.0 * vdd.0 * self.cols) * ACTIVE_SUBARRAYS;
+        let write_energy = e_wordline + e_bitline_write;
+
+        // --- Census --------------------------------------------------------------
+        let area = SquareMicrons(cell.area(prims.cell_scale()).0 * self.cells * AREA_OVERHEAD);
+
+        ComponentMetrics {
+            delay,
+            leakage,
+            read_energy,
+            write_energy,
+            transistors: self.transistors,
+            area,
+        }
     }
 }
 
@@ -126,6 +155,15 @@ mod tests {
 
     fn nominal() -> HoistedPrims {
         HoistedPrims::new(&TechnologyNode::bptm65(), KnobPoint::nominal())
+    }
+
+    fn analyze(
+        tech: &TechnologyNode,
+        org: &Organization,
+        cell: &SramCell,
+        prims: &HoistedPrims,
+    ) -> ComponentMetrics {
+        ArrayPlan::new(tech, org, cell).at(prims)
     }
 
     #[test]

@@ -8,13 +8,13 @@
 
 use crate::cache::ComponentMetrics;
 use crate::config::Organization;
-use crate::logic::{repeated_wire, Gate, Wire};
+use crate::logic::{RepeatedWire, Wire};
 use crate::sram::SramCell;
 use nm_device::units::{Joules, Meters, Microns, SquareMicrons};
 use nm_device::{HoistedPrims, KnobPoint, TechnologyNode};
 
 /// NMOS width of bus repeater drivers.
-const REPEATER_WN: Microns = Microns(4.0);
+pub(crate) const REPEATER_WN: Microns = Microns(4.0);
 
 /// Routing detour factor over the floorplan side length.
 const ROUTING_FACTOR: f64 = 1.9;
@@ -25,18 +25,18 @@ const HTREE_PER_LEVEL: f64 = 0.1;
 
 /// Data bus runs this much longer than the address bus (to/from the
 /// datapath on the far side).
-const DATA_LENGTH_FACTOR: f64 = 1.4;
+pub(crate) const DATA_LENGTH_FACTOR: f64 = 1.4;
 
 /// Switching activity of bus wires per access.
-const ACTIVITY: f64 = 0.5;
+pub(crate) const ACTIVITY: f64 = 0.5;
 
 /// Area per repeater transistor, µm².
-const AREA_PER_TRANSISTOR: f64 = 0.6;
+pub(crate) const AREA_PER_TRANSISTOR: f64 = 0.6;
 
-/// Floorplan-derived bus length for this organisation (nominal corner).
+/// Floorplan-derived bus length for this organisation (nominal corner),
+/// computed once per [`BusPlan`].
 pub fn bus_length(tech: &TechnologyNode, org: &Organization, cell: &SramCell) -> Meters {
-    // Only the nominal cell scale is needed: building a `HoistedPrims`
-    // here would pay its exponentials on every bus analysis.
+    // Only the nominal cell scale is needed, not a whole `HoistedPrims`.
     let nominal_scale = tech.cell_scale(KnobPoint::nominal().tox());
     let macro_area_um2 = cell.area(nominal_scale).0 * org.total_cells() as f64;
     let side_um = macro_area_um2.sqrt();
@@ -44,75 +44,80 @@ pub fn bus_length(tech: &TechnologyNode, org: &Organization, cell: &SramCell) ->
     Meters(side_um * 1e-6 * (ROUTING_FACTOR + HTREE_PER_LEVEL * htree_levels))
 }
 
-fn analyze_bus(
-    tech: &TechnologyNode,
-    org: &Organization,
-    cell: &SramCell,
-    prims: &HoistedPrims,
+/// A bus driver component planned for one circuit: the floorplan route,
+/// its repeaters and the driver census, fixed before any knob point is
+/// evaluated. [`at`](Self::at) finishes the model at one point.
+#[derive(Debug, Clone, Copy)]
+pub struct BusPlan {
+    wire: RepeatedWire,
     bits: u64,
-    length_factor: f64,
-) -> ComponentMetrics {
-    let length = Meters(bus_length(tech, org, cell).0 * length_factor);
-    let (delay, stages) = repeated_wire(tech, prims, REPEATER_WN, length);
+    /// Repeaters over all bits.
+    drivers: u64,
+    /// Capacitance of the whole route, farads.
+    route_capacitance: f64,
+    vdd: f64,
+    transistors: u64,
+    area: SquareMicrons,
+}
 
-    let driver = Gate::inverter(REPEATER_WN, prims.point());
-    let drivers = stages * bits;
-    let leakage = driver.leakage(tech, prims) * drivers as f64;
-
-    let wire = Wire::new(tech, length);
-    let vdd = tech.vdd().0;
-    let e_per_bit =
-        0.5 * (wire.capacitance.0 + stages as f64 * driver.input_capacitance(prims).0) * vdd * vdd;
-    let read_energy = Joules(e_per_bit * bits as f64 * ACTIVITY);
-
-    let transistors = drivers * 2;
-    let area = SquareMicrons(transistors as f64 * AREA_PER_TRANSISTOR);
-
-    ComponentMetrics {
-        delay,
-        leakage,
-        read_energy,
-        // Address decode and bus switching cost the same either way.
-        write_energy: read_energy,
-        transistors,
-        area,
+impl BusPlan {
+    /// Plans the address-bus driver component (one wire per address bit).
+    pub fn address(tech: &TechnologyNode, org: &Organization, cell: &SramCell) -> Self {
+        Self::new(tech, org, cell, u64::from(crate::config::ADDRESS_BITS), 1.0)
     }
-}
 
-/// Analyses the address-bus driver component (one wire per address bit)
-/// under `prims`' knob pair.
-pub fn analyze_address(
-    tech: &TechnologyNode,
-    org: &Organization,
-    cell: &SramCell,
-    prims: &HoistedPrims,
-) -> ComponentMetrics {
-    analyze_bus(
-        tech,
-        org,
-        cell,
-        prims,
-        u64::from(crate::config::ADDRESS_BITS),
-        1.0,
-    )
-}
+    /// Plans the data-bus driver component (one wire per delivered data
+    /// bit, over the longer datapath route).
+    pub fn data(tech: &TechnologyNode, org: &Organization, cell: &SramCell) -> Self {
+        Self::new(tech, org, cell, org.data_out_bits, DATA_LENGTH_FACTOR)
+    }
 
-/// Analyses the data-bus driver component (one wire per delivered data
-/// bit, over the longer datapath route) under `prims`' knob pair.
-pub fn analyze_data(
-    tech: &TechnologyNode,
-    org: &Organization,
-    cell: &SramCell,
-    prims: &HoistedPrims,
-) -> ComponentMetrics {
-    analyze_bus(
-        tech,
-        org,
-        cell,
-        prims,
-        org.data_out_bits,
-        DATA_LENGTH_FACTOR,
-    )
+    fn new(
+        tech: &TechnologyNode,
+        org: &Organization,
+        cell: &SramCell,
+        bits: u64,
+        length_factor: f64,
+    ) -> Self {
+        let length = Meters(bus_length(tech, org, cell).0 * length_factor);
+        let wire = RepeatedWire::new(tech, REPEATER_WN, length);
+        let drivers = wire.stages * bits;
+        let transistors = drivers * 2;
+        BusPlan {
+            wire,
+            bits,
+            drivers,
+            route_capacitance: Wire::new(tech, length).capacitance.0,
+            vdd: tech.vdd().0,
+            transistors,
+            area: SquareMicrons(transistors as f64 * AREA_PER_TRANSISTOR),
+        }
+    }
+
+    /// The bus's metrics at `prims`' knob pair.
+    pub fn at(&self, prims: &HoistedPrims) -> ComponentMetrics {
+        let driver = self.wire.driver;
+        let delay = self.wire.delay(prims);
+        let leakage = driver.leakage(prims) * self.drivers as f64;
+
+        let vdd = self.vdd;
+        let e_per_bit = 0.5
+            * (self.route_capacitance
+                + self.wire.stages as f64 * driver.input_capacitance(prims).0)
+            * vdd
+            * vdd;
+        let read_energy = Joules(e_per_bit * self.bits as f64 * ACTIVITY);
+
+        ComponentMetrics {
+            delay,
+            leakage,
+            read_energy,
+            // Address decode and bus switching cost the same either way.
+            write_energy: read_energy,
+            transistors: self.transistors,
+            area: self.area,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -132,6 +137,24 @@ mod tests {
 
     fn nominal() -> HoistedPrims {
         HoistedPrims::new(&TechnologyNode::bptm65(), KnobPoint::nominal())
+    }
+
+    fn analyze_address(
+        tech: &TechnologyNode,
+        org: &Organization,
+        cell: &SramCell,
+        prims: &HoistedPrims,
+    ) -> ComponentMetrics {
+        BusPlan::address(tech, org, cell).at(prims)
+    }
+
+    fn analyze_data(
+        tech: &TechnologyNode,
+        org: &Organization,
+        cell: &SramCell,
+        prims: &HoistedPrims,
+    ) -> ComponentMetrics {
+        BusPlan::data(tech, org, cell).at(prims)
     }
 
     #[test]

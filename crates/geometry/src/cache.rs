@@ -13,17 +13,18 @@
 //!   process corner (routing is planned once; cell-area growth with `Tox`
 //!   is charged to the area metric, not re-routed per candidate).
 
-use crate::array;
+use crate::array::ArrayPlan;
 use crate::assignment::{ComponentId, ComponentKnobs, COMPONENT_IDS};
-use crate::bus;
+use crate::bus::BusPlan;
 use crate::config::CacheConfig;
-use crate::decoder;
+use crate::decoder::DecoderPlan;
 use crate::sram::SramCell;
 use nm_device::leakage::LeakageBreakdown;
 use nm_device::units::{Joules, Seconds, SquareMicrons, Watts};
 use nm_device::{HoistedPrims, KnobPoint, PrimsTable, TechProfile, TechnologyNode};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Metrics of one cache component under one knob pair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -233,30 +234,19 @@ impl CacheCircuit {
         &self.profile
     }
 
-    /// Maps an SRAM-model metrics record onto this circuit's cell
-    /// technology. Applies to the memory array only — the periphery is
-    /// CMOS regardless of what the cells are made of. The identity
-    /// profile returns `m` untouched (bit-for-bit), which is what keeps
-    /// every all-SRAM study byte-identical to the pre-technology engine.
-    fn apply_profile(&self, id: ComponentId, m: ComponentMetrics) -> ComponentMetrics {
-        if id != ComponentId::MemoryArray || self.profile.is_identity() {
-            return m;
-        }
-        let p = &self.profile;
-        // Refresh is knob-independent static power charged per stored bit;
-        // it lands in the subthreshold bucket (the "cell standby" channel).
-        let refresh = p.refresh_power_per_bit * (self.config.size_bytes() * 8) as f64;
-        ComponentMetrics {
-            delay: m.delay * p.delay_scale,
-            leakage: LeakageBreakdown {
-                subthreshold: m.leakage.subthreshold * p.leakage_scale + refresh,
-                gate: m.leakage.gate * p.leakage_scale,
-                junction: m.leakage.junction * p.leakage_scale,
-            },
-            read_energy: m.read_energy * p.read_energy_scale,
-            write_energy: m.write_energy * p.write_energy_scale,
-            transistors: m.transistors,
-            area: m.area * p.area_scale,
+    /// The per-circuit half of one component's model: everything that
+    /// does not depend on the component's knob pair, computed once per
+    /// surface (or per pointwise call).
+    fn plan(&self, id: ComponentId) -> ComponentPlan<'_> {
+        let (tech, org, cell) = (&self.tech, &self.org, &self.cell);
+        match id {
+            ComponentId::MemoryArray => ComponentPlan::Array(
+                ArrayPlan::new(tech, org, cell),
+                ProfileTransform::new(&self.profile, self.config),
+            ),
+            ComponentId::Decoder => ComponentPlan::Decoder(DecoderPlan::new(tech, org)),
+            ComponentId::AddressBus => ComponentPlan::Bus(BusPlan::address(tech, org, cell)),
+            ComponentId::DataBus => ComponentPlan::Bus(BusPlan::data(tech, org, cell)),
         }
     }
 
@@ -264,20 +254,7 @@ impl CacheCircuit {
     /// depend only on `(id, knobs)` — the independence the optimisers
     /// rely on.
     pub fn analyze_component(&self, id: ComponentId, knobs: KnobPoint) -> ComponentMetrics {
-        self.analyze_at(id, &HoistedPrims::new(&self.tech, knobs))
-    }
-
-    /// The one component-analysis path: pointwise calls and bulk surfaces
-    /// both evaluate the circuit models through hoisted device primitives.
-    fn analyze_at(&self, id: ComponentId, prims: &HoistedPrims) -> ComponentMetrics {
-        let (tech, org, cell) = (&self.tech, &self.org, &self.cell);
-        let m = match id {
-            ComponentId::MemoryArray => array::analyze(tech, org, cell, prims),
-            ComponentId::Decoder => decoder::analyze(tech, org, prims),
-            ComponentId::AddressBus => bus::analyze_address(tech, org, cell, prims),
-            ComponentId::DataBus => bus::analyze_data(tech, org, cell, prims),
-        };
-        self.apply_profile(id, m)
+        self.plan(id).at(&HoistedPrims::new(&self.tech, knobs))
     }
 
     /// Analyses the whole cache under a component-knob assignment.
@@ -316,19 +293,38 @@ impl CacheCircuit {
         points: &[KnobPoint],
         prims: &PrimsTable,
     ) -> ComponentSurface {
+        self.component_surface_over(id, &Arc::new(PointSet::new(points.to_vec())), prims)
+    }
+
+    /// [`component_surface_with`](Self::component_surface_with) over a
+    /// shared [`PointSet`]: every surface built over one set shares its
+    /// points and index instead of copying and re-indexing them.
+    ///
+    /// The component's plan is built once; each point then only finishes
+    /// the model from its [`HoistedPrims`], writing straight into the
+    /// surface's columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `prims` was not built over exactly `points`.
+    pub fn component_surface_over(
+        &self,
+        id: ComponentId,
+        points: &Arc<PointSet>,
+        prims: &PrimsTable,
+    ) -> ComponentSurface {
         assert_eq!(
             points.len(),
             prims.len(),
             "prims table must be built over the surface's point set"
         );
-        ComponentSurface::new(
-            points.to_vec(),
-            prims
-                .items()
-                .iter()
-                .map(|h| self.analyze_at(id, h))
-                .collect(),
-        )
+        let plan = self.plan(id);
+        let mut columns = Columns::with_capacity(points.len());
+        columns.extend(prims.items().iter().map(|h| plan.at(h)));
+        ComponentSurface {
+            points: Arc::clone(points),
+            columns,
+        }
     }
 
     /// The fastest achievable access time (every component at the
@@ -347,6 +343,70 @@ impl CacheCircuit {
     }
 }
 
+/// One component's model planned for one circuit (see
+/// [`CacheCircuit::analyze_component`]).
+enum ComponentPlan<'a> {
+    /// The memory array, with the cell-technology transform of a
+    /// non-SRAM profile.
+    Array(ArrayPlan<'a>, Option<ProfileTransform<'a>>),
+    Decoder(DecoderPlan),
+    Bus(BusPlan),
+}
+
+impl ComponentPlan<'_> {
+    /// The component's metrics at one knob point.
+    fn at(&self, prims: &HoistedPrims) -> ComponentMetrics {
+        match self {
+            ComponentPlan::Array(plan, None) => plan.at(prims),
+            ComponentPlan::Array(plan, Some(profile)) => profile.apply(plan.at(prims)),
+            ComponentPlan::Decoder(plan) => plan.at(prims),
+            ComponentPlan::Bus(plan) => plan.at(prims),
+        }
+    }
+}
+
+/// A non-SRAM cell technology's transform of the memory array's metrics.
+/// The periphery is CMOS regardless of what the cells are made of, so
+/// only the array is transformed.
+struct ProfileTransform<'a> {
+    profile: &'a TechProfile,
+    /// Refresh power of the whole array.
+    refresh: Watts,
+}
+
+impl<'a> ProfileTransform<'a> {
+    /// The transform of `profile` for a cache of `config`'s capacity, or
+    /// `None` for the identity profile — which leaves every metric
+    /// untouched (bit-for-bit), keeping all-SRAM studies byte-identical
+    /// to the pre-technology engine.
+    fn new(profile: &'a TechProfile, config: CacheConfig) -> Option<Self> {
+        if profile.is_identity() {
+            return None;
+        }
+        // Refresh is knob-independent static power charged per stored bit.
+        let refresh = profile.refresh_power_per_bit * (config.size_bytes() * 8) as f64;
+        Some(ProfileTransform { profile, refresh })
+    }
+
+    fn apply(&self, m: ComponentMetrics) -> ComponentMetrics {
+        let p = self.profile;
+        ComponentMetrics {
+            delay: m.delay * p.delay_scale,
+            leakage: LeakageBreakdown {
+                // Refresh lands in the subthreshold bucket (the "cell
+                // standby" channel).
+                subthreshold: m.leakage.subthreshold * p.leakage_scale + self.refresh,
+                gate: m.leakage.gate * p.leakage_scale,
+                junction: m.leakage.junction * p.leakage_scale,
+            },
+            read_energy: m.read_energy * p.read_energy_scale,
+            write_energy: m.write_energy * p.write_energy_scale,
+            transistors: m.transistors,
+            area: m.area * p.area_scale,
+        }
+    }
+}
+
 /// One component's metrics evaluated over a fixed set of knob points —
 /// the dense, memoizable form of repeated
 /// [`CacheCircuit::analyze_component`] calls.
@@ -354,12 +414,56 @@ impl CacheCircuit {
 /// Stored structure-of-arrays: one contiguous buffer per scalar metric,
 /// in input-point order, so bulk consumers (surface validation, candidate
 /// assembly) scan flat `f64` slices instead of striding through an
-/// array-of-structs. Point lookup is bit-exact (signed zeros normalized):
-/// O(1) arithmetic when the point set is a dense tox-major grid, hash
+/// array-of-structs. The points and their index live in a shared
+/// [`PointSet`]. Point lookup is bit-exact (signed zeros normalized):
+/// O(1) arithmetic when the point set is a dense tox-major grid, ordered
 /// lookup otherwise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSurface {
+    points: Arc<PointSet>,
+    columns: Columns,
+}
+
+/// A knob point set with its bit-exact point→row index, built once and
+/// shared by every [`ComponentSurface`] evaluated over it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PointSet {
     points: Vec<KnobPoint>,
+    index: PointIndex,
+}
+
+impl PointSet {
+    /// Indexes `points` (kept in input order).
+    pub fn new(points: Vec<KnobPoint>) -> Self {
+        let index = PointIndex::build(&points);
+        PointSet { points, index }
+    }
+
+    /// The points, in input order.
+    pub fn points(&self) -> &[KnobPoint] {
+        &self.points
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    /// `true` when the set holds no points.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// The row of a knob pair, matched bit-exactly (signed zeros
+    /// normalized), or `None` when the pair is not in the set.
+    pub fn position(&self, p: KnobPoint) -> Option<usize> {
+        self.index.lookup(p)
+    }
+}
+
+/// The metric columns of a [`ComponentSurface`], one per scalar metric.
+#[derive(Debug, Clone, PartialEq)]
+struct Columns {
     delay: Vec<f64>,
     sub_leakage: Vec<f64>,
     gate_leakage: Vec<f64>,
@@ -368,7 +472,34 @@ pub struct ComponentSurface {
     write_energy: Vec<f64>,
     area: Vec<f64>,
     transistors: Vec<u64>,
-    index: PointIndex,
+}
+
+impl Columns {
+    fn with_capacity(n: usize) -> Self {
+        Columns {
+            delay: Vec::with_capacity(n),
+            sub_leakage: Vec::with_capacity(n),
+            gate_leakage: Vec::with_capacity(n),
+            junction_leakage: Vec::with_capacity(n),
+            read_energy: Vec::with_capacity(n),
+            write_energy: Vec::with_capacity(n),
+            area: Vec::with_capacity(n),
+            transistors: Vec::with_capacity(n),
+        }
+    }
+
+    fn extend(&mut self, metrics: impl Iterator<Item = ComponentMetrics>) {
+        for m in metrics {
+            self.delay.push(m.delay.0);
+            self.sub_leakage.push(m.leakage.subthreshold.0);
+            self.gate_leakage.push(m.leakage.gate.0);
+            self.junction_leakage.push(m.leakage.junction.0);
+            self.read_energy.push(m.read_energy.0);
+            self.write_energy.push(m.write_energy.0);
+            self.area.push(m.area.0);
+            self.transistors.push(m.transistors);
+        }
+    }
 }
 
 /// Normalizes a knob coordinate for bit-exact keying: `-0.0` and `0.0`
@@ -465,34 +596,6 @@ impl PointIndex {
 }
 
 impl ComponentSurface {
-    fn new(points: Vec<KnobPoint>, metrics: Vec<ComponentMetrics>) -> Self {
-        let index = PointIndex::build(&points);
-        let n = metrics.len();
-        let mut s = ComponentSurface {
-            points,
-            delay: Vec::with_capacity(n),
-            sub_leakage: Vec::with_capacity(n),
-            gate_leakage: Vec::with_capacity(n),
-            junction_leakage: Vec::with_capacity(n),
-            read_energy: Vec::with_capacity(n),
-            write_energy: Vec::with_capacity(n),
-            area: Vec::with_capacity(n),
-            transistors: Vec::with_capacity(n),
-            index,
-        };
-        for m in metrics {
-            s.delay.push(m.delay.0);
-            s.sub_leakage.push(m.leakage.subthreshold.0);
-            s.gate_leakage.push(m.leakage.gate.0);
-            s.junction_leakage.push(m.leakage.junction.0);
-            s.read_energy.push(m.read_energy.0);
-            s.write_energy.push(m.write_energy.0);
-            s.area.push(m.area.0);
-            s.transistors.push(m.transistors);
-        }
-        s
-    }
-
     /// Assembles a surface from aligned point and metric vectors.
     ///
     /// Exists so validation layers and fault-injection harnesses can
@@ -509,12 +612,17 @@ impl ComponentSurface {
             metrics.len(),
             "surface points and metrics must be aligned"
         );
-        Self::new(points, metrics)
+        let mut columns = Columns::with_capacity(metrics.len());
+        columns.extend(metrics.into_iter());
+        ComponentSurface {
+            points: Arc::new(PointSet::new(points)),
+            columns,
+        }
     }
 
     /// The knob points the surface was evaluated at, in input order.
     pub fn points(&self) -> &[KnobPoint] {
-        &self.points
+        self.points.points()
     }
 
     /// Reassembles the metrics record at row `i` (input-point order).
@@ -523,17 +631,18 @@ impl ComponentSurface {
     ///
     /// Panics when `i` is out of bounds.
     pub fn metric_at(&self, i: usize) -> ComponentMetrics {
+        let c = &self.columns;
         ComponentMetrics {
-            delay: Seconds(self.delay[i]),
+            delay: Seconds(c.delay[i]),
             leakage: LeakageBreakdown {
-                subthreshold: Watts(self.sub_leakage[i]),
-                gate: Watts(self.gate_leakage[i]),
-                junction: Watts(self.junction_leakage[i]),
+                subthreshold: Watts(c.sub_leakage[i]),
+                gate: Watts(c.gate_leakage[i]),
+                junction: Watts(c.junction_leakage[i]),
             },
-            read_energy: Joules(self.read_energy[i]),
-            write_energy: Joules(self.write_energy[i]),
-            transistors: self.transistors[i],
-            area: SquareMicrons(self.area[i]),
+            read_energy: Joules(c.read_energy[i]),
+            write_energy: Joules(c.write_energy[i]),
+            transistors: c.transistors[i],
+            area: SquareMicrons(c.area[i]),
         }
     }
 
@@ -546,42 +655,42 @@ impl ComponentSurface {
 
     /// Per-point delays, seconds, in input order.
     pub fn delays(&self) -> &[f64] {
-        &self.delay
+        &self.columns.delay
     }
 
     /// Per-point subthreshold leakage, watts, in input order.
     pub fn subthreshold_leakages(&self) -> &[f64] {
-        &self.sub_leakage
+        &self.columns.sub_leakage
     }
 
     /// Per-point gate-tunnelling leakage, watts, in input order.
     pub fn gate_leakages(&self) -> &[f64] {
-        &self.gate_leakage
+        &self.columns.gate_leakage
     }
 
     /// Per-point junction leakage, watts, in input order.
     pub fn junction_leakages(&self) -> &[f64] {
-        &self.junction_leakage
+        &self.columns.junction_leakage
     }
 
     /// Per-point read energies, joules, in input order.
     pub fn read_energies(&self) -> &[f64] {
-        &self.read_energy
+        &self.columns.read_energy
     }
 
     /// Per-point write energies, joules, in input order.
     pub fn write_energies(&self) -> &[f64] {
-        &self.write_energy
+        &self.columns.write_energy
     }
 
     /// Per-point silicon areas, µm², in input order.
     pub fn areas(&self) -> &[f64] {
-        &self.area
+        &self.columns.area
     }
 
     /// Per-point transistor counts, in input order.
     pub fn transistor_counts(&self) -> &[u64] {
-        &self.transistors
+        &self.columns.transistors
     }
 
     /// Number of evaluated points.
@@ -597,12 +706,12 @@ impl ComponentSurface {
     /// The metrics at a knob pair, matched bit-exactly (signed zeros
     /// normalized), or `None` when the pair is not on the surface.
     pub fn lookup(&self, p: KnobPoint) -> Option<ComponentMetrics> {
-        self.index.lookup(p).map(|i| self.metric_at(i))
+        self.points.position(p).map(|i| self.metric_at(i))
     }
 
     /// Iterates `(point, metrics)` pairs in input order.
     pub fn iter(&self) -> impl Iterator<Item = (KnobPoint, ComponentMetrics)> + '_ {
-        self.points
+        self.points()
             .iter()
             .copied()
             .enumerate()
@@ -741,7 +850,7 @@ mod tests {
         let points: Vec<KnobPoint> = nm_device::KnobGrid::coarse().points().collect();
         let surface = c.component_surface(ComponentId::MemoryArray, &points);
         assert!(
-            matches!(surface.index, PointIndex::Grid { .. }),
+            matches!(surface.points.index, PointIndex::Grid { .. }),
             "tox-major grid layout should be recognized"
         );
         for &p in &points {

@@ -47,9 +47,11 @@ pub mod logic;
 pub mod sram;
 
 mod error;
+#[cfg(test)]
+mod oracle;
 
 pub use assignment::{ComponentId, ComponentKnobs, COMPONENT_IDS};
-pub use cache::{CacheCircuit, CacheMetrics, ComponentMetrics, ComponentSurface};
+pub use cache::{CacheCircuit, CacheMetrics, ComponentMetrics, ComponentSurface, PointSet};
 pub use config::{CacheConfig, Organization};
 pub use error::GeometryError;
 pub use sram::SramCell;

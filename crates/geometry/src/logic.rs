@@ -3,8 +3,8 @@
 
 use nm_device::leakage::{self, ConductionState, LeakageBreakdown};
 use nm_device::transistor::MosfetKind;
-use nm_device::units::{Farads, Joules, Meters, Microns, Ohms, Seconds};
-use nm_device::{drive, HoistedPrims, KnobPoint, TechnologyNode};
+use nm_device::units::{Farads, Joules, Meters, Microns, Ohms, Seconds, Volts, Watts};
+use nm_device::{drive, HoistedPrims, TechnologyNode};
 use serde::{Deserialize, Serialize};
 
 /// Ratio of PMOS to NMOS width in a balanced static gate.
@@ -15,33 +15,47 @@ pub const ELMORE: f64 = 0.69;
 
 /// A balanced static CMOS inverter (the generic gate of the periphery
 /// models; NANDs and NORs are expressed as inverters with series-stack
-/// resistance factors).
+/// resistance factors), planned on one technology node.
+///
+/// Construction computes the gate's knob-independent terms once — the
+/// drain-junction self-capacitance, the junction leakage and the supply —
+/// so that evaluating it at a knob point reads only the point's
+/// [`HoistedPrims`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Gate {
     /// NMOS width; PMOS is [`PN_RATIO`] times wider.
     pub wn: Microns,
-    /// Knob assignment of the component this gate belongs to.
-    pub knobs: KnobPoint,
     /// Series-stack factor ≥ 1 (2 for a NAND2 pulldown, etc.).
     pub stack: f64,
+    /// Parasitic self-capacitance at the output (drain junctions).
+    self_capacitance: Farads,
+    /// Junction leakage of both devices, which leak in either state.
+    junction_leakage: Watts,
+    vdd: Volts,
 }
 
 impl Gate {
     /// Creates a balanced inverter with unit stack factor.
-    pub fn inverter(wn: Microns, knobs: KnobPoint) -> Self {
-        Gate {
-            wn,
-            knobs,
-            stack: 1.0,
-        }
+    pub fn inverter(tech: &TechnologyNode, wn: Microns) -> Self {
+        Self::new(tech, wn, 1.0)
     }
 
     /// Creates a 2-input NAND-equivalent gate (stacked pulldown).
-    pub fn nand2(wn: Microns, knobs: KnobPoint) -> Self {
+    pub fn nand2(tech: &TechnologyNode, wn: Microns) -> Self {
+        Self::new(tech, wn, 2.0)
+    }
+
+    fn new(tech: &TechnologyNode, wn: Microns, stack: f64) -> Self {
+        let wp = wn * PN_RATIO;
+        let vdd = tech.vdd();
         Gate {
             wn,
-            knobs,
-            stack: 2.0,
+            stack,
+            self_capacitance: drive::drain_capacitance(tech, wn)
+                + drive::drain_capacitance(tech, wp),
+            junction_leakage: leakage::junction_current(tech, wn) * vdd
+                + leakage::junction_current(tech, wp) * vdd,
+            vdd,
         }
     }
 
@@ -53,62 +67,50 @@ impl Gate {
     /// Worst-case switching resistance (pull-down path including the
     /// stack factor).
     pub fn resistance(self, prims: &HoistedPrims) -> Ohms {
-        debug_assert_eq!(self.knobs, prims.point(), "prims must match gate knobs");
         let r = prims.effective_resistance(self.wn, MosfetKind::Nmos);
         Ohms(r.0 * self.stack)
     }
 
     /// Input capacitance presented to the previous stage (both gates).
     pub fn input_capacitance(self, prims: &HoistedPrims) -> Farads {
-        debug_assert_eq!(self.knobs, prims.point(), "prims must match gate knobs");
         let cn = prims.gate_capacitance(self.wn);
         let cp = prims.gate_capacitance(self.wp());
         cn + cp
     }
 
-    /// Parasitic self-capacitance at the output (drain junctions).
-    pub fn self_capacitance(self, tech: &TechnologyNode) -> Farads {
-        drive::drain_capacitance(tech, self.wn) + drive::drain_capacitance(tech, self.wp())
-    }
-
     /// Propagation delay driving an external load.
-    pub fn delay(self, tech: &TechnologyNode, prims: &HoistedPrims, load: Farads) -> Seconds {
-        let c = self.self_capacitance(tech) + load;
+    pub fn delay(self, prims: &HoistedPrims, load: Farads) -> Seconds {
+        let c = self.self_capacitance + load;
         Seconds(ELMORE * self.resistance(prims).0 * c.0)
     }
 
     /// Standby leakage of the gate, averaged over input states: at any
     /// time one transistor of the pair is off (subthreshold + edge gate
     /// tunnelling) and the other is on (full gate tunnelling).
-    pub fn leakage(self, tech: &TechnologyNode, prims: &HoistedPrims) -> LeakageBreakdown {
-        debug_assert_eq!(self.knobs, prims.point(), "prims must match gate knobs");
-        let vdd = tech.vdd();
+    pub fn leakage(self, prims: &HoistedPrims) -> LeakageBreakdown {
         let half = |w: Microns| {
             let sub = prims.subthreshold_current(w);
             let g_off = prims.gate_current(w, ConductionState::Off);
             let g_on = prims.gate_current(w, ConductionState::On);
-            let j = leakage::junction_current(tech, w);
             // 50 % duty in each state.
-            LeakageBreakdown::from_currents(vdd, sub * 0.5, (g_off + g_on) * 0.5, j)
+            (sub * 0.5 * self.vdd, (g_off + g_on) * 0.5 * self.vdd)
         };
-        // Stacked pulldowns leak less when off (stack effect ≈ /stack).
-        let mut n = half(self.wn);
-        n.subthreshold = n.subthreshold / self.stack;
-        let p = half(self.wp());
-        n + p
+        let (n_sub, n_gate) = half(self.wn);
+        let (p_sub, p_gate) = half(self.wp());
+        LeakageBreakdown {
+            // Stacked pulldowns leak less when off (stack effect ≈ /stack).
+            subthreshold: n_sub / self.stack + p_sub,
+            gate: n_gate + p_gate,
+            junction: self.junction_leakage,
+        }
     }
 
     /// Energy dissipated by one output transition driving `load`.
-    pub fn switching_energy(
-        self,
-        tech: &TechnologyNode,
-        prims: &HoistedPrims,
-        load: Farads,
-    ) -> Joules {
-        let c = self.self_capacitance(tech) + self.input_capacitance(prims) + load;
+    pub fn switching_energy(self, prims: &HoistedPrims, load: Farads) -> Joules {
+        let c = self.self_capacitance + self.input_capacitance(prims) + load;
         // One full charge/discharge cycle dissipates C·V²; a single
         // transition dissipates half.
-        Joules(0.5 * c.0 * tech.vdd().0 * tech.vdd().0)
+        Joules(0.5 * c.0 * self.vdd.0 * self.vdd.0)
     }
 }
 
@@ -140,32 +142,47 @@ impl Wire {
     }
 }
 
-/// Delay and driver cost of a repeated (buffer-inserted) wire of length
-/// `length` driven by identical gates of width `wn` at `prims`' knobs.
-///
-/// Returns `(delay, repeater_count)` with one repeater per
-/// a fixed repeater pitch (0.5 mm; at least one driver).
-pub fn repeated_wire(
-    tech: &TechnologyNode,
-    prims: &HoistedPrims,
-    wn: Microns,
-    length: Meters,
-) -> (Seconds, u64) {
-    /// Repeater pitch in metres (0.5 mm of intermediate metal).
-    const REPEATER_PITCH: f64 = 0.5e-3;
-    let stages = (length.0 / REPEATER_PITCH).ceil().max(1.0) as u64;
-    let seg = Meters(length.0 / stages as f64);
-    let driver = Gate::inverter(wn, prims.point());
-    let wire = Wire::new(tech, seg);
-    let per_stage = wire.elmore_delay(driver.resistance(prims), driver.input_capacitance(prims))
-        + driver.delay(tech, prims, Farads(0.0));
-    (Seconds(per_stage.0 * stages as f64), stages)
+/// A repeated (buffer-inserted) wire of fixed length, planned once per
+/// circuit: one repeater of NMOS width `wn` per fixed pitch (0.5 mm; at
+/// least one driver), each driving one equal segment.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RepeatedWire {
+    /// The repeater gate.
+    pub driver: Gate,
+    /// Number of repeaters (and segments).
+    pub stages: u64,
+    segment: Wire,
+}
+
+impl RepeatedWire {
+    /// Plans the repeaters of a wire of length `length`.
+    pub fn new(tech: &TechnologyNode, wn: Microns, length: Meters) -> Self {
+        /// Repeater pitch in metres (0.5 mm of intermediate metal).
+        const REPEATER_PITCH: f64 = 0.5e-3;
+        let stages = (length.0 / REPEATER_PITCH).ceil().max(1.0) as u64;
+        RepeatedWire {
+            driver: Gate::inverter(tech, wn),
+            stages,
+            segment: Wire::new(tech, Meters(length.0 / stages as f64)),
+        }
+    }
+
+    /// End-to-end delay with every repeater at `prims`' knobs.
+    pub fn delay(&self, prims: &HoistedPrims) -> Seconds {
+        let driver = self.driver;
+        let per_stage = self
+            .segment
+            .elmore_delay(driver.resistance(prims), driver.input_capacitance(prims))
+            + driver.delay(prims, Farads(0.0));
+        Seconds(per_stage.0 * self.stages as f64)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nm_device::units::{Angstroms, Volts};
+    use nm_device::units::Angstroms;
+    use nm_device::KnobPoint;
 
     fn tech() -> TechnologyNode {
         TechnologyNode::bptm65()
@@ -184,8 +201,8 @@ mod tests {
     ///
     /// A small discrete search (rather than the classic closed form) so
     /// it remains exact under this model's near-threshold resistance
-    /// term; used to sanity-check the fixed-pitch default in
-    /// [`repeated_wire`].
+    /// term; used to sanity-check the fixed-pitch default of
+    /// [`RepeatedWire`].
     fn optimal_repeaters(
         tech: &TechnologyNode,
         knobs: KnobPoint,
@@ -195,13 +212,13 @@ mod tests {
         let mut best: Option<(Seconds, Microns, u64)> = None;
         for width_um in [1.0, 2.0, 4.0, 8.0, 16.0] {
             let wn = Microns(width_um);
-            let driver = Gate::inverter(wn, knobs);
+            let driver = Gate::inverter(tech, wn);
             for stages in 1..=64u64 {
                 let seg = Meters(length.0 / stages as f64);
                 let wire = Wire::new(tech, seg);
                 let per_stage = wire
                     .elmore_delay(driver.resistance(&h), driver.input_capacitance(&h))
-                    + driver.delay(tech, &h, Farads(0.0));
+                    + driver.delay(&h, Farads(0.0));
                 let total = Seconds(per_stage.0 * stages as f64);
                 if best.as_ref().is_none_or(|(t, _, _)| total.0 < t.0) {
                     best = Some((total, wn, stages));
@@ -221,17 +238,17 @@ mod tests {
         fanout: f64,
     ) -> Seconds {
         let h = HoistedPrims::new(tech, knobs);
-        let g = Gate::inverter(wn, knobs);
+        let g = Gate::inverter(tech, wn);
         let load = Farads(g.input_capacitance(&h).0 * fanout);
-        Seconds(g.delay(tech, &h, load).0 * f64::from(stages))
+        Seconds(g.delay(&h, load).0 * f64::from(stages))
     }
 
     #[test]
     fn inverter_delay_is_picoseconds() {
         let t = tech();
         let h = prims(KnobPoint::nominal());
-        let g = Gate::inverter(Microns(1.0), KnobPoint::nominal());
-        let d = g.delay(&t, &h, g.input_capacitance(&h) * 4.0);
+        let g = Gate::inverter(&t, Microns(1.0));
+        let d = g.delay(&h, g.input_capacitance(&h) * 4.0);
         assert!((1.0..100.0).contains(&d.picos()), "d = {} ps", d.picos());
     }
 
@@ -240,22 +257,21 @@ mod tests {
         let t = tech();
         let (fk, sk) = (k(0.2, 12.0), k(0.5, 12.0));
         let (fh, sh) = (prims(fk), prims(sk));
-        let fast = Gate::inverter(Microns(1.0), fk);
-        let slow = Gate::inverter(Microns(1.0), sk);
-        let load = fast.input_capacitance(&fh);
-        assert!(slow.delay(&t, &sh, load).0 > fast.delay(&t, &fh, load).0);
-        assert!(slow.leakage(&t, &sh).total().0 < fast.leakage(&t, &fh).total().0);
+        let g = Gate::inverter(&t, Microns(1.0));
+        let load = g.input_capacitance(&fh);
+        assert!(g.delay(&sh, load).0 > g.delay(&fh, load).0);
+        assert!(g.leakage(&sh).total().0 < g.leakage(&fh).total().0);
     }
 
     #[test]
     fn nand_stack_slower_but_leaks_less_subthreshold() {
         let t = tech();
         let h = prims(KnobPoint::nominal());
-        let inv = Gate::inverter(Microns(1.0), KnobPoint::nominal());
-        let nand = Gate::nand2(Microns(1.0), KnobPoint::nominal());
+        let inv = Gate::inverter(&t, Microns(1.0));
+        let nand = Gate::nand2(&t, Microns(1.0));
         let load = inv.input_capacitance(&h);
-        assert!(nand.delay(&t, &h, load).0 > inv.delay(&t, &h, load).0);
-        assert!(nand.leakage(&t, &h).subthreshold.0 < inv.leakage(&t, &h).subthreshold.0);
+        assert!(nand.delay(&h, load).0 > inv.delay(&h, load).0);
+        assert!(nand.leakage(&h).subthreshold.0 < inv.leakage(&h).subthreshold.0);
     }
 
     #[test]
@@ -277,10 +293,10 @@ mod tests {
         let h = prims(knobs);
         let wn = Microns(4.0);
         let len = Meters(4e-3);
-        let (rep, stages) = repeated_wire(&t, &h, wn, len);
-        let g = Gate::inverter(wn, knobs);
-        let raw = Wire::new(&t, len).elmore_delay(g.resistance(&h), Farads(0.0));
-        assert!(stages >= 4);
+        let repeated = RepeatedWire::new(&t, wn, len);
+        let rep = repeated.delay(&h);
+        let raw = Wire::new(&t, len).elmore_delay(repeated.driver.resistance(&h), Farads(0.0));
+        assert!(repeated.stages >= 4);
         assert!(
             rep.0 < raw.0,
             "repeated {} ps ≥ raw {} ps",
@@ -295,7 +311,7 @@ mod tests {
         let knobs = KnobPoint::nominal();
         for len_mm in [1.0, 4.0] {
             let length = Meters(len_mm * 1e-3);
-            let (fixed, _) = repeated_wire(&t, &prims(knobs), Microns(4.0), length);
+            let fixed = RepeatedWire::new(&t, Microns(4.0), length).delay(&prims(knobs));
             let (opt, w, stages) = optimal_repeaters(&t, knobs, length);
             assert!(
                 opt.0 <= fixed.0 + 1e-18,
@@ -328,9 +344,9 @@ mod tests {
     fn switching_energy_positive_and_grows_with_load() {
         let t = tech();
         let h = prims(KnobPoint::nominal());
-        let g = Gate::inverter(Microns(1.0), KnobPoint::nominal());
-        let e0 = g.switching_energy(&t, &h, Farads(0.0));
-        let e1 = g.switching_energy(&t, &h, Farads::from_femtos(100.0));
+        let g = Gate::inverter(&t, Microns(1.0));
+        let e0 = g.switching_energy(&h, Farads(0.0));
+        let e1 = g.switching_energy(&h, Farads::from_femtos(100.0));
         assert!(e0.0 > 0.0);
         assert!(e1.0 > e0.0);
     }
@@ -338,7 +354,7 @@ mod tests {
     #[test]
     fn gate_leakage_sensitive_to_tox() {
         let t = tech();
-        let leak = |knobs| Gate::inverter(Microns(1.0), knobs).leakage(&t, &prims(knobs));
+        let leak = |knobs| Gate::inverter(&t, Microns(1.0)).leakage(&prims(knobs));
         let thin = leak(k(0.3, 10.0));
         let thick = leak(k(0.3, 14.0));
         assert!(thin.gate.0 / thick.gate.0 > 10.0);
