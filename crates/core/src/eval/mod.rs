@@ -20,7 +20,7 @@
 //!
 //! Results are bit-identical to the direct pipeline: the circuit model is
 //! pure, so cached metrics equal freshly computed ones, and the engine
-//! routes pricing through the same `groups::candidate_from_metrics` path
+//! routes pricing through the same `groups::MetricSample` accumulation
 //! with the same summation order as [`crate::groups::cache_groups`].
 
 mod cache;
@@ -28,7 +28,7 @@ mod spec;
 
 pub use spec::{HierarchySpec, LevelSpec};
 
-use crate::groups::candidate_from_metrics;
+use crate::groups::MetricSample;
 use crate::StudyError;
 use cache::MetricsCache;
 use nm_device::{KnobGrid, KnobPoint, PrimsTable, TechnologyNode};
@@ -226,18 +226,6 @@ pub struct Evaluator {
     events: [AtomicUsize; Event::COUNT],
 }
 
-/// `true` when every value in a metric buffer is finite and
-/// non-negative. Written as a branch-free accumulating scan so the
-/// healthy case (all of them, outside fault injection) vectorizes over
-/// the surface's contiguous buffers instead of branching per value.
-fn buffer_ok(values: &[f64]) -> bool {
-    let mut ok = true;
-    for &v in values {
-        ok &= v.is_finite() & (v >= 0.0);
-    }
-    ok
-}
-
 /// Checks every metric of a freshly computed surface before it may enter
 /// the memo cache: delay, each leakage component, both dynamic energies
 /// and area must be finite and non-negative. The paper's Eq.1/Eq.2
@@ -245,25 +233,16 @@ fn buffer_ok(values: &[f64]) -> bool {
 /// characterized `Vth`/`Tox` region; a poisoned surface cached here would
 /// corrupt every study that later shares it.
 ///
-/// The healthy path is a flat scan over the surface's
-/// structure-of-arrays buffers; only a failed scan falls back to the
-/// point-major walk that names the first offending `(point, metric)` in
-/// the same order the pre-SoA validator reported it.
+/// The healthy path reads the health record the surface kept while its
+/// columns were written ([`ComponentSurface::is_healthy`]); only an
+/// unhealthy surface is walked point-major, to name the first offending
+/// `(point, metric)`.
 fn validate_surface(
     circuit: &CacheCircuit,
     component: ComponentId,
     surface: &ComponentSurface,
 ) -> Result<(), StudyError> {
-    let buffers: [&[f64]; 7] = [
-        surface.delays(),
-        surface.subthreshold_leakages(),
-        surface.gate_leakages(),
-        surface.junction_leakages(),
-        surface.read_energies(),
-        surface.write_energies(),
-        surface.areas(),
-    ];
-    if buffers.iter().all(|b| buffer_ok(b)) {
+    if surface.is_healthy() {
         return Ok(());
     }
     for (p, m) in surface.iter() {
@@ -289,7 +268,7 @@ fn validate_surface(
             }
         }
     }
-    unreachable!("buffer scan flagged a surface the point walk found healthy")
+    unreachable!("health record flagged a surface the point walk found healthy")
 }
 
 /// Logs a persistence-tier degradation to stderr when span logging is
@@ -673,20 +652,19 @@ impl Evaluator {
             .layout()
             .iter()
             .map(|(ids, suffix)| {
-                // Each candidate reads its components' rows straight from
-                // the surface columns, summed in group order.
+                // Each candidate sums its components' price columns in
+                // place, in group order.
                 let candidates: Vec<Candidate> = self
                     .points
                     .points()
                     .iter()
                     .enumerate()
                     .map(|(i, &p)| {
-                        candidate_from_metrics(
-                            ids.iter().map(|id| surfaces[id.index()].metric_at(i)),
-                            p,
-                            level.delay_weight(),
-                            level.cost(),
-                        )
+                        let mut sample = MetricSample::default();
+                        for id in ids {
+                            sample.add_row(&surfaces[id.index()], i);
+                        }
+                        sample.candidate(p, level.delay_weight(), level.cost())
                     })
                     .collect();
                 // Non-SRAM levels carry the technology in the group name so
@@ -1155,6 +1133,89 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// The metric names the fallback walk reports, in its check order.
+    const METRICS: [&str; 7] = [
+        "delay",
+        "subthreshold leakage",
+        "gate leakage",
+        "junction leakage",
+        "read energy",
+        "write energy",
+        "area",
+    ];
+
+    fn set_metric(m: &mut nm_geometry::ComponentMetrics, metric: usize, value: f64) {
+        use nm_device::units::{Joules, Seconds, SquareMicrons, Watts};
+        match metric {
+            0 => m.delay = Seconds(value),
+            1 => m.leakage.subthreshold = Watts(value),
+            2 => m.leakage.gate = Watts(value),
+            3 => m.leakage.junction = Watts(value),
+            4 => m.read_energy = Joules(value),
+            5 => m.write_energy = Joules(value),
+            _ => m.area = SquareMicrons(value),
+        }
+    }
+
+    /// Values the validator must reject.
+    const BAD_VALUES: [f64; 7] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -5e-324,
+        -1.0,
+        -f64::MAX,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// One bad value at a random row and metric sends the surface
+        /// down the fallback walk, which names exactly that point, metric
+        /// and value; a `-0.0` written anywhere else is accepted on the
+        /// way. A surface whose only odd value is `-0.0` passes.
+        #[test]
+        fn fallback_walk_names_the_one_bad_value(
+            comp in 0usize..4,
+            (row, metric) in (0usize..1000, 0usize..7),
+            (zero_row, zero_metric) in (0usize..1000, 0usize..7),
+            bad in 0usize..BAD_VALUES.len(),
+        ) {
+            let c = circuit(16 * 1024);
+            let id = COMPONENT_IDS[comp];
+            let points: Vec<KnobPoint> = KnobGrid::coarse().points().collect();
+            let (row, zero_row) = (row % points.len(), zero_row % points.len());
+            let healthy = c.component_surface(id, &points);
+            let mut metrics = healthy.metrics_vec();
+            set_metric(&mut metrics[zero_row], zero_metric, -0.0);
+            let zeroed = ComponentSurface::from_parts(points.clone(), metrics.clone());
+            proptest::prop_assert_eq!(validate_surface(&c, id, &zeroed), Ok(()));
+
+            let value = BAD_VALUES[bad];
+            set_metric(&mut metrics[row], metric, value);
+            let poisoned = ComponentSurface::from_parts(points.clone(), metrics);
+            match validate_surface(&c, id, &poisoned) {
+                Err(StudyError::InvalidSurface {
+                    circuit,
+                    component,
+                    vth,
+                    tox,
+                    metric: named,
+                    value: reported,
+                }) => {
+                    proptest::prop_assert_eq!(circuit, c.config().to_string());
+                    proptest::prop_assert_eq!(component, id);
+                    proptest::prop_assert_eq!(vth.to_bits(), points[row].vth().0.to_bits());
+                    proptest::prop_assert_eq!(tox.to_bits(), points[row].tox().0.to_bits());
+                    proptest::prop_assert_eq!(named, METRICS[metric]);
+                    proptest::prop_assert_eq!(reported.to_bits(), value.to_bits());
+                }
+                other => proptest::prop_assert!(false, "expected InvalidSurface, got {:?}", other),
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Bridging the circuit model to the optimiser: assignment schemes and
 //! candidate-group construction.
 
-use nm_device::{KnobGrid, KnobPoint};
-use nm_geometry::{CacheCircuit, ComponentId, ComponentMetrics, COMPONENT_IDS};
+use nm_device::units::Watts;
+use nm_device::{KnobGrid, KnobPoint, LeakageBreakdown};
+use nm_geometry::{CacheCircuit, ComponentId, ComponentMetrics, ComponentSurface, COMPONENT_IDS};
 use nm_opt::{Candidate, Group};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -133,30 +134,52 @@ pub(crate) struct MetricSample {
     pub(crate) write_energy: f64,
 }
 
+impl MetricSample {
+    /// Adds one component's contribution: the one accumulation rule
+    /// behind both [`cache_groups`] (whole metric records) and the
+    /// evaluation engine (surface columns), so both produce bit-identical
+    /// candidates when they add components in the same order.
+    fn add(&mut self, delay: f64, leakage: LeakageBreakdown, read_energy: f64, write_energy: f64) {
+        self.delay += delay;
+        self.leakage += leakage.total().0;
+        self.read_energy += read_energy;
+        self.write_energy += write_energy;
+    }
+
+    /// Adds row `i` of a component's surface, reading only the columns a
+    /// price needs (delay, the three leakages and both energies).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of bounds.
+    pub(crate) fn add_row(&mut self, surface: &ComponentSurface, i: usize) {
+        let leakage = LeakageBreakdown {
+            subthreshold: Watts(surface.subthreshold_leakages()[i]),
+            gate: Watts(surface.gate_leakages()[i]),
+            junction: Watts(surface.junction_leakages()[i]),
+        };
+        self.add(
+            surface.delays()[i],
+            leakage,
+            surface.read_energies()[i],
+            surface.write_energies()[i],
+        );
+    }
+
+    /// Prices the summed sample as the candidate at knob pair `p`.
+    pub(crate) fn candidate(&self, p: KnobPoint, delay_weight: f64, cost: CostKind) -> Candidate {
+        Candidate::new(p, delay_weight * self.delay, cost.cost(self))
+    }
+}
+
 /// Sums per-component metrics (in the given iteration order) into the raw
 /// [`MetricSample`] a [`CostKind`] prices.
 pub(crate) fn sample_over(metrics: impl Iterator<Item = ComponentMetrics>) -> MetricSample {
     let mut sample = MetricSample::default();
     for m in metrics {
-        sample.delay += m.delay.0;
-        sample.leakage += m.leakage.total().0;
-        sample.read_energy += m.read_energy.0;
-        sample.write_energy += m.write_energy.0;
+        sample.add(m.delay.0, m.leakage, m.read_energy.0, m.write_energy.0);
     }
     sample
-}
-
-/// Prices a tied component set's summed metrics as one candidate — the
-/// one pricing path shared by [`cache_groups`] and the evaluation
-/// engine's memoized surfaces, so both produce bit-identical candidates.
-pub(crate) fn candidate_from_metrics(
-    metrics: impl Iterator<Item = ComponentMetrics>,
-    p: KnobPoint,
-    delay_weight: f64,
-    cost: CostKind,
-) -> Candidate {
-    let sample = sample_over(metrics);
-    Candidate::new(p, delay_weight * sample.delay, cost.cost(&sample))
 }
 
 /// Evaluates a *tied* set of components (sharing one knob pair) over the
@@ -188,7 +211,7 @@ fn make_candidate(
     cost: CostKind,
 ) -> Candidate {
     let metrics = ids.iter().map(|&id| circuit.analyze_component(id, p));
-    candidate_from_metrics(metrics, p, delay_weight, cost)
+    sample_over(metrics).candidate(p, delay_weight, cost)
 }
 
 /// Builds the optimiser groups for one cache under a scheme.

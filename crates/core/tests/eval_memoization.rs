@@ -143,20 +143,37 @@ proptest! {
     }
 
     /// Property: single-cache groups assembled from memoized surfaces
-    /// equal `cache_groups` for every scheme and random delay weight.
+    /// equal `cache_groups` bit for bit for every scheme, random delay
+    /// weight and both cost kinds — the energy cost with random `t_ref`,
+    /// access rate and store fraction, so the read and write energy
+    /// columns are priced too.
     #[test]
     fn evaluator_groups_equal_direct_groups(
         scheme_idx in 0usize..3,
         weight in 0.01f64..1.0,
+        energy in proptest::bool::ANY,
+        (t_ref, access_rate, write_fraction) in (1e-10f64..1e-8, 0.001f64..1.0, 0.0f64..1.0),
     ) {
         let scheme = Scheme::ALL[scheme_idx];
+        let cost = if energy {
+            CostKind::Energy { t_ref, access_rate, write_fraction }
+        } else {
+            CostKind::LeakagePower
+        };
         let grid = KnobGrid::coarse();
         let eval = Evaluator::new(grid.clone());
         let c = circuit(32 * 1024, 4);
-        let spec = HierarchySpec::single(c.clone(), scheme, weight, CostKind::LeakagePower);
-        prop_assert_eq!(
-            eval.try_groups(&spec).expect("healthy build"),
-            cache_groups(&c, scheme, &grid, weight, CostKind::LeakagePower)
-        );
+        let spec = HierarchySpec::single(c.clone(), scheme, weight, cost);
+        let memoized = eval.try_groups(&spec).expect("healthy build");
+        let direct = cache_groups(&c, scheme, &grid, weight, cost);
+        prop_assert_eq!(&memoized, &direct);
+        let bits = |groups: &[nm_opt::Group]| -> Vec<(u64, u64)> {
+            groups
+                .iter()
+                .flat_map(|g| g.candidates())
+                .map(|cand| (cand.delay.to_bits(), cand.cost.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(bits(&memoized), bits(&direct));
     }
 }

@@ -412,9 +412,11 @@ impl<'a> ProfileTransform<'a> {
 /// [`CacheCircuit::analyze_component`] calls.
 ///
 /// Stored structure-of-arrays: one contiguous buffer per scalar metric,
-/// in input-point order, so bulk consumers (surface validation, candidate
-/// assembly) scan flat `f64` slices instead of striding through an
-/// array-of-structs. The points and their index live in a shared
+/// in input-point order, so bulk consumers (candidate pricing) read only
+/// the flat `f64` slices they need instead of striding through an
+/// array-of-structs. Every value is checked as it is written (see
+/// [`is_healthy`](Self::is_healthy)), so validating a surface never
+/// re-reads its columns. The points and their index live in a shared
 /// [`PointSet`]. Point lookup is bit-exact (signed zeros normalized):
 /// O(1) arithmetic when the point set is a dense tox-major grid, ordered
 /// lookup otherwise.
@@ -461,7 +463,8 @@ impl PointSet {
     }
 }
 
-/// The metric columns of a [`ComponentSurface`], one per scalar metric.
+/// The metric columns of a [`ComponentSurface`], one per scalar metric,
+/// plus the health record kept as they are written.
 #[derive(Debug, Clone, PartialEq)]
 struct Columns {
     delay: Vec<f64>,
@@ -472,6 +475,9 @@ struct Columns {
     write_energy: Vec<f64>,
     area: Vec<f64>,
     transistors: Vec<u64>,
+    /// `true` while every f64 value written so far is finite and
+    /// non-negative.
+    healthy: bool,
 }
 
 impl Columns {
@@ -485,11 +491,30 @@ impl Columns {
             write_energy: Vec::with_capacity(n),
             area: Vec::with_capacity(n),
             transistors: Vec::with_capacity(n),
+            healthy: true,
         }
     }
 
+    /// Appends one row per record and folds its seven f64 metrics into
+    /// the health record in the same pass. `(v + 0.0).to_bits()` is below
+    /// `f64::INFINITY.to_bits()` exactly when `v` is finite and
+    /// non-negative: `+ 0.0` turns `-0.0` into `+0.0`, and every negative
+    /// value, infinity and NaN sits at or above the bound. So a running
+    /// `max` of those bits checks every value without a branch.
     fn extend(&mut self, metrics: impl Iterator<Item = ComponentMetrics>) {
+        let mut max_bits = 0u64;
         for m in metrics {
+            for v in [
+                m.delay.0,
+                m.leakage.subthreshold.0,
+                m.leakage.gate.0,
+                m.leakage.junction.0,
+                m.read_energy.0,
+                m.write_energy.0,
+                m.area.0,
+            ] {
+                max_bits = max_bits.max((v + 0.0).to_bits());
+            }
             self.delay.push(m.delay.0);
             self.sub_leakage.push(m.leakage.subthreshold.0);
             self.gate_leakage.push(m.leakage.gate.0);
@@ -499,6 +524,7 @@ impl Columns {
             self.area.push(m.area.0);
             self.transistors.push(m.transistors);
         }
+        self.healthy &= max_bits < f64::INFINITY.to_bits();
     }
 }
 
@@ -651,6 +677,14 @@ impl ComponentSurface {
     /// that need owned records — e.g. surface mutation harnesses).
     pub fn metrics_vec(&self) -> Vec<ComponentMetrics> {
         (0..self.len()).map(|i| self.metric_at(i)).collect()
+    }
+
+    /// `true` when every delay, leakage, energy and area value on the
+    /// surface is finite and non-negative (`-0.0` counts as
+    /// non-negative). Recorded while the columns are written, so reading
+    /// it costs nothing; transistor counts are integers and not covered.
+    pub fn is_healthy(&self) -> bool {
+        self.columns.healthy
     }
 
     /// Per-point delays, seconds, in input order.
@@ -1013,6 +1047,75 @@ mod tests {
                 surface.lookup(p),
                 Some(c.analyze_component(ComponentId::MemoryArray, p))
             );
+        }
+    }
+
+    /// Metric values for the health-record oracle: the first six are
+    /// finite and non-negative (`-0.0` included), the rest are not.
+    const HEALTH_POOL: [f64; 14] = [
+        0.0,
+        -0.0,
+        5e-324,
+        1e-300,
+        1.0,
+        f64::MAX,
+        -5e-324,
+        -1e-300,
+        -1.0,
+        -f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The health record kept while the columns are written equals
+        /// `is_finite() && >= 0.0` over all seven f64 metrics of every
+        /// row. Rows start from the healthy part of the pool; up to two
+        /// values are then overwritten from the whole pool, so a lone
+        /// bad value of each kind is common.
+        #[test]
+        fn health_record_matches_the_finite_non_negative_oracle(
+            rows in proptest::collection::vec(proptest::collection::vec(0usize..6, 7), 1..6),
+            overwrites in proptest::collection::vec(
+                (0usize..1000, 0usize..7, 0usize..HEALTH_POOL.len()),
+                0..3,
+            ),
+            transistors in proptest::arbitrary::any::<u64>(),
+        ) {
+            let mut values: Vec<[f64; 7]> = rows
+                .iter()
+                .map(|row| std::array::from_fn(|m| HEALTH_POOL[row[m]]))
+                .collect();
+            for &(row, metric, pick) in &overwrites {
+                let n = values.len();
+                values[row % n][metric] = HEALTH_POOL[pick];
+            }
+            let metrics: Vec<ComponentMetrics> = values
+                .iter()
+                .map(|v| ComponentMetrics {
+                    delay: Seconds(v[0]),
+                    leakage: LeakageBreakdown {
+                        subthreshold: Watts(v[1]),
+                        gate: Watts(v[2]),
+                        junction: Watts(v[3]),
+                    },
+                    read_energy: Joules(v[4]),
+                    write_energy: Joules(v[5]),
+                    area: SquareMicrons(v[6]),
+                    transistors,
+                })
+                .collect();
+            let points: Vec<KnobPoint> = nm_device::KnobGrid::coarse()
+                .points()
+                .take(metrics.len())
+                .collect();
+            let surface = ComponentSurface::from_parts(points, metrics);
+            let oracle = values.iter().flatten().all(|&v| v.is_finite() && v >= 0.0);
+            proptest::prop_assert_eq!(surface.is_healthy(), oracle, "{:?}", values);
         }
     }
 
