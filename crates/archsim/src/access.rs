@@ -1,10 +1,9 @@
 //! Memory reference records.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Load or store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load (read).
     Read,
@@ -22,7 +21,7 @@ impl fmt::Display for AccessKind {
 }
 
 /// One memory reference: a byte address and its kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Access {
     /// Byte address.
     pub addr: u64,

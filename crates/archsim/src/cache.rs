@@ -3,12 +3,11 @@
 
 use crate::access::Access;
 use crate::error::SimError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hint::select_unpredictable;
 
 /// Replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Replacement {
     /// Least-recently-used (the paper-era default).
     Lru,
@@ -24,7 +23,7 @@ pub enum Replacement {
 /// Only [`CacheParams::new`] builds one, so block size, associativity and
 /// set count are always powers of two and an address decodes by shift
 /// and mask ([`set_and_tag`](Self::set_and_tag)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheParams {
     size_bytes: u64,
     block_bytes: u64,
@@ -129,7 +128,7 @@ impl fmt::Display for CacheParams {
 }
 
 /// Outcome of a cache probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// The block was resident.
     Hit,
@@ -160,7 +159,7 @@ impl Outcome {
 }
 
 /// Running access statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Total probes.
     pub accesses: u64,

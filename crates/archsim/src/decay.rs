@@ -12,10 +12,9 @@
 
 use crate::access::Access;
 use crate::cache::{CacheParams, CacheStats};
-use serde::{Deserialize, Serialize};
 
 /// Statistics of a decaying cache.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DecayStats {
     /// Underlying access statistics (misses include decay-induced ones).
     pub cache: CacheStats,

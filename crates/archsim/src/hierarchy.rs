@@ -11,7 +11,6 @@
 use crate::access::Access;
 use crate::cache::{CacheParams, CacheSim, CacheStats, Outcome, Replacement};
 use crate::error::SimError;
-use serde::{Deserialize, Serialize};
 
 /// Per-level statistics of an N-level hierarchy.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// *i−1*). Writeback traffic is tallied separately in `writebacks`, so the
 /// local miss rates stay demand miss rates — the quantities the AMAT
 /// weight chain multiplies.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MultiLevelStats {
     /// Demand-stream statistics per level, outermost (L1) first.
     pub levels: Vec<CacheStats>,

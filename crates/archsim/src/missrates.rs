@@ -7,11 +7,10 @@ use crate::error::SimError;
 use crate::hierarchy::{serve_level, MultiLevel, MultiLevelStats};
 use crate::workload::{SuiteKind, Workload};
 use nm_sweep::ParallelSweep;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Steady-state statistics for one (L1, L2) size combination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairStats {
     /// L1 miss rate over all CPU references.
     pub l1_miss_rate: f64,
@@ -206,7 +205,7 @@ fn simulate_suite(
 }
 
 /// Steady-state statistics for one N-level size chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainStats {
     /// Local (per-demand-probe) miss rate of each level, outermost first.
     pub local_miss_rates: Vec<f64>,
@@ -260,7 +259,7 @@ pub fn simulate_chain(
 /// once, in blocks of 4096 references, and feeds each block through one
 /// L1 per size, each of which replays its misses into one live cache per
 /// L2 size. A unit therefore holds every cache of the grid at once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissRateTable {
     entries: BTreeMap<(u64, u64), PairStats>,
     suites: Vec<String>,

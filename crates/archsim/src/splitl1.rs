@@ -15,7 +15,6 @@ use crate::workload::Workload;
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Base address of the code segment (disjoint from every data region).
 const CODE_BASE: u64 = 0x0040_0000;
@@ -101,7 +100,7 @@ impl Workload for InstStream {
 
 /// Statistics of a split hierarchy: both L1s over their own streams, the
 /// unified L2 over the merged demand stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SplitStats {
     /// Instruction-cache statistics.
     pub icache: CacheStats,

@@ -4,10 +4,9 @@
 //! the cache miss rate and access (hit) time" (paper, Section 5).
 
 use nm_device::units::{Joules, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Main-memory timing and energy endpoint for the system studies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MainMemory {
     /// Access latency.
     pub access_time: Seconds,
@@ -32,7 +31,7 @@ impl Default for MainMemory {
 }
 
 /// Inputs to the AMAT formula.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmatInputs {
     /// L1 hit (access) time.
     pub l1_time: Seconds,

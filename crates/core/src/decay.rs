@@ -26,10 +26,9 @@ use nm_archsim::workload::SuiteKind;
 use nm_device::units::{Joules, Seconds, Watts};
 use nm_device::KnobPoint;
 use nm_geometry::{ComponentId, ComponentKnobs, COMPONENT_IDS};
-use serde::{Deserialize, Serialize};
 
 /// One technique's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechniqueRow {
     /// Technique label.
     pub name: String,
@@ -44,7 +43,7 @@ pub struct TechniqueRow {
 }
 
 /// Simulated decay behaviour of one interval on one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecayOutcome {
     /// Decay interval in references.
     pub interval: u64,

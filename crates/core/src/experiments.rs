@@ -2,10 +2,9 @@
 //! artefact (the programmatic counterpart of `DESIGN.md`'s table).
 
 use crate::report::Table;
-use serde::{Deserialize, Serialize};
 
 /// One reproducible artefact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Experiment {
     /// Short id (`"E1"`, `"X3"`, …).
     pub id: &'static str,

@@ -13,10 +13,9 @@ use crate::StudyError;
 use nm_device::fit::{DelayFit, LeakageFit, Sample};
 use nm_device::KnobGrid;
 use nm_geometry::{CacheCircuit, ComponentId, COMPONENT_IDS};
-use serde::{Deserialize, Serialize};
 
 /// Fitted surfaces for one cache component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentFit {
     /// Which component.
     pub component: ComponentId,

@@ -5,11 +5,10 @@ use nm_device::units::Watts;
 use nm_device::{KnobGrid, KnobPoint, LeakageBreakdown};
 use nm_geometry::{CacheCircuit, ComponentId, ComponentMetrics, ComponentSurface, COMPONENT_IDS};
 use nm_opt::{Candidate, Group};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's three `Vth`/`Tox` assignment schemes (Section 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Scheme I: independent pairs for each of the four components.
     PerComponent,

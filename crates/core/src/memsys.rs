@@ -23,10 +23,9 @@ use nm_geometry::{CacheCircuit, CacheConfig};
 use nm_opt::objective::Deadline;
 use nm_opt::tuple::combinations;
 use nm_sweep::ParallelSweep;
-use serde::{Deserialize, Serialize};
 
 /// A (`nTox`, `nVth`) tuple from Figure 2's legend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TupleCounts {
     /// Number of distinct oxide thicknesses available.
     pub n_tox: usize,

@@ -30,7 +30,6 @@ use nm_device::units::{Seconds, Watts};
 use nm_device::{KnobGrid, TechProfile, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
 use nm_opt::objective::Deadline;
-use serde::{Deserialize, Serialize};
 
 /// Default level sizes (bytes): 16 KB L1, 256 KB L2, 4 MB L3.
 pub const STANDARD_SIZES: [u64; 3] = [16 * 1024, 256 * 1024, 4 * 1024 * 1024];
@@ -39,7 +38,7 @@ pub const STANDARD_SIZES: [u64; 3] = [16 * 1024, 256 * 1024, 4 * 1024 * 1024];
 pub const STANDARD_WAYS: [u64; 3] = [4, 8, 16];
 
 /// One L3-technology candidate's result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedRow {
     /// L3 technology name.
     pub tech: String,
@@ -60,7 +59,7 @@ pub struct MixedRow {
 }
 
 /// A completed technology comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedOutcome {
     /// Table title.
     pub title: String,

@@ -5,13 +5,12 @@
 //! regenerated and diffed from artefacts.
 
 use nm_telemetry::SweepRecord;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
 
 /// A rectangular result table with a title and column headers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -182,7 +181,7 @@ pub fn sweep_stats_table(sweeps: &[SweepRecord]) -> Table {
 }
 
 /// One labelled data series of a figure (x/y point list).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label, e.g. `"Tox=10A"`.
     pub label: String,

@@ -19,7 +19,6 @@ use crate::report::{cell, Table};
 use nm_device::units::{Angstroms, Volts};
 use nm_device::{KnobPoint, TechnologyNode};
 use nm_geometry::{CacheCircuit, ComponentId, COMPONENT_IDS};
-use serde::{Deserialize, Serialize};
 
 /// Finite-difference step for `Vth`, volts.
 const DV: f64 = 0.01;
@@ -28,7 +27,7 @@ const DV: f64 = 0.01;
 const DT: f64 = 0.25;
 
 /// Sensitivities of one component at one knob point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KnobSensitivity {
     /// The component analysed.
     pub component: ComponentId,

@@ -21,10 +21,9 @@ use nm_device::units::{Angstroms, Seconds, Volts};
 use nm_device::{KnobGrid, KnobPoint, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
 use nm_opt::objective::Deadline;
-use serde::{Deserialize, Serialize};
 
 /// A constrained-optimisation result for one cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeSolution {
     /// The scheme optimised under.
     pub scheme: Scheme,

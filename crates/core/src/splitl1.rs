@@ -21,13 +21,12 @@ use nm_device::units::{Seconds, Watts};
 use nm_device::{KnobGrid, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
 use nm_opt::objective::Deadline;
-use serde::{Deserialize, Serialize};
 
 /// Data references per instruction fetch (paper-era scalar core).
 pub const DATA_PER_INST: f64 = 0.35;
 
 /// One organisation's optimised outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrganisationRow {
     /// Organisation label.
     pub name: String,

@@ -16,10 +16,9 @@ use crate::StudyError;
 use nm_device::units::{Kelvin, Seconds};
 use nm_device::{KnobGrid, TechnologyNode};
 use nm_geometry::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 /// One temperature point of the study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalRow {
     /// Operating temperature.
     pub temperature: Kelvin,

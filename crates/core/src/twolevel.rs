@@ -25,7 +25,6 @@ use nm_device::units::{Seconds, Watts};
 use nm_device::{KnobGrid, TechnologyNode};
 use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
 use nm_opt::objective::Deadline;
-use serde::{Deserialize, Serialize};
 
 /// Default block size for both levels (bytes).
 pub const BLOCK_BYTES: u64 = 64;
@@ -42,7 +41,7 @@ pub const STANDARD_SUITES: [SuiteKind; 3] =
     [SuiteKind::Spec2000, SuiteKind::TpcC, SuiteKind::SpecWeb];
 
 /// One row of an L2 (or L1) size sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
     /// Swept cache size in bytes.
     pub size_bytes: u64,
@@ -61,7 +60,7 @@ pub struct SweepRow {
 }
 
 /// A completed size sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
     /// Table title.
     pub title: String,

@@ -16,10 +16,9 @@ use nm_device::variation::{MonteCarlo, VariationDistribution, VariationModel};
 use nm_device::KnobPoint;
 use nm_geometry::{ComponentKnobs, COMPONENT_IDS};
 use nm_sweep::ParallelSweep;
-use serde::{Deserialize, Serialize};
 
 /// Distribution of whole-cache leakage for one deadline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationRow {
     /// Delay constraint the assignment was optimised for.
     pub deadline: Seconds,

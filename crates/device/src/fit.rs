@@ -30,12 +30,11 @@
 
 use crate::error::DeviceError;
 use crate::knobs::KnobPoint;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One characterisation sample: a knob assignment and the observed value
 /// (leakage in watts or delay in seconds — the fit is unit-agnostic).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Knob assignment the value was observed at.
     pub knobs: KnobPoint,
@@ -136,7 +135,7 @@ pub fn r_squared(observed: &[f64], predicted: &[f64]) -> f64 {
 }
 
 /// Fitted Eq. 1 leakage surface `A0 + A1·e^(a1·Vth) + A2·e^(a2·Tox)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageFit {
     /// Constant floor `A0`.
     pub a0: f64,
@@ -228,7 +227,7 @@ impl fmt::Display for LeakageFit {
 }
 
 /// Fitted Eq. 2 delay surface `k0 + k1·e^(k3·Vth) + k2·Tox`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayFit {
     /// Constant term `k0`.
     pub k0: f64,

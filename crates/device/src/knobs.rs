@@ -9,7 +9,6 @@
 
 use crate::error::DeviceError;
 use crate::units::{Angstroms, Volts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Legal `Vth` range at the studied node (paper Section 2), volts.
@@ -32,7 +31,7 @@ pub const TOX_RANGE: (f64, f64) = (10.0, 14.0);
 /// assert!(KnobPoint::new(Volts(0.55), Angstroms(11.0)).is_err());
 /// # Ok::<(), nm_device::DeviceError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct KnobPoint {
     vth: Volts,
     tox: Angstroms,
@@ -132,7 +131,7 @@ impl Default for KnobPoint {
 /// assert_eq!(g.tox_values().len(), 9);
 /// assert_eq!(g.points().count(), 279);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnobGrid {
     vth_values: Vec<Volts>,
     tox_values: Vec<Angstroms>,

@@ -10,7 +10,6 @@
 use crate::knobs::KnobPoint;
 use crate::tech::TechnologyNode;
 use crate::units::{Amperes, Meters, Microns, Volts, Watts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
@@ -22,7 +21,7 @@ use std::ops::{Add, AddAssign, Mul};
 /// * An **on** device leaks full gate-tunnelling current through the
 ///   inverted channel but no subthreshold current (its channel conducts by
 ///   design).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConductionState {
     /// Gate at the inactive rail; channel nominally non-conducting.
     Off,
@@ -101,7 +100,7 @@ pub fn junction_current(tech: &TechnologyNode, width: Microns) -> Amperes {
 /// let array = per_cell * 1024.0;
 /// assert!(array.total() > per_cell.total());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LeakageBreakdown {
     /// Subthreshold conduction power.
     pub subthreshold: Watts,

@@ -15,7 +15,6 @@
 //!   asymmetry behind the paper's "Vth is the better knob" conclusion.
 
 use crate::units::{Angstroms, Kelvin, Meters, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Permittivity of SiO₂ in F/m (3.9 · ε₀).
 pub const EPS_OX: f64 = 3.9 * 8.854e-12;
@@ -25,7 +24,7 @@ pub const EPS_OX: f64 = 3.9 * 8.854e-12;
 /// All fields are private; accessor methods expose the derived quantities
 /// the rest of the workspace consumes. Use [`TechnologyNode::bptm65`] for
 /// the node studied in the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechnologyNode {
     /// Human-readable node name, e.g. `"bptm-65nm"`.
     name: String,

@@ -4,8 +4,8 @@
 //! The paper studies one technology — BPTM-65 SRAM — so the original
 //! engine hard-wired "a cache is SRAM at one node". Multi-level studies
 //! past L2 want a *per-level* choice (an eDRAM or STT-MRAM L3 behind SRAM
-//! L1/L2), which [`TechProfile`] supplies: the concrete, comparable,
-//! serializable handle the spec and geometry layers carry. A profile is
+//! L1/L2), which [`TechProfile`] supplies: the concrete, comparable
+//! handle the spec and geometry layers carry. A profile is
 //! the cell-array transforms that distinguish a technology from the SRAM
 //! baseline (read/write energy asymmetry, leakage scaling, refresh power
 //! as a static-power term, latency and density factors); the CMOS
@@ -24,7 +24,6 @@
 //! only the ratios enter the model, so they compose with any base node.
 
 use crate::units::Watts;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// eDRAM total static power per bit at the reference point: 5 mW/MB.
@@ -41,7 +40,7 @@ const EDRAM_LEAKAGE_SHARE: f64 = 0.4;
 /// The default profile is the SRAM identity; consumers short-circuit on
 /// [`is_identity`](Self::is_identity), so carrying a profile adds nothing
 /// to the all-SRAM paths.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechProfile {
     /// Technology name (`"sram"`, `"edram"`, `"stt-mram"`, …).
     pub name: String,
@@ -220,13 +219,5 @@ mod tests {
         );
         assert!(e.area_scale < m.area_scale && m.area_scale < s.area_scale);
         assert!(s.delay_scale < e.delay_scale && e.delay_scale < m.delay_scale);
-    }
-
-    #[test]
-    fn profiles_serialize_round_trip() {
-        let p = TechProfile::edram();
-        let json = serde_json::to_string(&p).expect("serializes");
-        let back: TechProfile = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back, p);
     }
 }

@@ -6,11 +6,10 @@ use crate::knobs::KnobPoint;
 use crate::leakage::{self, ConductionState, LeakageBreakdown};
 use crate::tech::TechnologyNode;
 use crate::units::{Amperes, Farads, Meters, Microns, Ohms};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Transistor polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MosfetKind {
     /// N-channel device.
     Nmos,
@@ -39,7 +38,7 @@ impl fmt::Display for MosfetKind {
 /// assert_eq!(m.kind(), MosfetKind::Nmos);
 /// assert!(m.on_current(&tech).micro() > 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mosfet {
     kind: MosfetKind,
     width: Microns,

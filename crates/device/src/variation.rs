@@ -17,10 +17,9 @@ use crate::knobs::{KnobPoint, TOX_RANGE, VTH_RANGE};
 use crate::units::{Angstroms, Volts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Die-to-die variation magnitudes (1-sigma).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationModel {
     /// Standard deviation of the global `Vth` shift.
     pub sigma_vth: Volts,
@@ -72,7 +71,7 @@ pub fn subthreshold_amplification(sigma_vth: Volts, n_vt: Volts) -> f64 {
 }
 
 /// Summary statistics of a sampled metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationDistribution {
     /// Sample mean.
     pub mean: f64,

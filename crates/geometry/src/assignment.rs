@@ -1,14 +1,13 @@
 //! Per-component knob assignments — the decision variables of the paper.
 
 use nm_device::KnobPoint;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// The paper's four cache components (Section 3): "internally, the cache
 /// consists of four components: memory cell array and sense amplifier,
 /// decoder, address bus drivers, and data bus drivers."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentId {
     /// Memory cell array plus sense amplifiers.
     MemoryArray,
@@ -75,7 +74,7 @@ impl fmt::Display for ComponentId {
 /// assert_eq!(split[ComponentId::MemoryArray], KnobPoint::lowest_leakage());
 /// assert_eq!(split[ComponentId::Decoder], KnobPoint::fastest());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentKnobs {
     knobs: [KnobPoint; 4],
 }

@@ -22,12 +22,11 @@ use crate::sram::SramCell;
 use nm_device::leakage::LeakageBreakdown;
 use nm_device::units::{Joules, Seconds, SquareMicrons, Watts};
 use nm_device::{HoistedPrims, KnobPoint, PrimsTable, TechProfile, TechnologyNode};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Metrics of one cache component under one knob pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentMetrics {
     /// Contribution to the access-path delay.
     pub delay: Seconds,
@@ -57,7 +56,7 @@ impl ComponentMetrics {
 }
 
 /// Full analysis of a cache under a component-knob assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheMetrics {
     per_component: [ComponentMetrics; 4],
 }
@@ -130,7 +129,7 @@ impl fmt::Display for CacheMetrics {
 ///
 /// [`analyze`]: CacheCircuit::analyze
 /// [`analyze_component`]: CacheCircuit::analyze_component
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheCircuit {
     config: CacheConfig,
     tech: TechnologyNode,

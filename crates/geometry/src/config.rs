@@ -2,7 +2,6 @@
 //! layout as subarrays of SRAM cells.
 
 use crate::error::GeometryError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Smallest cache the circuit model supports (1 KiB).
@@ -31,7 +30,7 @@ const MAX_COLS: u64 = 256;
 /// assert!(CacheConfig::new(1000, 64, 4).is_err()); // not a power of two
 /// # Ok::<(), nm_geometry::GeometryError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     size_bytes: u64,
     block_bytes: u64,
@@ -139,7 +138,7 @@ impl fmt::Display for CacheConfig {
 /// `MAX_ROWS` × `MAX_COLS` cells, mirroring the Ndwl/Ndbl partitioning
 /// of CACTI-class models: wordline and bitline RC grow with the subarray
 /// dimensions, while subarray count multiplies leakage and area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Organization {
     /// Rows per subarray (wordlines).
     pub rows: u64,

@@ -11,10 +11,9 @@ use crate::cache::{CacheCircuit, CacheMetrics};
 use crate::config::{CacheConfig, Organization};
 use nm_device::{KnobPoint, TechnologyNode};
 use nm_sweep::ParallelSweep;
-use serde::{Deserialize, Serialize};
 
 /// Ranking objective for the organisation search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Objective {
     /// Minimise access time.
     AccessTime,
@@ -35,7 +34,7 @@ impl Objective {
 }
 
 /// One explored folding with its nominal-corner metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploredOrganization {
     /// The folding.
     pub org: Organization,

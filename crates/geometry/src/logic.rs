@@ -5,7 +5,6 @@ use nm_device::leakage::{self, ConductionState, LeakageBreakdown};
 use nm_device::transistor::MosfetKind;
 use nm_device::units::{Farads, Joules, Meters, Microns, Ohms, Seconds, Volts, Watts};
 use nm_device::{drive, HoistedPrims, TechnologyNode};
-use serde::{Deserialize, Serialize};
 
 /// Ratio of PMOS to NMOS width in a balanced static gate.
 pub const PN_RATIO: f64 = 2.0;
@@ -21,7 +20,7 @@ pub const ELMORE: f64 = 0.69;
 /// drain-junction self-capacitance, the junction leakage and the supply —
 /// so that evaluating it at a knob point reads only the point's
 /// [`HoistedPrims`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gate {
     /// NMOS width; PMOS is [`PN_RATIO`] times wider.
     pub wn: Microns,
@@ -115,7 +114,7 @@ impl Gate {
 }
 
 /// A distributed RC wire segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wire {
     /// Total series resistance.
     pub resistance: Ohms,

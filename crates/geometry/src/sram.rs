@@ -8,11 +8,10 @@ use nm_device::leakage::{self, ConductionState, LeakageBreakdown};
 use nm_device::transistor::MosfetKind;
 use nm_device::units::{Amperes, Farads, Microns, SquareMicrons};
 use nm_device::{drive, HoistedPrims, TechnologyNode};
-use serde::{Deserialize, Serialize};
 
 /// A 6T SRAM cell design (widths quoted at the minimum-`Tox` process
 /// corner; all dimensions scale with [`TechnologyNode::cell_scale`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramCell {
     /// Access (pass-gate) NMOS width at scale 1.
     pub w_access: Microns,

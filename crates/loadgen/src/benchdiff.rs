@@ -10,7 +10,7 @@
 //! regression.
 
 use crate::names;
-use serde_json::Value;
+use nm_telemetry::json::{self, Value};
 use std::collections::BTreeMap;
 
 /// Highest allowed normalized candidate/baseline p99 ratio before a
@@ -156,8 +156,7 @@ fn numeric(value: &Value) -> Option<f64> {
 }
 
 fn parse_report(text: &str, which: &str) -> Result<ParsedReport, DiffError> {
-    let value =
-        serde_json::parse_value(text).map_err(|e| DiffError::Parse(format!("{which}: {}", e.0)))?;
+    let value = json::parse(text).map_err(|e| DiffError::Parse(format!("{which}: {e}")))?;
     let schema = value
         .get("schema_version")
         .and_then(numeric)
@@ -277,6 +276,17 @@ mod tests {
         assert!(matches!(
             diff(&old, &good, DEFAULT_MAX_RATIO),
             Err(DiffError::Schema(_))
+        ));
+    }
+
+    #[test]
+    fn a_non_finite_p99_is_a_parse_error_not_a_nan_ratio() {
+        let good = report(&[("a.latency", 0.1)], None);
+        let huge = good.replace("\"p99\": 0.1", "\"p99\": 1e400");
+        assert_ne!(huge, good);
+        assert!(matches!(
+            diff(&good, &huge, DEFAULT_MAX_RATIO),
+            Err(DiffError::Parse(_))
         ));
     }
 }

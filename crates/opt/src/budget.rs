@@ -14,10 +14,9 @@
 
 use crate::{Candidate, Group};
 use nm_device::KnobPoint;
-use serde::{Deserialize, Serialize};
 
 /// A DP solution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetSolution {
     /// Chosen knob pair per group, in input order.
     pub choice: Vec<KnobPoint>,

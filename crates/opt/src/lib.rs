@@ -55,14 +55,13 @@ pub mod pareto;
 pub mod tuple;
 
 use nm_device::KnobPoint;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One knob pair's evaluation for a component group: the group's summed
 /// delay contribution and summed cost (leakage power or energy — the
 /// solver is unit-agnostic, costs only need to be additive and
 /// non-negative).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
     /// The knob pair that produced this evaluation.
     pub knobs: KnobPoint,
@@ -106,7 +105,7 @@ impl fmt::Display for Candidate {
 
 /// A named set of candidates for one knob-sharing component group, one
 /// candidate per surviving grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Group {
     name: String,
     candidates: Vec<Candidate>,

@@ -75,12 +75,11 @@
 use crate::pareto::{self, from_order_key, order_key};
 use crate::{Candidate, Group};
 use nm_device::KnobPoint;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// One point of a system Pareto front.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontPoint {
     /// Total system delay (sum of group delays), seconds.
     pub delay: f64,

@@ -10,7 +10,6 @@
 
 use crate::constraint::{best_under_deadline, fastest_under_budget};
 use crate::merge::FrontPoint;
-use serde::{Deserialize, Serialize};
 
 /// Selects the optimal point of a system Pareto front.
 ///
@@ -24,7 +23,7 @@ pub trait Constraint: Sync {
 
 /// Minimise cost subject to `total delay ≤ deadline` (iso-delay and
 /// iso-AMAT studies).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Deadline(pub f64);
 
 impl Constraint for Deadline {
@@ -34,7 +33,7 @@ impl Constraint for Deadline {
 }
 
 /// Minimise delay subject to `total cost ≤ budget` (the dual query).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBudget(pub f64);
 
 impl Constraint for CostBudget {

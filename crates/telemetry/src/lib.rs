@@ -56,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod json;
 mod registry;
 pub mod report;
 mod span;

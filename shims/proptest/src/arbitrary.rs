@@ -37,15 +37,3 @@ macro_rules! impl_arbitrary_int {
     )*};
 }
 impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, bool);
-
-impl Arbitrary for f64 {
-    fn arbitrary_sample(rng: &mut TestRng) -> f64 {
-        rng.gen()
-    }
-}
-
-impl Arbitrary for f32 {
-    fn arbitrary_sample(rng: &mut TestRng) -> f32 {
-        rng.gen()
-    }
-}

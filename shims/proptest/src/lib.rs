@@ -10,10 +10,10 @@
 //! values via the assertion message instead of a minimised example.
 //!
 //! Provided surface: range strategies (half-open and inclusive, integer
-//! and float), tuple strategies, `Just`, `any::<T>()`,
+//! and float), tuple strategies, `any::<T>()` for integers and `bool`,
 //! `prop::collection::vec`, `prop::bool::ANY`, `prop_map`,
 //! `prop_filter_map`, and the `proptest!` / `prop_assert!` /
-//! `prop_assert_eq!` / `prop_assert_ne!` macros.
+//! `prop_assert_eq!` macros.
 
 pub mod arbitrary;
 pub mod bool;
@@ -24,9 +24,9 @@ pub mod test_runner;
 pub mod prelude {
     //! One-stop import, mirroring `proptest::prelude`.
     pub use crate::arbitrary::any;
-    pub use crate::strategy::{Just, Strategy};
+    pub use crate::strategy::Strategy;
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 
     pub mod prop {
         //! Module-style access (`prop::collection::vec`, `prop::bool::ANY`).
@@ -84,10 +84,4 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($tt:tt)*) => { assert_eq!($($tt)*) };
-}
-
-/// Asserts inequality inside a property test (panics on failure).
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($tt:tt)*) => { assert_ne!($($tt)*) };
 }

@@ -38,14 +38,6 @@ pub trait Strategy {
             whence,
         }
     }
-
-    /// Boxes the strategy (object-safe handle).
-    fn boxed(self) -> BoxedStrategy<Self::Value>
-    where
-        Self: Sized + 'static,
-    {
-        BoxedStrategy(Box::new(self))
-    }
 }
 
 impl<S: Strategy + ?Sized> Strategy for &S {
@@ -87,27 +79,6 @@ impl<S: Strategy, U, F: Fn(S::Value) -> Option<U>> Strategy for FilterMap<S, F> 
             "prop_filter_map rejected 10000 consecutive samples: {}",
             self.whence
         );
-    }
-}
-
-/// A strategy that always yields a clone of one value.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-    fn sample_one(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
-/// Boxed strategy handle (mirrors `proptest::strategy::BoxedStrategy`).
-pub struct BoxedStrategy<T>(Box<dyn Strategy<Value = T>>);
-
-impl<T> Strategy for BoxedStrategy<T> {
-    type Value = T;
-    fn sample_one(&self, rng: &mut TestRng) -> T {
-        self.0.sample_one(rng)
     }
 }
 

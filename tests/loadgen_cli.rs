@@ -1,9 +1,13 @@
 //! End-to-end tests of `nmcache loadgen` and `nmcache benchdiff`:
-//! deterministic replay, the serve-report schema, and the SLO
-//! regression gate's exit-code contract.
+//! deterministic replay, the serve-report schema, the SLO regression
+//! gate's exit-code contract, and the JSON reader the gate parses
+//! reports with.
 
+use nmcache::telemetry::json::{self, Value};
+use proptest::prelude::*;
 use std::path::Path;
 use std::process::Command;
+use std::sync::OnceLock;
 
 fn nmcache() -> Command {
     Command::new(env!("CARGO_BIN_EXE_nmcache"))
@@ -25,7 +29,7 @@ fn run_loadgen(out: &Path, seed: &str) {
     assert!(status.success());
 }
 
-fn section<'a>(doc: &'a serde_json::Value, key: &str) -> &'a serde_json::Value {
+fn section<'a>(doc: &'a Value, key: &str) -> &'a Value {
     doc.get(key)
         .unwrap_or_else(|| panic!("report missing section {key:?}"))
 }
@@ -38,10 +42,8 @@ fn loadgen_report_is_replay_deterministic_with_percentiles_per_class() {
     run_loadgen(&a_path, "2005");
     run_loadgen(&b_path, "2005");
 
-    let a = serde_json::parse_value(&std::fs::read_to_string(&a_path).expect("a.json"))
-        .expect("a parses");
-    let b = serde_json::parse_value(&std::fs::read_to_string(&b_path).expect("b.json"))
-        .expect("b parses");
+    let a = json::parse(&std::fs::read_to_string(&a_path).expect("a.json")).expect("a parses");
+    let b = json::parse(&std::fs::read_to_string(&b_path).expect("b.json")).expect("b parses");
 
     // Counters and the mix note are byte-identical across replays of
     // the same seed; only timing (gauges, histograms, spans) may move.
@@ -52,7 +54,7 @@ fn loadgen_report_is_replay_deterministic_with_percentiles_per_class() {
     );
     assert_eq!(
         section(&a, "schema_version"),
-        &serde_json::Value::U64(nmcache::telemetry::SCHEMA_VERSION)
+        &Value::U64(nmcache::telemetry::SCHEMA_VERSION)
     );
 
     // Every query class publishes p50/p95/p99.
@@ -64,7 +66,7 @@ fn loadgen_report_is_replay_deterministic_with_percentiles_per_class() {
         for key in ["p50", "p95", "p99"] {
             let quantile = hist.get(key).unwrap_or_else(|| panic!("{class}/{key}"));
             assert!(
-                matches!(quantile, serde_json::Value::F64(v) if *v > 0.0),
+                matches!(quantile, Value::F64(v) if *v > 0.0),
                 "{class}/{key}: {quantile:?}"
             );
         }
@@ -78,10 +80,8 @@ fn different_seeds_produce_different_mixes() {
     let b_path = dir.join("b.json");
     run_loadgen(&a_path, "1");
     run_loadgen(&b_path, "2");
-    let a = serde_json::parse_value(&std::fs::read_to_string(&a_path).expect("a.json"))
-        .expect("a parses");
-    let b = serde_json::parse_value(&std::fs::read_to_string(&b_path).expect("b.json"))
-        .expect("b parses");
+    let a = json::parse(&std::fs::read_to_string(&a_path).expect("a.json")).expect("a parses");
+    let b = json::parse(&std::fs::read_to_string(&b_path).expect("b.json")).expect("b parses");
     assert_ne!(
         section(&a, "notes").get("loadgen.mix"),
         section(&b, "notes").get("loadgen.mix")
@@ -114,38 +114,23 @@ fn benchdiff_flags_an_injected_p99_regression_with_exit_7() {
     // Inject a 3x regression on every p99 by rescaling the candidate's
     // p99 fields (keeps the machine-scale gauge untouched, so the gate
     // sees a genuine slowdown rather than a slower host).
-    let mut value = serde_json::parse_value(&base).expect("base parses");
-    let serde_json::Value::Object(sections) = &mut value else {
-        panic!("report must be an object");
-    };
-    let histograms = sections
-        .iter_mut()
-        .find(|(k, _)| k == "histograms")
-        .map(|(_, v)| v)
-        .expect("histograms section");
-    let serde_json::Value::Object(histograms) = histograms else {
-        panic!("histograms must be an object");
-    };
+    // The writer puts each histogram's last key, `p99`, on a line of
+    // its own.
     let mut injected = 0;
-    for (_, hist) in histograms.iter_mut() {
-        let serde_json::Value::Object(fields) = hist else {
-            continue;
-        };
-        for (key, field) in fields.iter_mut() {
-            if key != "p99" {
-                continue;
+    let cand: Vec<String> = base
+        .lines()
+        .map(|line| match line.split_once("\"p99\": ") {
+            Some((indent, p99)) => {
+                let p99: f64 = p99.parse().expect("numeric p99");
+                injected += 1;
+                format!("{indent}\"p99\": {}", p99 * 3.0)
             }
-            match field {
-                serde_json::Value::F64(v) => *v *= 3.0,
-                serde_json::Value::U64(n) => *field = serde_json::Value::F64(*n as f64 * 3.0),
-                other => panic!("non-numeric p99: {other:?}"),
-            }
-            injected += 1;
-        }
-    }
+            None => line.to_owned(),
+        })
+        .collect();
     assert!(injected > 0, "no p99 fields to inject into");
     let cand_path = dir.join("cand.json");
-    std::fs::write(&cand_path, value.to_json()).expect("write cand");
+    std::fs::write(&cand_path, cand.join("\n")).expect("write cand");
 
     let out = nmcache()
         .arg("benchdiff")
@@ -183,4 +168,62 @@ fn benchdiff_rejects_malformed_and_missing_reports() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(5), "missing files exit with 5");
+}
+
+#[test]
+fn benchdiff_rejects_deep_nesting_as_invalid_json() {
+    let dir = temp_dir("deep");
+    let deep = dir.join("deep.json");
+    let depth = 200_000;
+    std::fs::write(&deep, format!("{}{}", "[".repeat(depth), "]".repeat(depth)))
+        .expect("write deep");
+    let out = nmcache()
+        .arg("benchdiff")
+        .arg(&deep)
+        .arg(&deep)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("report is not valid JSON"), "{err}");
+}
+
+/// A real `loadgen --quick` report, generated once per test binary.
+fn quick_report() -> &'static str {
+    static REPORT: OnceLock<String> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let path = temp_dir("mutation").join("report.json");
+        run_loadgen(&path, "2005");
+        std::fs::read_to_string(&path).expect("report.json")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Every single-byte mutation of a real report either parses or
+    /// returns a `JsonError` inside the text; none panics. Mutated bytes
+    /// that break UTF-8 reach the reader as U+FFFD, as they would
+    /// through a lossy read.
+    #[test]
+    fn json_reader_is_total_on_mutated_reports(at in any::<u64>(), byte in any::<u8>()) {
+        let mut bytes = quick_report().as_bytes().to_vec();
+        let at = (at % bytes.len() as u64) as usize;
+        bytes[at] = byte;
+        let mutated = String::from_utf8_lossy(&bytes);
+        if let Err(e) = json::parse(&mutated) {
+            prop_assert!(e.offset <= mutated.len(), "{e} past {}", mutated.len());
+        }
+    }
+}
+
+#[test]
+fn json_reader_rejects_every_truncation_of_a_report() {
+    let report = quick_report();
+    assert!(json::parse(report).is_ok());
+    // Only ASCII is written, so every length is a character boundary.
+    for cut in 0..report.trim_end().len() {
+        let err = json::parse(&report[..cut]).expect_err("a truncated report is not JSON");
+        assert!(err.offset <= cut, "{err} past {cut}");
+    }
 }

@@ -1,10 +1,11 @@
 //! Integration tests of the unified telemetry layer: counter atomicity
 //! under real `ParallelSweep` fan-out, drain/reset isolation, the
-//! serde-shim round-trip of the report JSON, and a golden study-run
-//! metrics report produced by the `nmcache` binary.
+//! round-trip of the report JSON through the telemetry JSON reader, and
+//! a golden study-run metrics report produced by the `nmcache` binary.
 
 use nmcache::sweep::ParallelSweep;
 use nmcache::telemetry;
+use nmcache::telemetry::json::{self, Value};
 use std::process::Command;
 use std::sync::Mutex;
 
@@ -63,7 +64,7 @@ fn drain_isolates_regions_and_reset_clears() {
 }
 
 #[test]
-fn report_json_round_trips_through_the_serde_shim() {
+fn report_json_round_trips_through_the_json_reader() {
     let _guard = lock();
     telemetry::reset();
     telemetry::enable();
@@ -78,57 +79,31 @@ fn report_json_round_trips_through_the_serde_shim() {
     telemetry::disable();
     let json = report.to_json();
 
-    let value = serde_json::parse_value(&json).expect("report JSON parses");
-    let serde_json::Value::Object(sections) = &value else {
-        panic!("report must be a JSON object");
-    };
+    let value = json::parse(&json).expect("report JSON parses");
     let get = |key: &str| {
-        sections
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+        value
+            .get(key)
             .unwrap_or_else(|| panic!("missing section {key:?}"))
     };
     assert_eq!(
         get("schema_version"),
-        &serde_json::Value::U64(telemetry::SCHEMA_VERSION)
+        &Value::U64(telemetry::SCHEMA_VERSION)
     );
+    assert_eq!(get("generator"), &Value::Str("nm-telemetry".into()));
+    let counters = get("counters").as_object().expect("counters object");
+    assert_eq!(counters[0], ("test.counter".into(), Value::U64(7)));
     assert_eq!(
-        get("generator"),
-        &serde_json::Value::Str("nm-telemetry".into())
+        get("notes").get("test.note"),
+        Some(&Value::Str("escaped \"quotes\" and\nnewline".into()))
     );
-    let serde_json::Value::Object(counters) = get("counters") else {
-        panic!("counters must be an object");
-    };
-    assert_eq!(counters[0].0, "test.counter");
-    assert_eq!(counters[0].1, serde_json::Value::U64(7));
-    let serde_json::Value::Object(notes) = get("notes") else {
-        panic!("notes must be an object");
-    };
-    assert_eq!(
-        notes[0].1,
-        serde_json::Value::Str("escaped \"quotes\" and\nnewline".into())
-    );
-    let serde_json::Value::Object(spans) = get("spans") else {
-        panic!("spans must be an object");
-    };
+    let spans = get("spans").as_object().expect("spans object");
     assert_eq!(spans[0].0, "test.span");
 
     // The Chrome trace parses too.
     let trace = telemetry::report::chrome_trace_json(report.snapshot());
-    let value = serde_json::parse_value(&trace).expect("trace JSON parses");
-    let serde_json::Value::Object(doc) = &value else {
-        panic!("trace must be a JSON object");
-    };
-    let events = doc
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
-        .expect("traceEvents present");
-    let serde_json::Value::Array(events) = events else {
-        panic!("traceEvents must be an array");
-    };
-    assert_eq!(events.len(), 1);
+    let value = json::parse(&trace).expect("trace JSON parses");
+    let events = value.get("traceEvents").and_then(Value::as_array);
+    assert_eq!(events.map(<[_]>::len), Some(1));
 }
 
 #[test]
@@ -157,10 +132,8 @@ fn study_run_writes_a_golden_metrics_report() {
     );
 
     let json = std::fs::read_to_string(&metrics).expect("metrics written");
-    let value = serde_json::parse_value(&json).expect("metrics JSON parses");
-    let serde_json::Value::Object(sections) = &value else {
-        panic!("report must be a JSON object");
-    };
+    let value = json::parse(&json).expect("metrics JSON parses");
+    let sections = value.as_object().expect("report is a JSON object");
     let keys: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(
         keys,
@@ -176,23 +149,9 @@ fn study_run_writes_a_golden_metrics_report() {
         ],
         "stable section order"
     );
-    let counters = sections
-        .iter()
-        .find(|(k, _)| k == "counters")
-        .map(|(_, v)| v)
-        .unwrap();
-    let serde_json::Value::Object(counters) = counters else {
-        panic!("counters must be an object");
-    };
-    let counter = |name: &str| {
-        counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| match v {
-                serde_json::Value::U64(n) => *n,
-                other => panic!("counter {name} not a number: {other:?}"),
-            })
-            .unwrap_or_else(|| panic!("missing counter {name:?}"))
+    let counter = |name: &str| match value.get("counters").and_then(|c| c.get(name)) {
+        Some(Value::U64(n)) => *n,
+        other => panic!("counter {name:?} not a number: {other:?}"),
     };
     // A healthy study builds surfaces and touches the memo cache...
     assert!(counter("eval.surface_built") > 0);
@@ -205,19 +164,9 @@ fn study_run_writes_a_golden_metrics_report() {
 
     // The Perfetto trace is valid JSON with at least one complete event.
     let trace_json = std::fs::read_to_string(&trace).expect("trace written");
-    let value = serde_json::parse_value(&trace_json).expect("trace JSON parses");
-    let serde_json::Value::Object(doc) = &value else {
-        panic!("trace must be a JSON object");
-    };
-    let serde_json::Value::Array(events) = doc
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
-        .expect("traceEvents present")
-    else {
-        panic!("traceEvents must be an array");
-    };
-    assert!(!events.is_empty());
+    let value = json::parse(&trace_json).expect("trace JSON parses");
+    let events = value.get("traceEvents").and_then(Value::as_array);
+    assert!(events.is_some_and(|e| !e.is_empty()), "{events:?}");
     assert!(trace_json.contains("\"ph\": \"X\""));
 }
 
