@@ -18,10 +18,10 @@
 //!   each `(component, knob point)` is analysed exactly once no matter
 //!   how many schemes, deadlines or tuple restrictions ride on it.
 //!
-//! Results are bit-identical to the direct pipeline: the circuit model is
-//! pure, so cached metrics equal freshly computed ones, and the engine
-//! routes pricing through the same `groups::MetricSample` accumulation
-//! with the same summation order as [`crate::groups::cache_groups`].
+//! Results are bit-identical to pricing each candidate by direct
+//! analysis: the circuit model is pure, so cached metrics equal freshly
+//! computed ones, and each candidate sums its components in
+//! [`Scheme::layout`](crate::groups::Scheme::layout) order.
 
 mod cache;
 mod spec;
@@ -32,10 +32,7 @@ use crate::groups::MetricSample;
 use crate::StudyError;
 use cache::MetricsCache;
 use nm_device::{KnobGrid, KnobPoint, PrimsTable, TechnologyNode};
-use nm_geometry::{
-    CacheCircuit, CacheMetrics, ComponentId, ComponentKnobs, ComponentSurface, PointSet,
-    COMPONENT_IDS,
-};
+use nm_geometry::{CacheCircuit, ComponentId, ComponentKnobs, ComponentSurface, COMPONENT_IDS};
 use nm_opt::merge::{FrontPoint, MergeBase};
 use nm_opt::objective::Constraint;
 use nm_opt::{Candidate, Group};
@@ -214,8 +211,8 @@ impl FrontMemo {
 /// caches.
 pub struct Evaluator {
     grid: KnobGrid,
-    /// The grid's points, indexed once and shared by every surface.
-    points: Arc<PointSet>,
+    /// The grid's points, shared by every surface.
+    points: Arc<Vec<KnobPoint>>,
     cache: MetricsCache,
     prims: RwLock<Vec<(TechnologyNode, Arc<PrimsTable>)>>,
     fronts: RwLock<FrontMemo>,
@@ -300,7 +297,7 @@ fn poison_if_armed(surface: ComponentSurface, job_index: usize) -> ComponentSurf
 impl Evaluator {
     /// Creates an evaluator over a knob grid with empty caches.
     pub fn new(grid: KnobGrid) -> Self {
-        let points = Arc::new(PointSet::new(grid.points().collect()));
+        let points = Arc::new(grid.points().collect());
         Evaluator {
             grid,
             points,
@@ -366,7 +363,7 @@ impl Evaluator {
         let Some(store) = &self.store else {
             return false;
         };
-        let key = crate::persist::surface_key(circuit, id, self.points.points());
+        let key = crate::persist::surface_key(circuit, id, &self.points);
         let bytes = match store.get(key) {
             Ok(Some(bytes)) => bytes,
             Ok(None) => return false,
@@ -384,7 +381,7 @@ impl Evaluator {
                 return false;
             }
         };
-        if surface.points() != self.points.points()
+        if surface.points() != self.points.as_slice()
             || validate_surface(circuit, id, &surface).is_err()
         {
             self.record(Event::StoreRejected, 1);
@@ -406,7 +403,7 @@ impl Evaluator {
     /// fold every group anew (bit-identical).
     fn front_from_store(&self, spec: &HierarchySpec) -> Option<Arc<Vec<FrontPoint>>> {
         self.store.as_ref()?;
-        let key = crate::persist::front_key(spec, self.points.points());
+        let key = crate::persist::front_key(spec, &self.points);
         let bytes = match self.store.as_ref()?.get(key) {
             Ok(Some(bytes)) => bytes,
             Ok(None) => return None,
@@ -482,7 +479,7 @@ impl Evaluator {
         {
             return table;
         }
-        let table = Arc::new(PrimsTable::new(tech, self.points.points()));
+        let table = Arc::new(PrimsTable::new(tech, &self.points));
         let mut cached = self
             .prims
             .write()
@@ -589,7 +586,7 @@ impl Evaluator {
                             );
                             if self.store.is_some() {
                                 self.store_put(
-                                    crate::persist::surface_key(circuit, *id, self.points.points()),
+                                    crate::persist::surface_key(circuit, *id, &self.points),
                                     &crate::persist::encode_surface(&surface),
                                 );
                             }
@@ -618,9 +615,9 @@ impl Evaluator {
         }
     }
 
-    /// The optimiser groups of a spec — bit-identical to concatenating
-    /// [`cache_groups`](crate::groups::cache_groups) per level, but the
-    /// metric surfaces behind the candidates are memoized.
+    /// The optimiser groups of a spec, level by level in
+    /// [`Scheme::layout`](crate::groups::Scheme::layout) order, priced
+    /// from memoized metric surfaces.
     ///
     /// # Errors
     ///
@@ -656,7 +653,6 @@ impl Evaluator {
                 // place, in group order.
                 let candidates: Vec<Candidate> = self
                     .points
-                    .points()
                     .iter()
                     .enumerate()
                     .map(|(i, &p)| {
@@ -725,7 +721,7 @@ impl Evaluator {
         }
         if self.store.is_some() {
             self.store_put(
-                crate::persist::front_key(spec, self.points.points()),
+                crate::persist::front_key(spec, &self.points),
                 &crate::persist::encode_front(&front),
             );
         }
@@ -837,21 +833,6 @@ impl Evaluator {
             knobs: spec.try_knobs_from_choice(&point.choice)?,
         })
     }
-
-    /// Analyses a whole cache under an assignment, reading per-component
-    /// metrics from already-built surfaces where the knob pair is on the
-    /// grid and falling back to direct analysis where it is not. Both
-    /// paths are bit-identical — the circuit model is pure.
-    pub fn analyze(&self, circuit: &CacheCircuit, knobs: &ComponentKnobs) -> CacheMetrics {
-        let per_component = COMPONENT_IDS.map(|id| {
-            let p = knobs.get(id);
-            self.cache
-                .peek(circuit, id)
-                .and_then(|s| s.lookup(p))
-                .unwrap_or_else(|| circuit.analyze_component(id, p))
-        });
-        CacheMetrics::from_components(per_component)
-    }
 }
 
 impl Clone for Evaluator {
@@ -877,11 +858,10 @@ impl fmt::Debug for Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groups::{cache_groups, CostKind, Scheme};
+    use crate::groups::{direct_groups, CostKind, Scheme};
     use nm_device::TechnologyNode;
     use nm_geometry::CacheConfig;
     use nm_opt::constraint::best_under_deadline;
-    use nm_opt::merge::try_system_front;
     use nm_opt::objective::Deadline;
 
     fn circuit(bytes: u64) -> CacheCircuit {
@@ -894,12 +874,12 @@ mod tests {
     }
 
     #[test]
-    fn groups_match_direct_cache_groups_exactly() {
+    fn groups_match_direct_pricing_exactly() {
         let e = eval();
         let c = circuit(16 * 1024);
         for scheme in Scheme::ALL {
             let spec = HierarchySpec::single(c.clone(), scheme, 1.0, CostKind::LeakagePower);
-            let direct = cache_groups(&c, scheme, e.grid(), 1.0, CostKind::LeakagePower);
+            let direct = direct_groups(&c, scheme, e.grid(), 1.0, CostKind::LeakagePower);
             assert_eq!(
                 e.try_groups(&spec).expect("healthy build"),
                 direct,
@@ -941,14 +921,15 @@ mod tests {
         let e = eval();
         let c = circuit(16 * 1024);
         let spec = HierarchySpec::single(c.clone(), Scheme::Split, 1.0, CostKind::LeakagePower);
-        let front = try_system_front(&cache_groups(
+        let front = MergeBase::try_new(&direct_groups(
             &c,
             Scheme::Split,
             e.grid(),
             1.0,
             CostKind::LeakagePower,
         ))
-        .expect("non-empty system");
+        .expect("non-empty system")
+        .front();
         let deadline = front.last().expect("non-empty front").delay;
         let manual = best_under_deadline(&front, deadline).expect("feasible");
         let sol = e
@@ -1017,21 +998,6 @@ mod tests {
         assert_eq!((e.stats().surfaces_built, e.stats().surface_hits), (4, 0));
         e.try_front(&spec(Scheme::Split)).expect("healthy build");
         assert_eq!((e.stats().surfaces_built, e.stats().surface_hits), (4, 4));
-    }
-
-    #[test]
-    fn analyze_agrees_with_direct_analysis() {
-        let e = eval();
-        let c = circuit(16 * 1024);
-        // Off-grid (cache cold): pure fallback.
-        let knobs = ComponentKnobs::default();
-        assert_eq!(e.analyze(&c, &knobs), c.analyze(&knobs));
-        // On-grid after warming: served from surfaces, still identical.
-        let spec = HierarchySpec::single(c.clone(), Scheme::Uniform, 1.0, CostKind::LeakagePower);
-        e.try_ensure_surfaces(&spec).expect("healthy build");
-        let p = e.grid().snap(KnobPoint::nominal());
-        let on_grid = ComponentKnobs::uniform(p);
-        assert_eq!(e.analyze(&c, &on_grid), c.analyze(&on_grid));
     }
 
     #[test]
@@ -1265,8 +1231,9 @@ mod tests {
         assert_eq!(e.stats().fronts_incremental, 1);
         assert_eq!(
             *incremental,
-            try_system_front(&e.try_groups(&changed).expect("healthy build"))
+            MergeBase::try_new(&e.try_groups(&changed).expect("healthy build"))
                 .expect("non-empty system")
+                .front()
         );
     }
 

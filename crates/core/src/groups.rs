@@ -2,9 +2,9 @@
 //! candidate-group construction.
 
 use nm_device::units::Watts;
-use nm_device::{KnobGrid, KnobPoint, LeakageBreakdown};
-use nm_geometry::{CacheCircuit, ComponentId, ComponentMetrics, ComponentSurface, COMPONENT_IDS};
-use nm_opt::{Candidate, Group};
+use nm_device::{KnobPoint, LeakageBreakdown};
+use nm_geometry::{ComponentId, ComponentSurface, COMPONENT_IDS};
+use nm_opt::Candidate;
 use std::fmt;
 
 /// The paper's three `Vth`/`Tox` assignment schemes (Section 4).
@@ -46,10 +46,10 @@ impl Scheme {
     /// component set and the group-name suffix (the full group name is
     /// `"{config}:{suffix}"`).
     ///
-    /// This is the single source of truth shared by [`cache_groups`], the
-    /// evaluation engine ([`crate::eval`]) and
+    /// This is the single source of truth shared by the evaluation
+    /// engine's pricing ([`crate::eval::Evaluator::try_groups`]) and
     /// [`HierarchySpec::try_knobs_from_choice`](crate::eval::HierarchySpec::try_knobs_from_choice)
-    /// — the three must agree on group order or knob reconstruction
+    /// — the two must agree on group order or knob reconstruction
     /// silently permutes assignments.
     pub fn layout(self) -> Vec<(Vec<ComponentId>, String)> {
         match self {
@@ -134,17 +134,6 @@ pub(crate) struct MetricSample {
 }
 
 impl MetricSample {
-    /// Adds one component's contribution: the one accumulation rule
-    /// behind both [`cache_groups`] (whole metric records) and the
-    /// evaluation engine (surface columns), so both produce bit-identical
-    /// candidates when they add components in the same order.
-    fn add(&mut self, delay: f64, leakage: LeakageBreakdown, read_energy: f64, write_energy: f64) {
-        self.delay += delay;
-        self.leakage += leakage.total().0;
-        self.read_energy += read_energy;
-        self.write_energy += write_energy;
-    }
-
     /// Adds row `i` of a component's surface, reading only the columns a
     /// price needs (delay, the three leakages and both energies).
     ///
@@ -157,12 +146,10 @@ impl MetricSample {
             gate: Watts(surface.gate_leakages()[i]),
             junction: Watts(surface.junction_leakages()[i]),
         };
-        self.add(
-            surface.delays()[i],
-            leakage,
-            surface.read_energies()[i],
-            surface.write_energies()[i],
-        );
+        self.delay += surface.delays()[i];
+        self.leakage += leakage.total().0;
+        self.read_energy += surface.read_energies()[i];
+        self.write_energy += surface.write_energies()[i];
     }
 
     /// Prices the summed sample as the candidate at knob pair `p`.
@@ -171,112 +158,95 @@ impl MetricSample {
     }
 }
 
-/// Sums per-component metrics (in the given iteration order) into the raw
-/// [`MetricSample`] a [`CostKind`] prices.
-pub(crate) fn sample_over(metrics: impl Iterator<Item = ComponentMetrics>) -> MetricSample {
-    let mut sample = MetricSample::default();
-    for m in metrics {
-        sample.add(m.delay.0, m.leakage, m.read_energy.0, m.write_energy.0);
-    }
-    sample
-}
-
-/// Evaluates a *tied* set of components (sharing one knob pair) over the
-/// grid as a single group.
-///
-/// `delay_weight` scales the set's delay contribution in the system
-/// objective (1 for an L1 component, the L1 miss rate for an L2 component
-/// in an AMAT study).
-pub fn tied_group(
-    circuit: &CacheCircuit,
-    ids: &[ComponentId],
-    name: &str,
-    grid: &KnobGrid,
-    delay_weight: f64,
-    cost: CostKind,
-) -> Group {
-    let candidates: Vec<Candidate> = grid
-        .points()
-        .map(|p| make_candidate(circuit, ids, p, delay_weight, cost))
-        .collect();
-    Group::new(format!("{}:{name}", circuit.config()), candidates)
-}
-
-fn make_candidate(
-    circuit: &CacheCircuit,
-    ids: &[ComponentId],
-    p: KnobPoint,
-    delay_weight: f64,
-    cost: CostKind,
-) -> Candidate {
-    let metrics = ids.iter().map(|&id| circuit.analyze_component(id, p));
-    sample_over(metrics).candidate(p, delay_weight, cost)
-}
-
-/// Builds the optimiser groups for one cache under a scheme.
-///
-/// Group order (used to reconstruct
-/// [`ComponentKnobs`](nm_geometry::ComponentKnobs) from a front point's
-/// choice):
-///
-/// * Scheme I — the four components in [`COMPONENT_IDS`] order;
-/// * Scheme II — `[memory array, periphery]`;
-/// * Scheme III — a single all-components group.
-pub fn cache_groups(
-    circuit: &CacheCircuit,
+/// The pricing oracle of the unit tests: one cache's groups under a
+/// scheme, each candidate summing direct
+/// [`CacheCircuit::analyze_component`] calls over the group's layout in
+/// order — no surface, no memo.
+#[cfg(test)]
+pub(crate) fn direct_groups(
+    circuit: &nm_geometry::CacheCircuit,
     scheme: Scheme,
-    grid: &KnobGrid,
+    grid: &nm_device::KnobGrid,
     delay_weight: f64,
     cost: CostKind,
-) -> Vec<Group> {
+) -> Vec<nm_opt::Group> {
     scheme
         .layout()
         .iter()
-        .map(|(ids, suffix)| tied_group(circuit, ids, suffix, grid, delay_weight, cost))
+        .map(|(ids, suffix)| {
+            let candidates = grid
+                .points()
+                .map(|p| {
+                    let mut sample = MetricSample::default();
+                    for &id in ids {
+                        let m = circuit.analyze_component(id, p);
+                        sample.delay += m.delay.0;
+                        sample.leakage += m.leakage.total().0;
+                        sample.read_energy += m.read_energy.0;
+                        sample.write_energy += m.write_energy.0;
+                    }
+                    sample.candidate(p, delay_weight, cost)
+                })
+                .collect();
+            nm_opt::Group::new(format!("{}:{suffix}", circuit.config()), candidates)
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nm_device::TechnologyNode;
-    use nm_geometry::{CacheConfig, ComponentKnobs};
+    use crate::eval::{Evaluator, HierarchySpec};
+    use nm_device::{KnobGrid, TechnologyNode};
+    use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs};
+    use nm_opt::Group;
 
     fn circuit() -> CacheCircuit {
         let tech = TechnologyNode::bptm65();
         CacheCircuit::new(CacheConfig::new(16 * 1024, 64, 4).unwrap(), &tech)
     }
 
+    /// One cache's groups under a scheme, priced by the engine over the
+    /// coarse grid.
+    fn groups(c: &CacheCircuit, scheme: Scheme, delay_weight: f64, cost: CostKind) -> Vec<Group> {
+        Evaluator::new(KnobGrid::coarse())
+            .try_groups(&HierarchySpec::single(
+                c.clone(),
+                scheme,
+                delay_weight,
+                cost,
+            ))
+            .expect("healthy build")
+    }
+
+    /// The Scheme I group of one component.
+    fn component_group(
+        c: &CacheCircuit,
+        id: ComponentId,
+        delay_weight: f64,
+        cost: CostKind,
+    ) -> Group {
+        let g = groups(c, Scheme::PerComponent, delay_weight, cost).swap_remove(id.index());
+        assert_eq!(g.name(), format!("{}:{id}", c.config()));
+        g
+    }
+
     #[test]
     fn group_counts_per_scheme() {
         let c = circuit();
-        let grid = KnobGrid::coarse();
-        assert_eq!(
-            cache_groups(&c, Scheme::PerComponent, &grid, 1.0, CostKind::LeakagePower).len(),
-            4
-        );
-        assert_eq!(
-            cache_groups(&c, Scheme::Split, &grid, 1.0, CostKind::LeakagePower).len(),
-            2
-        );
-        assert_eq!(
-            cache_groups(&c, Scheme::Uniform, &grid, 1.0, CostKind::LeakagePower).len(),
-            1
-        );
+        for (scheme, count) in [
+            (Scheme::PerComponent, 4),
+            (Scheme::Split, 2),
+            (Scheme::Uniform, 1),
+        ] {
+            assert_eq!(groups(&c, scheme, 1.0, CostKind::LeakagePower).len(), count);
+        }
     }
 
     #[test]
     fn candidates_match_direct_analysis() {
         let c = circuit();
-        let grid = KnobGrid::coarse();
-        let g = tied_group(
-            &c,
-            &[ComponentId::Decoder],
-            &ComponentId::Decoder.to_string(),
-            &grid,
-            1.0,
-            CostKind::LeakagePower,
-        );
+        let g = component_group(&c, ComponentId::Decoder, 1.0, CostKind::LeakagePower);
         for cand in g.candidates() {
             let m = c.analyze_component(ComponentId::Decoder, cand.knobs);
             assert!((cand.delay - m.delay.0).abs() < 1e-18);
@@ -285,17 +255,10 @@ mod tests {
     }
 
     #[test]
-    fn tied_group_sums_components() {
+    fn uniform_group_sums_components() {
         let c = circuit();
         let grid = KnobGrid::coarse();
-        let g = tied_group(
-            &c,
-            &COMPONENT_IDS,
-            "all",
-            &grid,
-            1.0,
-            CostKind::LeakagePower,
-        );
+        let g = groups(&c, Scheme::Uniform, 1.0, CostKind::LeakagePower).remove(0);
         let p = KnobPoint::nominal();
         let cand = g
             .candidates()
@@ -310,23 +273,8 @@ mod tests {
     #[test]
     fn delay_weight_scales_delay_only() {
         let c = circuit();
-        let grid = KnobGrid::coarse();
-        let g1 = tied_group(
-            &c,
-            &[ComponentId::DataBus],
-            &ComponentId::DataBus.to_string(),
-            &grid,
-            1.0,
-            CostKind::LeakagePower,
-        );
-        let g2 = tied_group(
-            &c,
-            &[ComponentId::DataBus],
-            &ComponentId::DataBus.to_string(),
-            &grid,
-            0.05,
-            CostKind::LeakagePower,
-        );
+        let g1 = component_group(&c, ComponentId::DataBus, 1.0, CostKind::LeakagePower);
+        let g2 = component_group(&c, ComponentId::DataBus, 0.05, CostKind::LeakagePower);
         for (a, b) in g1.candidates().iter().zip(g2.candidates()) {
             assert!((b.delay - 0.05 * a.delay).abs() < 1e-18);
             assert_eq!(a.cost, b.cost);
@@ -336,20 +284,13 @@ mod tests {
     #[test]
     fn energy_cost_combines_leakage_and_dynamic() {
         let c = circuit();
-        let grid = KnobGrid::coarse();
         let t_ref = 1.5e-9;
-        let g = tied_group(
-            &c,
-            &[ComponentId::MemoryArray],
-            &ComponentId::MemoryArray.to_string(),
-            &grid,
-            1.0,
-            CostKind::Energy {
-                t_ref,
-                access_rate: 1.0,
-                write_fraction: 0.25,
-            },
-        );
+        let cost = CostKind::Energy {
+            t_ref,
+            access_rate: 1.0,
+            write_fraction: 0.25,
+        };
+        let g = component_group(&c, ComponentId::MemoryArray, 1.0, cost);
         for cand in g.candidates() {
             let m = c.analyze_component(ComponentId::MemoryArray, cand.knobs);
             let dynamic = 0.75 * m.read_energy.0 + 0.25 * m.write_energy.0;
@@ -361,7 +302,6 @@ mod tests {
     #[test]
     fn layout_partitions_components_and_matches_group_names() {
         let c = circuit();
-        let grid = KnobGrid::coarse();
         for scheme in Scheme::ALL {
             let layout = scheme.layout();
             assert_eq!(layout.len(), scheme.group_count(), "{scheme}");
@@ -371,7 +311,7 @@ mod tests {
             seen.sort_by_key(|id| id.index());
             assert_eq!(seen, COMPONENT_IDS.to_vec(), "{scheme}");
             // Group names derive from the layout suffixes.
-            let groups = cache_groups(&c, scheme, &grid, 1.0, CostKind::LeakagePower);
+            let groups = groups(&c, scheme, 1.0, CostKind::LeakagePower);
             for (g, (_, suffix)) in groups.iter().zip(&layout) {
                 assert_eq!(g.name(), format!("{}:{suffix}", c.config()));
             }
@@ -381,23 +321,16 @@ mod tests {
     #[test]
     fn cost_kind_objective_matches_candidate_cost() {
         let c = circuit();
-        let grid = KnobGrid::coarse();
         let energy = CostKind::Energy {
             t_ref: 1.5e-9,
             access_rate: 0.07,
             write_fraction: 0.25,
         };
         for cost in [CostKind::LeakagePower, energy] {
-            let g = tied_group(&c, &COMPONENT_IDS, "all", &grid, 1.0, cost);
-            for cand in g.candidates() {
-                let metrics: Vec<ComponentMetrics> = COMPONENT_IDS
-                    .iter()
-                    .map(|&id| c.analyze_component(id, cand.knobs))
-                    .collect();
-                let sample = sample_over(metrics.iter().copied());
-                assert_eq!(cand.cost, cost.cost(&sample));
-                assert_eq!(cand.delay, sample.delay);
-            }
+            assert_eq!(
+                groups(&c, Scheme::Uniform, 1.0, cost),
+                direct_groups(&c, Scheme::Uniform, &KnobGrid::coarse(), 1.0, cost)
+            );
         }
     }
 

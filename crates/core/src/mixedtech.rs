@@ -293,9 +293,9 @@ impl MixedTechStudy {
             };
             if budget > 0.0 {
                 if let Some(sol) = self.eval.try_solve(spec, &Deadline(budget))? {
-                    let l3_leak = self
-                        .eval
-                        .analyze(spec.levels()[2].circuit(), &sol.knobs[2])
+                    let l3_leak = spec.levels()[2]
+                        .circuit()
+                        .analyze(&sol.knobs[2])
                         .leakage()
                         .total();
                     row.amat = Some(Seconds(floor.0 + sol.delay));

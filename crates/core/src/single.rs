@@ -119,7 +119,7 @@ impl SingleCacheStudy {
             return Ok(None);
         };
         let knobs = sol.knobs[0];
-        let metrics = self.eval.analyze(&self.circuit, &knobs);
+        let metrics = self.circuit.analyze(&knobs);
         Ok(Some(SchemeSolution {
             scheme,
             knobs,
@@ -203,9 +203,7 @@ impl SingleCacheStudy {
     }
 
     fn uniform_point(&self, p: KnobPoint) -> (f64, f64) {
-        let m = self
-            .eval
-            .analyze(&self.circuit, &ComponentKnobs::uniform(p));
+        let m = self.circuit.analyze(&ComponentKnobs::uniform(p));
         (m.access_time().picos(), m.leakage().total().milli())
     }
 

@@ -387,7 +387,7 @@ impl TwoLevelStudy {
                     );
                 if let Some(sol) = self.eval.try_solve(&spec, &Deadline(budget))? {
                     let l1_knobs = sol.knobs[0];
-                    let l1_leak = self.eval.analyze(&l1, &l1_knobs).leakage().total();
+                    let l1_leak = l1.analyze(&l1_knobs).leakage().total();
                     row.amat = Some(Seconds(base.0 + sol.delay));
                     row.opt_leakage = Some(l1_leak);
                     row.total_leakage = Some(Watts(sol.cost));

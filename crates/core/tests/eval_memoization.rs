@@ -1,22 +1,66 @@
 //! Memoization soundness: metrics served from the evaluation engine's
 //! cached surfaces must agree **bit-for-bit** with direct
 //! `analyze_component` calls, across the whole knob grid, and the groups
-//! the engine assembles from those surfaces must equal the direct
-//! `cache_groups` pipeline exactly.
+//! the engine assembles from those surfaces must equal groups priced by
+//! direct analysis exactly.
 
 use nm_cache_core::eval::{Evaluator, HierarchySpec};
-use nm_cache_core::groups::{cache_groups, CostKind, Scheme};
-use nm_device::units::{Angstroms, Volts};
+use nm_cache_core::groups::{CostKind, Scheme};
 use nm_device::{KnobGrid, KnobPoint, TechnologyNode};
-use nm_geometry::{CacheCircuit, CacheConfig, ComponentKnobs, COMPONENT_IDS};
+use nm_geometry::{CacheCircuit, CacheConfig, COMPONENT_IDS};
 use nm_opt::constraint::best_under_deadline;
-use nm_opt::merge::try_system_front;
+use nm_opt::merge::MergeBase;
 use nm_opt::objective::Deadline;
+use nm_opt::{Candidate, Group};
 use proptest::prelude::*;
 
 fn circuit(bytes: u64, ways: u64) -> CacheCircuit {
     let tech = TechnologyNode::bptm65();
     CacheCircuit::new(CacheConfig::new(bytes, 64, ways).unwrap(), &tech)
+}
+
+/// The pricing oracle: one cache's groups under a scheme, each candidate
+/// summing direct `analyze_component` calls over the group's layout in
+/// order and pricing the sums by the [`CostKind`] definition.
+fn direct_groups(
+    c: &CacheCircuit,
+    scheme: Scheme,
+    grid: &KnobGrid,
+    delay_weight: f64,
+    cost: CostKind,
+) -> Vec<Group> {
+    scheme
+        .layout()
+        .iter()
+        .map(|(ids, suffix)| {
+            let candidates = grid
+                .points()
+                .map(|p| {
+                    let (mut delay, mut leakage, mut read, mut write) = (0.0, 0.0, 0.0, 0.0);
+                    for &id in ids {
+                        let m = c.analyze_component(id, p);
+                        delay += m.delay.0;
+                        leakage += m.leakage.total().0;
+                        read += m.read_energy.0;
+                        write += m.write_energy.0;
+                    }
+                    let price = match cost {
+                        CostKind::LeakagePower => leakage,
+                        CostKind::Energy {
+                            t_ref,
+                            access_rate,
+                            write_fraction,
+                        } => {
+                            let dynamic = (1.0 - write_fraction) * read + write_fraction * write;
+                            leakage * t_ref + access_rate * dynamic
+                        }
+                    };
+                    Candidate::new(p, delay_weight * delay, price)
+                })
+                .collect();
+            Group::new(format!("{}:{suffix}", c.config()), candidates)
+        })
+        .collect()
 }
 
 /// Exhaustive: every `(component, knob point)` of the paper's fine grid,
@@ -31,37 +75,8 @@ fn surfaces_agree_bitwise_with_direct_analysis_on_full_grid() {
         assert_eq!(surface.len(), points.len());
         for (p, cached) in surface.iter() {
             assert_eq!(cached, c.analyze_component(id, p), "{id} at {p}");
-            assert_eq!(surface.lookup(p), Some(cached));
         }
     }
-}
-
-/// The engine's whole-cache analysis equals the circuit's, whether the
-/// assignment is on-grid (surface-served) or off-grid (fallback).
-#[test]
-fn evaluator_analyze_is_bitwise_identical() {
-    let grid = KnobGrid::coarse();
-    let eval = Evaluator::new(grid.clone());
-    let c = circuit(16 * 1024, 4);
-    eval.try_ensure_surfaces(&HierarchySpec::single(
-        c.clone(),
-        Scheme::Uniform,
-        1.0,
-        CostKind::LeakagePower,
-    ))
-    .expect("healthy build");
-    // On-grid, per-component mixed assignment.
-    let pts: Vec<KnobPoint> = grid.points().collect();
-    let mixed = ComponentKnobs::per_component(
-        pts[0],
-        pts[1 % pts.len()],
-        pts[2 % pts.len()],
-        pts[3 % pts.len()],
-    );
-    assert_eq!(eval.analyze(&c, &mixed), c.analyze(&mixed));
-    // Off-grid fallback.
-    let off = ComponentKnobs::uniform(KnobPoint::new(Volts(0.317), Angstroms(11.3)).unwrap());
-    assert_eq!(eval.analyze(&c, &off), c.analyze(&off));
 }
 
 /// Engine-assembled groups equal the direct pipeline for a multi-level
@@ -78,8 +93,8 @@ fn two_level_groups_and_front_match_direct_pipeline() {
         .level("L1", l1.clone(), Scheme::Split, 1.0, CostKind::LeakagePower)
         .level("L2", l2.clone(), Scheme::Split, m1, CostKind::LeakagePower);
 
-    let mut direct = cache_groups(&l1, Scheme::Split, &grid, 1.0, CostKind::LeakagePower);
-    direct.extend(cache_groups(
+    let mut direct = direct_groups(&l1, Scheme::Split, &grid, 1.0, CostKind::LeakagePower);
+    direct.extend(direct_groups(
         &l2,
         Scheme::Split,
         &grid,
@@ -88,7 +103,9 @@ fn two_level_groups_and_front_match_direct_pipeline() {
     ));
     assert_eq!(eval.try_groups(&spec).expect("healthy build"), direct);
 
-    let front = try_system_front(&direct).expect("non-empty system");
+    let front = MergeBase::try_new(&direct)
+        .expect("non-empty system")
+        .front();
     assert_eq!(*eval.try_front(&spec).expect("healthy build"), front);
 
     let deadline = front.last().expect("non-empty").delay * 0.9;
@@ -129,7 +146,11 @@ proptest! {
 
         let points: Vec<KnobPoint> = grid.points().collect();
         let surface = c.component_surface(id, &points);
-        let cached = surface.lookup(p).expect("every grid point is on the surface");
+        let row = points
+            .iter()
+            .position(|&q| q == p)
+            .expect("every grid point is on the surface");
+        let cached = surface.metric_at(row);
         let direct = c.analyze_component(id, p);
         prop_assert_eq!(cached, direct);
         // Bit-level, not just PartialEq: delays and leakages are raw f64s.
@@ -143,7 +164,7 @@ proptest! {
     }
 
     /// Property: single-cache groups assembled from memoized surfaces
-    /// equal `cache_groups` bit for bit for every scheme, random delay
+    /// equal directly priced groups bit for bit for every scheme, random delay
     /// weight and both cost kinds — the energy cost with random `t_ref`,
     /// access rate and store fraction, so the read and write energy
     /// columns are priced too.
@@ -165,7 +186,7 @@ proptest! {
         let c = circuit(32 * 1024, 4);
         let spec = HierarchySpec::single(c.clone(), scheme, weight, cost);
         let memoized = eval.try_groups(&spec).expect("healthy build");
-        let direct = cache_groups(&c, scheme, &grid, weight, cost);
+        let direct = direct_groups(&c, scheme, &grid, weight, cost);
         prop_assert_eq!(&memoized, &direct);
         let bits = |groups: &[nm_opt::Group]| -> Vec<(u64, u64)> {
             groups

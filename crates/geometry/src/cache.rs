@@ -62,13 +62,6 @@ pub struct CacheMetrics {
 }
 
 impl CacheMetrics {
-    /// Assembles whole-cache metrics from per-component records (indexed
-    /// by [`ComponentId::index`]) — the composition path used by callers
-    /// that already hold memoized component metrics.
-    pub fn from_components(per_component: [ComponentMetrics; 4]) -> Self {
-        CacheMetrics { per_component }
-    }
-
     /// Metrics of one component.
     pub fn component(&self, id: ComponentId) -> &ComponentMetrics {
         &self.per_component[id.index()]
@@ -271,8 +264,7 @@ impl CacheCircuit {
     ///
     /// This is the cache-friendly bulk entry point the evaluation engine
     /// memoizes: one contiguous pass per `(component, point set)` instead
-    /// of scattered [`analyze_component`](Self::analyze_component) calls,
-    /// and the resulting surface supports O(1) point lookup.
+    /// of scattered [`analyze_component`](Self::analyze_component) calls.
     pub fn component_surface(&self, id: ComponentId, points: &[KnobPoint]) -> ComponentSurface {
         let prims = PrimsTable::new(&self.tech, points);
         self.component_surface_with(id, points, &prims)
@@ -292,12 +284,12 @@ impl CacheCircuit {
         points: &[KnobPoint],
         prims: &PrimsTable,
     ) -> ComponentSurface {
-        self.component_surface_over(id, &Arc::new(PointSet::new(points.to_vec())), prims)
+        self.component_surface_over(id, &Arc::new(points.to_vec()), prims)
     }
 
     /// [`component_surface_with`](Self::component_surface_with) over a
-    /// shared [`PointSet`]: every surface built over one set shares its
-    /// points and index instead of copying and re-indexing them.
+    /// shared point set: every surface built over one set shares its
+    /// points instead of copying them.
     ///
     /// The component's plan is built once; each point then only finishes
     /// the model from its [`HoistedPrims`], writing straight into the
@@ -309,7 +301,7 @@ impl CacheCircuit {
     pub fn component_surface_over(
         &self,
         id: ComponentId,
-        points: &Arc<PointSet>,
+        points: &Arc<Vec<KnobPoint>>,
         prims: &PrimsTable,
     ) -> ComponentSurface {
         assert_eq!(
@@ -415,51 +407,12 @@ impl<'a> ProfileTransform<'a> {
 /// the flat `f64` slices they need instead of striding through an
 /// array-of-structs. Every value is checked as it is written (see
 /// [`is_healthy`](Self::is_healthy)), so validating a surface never
-/// re-reads its columns. The points and their index live in a shared
-/// [`PointSet`]. Point lookup is bit-exact (signed zeros normalized):
-/// O(1) arithmetic when the point set is a dense tox-major grid, ordered
-/// lookup otherwise.
+/// re-reads its columns. The points are shared by every surface built
+/// over the same set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSurface {
-    points: Arc<PointSet>,
+    points: Arc<Vec<KnobPoint>>,
     columns: Columns,
-}
-
-/// A knob point set with its bit-exact point→row index, built once and
-/// shared by every [`ComponentSurface`] evaluated over it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PointSet {
-    points: Vec<KnobPoint>,
-    index: PointIndex,
-}
-
-impl PointSet {
-    /// Indexes `points` (kept in input order).
-    pub fn new(points: Vec<KnobPoint>) -> Self {
-        let index = PointIndex::build(&points);
-        PointSet { points, index }
-    }
-
-    /// The points, in input order.
-    pub fn points(&self) -> &[KnobPoint] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when the set holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The row of a knob pair, matched bit-exactly (signed zeros
-    /// normalized), or `None` when the pair is not in the set.
-    pub fn position(&self, p: KnobPoint) -> Option<usize> {
-        self.index.lookup(p)
-    }
 }
 
 /// The metric columns of a [`ComponentSurface`], one per scalar metric,
@@ -527,99 +480,6 @@ impl Columns {
     }
 }
 
-/// Normalizes a knob coordinate for bit-exact keying: `-0.0` and `0.0`
-/// compare equal as knob values, so they must map to the same key
-/// (`x + 0.0` canonicalizes a signed zero to `+0.0` and is the identity
-/// on every other value, NaN payloads included).
-fn zero_normalized_bits(x: f64) -> u64 {
-    (x + 0.0).to_bits()
-}
-
-fn point_key(p: KnobPoint) -> (u64, u64) {
-    (
-        zero_normalized_bits(p.vth().0),
-        zero_normalized_bits(p.tox().0),
-    )
-}
-
-/// Bit-exact point→row index of a [`ComponentSurface`].
-#[derive(Debug, Clone, PartialEq)]
-enum PointIndex {
-    /// The point set is a dense tox-major grid: row `t * vth.len() + v`
-    /// holds `(vth[v], tox[t])`. Lookup is two short axis scans, no
-    /// hashing, and building it is allocation-light — the layout
-    /// [`nm_device::KnobGrid::points`] produces.
-    Grid { vth: Vec<u64>, tox: Vec<u64> },
-    /// Arbitrary point sets fall back to an ordered index (lookup only,
-    /// so the tree's deterministic order costs nothing and keeps the
-    /// D4 no-hash-iteration invariant trivially true).
-    Map(std::collections::BTreeMap<(u64, u64), usize>),
-}
-
-impl PointIndex {
-    fn build(points: &[KnobPoint]) -> Self {
-        Self::try_grid(points).unwrap_or_else(|| {
-            PointIndex::Map(
-                points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &p)| (point_key(p), i))
-                    .collect(),
-            )
-        })
-    }
-
-    /// Recognizes the dense tox-major layout: the vth axis repeats
-    /// identically inside each constant-tox block and both axes are
-    /// duplicate-free.
-    fn try_grid(points: &[KnobPoint]) -> Option<Self> {
-        let first_tox = zero_normalized_bits(points.first()?.tox().0);
-        let nv = points
-            .iter()
-            .position(|p| zero_normalized_bits(p.tox().0) != first_tox)
-            .unwrap_or(points.len());
-        if !points.len().is_multiple_of(nv) {
-            return None;
-        }
-        let nt = points.len() / nv;
-        let vth: Vec<u64> = points[..nv]
-            .iter()
-            .map(|p| zero_normalized_bits(p.vth().0))
-            .collect();
-        let mut tox = Vec::with_capacity(nt);
-        for t in 0..nt {
-            let block = &points[t * nv..(t + 1) * nv];
-            let block_tox = zero_normalized_bits(block[0].tox().0);
-            let regular = block.iter().zip(&vth).all(|(p, &v)| {
-                zero_normalized_bits(p.tox().0) == block_tox && zero_normalized_bits(p.vth().0) == v
-            });
-            if !regular || tox.contains(&block_tox) {
-                return None;
-            }
-            tox.push(block_tox);
-        }
-        let mut seen_v = vth.clone();
-        seen_v.sort_unstable();
-        seen_v.dedup();
-        if seen_v.len() != vth.len() {
-            return None;
-        }
-        Some(PointIndex::Grid { vth, tox })
-    }
-
-    fn lookup(&self, p: KnobPoint) -> Option<usize> {
-        match self {
-            PointIndex::Grid { vth, tox } => {
-                let (vk, tk) = point_key(p);
-                let v = vth.iter().position(|&b| b == vk)?;
-                let t = tox.iter().position(|&b| b == tk)?;
-                Some(t * vth.len() + v)
-            }
-            PointIndex::Map(map) => map.get(&point_key(p)).copied(),
-        }
-    }
-}
-
 impl ComponentSurface {
     /// Assembles a surface from aligned point and metric vectors.
     ///
@@ -640,14 +500,14 @@ impl ComponentSurface {
         let mut columns = Columns::with_capacity(metrics.len());
         columns.extend(metrics.into_iter());
         ComponentSurface {
-            points: Arc::new(PointSet::new(points)),
+            points: Arc::new(points),
             columns,
         }
     }
 
     /// The knob points the surface was evaluated at, in input order.
     pub fn points(&self) -> &[KnobPoint] {
-        self.points.points()
+        &self.points
     }
 
     /// Reassembles the metrics record at row `i` (input-point order).
@@ -734,12 +594,6 @@ impl ComponentSurface {
     /// `true` when the surface holds no points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// The metrics at a knob pair, matched bit-exactly (signed zeros
-    /// normalized), or `None` when the pair is not on the surface.
-    pub fn lookup(&self, p: KnobPoint) -> Option<ComponentMetrics> {
-        self.points.position(p).map(|i| self.metric_at(i))
     }
 
     /// Iterates `(point, metrics)` pairs in input order.
@@ -869,30 +723,10 @@ mod tests {
         for (i, (p, m)) in surface.iter().enumerate() {
             assert_eq!(p, points[i]);
             assert_eq!(m, c.analyze_component(ComponentId::Decoder, p));
-            assert_eq!(surface.lookup(p), Some(m));
             assert_eq!(surface.metric_at(i), m);
         }
         assert_eq!(surface.points(), &points);
         assert_eq!(surface.metrics_vec().len(), 3);
-        assert!(surface.lookup(k(0.3, 11.0)).is_none());
-    }
-
-    #[test]
-    fn grid_point_sets_use_the_arithmetic_index() {
-        let c = circuit(16 * 1024);
-        let points: Vec<KnobPoint> = nm_device::KnobGrid::coarse().points().collect();
-        let surface = c.component_surface(ComponentId::MemoryArray, &points);
-        assert!(
-            matches!(surface.points.index, PointIndex::Grid { .. }),
-            "tox-major grid layout should be recognized"
-        );
-        for &p in &points {
-            assert_eq!(
-                surface.lookup(p),
-                Some(c.analyze_component(ComponentId::MemoryArray, p))
-            );
-        }
-        assert!(surface.lookup(k(0.21, 10.01)).is_none());
     }
 
     #[test]
@@ -913,24 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn signed_zeros_key_identically() {
-        // KnobPoint's validated ranges exclude zero, but the index must
-        // stay total over raw f64 keys (fault-injection surfaces go
-        // through from_parts): both zero encodings map to one key.
-        assert_eq!(zero_normalized_bits(0.0), zero_normalized_bits(-0.0));
-        assert_eq!(zero_normalized_bits(0.0), 0.0f64.to_bits());
-        // And normalization is the identity elsewhere.
-        for x in [0.2, -3.5, 1e-300, f64::INFINITY] {
-            assert_eq!(zero_normalized_bits(x), x.to_bits());
-        }
-        assert_eq!(
-            zero_normalized_bits(f64::NAN),
-            f64::NAN.to_bits(),
-            "NaN payloads pass through"
-        );
-    }
-
-    #[test]
     fn component_surface_with_shares_one_prims_table() {
         let c = circuit(16 * 1024);
         let points: Vec<KnobPoint> = nm_device::KnobGrid::coarse().points().collect();
@@ -940,17 +756,6 @@ mod tests {
             let direct = c.component_surface(id, &points);
             assert_eq!(shared, direct, "{id} surface diverged");
         }
-    }
-
-    #[test]
-    fn from_components_roundtrips_analysis() {
-        let c = circuit(16 * 1024);
-        let full = c.analyze(&ComponentKnobs::default());
-        let mut per = [ComponentMetrics::ZERO; 4];
-        for id in COMPONENT_IDS {
-            per[id.index()] = *full.component(id);
-        }
-        assert_eq!(CacheMetrics::from_components(per), full);
     }
 
     #[test]
@@ -1041,10 +846,10 @@ mod tests {
         );
         let points: Vec<KnobPoint> = nm_device::KnobGrid::coarse().points().collect();
         let surface = c.component_surface(ComponentId::MemoryArray, &points);
-        for &p in points.iter().take(5) {
+        for (i, &p) in points.iter().enumerate().take(5) {
             assert_eq!(
-                surface.lookup(p),
-                Some(c.analyze_component(ComponentId::MemoryArray, p))
+                surface.metric_at(i),
+                c.analyze_component(ComponentId::MemoryArray, p)
             );
         }
     }

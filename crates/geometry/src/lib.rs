@@ -51,7 +51,7 @@ mod error;
 mod oracle;
 
 pub use assignment::{ComponentId, ComponentKnobs, COMPONENT_IDS};
-pub use cache::{CacheCircuit, CacheMetrics, ComponentMetrics, ComponentSurface, PointSet};
+pub use cache::{CacheCircuit, CacheMetrics, ComponentMetrics, ComponentSurface};
 pub use config::{CacheConfig, Organization};
 pub use error::GeometryError;
 pub use sram::SramCell;

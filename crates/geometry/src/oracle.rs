@@ -258,7 +258,6 @@ pub(crate) fn analyze(
 mod tests {
     use super::*;
     use crate::assignment::COMPONENT_IDS;
-    use crate::cache::PointSet;
     use crate::config::CacheConfig;
     use nm_device::units::{Angstroms, Kelvin, Volts};
     use nm_device::{KnobGrid, KnobPoint, PrimsTable, TechProfile};
@@ -276,9 +275,9 @@ mod tests {
     }
 
     /// One of five point-set shapes, picked by `kind`: the paper grid
-    /// and the coarse grid (`Tox`-major, so the arithmetic index), the
-    /// paper grid shuffled, coarse-grid points drawn with repeats, and
-    /// the off-grid points `off` (all three through the ordered index).
+    /// and the coarse grid (both `Tox`-major), the paper grid shuffled,
+    /// coarse-grid points drawn with repeats, and the off-grid points
+    /// `off`.
     fn arb_points() -> impl Strategy<Value = Vec<KnobPoint>> {
         (
             0u32..5,
@@ -342,7 +341,7 @@ mod tests {
 
         /// Surfaces built through the plans over one shared point set
         /// and prims table (the evaluator's path), the standalone surface
-        /// entry point, point lookup and pointwise analysis all carry the
+        /// entry point and pointwise analysis all carry the
         /// per-point oracle's exact bits, for random shapes, temperatures,
         /// cell technologies and point sets.
         #[test]
@@ -354,7 +353,7 @@ mod tests {
         ) {
             let tech = TechnologyNode::bptm65().at_temperature(Kelvin::from_celsius(celsius));
             let c = CacheCircuit::with_technology(config, &tech, profile(technology));
-            let set = Arc::new(PointSet::new(points.clone()));
+            let set = Arc::new(points.clone());
             let table = PrimsTable::new(&tech, &points);
             for id in COMPONENT_IDS {
                 let surface = c.component_surface_over(id, &set, &table);
@@ -363,12 +362,6 @@ mod tests {
                     let want = bits(&analyze(&c, id, &HoistedPrims::new(&tech, p)));
                     let context = format!("{id} row {i} at {p}, {config}, {celsius} °C");
                     prop_assert_eq!(bits(&surface.metric_at(i)), want, "surface {}", context);
-                    prop_assert_eq!(
-                        surface.lookup(p).map(|m| bits(&m)),
-                        Some(want),
-                        "lookup {}",
-                        context
-                    );
                     prop_assert_eq!(
                         bits(&c.analyze_component(id, p)),
                         want,

@@ -7,7 +7,7 @@
 //! `0..=g` within budget bin `b`. The result is within one bin of the
 //! exact optimum (delays round *up*, so feasibility is never violated).
 //!
-//! [`crate::merge::try_system_front`] is exact and usually faster for the
+//! [`crate::merge::MergeBase`] is exact and usually faster for the
 //! group sizes in this workspace; the DP exists as an independent
 //! implementation for cross-checking and for callers whose group
 //! candidate sets are too large to merge.
@@ -143,7 +143,7 @@ pub fn solve_budget_dp(groups: &[Group], deadline: f64, bins: usize) -> Option<B
 mod tests {
     use super::*;
     use crate::constraint::best_under_deadline;
-    use crate::merge::try_system_front;
+    use crate::merge::MergeBase;
     use nm_device::units::{Angstroms, Volts};
 
     fn k(vth: f64, tox: f64) -> KnobPoint {
@@ -172,7 +172,9 @@ mod tests {
             grid_group("b", 1.7),
             grid_group("c", 0.6),
         ];
-        let front = try_system_front(&groups).expect("non-empty system");
+        let front = MergeBase::try_new(&groups)
+            .expect("non-empty system")
+            .front();
         for deadline in [8.5, 10.0, 12.0, 15.0] {
             let exact = best_under_deadline(&front, deadline).expect("feasible");
             let dp = solve_budget_dp(&groups, deadline, 2000).expect("feasible");

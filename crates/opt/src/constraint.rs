@@ -8,7 +8,7 @@ use crate::merge::FrontPoint;
 ///
 /// `front` must be sorted by non-decreasing delay with non-increasing
 /// cost, as produced by [`crate::pareto::prune`] and
-/// [`crate::merge::try_system_front`]. On such a front `delay <= deadline`
+/// [`crate::merge::MergeBase::front`]. On such a front `delay <= deadline`
 /// holds for a prefix and fails for the rest (a NaN deadline fails it
 /// everywhere), so the binary search lands on the same point as a walk
 /// that stops at the first too-slow point: the last point of the

@@ -10,8 +10,8 @@
 //! * a [`Candidate`] is one knob pair's `(delay, cost)` for a *group* of
 //!   components sharing that pair;
 //! * [`pareto::prune`] discards dominated candidates;
-//! * [`merge::try_system_front`] combines groups into the exact Pareto front
-//!   of the whole system by pruned pairwise summation — every point of the
+//! * [`merge::MergeBase`] combines groups into the exact Pareto front of
+//!   the whole system by pruned pairwise summation — every point of the
 //!   front carries the knob choice that achieves it;
 //! * [`constraint::best_under_deadline`] reads the optimum off the front
 //!   for any delay constraint;
@@ -32,14 +32,14 @@
 //!
 //! ```
 //! use nm_opt::{Candidate, Group};
-//! use nm_opt::merge::try_system_front;
+//! use nm_opt::merge::MergeBase;
 //! use nm_opt::constraint::best_under_deadline;
 //! use nm_device::KnobPoint;
 //!
 //! // Two trivial groups with a fast/expensive and slow/cheap candidate.
 //! let mk = |d: f64, c: f64| Candidate::new(KnobPoint::nominal(), d, c);
 //! let g = Group::new("g", vec![mk(1.0, 10.0), mk(2.0, 1.0)]);
-//! let front = try_system_front(&[g.clone(), g]).unwrap();
+//! let front = MergeBase::try_new(&[g.clone(), g]).unwrap().front();
 //! let best = best_under_deadline(&front, 3.0).unwrap();
 //! assert_eq!(best.cost, 11.0); // one fast + one slow
 //! ```

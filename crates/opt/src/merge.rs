@@ -91,7 +91,7 @@ pub struct FrontPoint {
 
 /// A system had no groups to merge (e.g. a zero-level hierarchy spec
 /// reaching the evaluation engine) — the one failure of
-/// [`try_system_front`].
+/// [`MergeBase::try_new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmptySystemError;
 
@@ -383,6 +383,10 @@ impl MergeBase {
 
     /// Resolves the final layer into owned [`FrontPoint`]s by walking the
     /// predecessor links — the only place `choice` vectors are built.
+    ///
+    /// The exact Pareto front of the merged system: its points strictly
+    /// ascend in delay and strictly descend in cost, and each point's
+    /// `choice[i]` is the knob pair selected for group `i`.
     pub fn front(&self) -> Vec<FrontPoint> {
         let n_groups = self.layers.len();
         // A base always holds at least one layer (constructors reject
@@ -409,20 +413,6 @@ impl MergeBase {
     }
 }
 
-/// Computes the exact Pareto front of a system of additive groups.
-///
-/// The returned points strictly ascend in delay and strictly descend in
-/// cost. Each point's `choice[i]` is the knob pair selected for
-/// `groups[i]`.
-///
-/// # Errors
-///
-/// [`EmptySystemError`] when `groups` is empty — a system needs at least
-/// one group.
-pub fn try_system_front(groups: &[Group]) -> Result<Vec<FrontPoint>, EmptySystemError> {
-    MergeBase::try_new(groups).map(|base| base.front())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,6 +433,13 @@ mod tests {
                 .map(|&(vth, tox, d, c)| Candidate::new(k(vth, tox), d, c))
                 .collect(),
         )
+    }
+
+    /// The system front of `groups`, merged from scratch.
+    fn front_of(groups: &[Group]) -> Vec<FrontPoint> {
+        MergeBase::try_new(groups)
+            .expect("non-empty system")
+            .front()
     }
 
     /// The front when every group shares one knob pair (a fully tied
@@ -707,7 +704,7 @@ mod tests {
                 (0.4, 12.0, 0.5 * eps, 1.0),
             ],
         );
-        let front = try_system_front(&[ga, gb]).expect("non-empty system");
+        let front = front_of(&[ga, gb]);
         let points: Vec<(f64, f64)> = front.iter().map(|p| (p.delay, p.cost)).collect();
         assert_eq!(
             points,
@@ -733,7 +730,7 @@ mod tests {
                 (0.4, 10.0, 3.0, 2.0),
             ],
         );
-        let f = try_system_front(&[g]).expect("non-empty system");
+        let f = front_of(&[g]);
         assert_eq!(f.len(), 2);
         assert_eq!(f[0].choice.len(), 1);
     }
@@ -757,7 +754,7 @@ mod tests {
                 (0.5, 12.0, 5.0, 0.5),
             ],
         );
-        let front = try_system_front(&[ga.clone(), gb.clone()]).expect("non-empty system");
+        let front = front_of(&[ga.clone(), gb.clone()]);
 
         // Brute force: every combination, then check front optimality for
         // every deadline.
@@ -789,7 +786,7 @@ mod tests {
     fn front_points_carry_consistent_choices() {
         let ga = group("a", &[(0.2, 10.0, 1.0, 9.0), (0.4, 10.0, 4.0, 1.0)]);
         let gb = group("b", &[(0.2, 12.0, 1.5, 7.0), (0.5, 12.0, 5.0, 0.5)]);
-        let front = try_system_front(&[ga.clone(), gb.clone()]).expect("non-empty system");
+        let front = front_of(&[ga.clone(), gb.clone()]);
         for p in &front {
             assert_eq!(p.choice.len(), 2);
             // Recompute delay/cost from the chosen candidates.
@@ -825,7 +822,7 @@ mod tests {
         let ga = group("a", &[(0.2, 10.0, 1.0, 9.0), (0.4, 10.0, 4.0, 1.0)]);
         let gb = group("b", &[(0.2, 10.0, 1.5, 7.0), (0.4, 10.0, 5.0, 0.5)]);
         let tied = tied_front(&[ga.clone(), gb.clone()]);
-        let free = try_system_front(&[ga, gb]).expect("non-empty system");
+        let free = front_of(&[ga, gb]);
         for t in &tied {
             let best_free = free
                 .iter()
@@ -837,8 +834,8 @@ mod tests {
     }
 
     #[test]
-    fn try_system_front_types_the_empty_case() {
-        assert_eq!(try_system_front(&[]), Err(EmptySystemError));
+    fn try_new_types_the_empty_case() {
+        assert_eq!(MergeBase::try_new(&[]).err(), Some(EmptySystemError));
         assert_eq!(
             EmptySystemError.to_string(),
             "system has no groups to merge"
@@ -862,7 +859,7 @@ mod tests {
             ],
         );
         let clean = group("b", &[(0.2, 12.0, 1.5, 7.0), (0.5, 12.0, 5.0, 0.5)]);
-        let front = try_system_front(&[poisoned, clean]).expect("non-empty system");
+        let front = front_of(&[poisoned, clean]);
         assert!(!front.is_empty());
         for p in &front {
             assert!(p.delay.is_finite() && p.cost.is_finite());
@@ -890,20 +887,14 @@ mod tests {
         let system = [ga.clone(), gb.clone(), gc2.clone()];
         let (incremental, reused) = MergeBase::try_new_with_bases(&system, [&base]).unwrap();
         assert_eq!(reused, 2);
-        assert_eq!(
-            incremental.front(),
-            try_system_front(&system).expect("non-empty system")
-        );
+        assert_eq!(incremental.front(), front_of(&system));
 
         // Mutate the first group: nothing is reusable, result still equal.
         let ga2 = group("a", &[(0.25, 10.0, 1.2, 8.0), (0.45, 10.0, 4.5, 0.9)]);
         let system = [ga2, gb, gc];
         let (incremental, reused) = MergeBase::try_new_with_bases(&system, [&base]).unwrap();
         assert_eq!(reused, 0);
-        assert_eq!(
-            incremental.front(),
-            try_system_front(&system).expect("non-empty system")
-        );
+        assert_eq!(incremental.front(), front_of(&system));
     }
 
     #[test]
@@ -932,9 +923,6 @@ mod tests {
         let system = [ga, gb, gc];
         let (merged, reused) = MergeBase::try_new_with_bases(&system, [&shallow, &deep]).unwrap();
         assert_eq!(reused, 3);
-        assert_eq!(
-            merged.front(),
-            try_system_front(&system).expect("non-empty system")
-        );
+        assert_eq!(merged.front(), front_of(&system));
     }
 }

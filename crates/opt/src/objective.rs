@@ -14,7 +14,7 @@ use crate::merge::FrontPoint;
 /// Selects the optimal point of a system Pareto front.
 ///
 /// `front` is sorted by ascending delay with descending cost, as produced
-/// by [`crate::merge::try_system_front`].
+/// by [`crate::merge::MergeBase::front`].
 pub trait Constraint: Sync {
     /// The optimal feasible front point, or `None` when the constraint is
     /// infeasible.

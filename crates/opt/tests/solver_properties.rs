@@ -4,10 +4,17 @@ use nm_device::units::{Angstroms, Volts};
 use nm_device::KnobPoint;
 use nm_opt::budget::solve_budget_dp;
 use nm_opt::constraint::{best_under_deadline, deadline_sweep, fastest_under_budget};
-use nm_opt::merge::{try_system_front, MergeBase};
+use nm_opt::merge::{FrontPoint, MergeBase};
 use nm_opt::tuple::combinations;
 use nm_opt::{Candidate, Group};
 use proptest::prelude::*;
+
+/// The system front of `groups`, merged from scratch.
+fn front_of(groups: &[Group]) -> Vec<FrontPoint> {
+    MergeBase::try_new(groups)
+        .expect("non-empty system")
+        .front()
+}
 
 fn knob(i: usize, j: usize) -> KnobPoint {
     KnobPoint::new(
@@ -63,7 +70,7 @@ proptest! {
         c3 in arb_colliding_group("e", 0.0, 0.3 * f64::EPSILON),
     ) {
         for system in [vec![g1, g2], vec![c1, c2, c3]] {
-            let front = try_system_front(&system).expect("non-empty system");
+            let front = front_of(&system);
             prop_assert!(!front.is_empty());
             for w in front.windows(2) {
                 prop_assert!(w[0].delay < w[1].delay);
@@ -75,7 +82,7 @@ proptest! {
     /// Deadline and budget queries are consistent duals on any front.
     #[test]
     fn deadline_budget_duality(g in arb_group("a"), frac in 0.0f64..1.0) {
-        let front = try_system_front(&[g]).expect("non-empty system");
+        let front = front_of(&[g]);
         let sweep = deadline_sweep(&front, 10);
         let idx = ((frac * 9.0) as usize).min(sweep.len() - 1);
         let deadline = sweep[idx];
@@ -90,7 +97,7 @@ proptest! {
     /// Relaxing the deadline never increases the optimal cost.
     #[test]
     fn cost_monotone_in_deadline(g1 in arb_group("a"), g2 in arb_group("b")) {
-        let front = try_system_front(&[g1, g2]).expect("non-empty system");
+        let front = front_of(&[g1, g2]);
         let sweep = deadline_sweep(&front, 8);
         let mut prev = f64::INFINITY;
         for d in sweep {
@@ -106,7 +113,7 @@ proptest! {
     #[test]
     fn dp_agrees_with_merge(g1 in arb_group("a"), g2 in arb_group("b"), frac in 0.05f64..1.0) {
         let groups = vec![g1, g2];
-        let front = try_system_front(&groups).expect("non-empty system");
+        let front = front_of(&groups);
         let lo = front.first().unwrap().delay;
         let hi = front.last().unwrap().delay;
         let deadline = lo + (hi - lo) * frac;
@@ -149,7 +156,7 @@ proptest! {
         let (incremental, reused) =
             MergeBase::try_new_with_bases(&mutated, [&base]).expect("non-empty system");
         prop_assert_eq!(reused, which);
-        prop_assert_eq!(incremental.front(), try_system_front(&mutated).expect("non-empty system"));
+        prop_assert_eq!(incremental.front(), front_of(&mutated));
     }
 
     /// `combinations(n, k)` has binomial-coefficient cardinality and only

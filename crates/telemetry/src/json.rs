@@ -298,17 +298,38 @@ impl Parser<'_> {
         Ok(code)
     }
 
+    /// Reads a number by JSON's grammar: `-? (0 | [1-9][0-9]*)
+    /// (.[0-9]+)? ([eE][+-]?[0-9]+)?`. A literal that leaves it, such as
+    /// `01`, `1.` or `-.5`, is a `Number` error at the literal's start.
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
+        let malformed = JsonError {
+            kind: JsonErrorKind::Number,
+            offset: start,
+        };
         self.eat("-");
+        // The integer part is a lone `0` or has no leading zero.
+        let int_start = self.pos;
+        let leading_zero = self.peek() == Some(b'0');
+        if !self.digits() || (leading_zero && self.pos - int_start > 1) {
+            return Err(malformed);
+        }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
-                _ => break,
+        if self.eat(".") {
+            is_float = true;
+            if !self.digits() {
+                return Err(malformed);
             }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
+            is_float = true;
+            if !self.eat("+") {
+                self.eat("-");
+            }
+            if !self.digits() {
+                return Err(malformed);
+            }
         }
         let text = self.text.get(start..self.pos).unwrap_or_default();
         match (is_float, text.starts_with('-')) {
@@ -322,10 +343,17 @@ impl Parser<'_> {
                 .filter(|x: &f64| x.is_finite())
                 .map(Value::F64)
         })
-        .ok_or(JsonError {
-            kind: JsonErrorKind::Number,
-            offset: start,
-        })
+        .ok_or(malformed)
+    }
+
+    /// Steps over a run of ASCII digits; `true` when there was at least
+    /// one.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos > start
     }
 }
 
@@ -427,6 +455,44 @@ mod tests {
             assert_eq!(kind(bad), JsonErrorKind::Number, "{bad:?}");
         }
         assert_eq!(parse("1e-400"), Ok(Value::F64(0.0)));
+    }
+
+    #[test]
+    fn numbers_outside_the_json_grammar_are_errors() {
+        for (bad, offset) in [
+            ("01", 0),
+            ("-01", 0),
+            ("1.", 0),
+            ("-.5", 0),
+            ("00.5e+1", 0),
+            ("-", 0),
+            ("1e+", 0),
+            ("1.e5", 0),
+            ("[2, 007]", 4),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(
+                (err.kind, err.offset),
+                (JsonErrorKind::Number, offset),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn numbers_in_the_json_grammar_keep_their_values() {
+        for (text, value) in [
+            ("0", Value::U64(0)),
+            ("-0", Value::I64(0)),
+            ("0.5", Value::F64(0.5)),
+            ("1e5", Value::F64(1e5)),
+            ("-1.5E-3", Value::F64(-1.5e-3)),
+            ("2e+2", Value::F64(200.0)),
+            ("10", Value::U64(10)),
+            ("18446744073709551615", Value::U64(u64::MAX)),
+        ] {
+            assert_eq!(parse(text), Ok(value), "{text:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use nmcache::archsim::workload::SuiteKind;
 use nmcache::archsim::MissRateTable;
 use nmcache::core::amat::MainMemory;
-use nmcache::core::groups::{cache_groups, CostKind, Scheme};
+use nmcache::core::eval::{Evaluator, HierarchySpec};
+use nmcache::core::groups::{CostKind, Scheme};
 use nmcache::core::memsys::{MemorySystemStudy, TupleCounts};
 use nmcache::core::single::SingleCacheStudy;
 use nmcache::core::twolevel::{TwoLevelStudy, STANDARD_SUITES};
@@ -13,7 +14,7 @@ use nmcache::device::units::Seconds;
 use nmcache::device::{KnobGrid, TechnologyNode};
 use nmcache::opt::budget::solve_budget_dp;
 use nmcache::opt::constraint::best_under_deadline;
-use nmcache::opt::merge::try_system_front;
+use nmcache::opt::merge::MergeBase;
 use std::sync::OnceLock;
 
 fn quick_study() -> &'static TwoLevelStudy {
@@ -140,14 +141,18 @@ fn budget_dp_confirms_exact_optimizer_on_real_cache() {
     // Scheme II groups meets the deadline and lands within 2 % of the
     // exact merge solver (its bins round delays up, so it never beats it).
     let study = SingleCacheStudy::paper_16kb().expect("valid");
-    let groups = cache_groups(
-        study.circuit(),
+    let spec = HierarchySpec::single(
+        study.circuit().clone(),
         Scheme::Split,
-        study.grid(),
         1.0,
         CostKind::LeakagePower,
     );
-    let front = try_system_front(&groups).expect("non-empty system");
+    let groups = Evaluator::new(study.grid().clone())
+        .try_groups(&spec)
+        .expect("healthy build");
+    let front = MergeBase::try_new(&groups)
+        .expect("non-empty system")
+        .front();
     let deadline = study.delay_sweep(5)[2];
     let exact = best_under_deadline(&front, deadline.0).expect("feasible");
     let dp = solve_budget_dp(&groups, deadline.0, 2000).expect("feasible");

@@ -18,7 +18,7 @@ use nmcache::device::units::Kelvin;
 use nmcache::device::{KnobGrid, KnobPoint, TechnologyNode};
 use nmcache::geometry::{CacheCircuit, CacheConfig};
 use nmcache::opt::constraint::{best_under_deadline, fastest_under_budget};
-use nmcache::opt::merge::{try_system_front, FrontPoint};
+use nmcache::opt::merge::{FrontPoint, MergeBase};
 use nmcache::opt::objective::{CostBudget, Deadline};
 use nmcache::opt::{Candidate, Group};
 use proptest::prelude::*;
@@ -102,7 +102,9 @@ proptest! {
         g1 in prop::collection::vec((0.1f64..10.0, 0.1f64..10.0), 1..10),
         g2 in prop::collection::vec((0.1f64..10.0, 0.1f64..10.0), 1..10),
     ) {
-        let front = try_system_front(&groups(&[g1, g2])).expect("non-empty system");
+        let front = MergeBase::try_new(&groups(&[g1, g2]))
+            .expect("non-empty system")
+            .front();
         assert_strictly_ordered(&front);
         for deadline in probes(front.iter().map(|p| p.delay)) {
             let cheapest = front
@@ -127,7 +129,9 @@ proptest! {
         g1 in prop::collection::vec((0.1f64..10.0, 0.1f64..10.0), 1..10),
         g2 in prop::collection::vec((0.1f64..10.0, 0.1f64..10.0), 1..10),
     ) {
-        let front = try_system_front(&groups(&[g1, g2])).expect("non-empty system");
+        let front = MergeBase::try_new(&groups(&[g1, g2]))
+            .expect("non-empty system")
+            .front();
         for budget in probes(front.iter().rev().map(|p| p.cost)) {
             let fastest = front
                 .iter()
