@@ -67,7 +67,7 @@ impl MetricsCache {
             .and_then(|(_, s)| s.slots[id.index()].get().cloned())
     }
 
-    /// Installs a surface built or loaded outside the cache and returns
+    /// Installs a surface built outside the cache and returns
     /// whether it won the slot. A concurrently installed surface wins the
     /// race and this one is dropped — both are bit-identical by purity of
     /// the circuit model.

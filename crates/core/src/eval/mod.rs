@@ -73,14 +73,6 @@ pub struct EvalStats {
     pub fronts_incremental: usize,
     /// Computed surfaces rejected by validation (never cached).
     pub surfaces_rejected: usize,
-    /// Surfaces and fronts loaded from the persistent store instead of
-    /// being recomputed.
-    pub store_loaded: usize,
-    /// Persisted payloads rejected (decode or validation failure) and
-    /// recomputed.
-    pub store_rejected: usize,
-    /// Store read/write failures absorbed by the in-memory fallback.
-    pub store_errors: usize,
 }
 
 /// One evaluator event. Each indexes the evaluator's counter array (read
@@ -90,7 +82,7 @@ pub struct EvalStats {
 enum Event {
     SurfaceBuilt,
     /// A `(circuit, component)` surface a spec needs found already
-    /// cached (built, installed or loaded earlier).
+    /// cached (built or installed earlier).
     SurfaceHit,
     FrontBuilt,
     FrontHit,
@@ -98,13 +90,10 @@ enum Event {
     /// the layers reused, not the merges.
     FrontIncremental,
     SurfaceRejected,
-    StoreLoaded,
-    StoreRejected,
-    StoreError,
 }
 
 impl Event {
-    const COUNT: usize = Event::StoreError as usize + 1;
+    const COUNT: usize = Event::SurfaceRejected as usize + 1;
 
     fn counter(self) -> &'static str {
         use crate::names;
@@ -115,19 +104,13 @@ impl Event {
             Event::FrontHit => names::EVAL_FRONT_HIT,
             Event::FrontIncremental => names::FRONT_MERGE_INCREMENTAL,
             Event::SurfaceRejected => names::EVAL_SURFACE_REJECTED,
-            Event::StoreLoaded => names::EVAL_STORE_LOADED,
-            Event::StoreRejected => names::EVAL_STORE_REJECTED,
-            Event::StoreError => names::EVAL_STORE_ERRORS,
         }
     }
 }
 
 /// One memoized front: the spec it answers, the merged front served to
-/// queries, and the merge base later specs extend incrementally. Fronts
-/// loaded from the persistent store carry no base — they skipped the
-/// merge, so there are no layers to extend (later specs simply merge
-/// from scratch, which is bit-identical).
-type FrontEntry = (HierarchySpec, Arc<Vec<FrontPoint>>, Option<Arc<MergeBase>>);
+/// queries, and the merge base later specs extend incrementally.
+type FrontEntry = (HierarchySpec, Arc<Vec<FrontPoint>>, Arc<MergeBase>);
 
 /// The front memo: entries bucketed under [`FrontMemo::bucket`], so a
 /// lookup costs one `O(log n)` map probe plus one structural `==` per
@@ -149,10 +132,6 @@ impl FrontMemo {
     /// which maps `-0.0` to `0.0` (equal under `==`, distinct bit
     /// patterns). Fields left out (labels, technology node, cost kind)
     /// only make more specs share a bucket.
-    ///
-    /// Deliberately not [`persist::front_key`](crate::persist::front_key):
-    /// that key formats every circuit and hashes every grid point, which
-    /// costs more than the scan this memo replaced.
     fn bucket(spec: &HierarchySpec) -> u64 {
         // FxHash-style mixing: cheap, and only needs to spread the words.
         let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
@@ -183,17 +162,11 @@ impl FrontMemo {
 
     /// Memoizes `front` for `spec`; callers check [`get`](Self::get)
     /// first under the same write lock.
-    fn insert(
-        &mut self,
-        spec: &HierarchySpec,
-        front: Arc<Vec<FrontPoint>>,
-        base: Option<MergeBase>,
-    ) {
-        self.0.entry(Self::bucket(spec)).or_default().push((
-            spec.clone(),
-            front,
-            base.map(Arc::new),
-        ));
+    fn insert(&mut self, spec: &HierarchySpec, front: Arc<Vec<FrontPoint>>, base: MergeBase) {
+        self.0
+            .entry(Self::bucket(spec))
+            .or_default()
+            .push((spec.clone(), front, Arc::new(base)));
     }
 
     /// Every memoized merge base, for incremental merges to extend.
@@ -201,7 +174,7 @@ impl FrontMemo {
         self.0
             .values()
             .flatten()
-            .filter_map(|(_, _, base)| base.clone())
+            .map(|(_, _, base)| Arc::clone(base))
             .collect()
     }
 }
@@ -216,10 +189,6 @@ pub struct Evaluator {
     cache: MetricsCache,
     prims: RwLock<Vec<(TechnologyNode, Arc<PrimsTable>)>>,
     fronts: RwLock<FrontMemo>,
-    /// Optional write-through persistence tier under the memo caches.
-    /// Content-addressed and strictly best-effort: a missing, corrupt
-    /// or failing store degrades to recompute — never to an abort.
-    store: Option<Arc<nm_store::Store>>,
     events: [AtomicUsize; Event::COUNT],
 }
 
@@ -268,15 +237,6 @@ fn validate_surface(
     unreachable!("health record flagged a surface the point walk found healthy")
 }
 
-/// Logs a persistence-tier degradation to stderr when span logging is
-/// on. Store failures are absorbed (counted + fallback), so this is the
-/// only place they become visible interactively.
-fn log_store_event(message: &str) {
-    if nm_telemetry::log_level() != nm_telemetry::LogLevel::Off {
-        eprintln!("nmcache: {message}");
-    }
-}
-
 /// Swaps in a NaN-delay metric record when a [`Fault::Nan`]
 /// (`nm_sweep::faultinject::Fault::Nan`) is armed for this
 /// `eval-surfaces` job index — the injection point proving that
@@ -304,26 +264,8 @@ impl Evaluator {
             cache: MetricsCache::default(),
             prims: RwLock::new(Vec::new()),
             fronts: RwLock::new(FrontMemo::default()),
-            store: None,
             events: Default::default(),
         }
-    }
-
-    /// Creates an evaluator backed by a persistent store: surfaces and
-    /// fronts are looked up by content key before being computed, and
-    /// fresh computations are written through. The store is strictly a
-    /// cache tier below the in-memory memo caches — every load is
-    /// re-validated before install, rejected or unreadable records fall
-    /// back to recompute, and write failures are counted, not raised.
-    pub fn with_store(grid: KnobGrid, store: Arc<nm_store::Store>) -> Self {
-        let mut e = Evaluator::new(grid);
-        e.store = Some(store);
-        e
-    }
-
-    /// The persistent store backing this evaluator, if any.
-    pub fn store(&self) -> Option<&Arc<nm_store::Store>> {
-        self.store.as_ref()
     }
 
     /// The knob grid every surface and front is enumerated over.
@@ -341,9 +283,6 @@ impl Evaluator {
             front_hits: count(Event::FrontHit),
             fronts_incremental: count(Event::FrontIncremental),
             surfaces_rejected: count(Event::SurfaceRejected),
-            store_loaded: count(Event::StoreLoaded),
-            store_rejected: count(Event::StoreRejected),
-            store_errors: count(Event::StoreError),
         }
     }
 
@@ -352,115 +291,6 @@ impl Evaluator {
     fn record(&self, event: Event, amount: u64) {
         self.events[event as usize].fetch_add(1, Ordering::Relaxed);
         nm_telemetry::counter_add(event.counter(), amount);
-    }
-
-    /// Tries to satisfy one missing surface job from the persistent
-    /// store. A loaded surface passes the same validation gate as a
-    /// computed one before it may enter the memo cache; any failure —
-    /// read error, decode error, validation reject — degrades to
-    /// recompute and is counted.
-    fn surface_from_store(&self, circuit: &CacheCircuit, id: ComponentId) -> bool {
-        let Some(store) = &self.store else {
-            return false;
-        };
-        let key = crate::persist::surface_key(circuit, id, &self.points);
-        let bytes = match store.get(key) {
-            Ok(Some(bytes)) => bytes,
-            Ok(None) => return false,
-            Err(e) => {
-                self.record(Event::StoreError, 1);
-                log_store_event(&format!("store read failed, recomputing: {e}"));
-                return false;
-            }
-        };
-        let surface = match crate::persist::decode_surface(&bytes) {
-            Ok(surface) => surface,
-            Err(e) => {
-                self.record(Event::StoreRejected, 1);
-                log_store_event(&format!("persisted surface rejected, recomputing: {e}"));
-                return false;
-            }
-        };
-        if surface.points() != self.points.as_slice()
-            || validate_surface(circuit, id, &surface).is_err()
-        {
-            self.record(Event::StoreRejected, 1);
-            return false;
-        }
-        // Loaded, not computed: `surfaces_built` keeps meaning "circuit
-        // model passes actually run".
-        self.cache.install(circuit, id, surface);
-        self.record(Event::StoreLoaded, 1);
-        true
-    }
-
-    /// Tries to satisfy a front query from the persistent store. A
-    /// loaded front is sanity-checked against the spec before it is
-    /// installed: every choice has one entry per group, every metric is
-    /// finite, and delay strictly ascends while cost strictly descends
-    /// (the order every merged front has and the binary-search selects
-    /// rely on). It carries no merge base, so later specs extending it
-    /// fold every group anew (bit-identical).
-    fn front_from_store(&self, spec: &HierarchySpec) -> Option<Arc<Vec<FrontPoint>>> {
-        self.store.as_ref()?;
-        let key = crate::persist::front_key(spec, &self.points);
-        let bytes = match self.store.as_ref()?.get(key) {
-            Ok(Some(bytes)) => bytes,
-            Ok(None) => return None,
-            Err(e) => {
-                self.record(Event::StoreError, 1);
-                log_store_event(&format!("store read failed, recomputing: {e}"));
-                return None;
-            }
-        };
-        let front = match crate::persist::decode_front(&bytes) {
-            Ok(front) => front,
-            Err(e) => {
-                self.record(Event::StoreRejected, 1);
-                log_store_event(&format!("persisted front rejected, recomputing: {e}"));
-                return None;
-            }
-        };
-        let groups = spec.group_count();
-        let fault = if !front
-            .iter()
-            .all(|p| p.choice.len() == groups && p.delay.is_finite() && p.cost.is_finite())
-        {
-            Some("shape mismatch")
-        } else if !front
-            .windows(2)
-            .all(|w| w[0].delay < w[1].delay && w[0].cost > w[1].cost)
-        {
-            Some("delay must strictly ascend and cost strictly descend")
-        } else {
-            None
-        };
-        if let Some(fault) = fault {
-            self.record(Event::StoreRejected, 1);
-            log_store_event(&format!("persisted front rejected, recomputing: {fault}"));
-            return None;
-        }
-        let front = Arc::new(front);
-        let mut fronts = self
-            .fronts
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if let Some(existing) = fronts.get(spec) {
-            return Some(existing);
-        }
-        fronts.insert(spec, Arc::clone(&front), None);
-        self.record(Event::StoreLoaded, 1);
-        Some(front)
-    }
-
-    /// Best-effort write-through of a payload already installed in the
-    /// memo caches. Failures are counted and noted, never raised.
-    fn store_put(&self, key: u128, payload: &[u8]) {
-        let Some(store) = &self.store else { return };
-        if let Err(e) = store.put(key, payload) {
-            self.record(Event::StoreError, 1);
-            log_store_event(&format!("store write failed, continuing in memory: {e}"));
-        }
     }
 
     /// The hoisted-primitives table for `tech` over this evaluator's
@@ -526,12 +356,6 @@ impl Evaluator {
                 }
             }
         }
-        // Persistence tier: satisfy what the store already holds before
-        // spending compute. Loads are re-validated inside; any failure
-        // leaves the job in place for the sweep below.
-        if self.store.is_some() {
-            jobs.retain(|(circuit, id)| !self.surface_from_store(circuit, *id));
-        }
         if jobs.is_empty() {
             return Ok(());
         }
@@ -584,12 +408,6 @@ impl Evaluator {
                                 crate::names::SURFACE_SOA_POINTS,
                                 surface.len() as u64,
                             );
-                            if self.store.is_some() {
-                                self.store_put(
-                                    crate::persist::surface_key(circuit, *id, &self.points),
-                                    &crate::persist::encode_surface(&surface),
-                                );
-                            }
                             if self.cache.install(circuit, *id, surface) {
                                 self.record(Event::SurfaceBuilt, 1);
                             }
@@ -695,9 +513,6 @@ impl Evaluator {
             self.record(Event::FrontHit, 1);
             return Ok(front);
         }
-        if let Some(front) = self.front_from_store(spec) {
-            return Ok(front);
-        }
         let groups = self.try_groups(spec)?;
         // Offer every cached spec's merge base: a spec sharing a group
         // prefix (same circuits, weights and costs on its leading levels)
@@ -719,13 +534,7 @@ impl Evaluator {
         if let Some(existing) = fronts.get(spec) {
             return Ok(existing);
         }
-        if self.store.is_some() {
-            self.store_put(
-                crate::persist::front_key(spec, &self.points),
-                &crate::persist::encode_front(&front),
-            );
-        }
-        fronts.insert(spec, Arc::clone(&front), Some(base));
+        fronts.insert(spec, Arc::clone(&front), base);
         self.record(Event::FrontBuilt, 1);
         // Hierarchy shape of this run, for `--metrics` reports: depth per
         // freshly-built front plus the per-level technology mix.
@@ -837,12 +646,9 @@ impl Evaluator {
 
 impl Clone for Evaluator {
     /// A fresh evaluator over the same grid; memoized state is not
-    /// carried over (it regrows on first use). The persistence tier is
-    /// shared — it is content-addressed, so sharing is always safe.
+    /// carried over (it regrows on first use).
     fn clone(&self) -> Self {
-        let mut e = Evaluator::new(self.grid.clone());
-        e.store = self.store.clone();
-        e
+        Evaluator::new(self.grid.clone())
     }
 }
 

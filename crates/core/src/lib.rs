@@ -52,7 +52,6 @@ pub mod groups;
 pub mod memsys;
 pub mod mixedtech;
 pub mod names;
-pub mod persist;
 pub mod plot;
 pub mod report;
 pub mod sensitivity;

@@ -34,30 +34,13 @@ pub const FRONT_MERGE_INCREMENTAL: &str = "front.merge.incremental";
 pub const FRONT_MERGE_HEAP_POPS: &str = "front.merge.heap_pops";
 /// Counter: hierarchy levels across freshly built fronts.
 pub const EVAL_LEVELS: &str = "eval.levels";
-/// Counter: surfaces and fronts loaded from the persistent store
-/// instead of being recomputed.
-pub const EVAL_STORE_LOADED: &str = "eval.store_loaded";
-/// Counter: persisted payloads rejected (decode or validation failure)
-/// and recomputed.
-pub const EVAL_STORE_REJECTED: &str = "eval.store_rejected";
-/// Counter: store read/write failures absorbed by the in-memory
-/// fallback (a broken store never aborts a study).
-pub const EVAL_STORE_ERRORS: &str = "eval.store_errors";
 /// Counter: cells in the campaign's cross product.
 pub const CAMPAIGN_CELLS_TOTAL: &str = "campaign.cells_total";
-/// Counter: campaign cells computed by this run.
+/// Counter: campaign cells priced to a table row.
 pub const CAMPAIGN_CELLS_COMPUTED: &str = "campaign.cells_computed";
-/// Counter: campaign cells skipped because a checkpoint already held
-/// them.
-pub const CAMPAIGN_CELLS_RESUMED: &str = "campaign.cells_resumed";
-/// Counter: campaign cells whose computation failed (recorded in the
+/// Counter: campaign cells whose computation failed (left out of the
 /// table; the campaign continued).
 pub const CAMPAIGN_CELLS_FAILED: &str = "campaign.cells_failed";
 /// Histogram: seconds spent computing one campaign cell (success or
 /// failure), the per-cell tail-latency companion to the totals above.
 pub const CAMPAIGN_CELL_LATENCY: &str = "campaign.cell.latency";
-/// Counter: atomic checkpoint rewrites.
-pub const CAMPAIGN_CHECKPOINTS: &str = "campaign.checkpoints";
-/// Histogram: seconds spent encoding and atomically writing one
-/// checkpoint.
-pub const CAMPAIGN_CHECKPOINT_SECONDS: &str = "campaign.checkpoint_seconds";

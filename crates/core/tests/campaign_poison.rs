@@ -3,10 +3,9 @@
 //! Arms the sweep executor's deterministic fault plan
 //! (`nm_sweep::faultinject`) so one cell's surface build panics: the
 //! panic is contained by the executor, surfaces as a typed
-//! `StudyError::WorkerPanic`, and fails *its cell* — the campaign
-//! records the failure and completes every other cell. The failure is
-//! checkpointed like any other outcome, so a resumed campaign does not
-//! silently retry it; `fresh` does.
+//! `StudyError::WorkerPanic`, and fails *its cell*. The campaign prices
+//! every other cell, and each of their rows is byte-identical to the
+//! same row of a clean run.
 //!
 //! Compile with `--features faultinject`; without the feature this file
 //! is empty.
@@ -17,84 +16,49 @@ use nm_cache_core::campaign::{Campaign, CampaignConfig};
 use nm_cache_core::groups::Scheme;
 use nm_device::TechProfile;
 use nm_sweep::faultinject::{self, Fault};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
 
-/// The fault plan is process-global; serialize every test that arms it.
-fn plan_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
+/// Four cells: the two schemes at two temperatures. Cells 0 and 2 (both
+/// at 40 C) share their circuits, so cell 2 rebuilds the surface whose
+/// build failed in cell 0.
 fn config() -> CampaignConfig {
     CampaignConfig {
         l1_sizes: vec![16 * 1024],
         l2_sizes: vec![64 * 1024],
-        schemes: vec![Scheme::Uniform],
+        schemes: vec![Scheme::Uniform, Scheme::Split],
         l2_techs: vec![TechProfile::sram()],
         temperatures_c: vec![40.0, 80.0],
         slack: 0.2,
         quick: true,
-        checkpoint_every: 1,
     }
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("nm-camppoison-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("mkdir {}: {e}", dir.display()));
-    dir
-}
-
-fn ckpt(dir: &Path) -> PathBuf {
-    dir.join("checkpoint.nmck")
-}
-
 #[test]
-fn poisoned_cell_fails_alone_and_the_campaign_completes() {
-    let _guard = plan_lock();
+fn poisoned_cell_fails_alone_and_every_other_row_matches_a_clean_run() {
+    // The plan is process-global and this is the binary's only test, so
+    // nothing else arms or consumes it concurrently.
     faultinject::clear();
+    let clean = Campaign::new(config()).expect("legal campaign sizes").run();
+    assert_eq!((clean.total, clean.computed, clean.failed), (4, 4, 0));
 
-    let dir = tmpdir("contain");
-    // The first cell's bulk surface build panics on job 0; the executor
+    // The first cell's surface build panics on job 0; the executor
     // contains it and the cell is recorded as failed.
     faultinject::arm(Some("eval-surfaces"), 0, Fault::Panic, 1);
-    let campaign = Campaign::new(config(), None).expect("legal campaign sizes");
-    let out = campaign
-        .run(&ckpt(&dir), false, None)
-        .unwrap_or_else(|e| panic!("{e}"));
+    let poisoned = Campaign::new(config()).expect("legal campaign sizes").run();
     faultinject::clear();
 
-    assert!(out.complete, "a faulty cell must not abort the campaign");
-    assert_eq!(out.computed, 2);
-    assert_eq!(out.failed, 1);
-    let failures = out.failures();
+    assert_eq!(poisoned.total, 4);
+    assert_eq!(poisoned.computed, 3);
+    assert_eq!(poisoned.failed, 1);
+    let failures = poisoned.failures();
     assert_eq!(failures.len(), 1);
     assert_eq!(failures[0].0, 0, "the armed cell is the failed one");
     assert!(failures[0].1.contains("panicked"), "{}", failures[0].1);
-    // The healthy cell's row is in the table.
-    assert_eq!(out.to_table().len(), 1);
 
-    // The failure is durable: a resumed campaign (fresh process, no
-    // faults armed) keeps the recorded outcome instead of silently
-    // retrying the cell.
-    let resumed = Campaign::new(config(), None).expect("legal campaign sizes");
-    let out2 = resumed
-        .run(&ckpt(&dir), false, None)
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert!(out2.complete);
-    assert_eq!(out2.computed, 0);
-    assert_eq!(out2.resumed, 2);
-    assert_eq!(out2.failed, 1);
-
-    // `fresh` discards the poisoned record and, with no fault armed,
-    // the retried cell succeeds.
-    let retried = Campaign::new(config(), None).expect("legal campaign sizes");
-    let out3 = retried
-        .run(&ckpt(&dir), true, None)
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert!(out3.complete);
-    assert_eq!(out3.failed, 0);
-    assert_eq!(out3.to_table().len(), 2);
-    let _ = std::fs::remove_dir_all(&dir);
+    // The clean table without cell 0's row (the first data row, after
+    // the header) is the poisoned table, byte for byte.
+    let clean_csv = clean.to_table().to_csv();
+    let mut expected: Vec<&str> = clean_csv.lines().collect();
+    expected.remove(1);
+    let poisoned_csv = poisoned.to_table().to_csv();
+    assert_eq!(poisoned_csv.lines().collect::<Vec<_>>(), expected);
 }

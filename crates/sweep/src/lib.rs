@@ -54,6 +54,7 @@
 //! so all of the above is testable in CI without wall-clock randomness.
 
 use nm_telemetry::{Stopwatch, SweepRecord};
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,6 +83,13 @@ pub fn global_workers() -> Option<usize> {
         0 => None,
         n => Some(n),
     }
+}
+
+thread_local! {
+    /// Set on every thread a sweep spawns, so a sweep opened inside one
+    /// of its items drains inline on that worker instead of spawning a
+    /// second pool.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Resolves the default worker count: process override, then
@@ -265,7 +273,8 @@ impl ParallelSweep {
     /// [`catch_unwind`], and its outcome — value or panic payload —
     /// comes back at its submission index. A one-worker pool drains on
     /// the calling thread with no spawn; on a single-CPU host that is
-    /// the cold path's executor.
+    /// the cold path's executor. So does a sweep opened inside another
+    /// sweep's item: the outer pool already occupies the workers.
     fn run<T, R, F>(&self, items: &[T], f: F) -> Vec<std::thread::Result<R>>
     where
         T: Sync,
@@ -274,7 +283,11 @@ impl ParallelSweep {
     {
         let start = Stopwatch::start();
         let n = items.len();
-        let workers = self.workers.min(n.max(1));
+        let workers = if IN_WORKER.get() {
+            1
+        } else {
+            self.workers.min(n.max(1))
+        };
         let label = self.label.as_deref();
         // Per-item latency is only timed while telemetry records; with it
         // off the hot loop is untouched (one relaxed load per sweep).
@@ -316,7 +329,14 @@ impl ParallelSweep {
             drain()
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            IN_WORKER.set(true);
+                            drain()
+                        })
+                    })
+                    .collect();
                 // Items panic inside `catch_unwind`, so a join fails only
                 // if the loop itself did; that is re-raised, not absorbed.
                 handles
@@ -550,6 +570,24 @@ mod tests {
         assert_eq!(entry.items, 2);
         assert!(entry.workers <= 2);
         assert_eq!(entry.faults, 0);
+    }
+
+    #[test]
+    fn a_sweep_nested_in_a_worker_runs_on_that_worker() {
+        let outer: Vec<u32> = (0..8).collect();
+        let inner: Vec<u32> = (0..16).collect();
+        let seen = ParallelSweep::new().with_workers(2).map(&outer, |_| {
+            let parent = std::thread::current().id();
+            let ids = ParallelSweep::new()
+                .with_workers(4)
+                .map(&inner, |_| std::thread::current().id());
+            (parent, ids)
+        });
+        let caller = std::thread::current().id();
+        for (parent, ids) in seen {
+            assert_ne!(parent, caller, "the outer items run on spawned workers");
+            assert!(ids.iter().all(|&id| id == parent), "{ids:?} vs {parent:?}");
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ COMMANDS:
   split-l1             Extension: split I$/D$ vs unified L1
   trace-sim            Replay a trace file through an L1/L2 hierarchy
   e8                   E8: 3-level mixed-technology hierarchy (SRAM/eDRAM/STT-MRAM)
-  campaign             Crash-resumable cross-product sweep with checkpoints
+  campaign             Cross-product sweep: L1 x L2 x scheme x technology x temperature
   loadgen              Replay a seeded query mix against one evaluator and
                        publish p50/p95/p99 latency per query class
   benchdiff            Compare two telemetry reports and gate on p99 regression
@@ -58,7 +58,6 @@ ANALYZE OPTIONS (only valid after `analyze`):
   --root <PATH>        Workspace root to scan (default .)
 
 CAMPAIGN OPTIONS (only valid after `campaign`):
-  --out <DIR>          Campaign directory: checkpoint + persistent store (required)
   --l1-sizes <KBS>     Comma-separated L1 axis in KB (default 16,32)
   --l2-sizes <KBS>     Comma-separated L2 axis in KB (default 256,1024)
   --schemes <NAMES>    Comma-separated schemes (default uniform,split)
@@ -66,12 +65,6 @@ CAMPAIGN OPTIONS (only valid after `campaign`):
   --temps <CELSIUS>    Comma-separated temperatures in C (default 80)
   --slack <FRACTION>   AMAT slack per cell over its fastest corner (default 0.15)
   --quick              Shorter simulations and the coarse knob grid
-  --checkpoint-every <N>  Cells between atomic checkpoint rewrites (default 8)
-  --max-cells <N>      Compute at most N new cells this run, then stop
-                       (the checkpoint still lands; rerun to resume)
-  --fresh              Discard an existing checkpoint and restart
-  --require-store      Fail (exit 6) if the store cannot open, instead of
-                       continuing without persistence
   --csv <PATH>         Also write the result table as CSV
   --threads <N>        Worker threads for parallel sweeps
   --stats              Print per-sweep executor statistics after the run
@@ -122,8 +115,6 @@ EXIT CODES:
   3  study or model error; for analyze: findings or stale allowlist entries
   4  trace format error (parse failure, corrupt/truncated binary)
   5  I/O error (missing trace file, unwritable CSV path)
-  6  persistence error (corrupt or mismatched campaign checkpoint,
-     checkpoint write failure, or --require-store with no usable store)
   7  SLO regression (benchdiff: a candidate p99 exceeded --max-ratio x
      the baseline p99 after machine-scale normalization)
 ";
@@ -132,8 +123,9 @@ EXIT CODES:
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// A study: one paper figure, table or extension (see [`STUDIES`]).
-    Study(Study, Options),
-    /// Crash-resumable cross-product campaign.
+    /// Boxed: a study takes far more options than any other command.
+    Study(Study, Box<Options>),
+    /// Cross-product campaign.
     Campaign(CampaignOptions),
     /// Deterministic query-mix load generation.
     Loadgen(LoadgenOptions),
@@ -287,15 +279,11 @@ impl Default for Options {
     }
 }
 
-/// Options for the `campaign` subcommand: every axis is a list, and the
-/// persistence knobs have no meaning elsewhere.
+/// Options for the `campaign` subcommand: every axis is a list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignOptions {
     /// The shared flags.
     pub run: RunOptions,
-    /// Campaign directory holding the checkpoint and the store
-    /// (`--out`, required).
-    pub out: PathBuf,
     /// L1 size axis in bytes (`--l1-sizes`, KB on the command line).
     pub l1_sizes: Vec<u64>,
     /// L2 size axis in bytes (`--l2-sizes`, KB on the command line).
@@ -306,30 +294,17 @@ pub struct CampaignOptions {
     pub techs: Vec<TechProfile>,
     /// Temperature axis in °C (`--temps`).
     pub temps_c: Vec<f64>,
-    /// Cells between checkpoint rewrites (`--checkpoint-every`).
-    pub checkpoint_every: usize,
-    /// New-cell budget for this run (`--max-cells`).
-    pub max_cells: Option<usize>,
-    /// Discard an existing checkpoint (`--fresh`).
-    pub fresh: bool,
-    /// Treat an unusable store as fatal (`--require-store`).
-    pub require_store: bool,
 }
 
 impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
             run: RunOptions::default(),
-            out: PathBuf::new(),
             l1_sizes: vec![16 * 1024, 32 * 1024],
             l2_sizes: vec![256 * 1024, 1024 * 1024],
             schemes: vec![Scheme::Uniform, Scheme::Split],
             techs: vec![TechProfile::sram()],
             temps_c: vec![80.0],
-            checkpoint_every: 8,
-            max_cells: None,
-            fresh: false,
-            require_store: false,
         }
     }
 }
@@ -439,12 +414,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, CliErro
         "-h" | "--help" | "help" => Some(Command::Help),
         "analyze" => parse_flags(cmd, &analyze_flags(), rest, None)?.map(Command::Analyze),
         "loadgen" => parse_flags(cmd, &loadgen_flags(), rest, None)?.map(Command::Loadgen),
-        "campaign" => match parse_flags(cmd, &campaign_flags(), rest, None)? {
-            Some(o) if o.out.as_os_str().is_empty() => {
-                return Err(CliError("campaign requires --out <DIR>".into()))
-            }
-            o => o.map(Command::Campaign),
-        },
+        "campaign" => parse_flags(cmd, &campaign_flags(), rest, None)?.map(Command::Campaign),
         "benchdiff" => {
             let mut reports = Vec::new();
             let opts = parse_flags(cmd, &benchdiff_flags(), rest, Some(&mut reports))?;
@@ -475,7 +445,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, CliErro
                 Some(o) if study == Study::TraceSim && o.trace.is_none() => {
                     return Err(CliError("trace-sim requires --trace <PATH>".into()))
                 }
-                o => o.map(|o| Command::Study(study, o)),
+                o => o.map(|o| Command::Study(study, Box::new(o))),
             }
         }
     };
@@ -620,18 +590,11 @@ fn campaign_flags() -> Flags<CampaignOptions> {
         .threads()
         .stats()
         .metrics()
-        .value("--out", path, |o, v| o.out = v)
         .value("--l1-sizes", list(kb), |o, v| o.l1_sizes = v)
         .value("--l2-sizes", list(kb), |o, v| o.l2_sizes = v)
         .value("--schemes", list(scheme), |o, v| o.schemes = v)
         .value("--techs", list(tech), |o, v| o.techs = v)
         .value("--temps", list(real), |o, v| o.temps_c = v)
-        .value("--checkpoint-every", positive(number), |o, v| {
-            o.checkpoint_every = v
-        })
-        .value("--max-cells", number, |o, v| o.max_cells = Some(v))
-        .switch("--fresh", |o| o.fresh = true)
-        .switch("--require-store", |o| o.require_store = true)
 }
 
 fn loadgen_flags() -> Flags<LoadgenOptions> {
@@ -774,7 +737,7 @@ mod tests {
     /// The options of a study subcommand, or a panic naming what parsed.
     fn study(s: &str, expected: Study) -> Options {
         match parse_str(s) {
-            Ok(Command::Study(got, o)) if got == expected => o,
+            Ok(Command::Study(got, o)) if got == expected => *o,
             other => panic!("{s}: {other:?}"),
         }
     }
@@ -860,7 +823,7 @@ mod tests {
         assert_eq!(err("fig1 --steps 0"), "--steps must be positive");
         assert_eq!(err("fig1 --slack 99"), "--slack 99 out of range [0, 10]");
         assert_eq!(
-            err("campaign --out d --l1-sizes 8,0"),
+            err("campaign --l1-sizes 8,0"),
             "--l1-sizes must be positive"
         );
         assert_eq!(
@@ -883,7 +846,7 @@ mod tests {
         }
         for flag in ["--l1-sizes", "--l2-sizes"] {
             assert_eq!(
-                err(&format!("campaign --out d {flag} 16,{huge}")),
+                err(&format!("campaign {flag} 16,{huge}")),
                 format!("bad {flag} value \"{huge}\"")
             );
         }
@@ -914,15 +877,13 @@ mod tests {
     fn engine_names_resolve_in_the_parser() {
         assert_eq!(err("decay --suite bogus"), "unknown suite \"bogus\"");
         assert!(err("e8 --l3-tech bogus").starts_with("unknown technology \"bogus\""));
-        assert!(
-            err("campaign --out d --techs sram,bogus").starts_with("unknown technology \"bogus\"")
-        );
+        assert!(err("campaign --techs sram,bogus").starts_with("unknown technology \"bogus\""));
         assert_eq!(
             err("analyze --rules D1,D9"),
             "unknown rule \"D9\" (expected D1..D6)"
         );
         assert!(err("schemes --log-level verbose").starts_with("unknown log level"));
-        assert!(err("campaign --out d --schemes bogus").starts_with("unknown scheme"));
+        assert!(err("campaign --schemes bogus").starts_with("unknown scheme"));
     }
 
     #[test]
@@ -1006,20 +967,14 @@ mod tests {
     }
 
     #[test]
-    fn campaign_parses_with_defaults_and_requires_out() {
-        assert!(parse_str("campaign").is_err());
-        match parse_str("campaign --out runs/a").unwrap() {
+    fn campaign_parses_with_defaults() {
+        match parse_str("campaign").unwrap() {
             Command::Campaign(o) => {
-                assert_eq!(o.out, PathBuf::from("runs/a"));
                 assert_eq!(o.l1_sizes, vec![16 * 1024, 32 * 1024]);
                 assert_eq!(o.l2_sizes, vec![256 * 1024, 1024 * 1024]);
                 assert_eq!(o.schemes, vec![Scheme::Uniform, Scheme::Split]);
                 assert_eq!(o.techs, vec![TechProfile::sram()]);
                 assert_eq!(o.temps_c, vec![80.0]);
-                assert_eq!(o.checkpoint_every, 8);
-                assert_eq!(o.max_cells, None);
-                assert!(!o.fresh);
-                assert!(!o.require_store);
                 assert!(!o.run.quick);
             }
             other => panic!("{other:?}"),
@@ -1030,9 +985,8 @@ mod tests {
     #[test]
     fn campaign_axes_parse_as_lists() {
         match parse_str(
-            "campaign --out d --l1-sizes 8,16 --l2-sizes 512 --schemes uniform,per-component \
-             --techs sram,edram --temps 40,80,110 --slack 0.2 --quick \
-             --checkpoint-every 2 --max-cells 3 --fresh --require-store --csv t.csv",
+            "campaign --l1-sizes 8,16 --l2-sizes 512 --schemes uniform,per-component \
+             --techs sram,edram --temps 40,80,110 --slack 0.2 --quick --csv t.csv",
         )
         .unwrap()
         {
@@ -1044,10 +998,6 @@ mod tests {
                 assert_eq!(o.temps_c, vec![40.0, 80.0, 110.0]);
                 assert!((o.run.slack - 0.2).abs() < 1e-12);
                 assert!(o.run.quick);
-                assert_eq!(o.checkpoint_every, 2);
-                assert_eq!(o.max_cells, Some(3));
-                assert!(o.fresh);
-                assert!(o.require_store);
                 assert_eq!(o.run.csv, Some(PathBuf::from("t.csv")));
             }
             other => panic!("{other:?}"),
@@ -1056,21 +1006,20 @@ mod tests {
 
     #[test]
     fn campaign_rejects_bad_values() {
-        assert!(parse_str("campaign --out d --l1-sizes 0").is_err());
-        assert!(parse_str("campaign --out d --l1-sizes lots").is_err());
-        assert!(parse_str("campaign --out d --l2-sizes ,").is_err());
-        assert!(parse_str("campaign --out d --schemes bogus").is_err());
-        assert!(parse_str("campaign --out d --temps warm").is_err());
-        assert!(parse_str("campaign --out d --temps nan").is_err());
-        assert!(parse_str("campaign --out d --checkpoint-every 0").is_err());
-        assert!(parse_str("campaign --out d --slack 99").is_err());
-        assert!(parse_str("campaign --out d --steps 4").is_err());
+        assert!(parse_str("campaign --l1-sizes 0").is_err());
+        assert!(parse_str("campaign --l1-sizes lots").is_err());
+        assert!(parse_str("campaign --l2-sizes ,").is_err());
+        assert!(parse_str("campaign --schemes bogus").is_err());
+        assert!(parse_str("campaign --temps warm").is_err());
+        assert!(parse_str("campaign --temps nan").is_err());
+        assert!(parse_str("campaign --slack 99").is_err());
+        assert!(parse_str("campaign --steps 4").is_err());
         assert!(parse_str("fig1 --out d").is_err());
     }
 
     #[test]
     fn campaign_telemetry_flags_parse() {
-        match parse_str("campaign --out d --threads 2 --stats --metrics m.json").unwrap() {
+        match parse_str("campaign --threads 2 --stats --metrics m.json").unwrap() {
             Command::Campaign(o) => {
                 assert_eq!(o.run.threads, Some(2));
                 assert!(o.run.stats);
@@ -1078,22 +1027,27 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        match parse_str("campaign --out d").unwrap() {
+        match parse_str("campaign").unwrap() {
             Command::Campaign(o) => assert_eq!(o.run, RunOptions::default()),
             other => panic!("{other:?}"),
         }
-        assert!(parse_str("campaign --out d --threads 0").is_err());
+        assert!(parse_str("campaign --threads 0").is_err());
     }
 
     #[test]
     fn commands_refuse_flags_they_never_took() {
         for (args, flag, cmd) in [
-            ("campaign --out d --trace-out x", "--trace-out", "campaign"),
+            ("campaign --trace-out x", "--trace-out", "campaign"),
+            ("campaign --log-level info", "--log-level", "campaign"),
+            ("campaign --out d", "--out", "campaign"),
+            ("campaign --max-cells 3", "--max-cells", "campaign"),
+            ("campaign --fresh", "--fresh", "campaign"),
             (
-                "campaign --out d --log-level info",
-                "--log-level",
+                "campaign --checkpoint-every 2",
+                "--checkpoint-every",
                 "campaign",
             ),
+            ("campaign --require-store", "--require-store", "campaign"),
             ("loadgen --stats", "--stats", "loadgen"),
             ("loadgen --csv x.csv", "--csv", "loadgen"),
             ("analyze --quick", "--quick", "analyze"),

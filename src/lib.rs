@@ -18,6 +18,5 @@ pub use nm_device as device;
 pub use nm_geometry as geometry;
 pub use nm_loadgen as loadgen;
 pub use nm_opt as opt;
-pub use nm_store as store;
 pub use nm_sweep as sweep;
 pub use nm_telemetry as telemetry;

@@ -13,7 +13,7 @@ use nmcache::cli::{
     Options, RunOptions, Study,
 };
 use nmcache::core::amat::MainMemory;
-use nmcache::core::campaign::{Campaign, CampaignConfig, CampaignError};
+use nmcache::core::campaign::{Campaign, CampaignConfig};
 use nmcache::core::decay::DecayStudy;
 use nmcache::core::fitcheck::fit_report;
 use nmcache::core::memsys::{MemorySystemStudy, TupleCounts};
@@ -26,12 +26,10 @@ use nmcache::core::twolevel::{TwoLevelStudy, STANDARD_SUITES};
 use nmcache::core::variation::{paper_16kb_variation, VariationStudy};
 use nmcache::core::StudyError;
 use nmcache::device::{KnobGrid, TechProfile, TechnologyNode};
-use nmcache::store::Store;
 use nmcache::telemetry::LogLevel;
 use std::fmt;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 /// A fatal error, classified so each failure class maps to a distinct,
 /// documented exit code (see `EXIT CODES` in [`cli::USAGE`]).
@@ -49,10 +47,6 @@ enum AppError {
     /// The findings themselves were already printed; this only carries
     /// the summary line for the final `error:` message.
     Findings(String),
-    /// The persistence layer failed: a corrupt or mismatched campaign
-    /// checkpoint, a checkpoint write failure, or `--require-store`
-    /// with no usable store.
-    Store(String),
     /// `nmcache benchdiff` found at least one histogram whose candidate
     /// p99 exceeds the allowed ratio over the baseline. The comparison
     /// table was already printed; this carries the summary line.
@@ -67,7 +61,6 @@ impl AppError {
             AppError::Study(_) | AppError::Findings(_) => 3,
             AppError::Trace(_) => 4,
             AppError::Io(_) => 5,
-            AppError::Store(_) => 6,
             AppError::Slo(_) => 7,
         }
     }
@@ -80,7 +73,7 @@ impl fmt::Display for AppError {
             AppError::Study(e) => write!(f, "{e}"),
             AppError::Trace(e) => write!(f, "trace: {e}"),
             AppError::Io(e) => write!(f, "{e}"),
-            AppError::Findings(msg) | AppError::Store(msg) | AppError::Slo(msg) => f.write_str(msg),
+            AppError::Findings(msg) | AppError::Slo(msg) => f.write_str(msg),
         }
     }
 }
@@ -118,17 +111,6 @@ impl From<TraceError> for AppError {
 impl From<std::io::Error> for AppError {
     fn from(e: std::io::Error) -> Self {
         AppError::Io(e)
-    }
-}
-
-impl From<CampaignError> for AppError {
-    fn from(e: CampaignError) -> Self {
-        // A per-cell model failure is a study problem (exit 3); every
-        // other variant is the persistence layer failing (exit 6).
-        match e {
-            CampaignError::Study(e) => AppError::Study(e),
-            other => AppError::Store(other.to_string()),
-        }
     }
 }
 
@@ -594,10 +576,8 @@ fn run_benchdiff(opts: &BenchdiffOptions) -> Result<(), AppError> {
     Ok(())
 }
 
-/// Runs a crash-resumable cross-product campaign rooted at `--out`:
-/// checkpoint at `<out>/checkpoint.nmck`, persistent store at
-/// `<out>/store`. An interrupted campaign (`--max-cells`, a crash, a
-/// kill) resumes by rerunning the same command.
+/// Runs a cross-product campaign and emits its table like a study's.
+/// Failed cells are left out of the table and named on stderr.
 fn run_campaign(opts: &CampaignOptions) -> Result<(), AppError> {
     let config = CampaignConfig {
         l1_sizes: opts.l1_sizes.clone(),
@@ -607,49 +587,16 @@ fn run_campaign(opts: &CampaignOptions) -> Result<(), AppError> {
         temperatures_c: opts.temps_c.clone(),
         slack: opts.run.slack,
         quick: opts.run.quick,
-        checkpoint_every: opts.checkpoint_every,
     };
-    std::fs::create_dir_all(&opts.out).map_err(|e| {
-        AppError::Store(format!(
-            "cannot create campaign directory {}: {e}",
-            opts.out.display()
-        ))
-    })?;
-    // The store is an accelerator, not a correctness requirement: if it
-    // cannot open, warn and run without it — unless --require-store
-    // promotes that to a persistence failure.
-    let store = match Store::open(&opts.out.join("store")) {
-        Ok(s) => Some(Arc::new(s)),
-        Err(e) if opts.require_store => {
-            return Err(AppError::Store(format!("cannot open store: {e}")));
-        }
-        Err(e) => {
-            eprintln!("warning: continuing without store: {e}");
-            None
-        }
-    };
-    let checkpoint = opts.out.join("checkpoint.nmck");
-    let campaign = Campaign::new(config, store)?;
-    let outcome = campaign.run(&checkpoint, opts.fresh, opts.max_cells)?;
-
+    let outcome = Campaign::new(config)?.run();
     emit(&outcome.to_table(), &opts.run)?;
     for (cell, reason) in outcome.failures() {
         eprintln!("warning: cell {cell} failed: {reason}");
     }
     println!(
-        "campaign: {} computed, {} resumed, {} failed, {} of {} cells done",
-        outcome.computed,
-        outcome.resumed,
-        outcome.failed,
-        outcome.computed + outcome.resumed,
-        outcome.total,
+        "campaign: {} computed, {} failed, {} cells",
+        outcome.computed, outcome.failed, outcome.total,
     );
-    if !outcome.complete {
-        println!(
-            "rerun the same command to resume from {}",
-            checkpoint.display()
-        );
-    }
     Ok(())
 }
 

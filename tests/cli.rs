@@ -74,14 +74,12 @@ fn impossible_geometry_is_a_study_error_code() {
 fn illegal_miss_rate_grid_size_is_a_study_error_code() {
     // 3 KB is not a power of two: the miss-rate table rejects it with a
     // typed error before simulating, for a single pair and for a grid.
-    let dir = campaign_dir("illegal-l1");
     let fig2 = nmcache()
         .args(["fig2", "--l1", "3", "--l2", "256", "--quick"])
         .output()
         .expect("binary runs");
     let campaign = nmcache()
-        .args(["campaign", "--l1-sizes", "3", "--quick", "--out"])
-        .arg(&dir)
+        .args(["campaign", "--l1-sizes", "3", "--quick"])
         .output()
         .expect("binary runs");
     for out in [fig2, campaign] {
@@ -89,7 +87,6 @@ fn illegal_miss_rate_grid_size_is_a_study_error_code() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("power of two, got 3072"), "{err}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -231,136 +228,6 @@ fn unknown_suite_is_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown suite"));
 }
 
-/// A tiny two-cell campaign invocation rooted at `dir`.
-fn campaign_cmd(dir: &std::path::Path) -> Command {
-    let mut cmd = nmcache();
-    cmd.args([
-        "campaign",
-        "--l1-sizes",
-        "16",
-        "--l2-sizes",
-        "64",
-        "--schemes",
-        "uniform",
-        "--temps",
-        "40,80",
-        "--quick",
-        "--checkpoint-every",
-        "1",
-        "--out",
-    ])
-    .arg(dir);
-    cmd
-}
-
-fn campaign_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("nmcache-cli-campaign-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-#[test]
-fn campaign_without_out_is_a_usage_error() {
-    let out = nmcache()
-        .args(["campaign", "--quick"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "usage errors exit with 2");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--out"), "{err}");
-}
-
-#[test]
-fn campaign_interrupted_and_resumed_matches_uninterrupted() {
-    // Golden: one uninterrupted run writing a CSV.
-    let golden_dir = campaign_dir("golden");
-    let golden_csv = golden_dir.join("table.csv");
-    let out = campaign_cmd(&golden_dir)
-        .arg("--csv")
-        .arg(&golden_csv)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let golden = std::fs::read_to_string(&golden_csv).expect("golden csv");
-
-    // Interrupted: one cell per process, resuming from the checkpoint.
-    let dir = campaign_dir("resume");
-    let out = campaign_cmd(&dir)
-        .args(["--max-cells", "1"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("1 of 2 cells done"), "{text}");
-    assert!(text.contains("rerun the same command"), "{text}");
-
-    let csv = dir.join("table.csv");
-    let out = campaign_cmd(&dir)
-        .arg("--csv")
-        .arg(&csv)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("1 computed, 1 resumed"), "{text}");
-    let resumed = std::fs::read_to_string(&csv).expect("resumed csv");
-    assert_eq!(resumed, golden, "resumed table must match uninterrupted");
-
-    let _ = std::fs::remove_dir_all(&golden_dir);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn campaign_corrupt_checkpoint_is_a_persistence_error_and_fresh_recovers() {
-    let dir = campaign_dir("corrupt");
-    let out = campaign_cmd(&dir)
-        .args(["--max-cells", "1"])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // Flip one byte in the middle of the checkpoint.
-    let ckpt = dir.join("checkpoint.nmck");
-    let mut bytes = std::fs::read(&ckpt).expect("checkpoint exists");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&ckpt, &bytes).expect("checkpoint rewritten");
-
-    let out = campaign_cmd(&dir).output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(6), "persistence errors exit with 6");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--fresh"), "recovery hint expected: {err}");
-
-    let out = campaign_cmd(&dir)
-        .arg("--fresh")
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("2 of 2 cells done"), "{text}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn thermal_runs_quickly_end_to_end() {
     let out = nmcache().arg("thermal").output().expect("binary runs");
@@ -379,10 +246,8 @@ fn kb_size_overflow_is_a_usage_error() {
         .args(["explore", "--l1", huge])
         .output()
         .expect("binary runs");
-    let dir = campaign_dir("overflow");
     let campaign = nmcache()
-        .args(["campaign", "--quick", "--l1-sizes", huge, "--out"])
-        .arg(&dir)
+        .args(["campaign", "--quick", "--l1-sizes", huge])
         .output()
         .expect("binary runs");
     for (out, flag) in [(explore, "--l1"), (campaign, "--l1-sizes")] {
@@ -391,16 +256,10 @@ fn kb_size_overflow_is_a_usage_error() {
         assert!(err.contains(&format!("bad {flag} value")), "{err}");
         assert!(!err.contains("panicked"), "{err}");
     }
-    assert!(
-        !dir.exists(),
-        "a rejected campaign must not create its directory"
-    );
 }
 
 #[test]
 fn unknown_engine_names_are_usage_errors() {
-    let dir = campaign_dir("bogus-tech");
-    let dir_arg = dir.to_string_lossy().into_owned();
     for (args, message) in [
         (vec!["decay", "--suite", "bogus"], "unknown suite \"bogus\""),
         (
@@ -408,7 +267,7 @@ fn unknown_engine_names_are_usage_errors() {
             "unknown technology \"bogus\"",
         ),
         (
-            vec!["campaign", "--out", &dir_arg, "--techs", "bogus"],
+            vec!["campaign", "--techs", "bogus"],
             "unknown technology \"bogus\"",
         ),
         (vec!["analyze", "--rules", "D9"], "unknown rule \"D9\""),
@@ -422,8 +281,4 @@ fn unknown_engine_names_are_usage_errors() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(message), "{args:?}: {err}");
     }
-    assert!(
-        !dir.exists(),
-        "a rejected campaign must not create its directory"
-    );
 }
