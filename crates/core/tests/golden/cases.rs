@@ -1,4 +1,4 @@
-//! The eight golden study cases: each snapshot file under
+//! The golden study cases: each snapshot file under
 //! `crates/core/tests/golden/` and the study run that renders it.
 //!
 //! Both the golden-equivalence tests (`crates/core/tests/golden_tables.rs`)
@@ -9,6 +9,7 @@
 use nm_archsim::workload::SuiteKind;
 use nm_archsim::{MissRateTable, PairStats};
 use nm_cache_core::amat::MainMemory;
+use nm_cache_core::decay::DecayStudy;
 use nm_cache_core::groups::Scheme;
 use nm_cache_core::memsys::{MemorySystemStudy, TupleCounts};
 use nm_cache_core::mixedtech::MixedTechStudy;
@@ -23,7 +24,7 @@ use std::sync::OnceLock;
 pub type Render = fn() -> String;
 
 /// Every case, as its snapshot file name and its renderer.
-pub const CASES: [(&str, Render); 8] = [
+pub const CASES: [(&str, Render); 9] = [
     ("e2_scheme_comparison.txt", e2_scheme_comparison),
     ("e7_knob_ablation.txt", e7_knob_ablation),
     ("e3_l2_sweep_uniform.txt", e3_l2_sweep_uniform),
@@ -32,6 +33,7 @@ pub const CASES: [(&str, Render); 8] = [
     ("x4_split_l1.txt", x4_split_l1),
     ("e6_tuple_table.txt", e6_tuple_table),
     ("e8_mixed_tech.txt", e8_mixed_tech),
+    ("x3_decay.txt", x3_decay),
 ];
 
 /// E2 / E7 — the single-cache study on the coarse grid.
@@ -170,5 +172,19 @@ fn e8_mixed_tech() -> String {
         )
         .expect("all candidates evaluable")
         .to_table()
+        .to_string()
+}
+
+/// X3 — process knobs versus cache decay. Matches the CLI's
+/// `nmcache decay` defaults exactly (including its deadline expression at
+/// `--slack 0.15`), so CI can diff the two.
+fn x3_decay() -> String {
+    let slack = 0.15;
+    let single = SingleCacheStudy::paper_16kb().expect("paper study builds");
+    let study = DecayStudy::new(single, SuiteKind::Spec2000, 300_000);
+    let deadline = study.study().delay_sweep(5)[2] * (1.0 + slack - 0.15);
+    study
+        .to_table(deadline)
+        .expect("healthy build")
         .to_string()
 }

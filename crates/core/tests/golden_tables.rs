@@ -57,3 +57,4 @@ golden_test!(e5_l1_sweep_matches_golden, "e5_l1_sweep.txt");
 golden_test!(x4_split_l1_matches_golden, "x4_split_l1.txt");
 golden_test!(e6_tuple_table_matches_golden, "e6_tuple_table.txt");
 golden_test!(e8_mixed_tech_matches_golden, "e8_mixed_tech.txt");
+golden_test!(x3_decay_matches_golden, "x3_decay.txt");
