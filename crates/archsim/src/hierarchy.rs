@@ -9,7 +9,7 @@
 //! fan-out and the split-L1 hierarchy call it too.
 
 use crate::access::Access;
-use crate::cache::{CacheParams, CacheSim, CacheStats, Outcome, Replacement};
+use crate::cache::{CacheParams, CacheSim, CacheStats, Outcome};
 use crate::error::SimError;
 
 /// Per-level statistics of an N-level hierarchy.
@@ -29,19 +29,15 @@ pub struct MultiLevelStats {
 }
 
 impl MultiLevelStats {
-    /// Local (per-demand-probe) miss rate of each level, outermost first.
-    pub fn local_miss_rates(&self) -> Vec<f64> {
-        self.levels.iter().map(CacheStats::miss_rate).collect()
-    }
-
-    /// Validated [`local_miss_rates`](Self::local_miss_rates): every rate
-    /// checked finite and in `[0, 1]` before it can feed delay weights.
+    /// Local (per-demand-probe) miss rate of each level, outermost first,
+    /// every rate checked finite and in `[0, 1]` before it can feed delay
+    /// weights.
     ///
     /// # Errors
     ///
     /// [`SimError::MissRateOutOfRange`] naming the first offending level.
     pub fn try_local_miss_rates(&self) -> Result<Vec<f64>, SimError> {
-        let rates = self.local_miss_rates();
+        let rates: Vec<f64> = self.levels.iter().map(CacheStats::miss_rate).collect();
         for (level, &value) in rates.iter().enumerate() {
             if !value.is_finite() || !(0.0..=1.0).contains(&value) {
                 return Err(SimError::MissRateOutOfRange { level, value });
@@ -60,16 +56,13 @@ impl MultiLevelStats {
 /// An N-level miss-chain cache hierarchy.
 ///
 /// ```
-/// use nm_archsim::{MultiLevel, CacheParams, Replacement, Access};
+/// use nm_archsim::{MultiLevel, CacheParams, Access};
 ///
-/// let mut h = MultiLevel::new(
-///     vec![
-///         CacheParams::new(16 * 1024, 64, 4)?,
-///         CacheParams::new(256 * 1024, 64, 8)?,
-///         CacheParams::new(4 * 1024 * 1024, 64, 16)?,
-///     ],
-///     Replacement::Lru,
-/// )?;
+/// let mut h = MultiLevel::new(vec![
+///     CacheParams::new(16 * 1024, 64, 4)?,
+///     CacheParams::new(256 * 1024, 64, 8)?,
+///     CacheParams::new(4 * 1024 * 1024, 64, 16)?,
+/// ])?;
 /// for i in 0..1000u64 {
 ///     h.access(Access::read(i * 64));
 /// }
@@ -84,22 +77,18 @@ pub struct MultiLevel {
 }
 
 impl MultiLevel {
-    /// Builds a cold hierarchy, outermost (L1) level first, with a shared
-    /// replacement policy.
+    /// Builds a cold LRU hierarchy, outermost (L1) level first.
     ///
     /// # Errors
     ///
     /// [`SimError::EmptyHierarchy`] when `levels` is empty.
-    pub fn new(levels: Vec<CacheParams>, policy: Replacement) -> Result<Self, SimError> {
+    pub fn new(levels: Vec<CacheParams>) -> Result<Self, SimError> {
         if levels.is_empty() {
             return Err(SimError::EmptyHierarchy);
         }
         let n = levels.len();
         Ok(MultiLevel {
-            levels: levels
-                .into_iter()
-                .map(|p| CacheSim::new(p, policy))
-                .collect(),
+            levels: levels.into_iter().map(CacheSim::new).collect(),
             demand: vec![CacheStats::default(); n],
             victim_writebacks: vec![0; n],
         })
@@ -231,7 +220,7 @@ mod tests {
                 h.access(Access::read(b * 64));
             }
         }
-        let rates = h.stats().local_miss_rates();
+        let rates = h.stats().try_local_miss_rates().unwrap();
         assert!(rates[0] > 0.5, "l1 mr = {}", rates[0]);
         assert!(rates[1] < 0.35, "l2 local mr = {}", rates[1]);
     }
@@ -298,7 +287,6 @@ mod tests {
                 .zip(ways)
                 .map(|(&s, &w)| CacheParams::new(s, 64, w).unwrap())
                 .collect(),
-            Replacement::Lru,
         )
         .unwrap()
     }
@@ -306,7 +294,7 @@ mod tests {
     #[test]
     fn empty_hierarchy_is_a_typed_error() {
         assert_eq!(
-            MultiLevel::new(vec![], Replacement::Lru).unwrap_err(),
+            MultiLevel::new(vec![]).unwrap_err(),
             SimError::EmptyHierarchy
         );
     }

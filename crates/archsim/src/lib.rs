@@ -4,8 +4,10 @@
 //! access statistics for each L1 and L2 cache size combination", collected
 //! over SPEC2000, SPECWEB and TPC/C. This crate supplies that substrate:
 //!
-//! * [`cache::CacheSim`] — a set-associative cache with LRU/FIFO/random
-//!   replacement and write-back/write-allocate semantics,
+//! * [`cache::CacheSim`] — the one cache simulator: set-associative, LRU,
+//!   write-back/write-allocate, with cache decay (gated-Vdd, the prior
+//!   art the paper sets its knobs against) as a compile-time mode of the
+//!   same probe ([`CacheSim::with_decay`]),
 //! * [`hierarchy::MultiLevel`] — an N-level miss-chain hierarchy with
 //!   per-level demand accounting; its one level-to-level rule also serves
 //!   the miss-rate table and the split-L1 hierarchy ([`splitl1`]),
@@ -21,11 +23,11 @@
 //! which these generators produce by construction (see `DESIGN.md`).
 //!
 //! ```
-//! use nm_archsim::cache::{CacheParams, CacheSim, Replacement};
+//! use nm_archsim::cache::{CacheParams, CacheSim};
 //! use nm_archsim::workload::{SpecLoops, Workload};
 //!
 //! let params = CacheParams::new(16 * 1024, 64, 4)?;
-//! let mut sim = CacheSim::new(params, Replacement::Lru);
+//! let mut sim = CacheSim::new(params);
 //! let mut gen = SpecLoops::default_suite(42);
 //! for _ in 0..10_000 {
 //!     sim.access(gen.next_access());
@@ -41,7 +43,6 @@
 
 pub mod access;
 pub mod cache;
-pub mod decay;
 pub mod hierarchy;
 pub mod missrates;
 pub mod names;
@@ -53,8 +54,7 @@ pub mod zipf;
 mod error;
 
 pub use access::{Access, AccessKind};
-pub use cache::{CacheParams, CacheSim, Replacement};
-pub use decay::{DecaySim, DecayStats};
+pub use cache::{CacheParams, CacheSim, DecayStats};
 pub use error::SimError;
 pub use hierarchy::{MultiLevel, MultiLevelStats};
 pub use missrates::{simulate_chain, ChainStats, MissRateTable, PairStats};

@@ -2,7 +2,7 @@
 //! architectural statistics the paper's Section 5 optimisations consume.
 
 use crate::access::Access;
-use crate::cache::{CacheParams, CacheSim, CacheStats, Replacement};
+use crate::cache::{CacheParams, CacheSim, CacheStats};
 use crate::error::SimError;
 use crate::hierarchy::{serve_level, MultiLevel, MultiLevelStats};
 use crate::workload::{SuiteKind, Workload};
@@ -103,7 +103,7 @@ fn run_warm(
     warmup: u64,
     measure: u64,
 ) -> Result<MultiLevelStats, SimError> {
-    let mut h = MultiLevel::new(levels.to_vec(), Replacement::Lru)?;
+    let mut h = MultiLevel::new(levels.to_vec())?;
     for _ in 0..warmup {
         h.access(workload.next_access());
     }
@@ -126,10 +126,10 @@ struct L2Fanout {
 impl L2Fanout {
     fn new(l1: CacheParams, l2s: &[CacheParams]) -> Self {
         L2Fanout {
-            l1: CacheSim::new(l1, Replacement::Lru),
+            l1: CacheSim::new(l1),
             l2s: l2s
                 .iter()
-                .map(|&p| (CacheSim::new(p, Replacement::Lru), CacheStats::default()))
+                .map(|&p| (CacheSim::new(p), CacheStats::default()))
                 .collect(),
         }
     }

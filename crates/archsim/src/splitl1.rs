@@ -8,7 +8,7 @@
 //! `nm-cache-core`.
 
 use crate::access::Access;
-use crate::cache::{CacheParams, CacheSim, CacheStats, Replacement};
+use crate::cache::{CacheParams, CacheSim, CacheStats};
 use crate::error::SimError;
 use crate::hierarchy::{serve_level, MultiLevel};
 use crate::workload::Workload;
@@ -140,9 +140,9 @@ impl SplitHierarchy {
     /// Builds a cold split hierarchy (LRU everywhere).
     pub fn new(icache: CacheParams, dcache: CacheParams, l2: CacheParams) -> Self {
         SplitHierarchy {
-            icache: CacheSim::new(icache, Replacement::Lru),
-            dcache: CacheSim::new(dcache, Replacement::Lru),
-            l2: CacheSim::new(l2, Replacement::Lru),
+            icache: CacheSim::new(icache),
+            dcache: CacheSim::new(dcache),
+            l2: CacheSim::new(l2),
             demand_l2: CacheStats::default(),
         }
     }
@@ -261,7 +261,7 @@ pub fn simulate_unified(
     steps: u64,
     data_per_inst: f64,
 ) -> Result<(CacheStats, CacheStats), SimError> {
-    let mut h = MultiLevel::new(vec![l1, l2], Replacement::Lru)?;
+    let mut h = MultiLevel::new(vec![l1, l2])?;
     interleave(
         &mut h,
         |h, access, _| {
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn icache_miss_rate_low_and_falls_with_size() {
         let run = |kb: u64| {
-            let mut sim = CacheSim::new(params(kb, 2), Replacement::Lru);
+            let mut sim = CacheSim::new(params(kb, 2));
             let mut w = InstStream::default_suite(5);
             for _ in 0..100_000 {
                 sim.access(w.next_access());

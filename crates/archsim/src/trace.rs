@@ -485,10 +485,10 @@ mod tests {
 
     #[test]
     fn replay_feeds_simulator() {
-        use crate::cache::{CacheParams, CacheSim, Replacement};
+        use crate::cache::{CacheParams, CacheSim};
         let mut w = TraceWorkload::try_new(vec![Access::read(0), Access::read(0x40)])
             .expect("non-empty trace");
-        let mut sim = CacheSim::new(CacheParams::new(1024, 64, 2).unwrap(), Replacement::Lru);
+        let mut sim = CacheSim::new(CacheParams::new(1024, 64, 2).unwrap());
         for _ in 0..10 {
             sim.access(w.next_access());
         }

@@ -505,13 +505,10 @@ impl Workload for PointerChase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheParams, CacheSim, Replacement};
+    use crate::cache::{CacheParams, CacheSim};
 
     fn l1_miss_rate<W: Workload>(mut w: W, size_kb: u64, n: u64) -> f64 {
-        let mut sim = CacheSim::new(
-            CacheParams::new(size_kb * 1024, 64, 4).unwrap(),
-            Replacement::Lru,
-        );
+        let mut sim = CacheSim::new(CacheParams::new(size_kb * 1024, 64, 4).unwrap());
         // Warm up then measure.
         for _ in 0..n {
             sim.access(w.next_access());
@@ -692,10 +689,7 @@ mod tests {
     fn parameterized_constructors_shape_the_working_set() {
         // A bigger streamed footprint must miss the L2 more.
         let run = |array_bytes: u64| {
-            let mut sim = CacheSim::new(
-                CacheParams::new(512 * 1024, 64, 8).unwrap(),
-                Replacement::Lru,
-            );
+            let mut sim = CacheSim::new(CacheParams::new(512 * 1024, 64, 8).unwrap());
             let mut w = SpecLoops::with_footprint(3, array_bytes, 3, 16 * 1024);
             for _ in 0..300_000 {
                 sim.access(w.next_access());

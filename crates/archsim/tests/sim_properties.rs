@@ -1,7 +1,6 @@
 //! Property tests for the cache simulator and trace machinery.
 
-use nm_archsim::cache::{CacheParams, CacheSim, Replacement};
-use nm_archsim::decay::DecaySim;
+use nm_archsim::cache::{CacheParams, CacheSim};
 use nm_archsim::hierarchy::MultiLevel;
 use nm_archsim::trace::{read_trace, read_trace_binary, write_trace, TraceWorkload};
 use nm_archsim::workload::Workload;
@@ -72,27 +71,10 @@ proptest! {
         }
     }
 
-    /// Every policy gives the same miss count on a single-way cache
-    /// (no replacement choice exists).
-    #[test]
-    fn policies_agree_direct_mapped(trace in prop::collection::vec(arb_access(), 10..300)) {
-        let params = CacheParams::new(4 * 1024, 64, 1).unwrap();
-        let run = |policy| {
-            let mut sim = CacheSim::new(params, policy);
-            for &a in &trace {
-                sim.access(a);
-            }
-            sim.stats().misses
-        };
-        let lru = run(Replacement::Lru);
-        prop_assert_eq!(run(Replacement::Fifo), lru);
-        prop_assert_eq!(run(Replacement::Random), lru);
-    }
-
     /// Writebacks only happen when there were writes.
     #[test]
     fn no_writebacks_without_writes(addrs in prop::collection::vec(0u64..(1 << 20), 10..300)) {
-        let mut sim = CacheSim::new(CacheParams::new(2048, 64, 2).unwrap(), Replacement::Lru);
+        let mut sim = CacheSim::new(CacheParams::new(2048, 64, 2).unwrap());
         for &a in &addrs {
             sim.access(Access::read(a));
         }
@@ -108,8 +90,7 @@ proptest! {
             vec![
                 CacheParams::new(4 * 1024, 64, 2).unwrap(),
                 CacheParams::new(64 * 1024, 64, 4).unwrap(),
-            ],
-            Replacement::Lru,
+            ]
         )
         .unwrap();
         for &a in &trace {
@@ -122,29 +103,29 @@ proptest! {
         prop_assert!((s.global_miss_rate() - expected).abs() < 1e-12);
     }
 
-    /// With decay disabled, `DecaySim` is reference-equal to the plain
-    /// LRU simulator on any trace, and its alive fraction is a proper
-    /// fraction for any interval.
+    /// With decay disabled, the decay mode is reference-equal to the
+    /// plain LRU simulator on any trace, and its alive fraction is a
+    /// proper fraction for any interval.
     #[test]
     fn decay_sim_consistency(
         trace in prop::collection::vec(arb_access(), 20..300),
         interval_log2 in 2u32..16,
     ) {
         let params = CacheParams::new(4 * 1024, 64, 2).unwrap();
-        let mut plain = CacheSim::new(params, Replacement::Lru);
-        let mut no_decay = DecaySim::new(params, u64::MAX);
+        let mut plain = CacheSim::new(params);
+        let mut no_decay = CacheSim::with_decay(params, u64::MAX);
         for &a in &trace {
             plain.access(a);
             no_decay.access(a);
         }
-        prop_assert_eq!(plain.stats().misses, no_decay.stats().cache.misses);
-        prop_assert_eq!(no_decay.stats().decay_misses, 0);
+        prop_assert_eq!(plain.stats().misses, no_decay.stats().misses);
+        prop_assert_eq!(no_decay.decay_stats().decay_misses, 0);
 
-        let mut decaying = DecaySim::new(params, 1 << interval_log2);
+        let mut decaying = CacheSim::with_decay(params, 1 << interval_log2);
         for &a in &trace {
             decaying.access(a);
         }
-        let s = decaying.stats();
+        let s = decaying.decay_stats();
         let alive = s.alive_fraction();
         prop_assert!((0.0..=1.0).contains(&alive), "alive = {alive}");
         // Decay can only add misses relative to plain LRU.
@@ -159,7 +140,7 @@ proptest! {
         blocks in prop::collection::vec(0u64..64, 1..64),
     ) {
         // 64 distinct blocks max, 16 KB fully covers 4 KB of footprint.
-        let mut sim = CacheSim::new(CacheParams::new(16 * 1024, 64, 8).unwrap(), Replacement::Lru);
+        let mut sim = CacheSim::new(CacheParams::new(16 * 1024, 64, 8).unwrap());
         for &b in &blocks {
             sim.access(Access::read(b * 64));
         }

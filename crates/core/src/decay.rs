@@ -20,8 +20,7 @@ use crate::groups::Scheme;
 use crate::report::{cell, Table};
 use crate::single::SingleCacheStudy;
 use crate::StudyError;
-use nm_archsim::cache::CacheParams;
-use nm_archsim::decay::DecaySim;
+use nm_archsim::cache::{CacheParams, CacheSim};
 use nm_archsim::workload::SuiteKind;
 use nm_device::units::{Joules, Seconds, Watts};
 use nm_device::KnobPoint;
@@ -43,7 +42,7 @@ pub struct TechniqueRow {
 }
 
 /// Simulated decay behaviour of one interval on one workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DecayOutcome {
     /// Decay interval in references.
     pub interval: u64,
@@ -53,33 +52,31 @@ pub struct DecayOutcome {
     pub decay_miss_rate: f64,
 }
 
-/// The knobs-vs-decay study.
+/// Mean time between references to the cache.
+const ACCESS_PERIOD: Seconds = Seconds::from_nanos(2.0);
+/// Energy to refill one decayed line from the next level.
+const REFILL_ENERGY: Joules = Joules::from_picos(5.0);
+/// Candidate decay intervals (references).
+const INTERVALS: [u64; 5] = [256, 1024, 4096, 16 * 1024, 64 * 1024];
+
+/// The knobs-vs-decay study, with literature-typical decay parameters:
+/// one reference every 2 ns, 5 pJ per refill, and five decay intervals
+/// from 256 to 64 Ki references.
 #[derive(Debug, Clone)]
 pub struct DecayStudy {
     study: SingleCacheStudy,
     suite: SuiteKind,
     /// References simulated per decay interval.
     pub sim_length: u64,
-    /// Mean time between references to this cache.
-    pub access_period: Seconds,
-    /// Energy to refill one decayed line from the next level.
-    pub refill_energy: Joules,
-    /// Candidate decay intervals (references).
-    pub intervals: Vec<u64>,
 }
 
 impl DecayStudy {
-    /// Creates the study with literature-typical defaults: one reference
-    /// every 2 ns, 5 pJ per refill, intervals from 256 to 64 Ki
-    /// references.
+    /// Creates the study.
     pub fn new(study: SingleCacheStudy, suite: SuiteKind, sim_length: u64) -> Self {
         DecayStudy {
             study,
             suite,
             sim_length,
-            access_period: Seconds::from_nanos(2.0),
-            refill_energy: Joules::from_picos(5.0),
-            intervals: vec![256, 1024, 4096, 16 * 1024, 64 * 1024],
         }
     }
 
@@ -89,49 +86,49 @@ impl DecayStudy {
     }
 
     /// Simulates one decay interval on the study's cache geometry.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: geometry configs are legal
-    pub fn simulate_interval(&self, interval: u64) -> DecayOutcome {
+    ///
+    /// # Errors
+    ///
+    /// [`StudyError::Simulator`] when the geometry is not a legal
+    /// simulator shape.
+    pub fn simulate_interval(&self, interval: u64) -> Result<DecayOutcome, StudyError> {
         let config = self.study.circuit().config();
         let params = CacheParams::new(
             config.size_bytes(),
             config.block_bytes(),
             config.associativity(),
-        )
-        .expect("geometry configs are legal simulator configs");
-        let mut sim = DecaySim::new(params, interval);
+        )?;
+        let mut sim = CacheSim::with_decay(params, interval);
         let mut workload = self.suite.build(2005);
         for _ in 0..self.sim_length {
             sim.access(workload.next_access());
         }
-        let s = sim.stats();
-        DecayOutcome {
+        let s = sim.decay_stats();
+        Ok(DecayOutcome {
             interval,
             alive_fraction: s.alive_fraction(),
             decay_miss_rate: s.decay_miss_rate(),
-        }
+        })
     }
 
     /// Picks the interval minimising `alive·array_leakage + refill power`
-    /// for a given array leakage, from precomputed interval outcomes.
-    #[allow(clippy::expect_used)] // fingerprinted in analyze.allow: interval list non-empty
-    fn best_outcome(
-        outcomes: &[DecayOutcome],
-        array_leakage: Watts,
-        refill: impl Fn(f64) -> Watts,
-    ) -> DecayOutcome {
-        *outcomes
-            .iter()
-            .min_by(|a, b| {
-                let cost = |o: &DecayOutcome| {
-                    array_leakage.0 * o.alive_fraction + refill(o.decay_miss_rate).0
-                };
-                cost(a).total_cmp(&cost(b))
-            })
-            .expect("interval list is non-empty")
+    /// for a given array leakage; ties keep the earlier interval.
+    fn best_outcome(outcomes: &[DecayOutcome; 5], array_leakage: Watts) -> DecayOutcome {
+        let cost = |o: &DecayOutcome| {
+            array_leakage.0 * o.alive_fraction + Self::refill_power(o.decay_miss_rate).0
+        };
+        let [first, rest @ ..] = outcomes;
+        rest.iter().fold(*first, |best, o| {
+            if cost(o).total_cmp(&cost(&best)).is_lt() {
+                *o
+            } else {
+                best
+            }
+        })
     }
 
-    fn refill_power(&self, decay_miss_rate: f64) -> Watts {
-        Watts(decay_miss_rate * self.refill_energy.0 / self.access_period.0)
+    fn refill_power(decay_miss_rate: f64) -> Watts {
+        Watts(decay_miss_rate * REFILL_ENERGY.0 / ACCESS_PERIOD.0)
     }
 
     fn row(
@@ -150,7 +147,7 @@ impl DecayStudy {
             .sum();
         let (alive, dmr) = decay.map_or((1.0, 0.0), |o| (o.alive_fraction, o.decay_miss_rate));
         let leakage = array * alive + periphery;
-        let miss_power = self.refill_power(dmr);
+        let miss_power = Self::refill_power(dmr);
         TechniqueRow {
             name: name.to_owned(),
             leakage,
@@ -176,11 +173,10 @@ impl DecayStudy {
         // Decay behaviour is knob-independent (intervals are in
         // references), so each interval is simulated once; the *best*
         // interval depends on the array leakage it is gating.
-        let outcomes: Vec<DecayOutcome> = self
-            .intervals
-            .iter()
-            .map(|&i| self.simulate_interval(i))
-            .collect();
+        let mut outcomes = [DecayOutcome::default(); 5];
+        for (outcome, &interval) in outcomes.iter_mut().zip(&INTERVALS) {
+            *outcome = self.simulate_interval(interval)?;
+        }
         let fast_metrics = self.study.circuit().analyze(&fastest);
         let fast_array = fast_metrics
             .component(ComponentId::MemoryArray)
@@ -193,9 +189,8 @@ impl DecayStudy {
             .component(ComponentId::MemoryArray)
             .leakage
             .total();
-        let refill = |dmr: f64| self.refill_power(dmr);
-        let decay_for_fast = Self::best_outcome(&outcomes, fast_array, refill);
-        let decay_for_opt = Self::best_outcome(&outcomes, opt_array, refill);
+        let decay_for_fast = Self::best_outcome(&outcomes, fast_array);
+        let decay_for_opt = Self::best_outcome(&outcomes, opt_array);
 
         Ok(Some(vec![
             self.row("performance process", &fastest, None),
@@ -325,7 +320,7 @@ mod tests {
     #[test]
     fn interval_simulation_is_sane() {
         let s = study();
-        let o = s.simulate_interval(1024);
+        let o = s.simulate_interval(1024).expect("legal geometry");
         assert!((0.0..=1.0).contains(&o.alive_fraction));
         assert!((0.0..=1.0).contains(&o.decay_miss_rate));
         assert_eq!(o.interval, 1024);

@@ -183,8 +183,5 @@ fn x3_decay() -> String {
     let single = SingleCacheStudy::paper_16kb().expect("paper study builds");
     let study = DecayStudy::new(single, SuiteKind::Spec2000, 300_000);
     let deadline = study.study().delay_sweep(5)[2] * (1.0 + slack - 0.15);
-    study
-        .to_table(deadline)
-        .expect("healthy build")
-        .to_string()
+    study.to_table(deadline).expect("healthy build").to_string()
 }

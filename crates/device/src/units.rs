@@ -255,7 +255,7 @@ impl Seconds {
     }
 
     /// Creates a time from nanoseconds.
-    pub fn from_nanos(ns: f64) -> Self {
+    pub const fn from_nanos(ns: f64) -> Self {
         Seconds(ns * 1e-9)
     }
 
@@ -294,7 +294,7 @@ impl Watts {
 
 impl Joules {
     /// Creates an energy from picojoules.
-    pub fn from_picos(pj: f64) -> Self {
+    pub const fn from_picos(pj: f64) -> Self {
         Joules(pj * 1e-12)
     }
 

@@ -283,10 +283,14 @@ impl ParallelSweep {
     {
         let start = Stopwatch::start();
         let n = items.len();
+        let asked = self.workers.min(n.max(1));
         let workers = if IN_WORKER.get() {
+            if asked > 1 {
+                nm_telemetry::counter_inc(names::NESTED_INLINE);
+            }
             1
         } else {
-            self.workers.min(n.max(1))
+            asked
         };
         let label = self.label.as_deref();
         // Per-item latency is only timed while telemetry records; with it
@@ -574,6 +578,9 @@ mod tests {
 
     #[test]
     fn a_sweep_nested_in_a_worker_runs_on_that_worker() {
+        let _guard = stats_lock();
+        nm_telemetry::enable();
+        let before = nm_telemetry::counter_value(names::NESTED_INLINE);
         let outer: Vec<u32> = (0..8).collect();
         let inner: Vec<u32> = (0..16).collect();
         let seen = ParallelSweep::new().with_workers(2).map(&outer, |_| {
@@ -581,13 +588,18 @@ mod tests {
             let ids = ParallelSweep::new()
                 .with_workers(4)
                 .map(&inner, |_| std::thread::current().id());
+            // A nested sweep that asks for one worker is not counted.
+            ParallelSweep::new().with_workers(1).map(&inner, |&x| x);
             (parent, ids)
         });
+        let nested = nm_telemetry::counter_value(names::NESTED_INLINE) - before;
+        nm_telemetry::disable();
         let caller = std::thread::current().id();
         for (parent, ids) in seen {
             assert_ne!(parent, caller, "the outer items run on spawned workers");
             assert!(ids.iter().all(|&id| id == parent), "{ids:?} vs {parent:?}");
         }
+        assert_eq!(nested, 8, "one count per multi-worker sweep drained inline");
     }
 
     #[test]

@@ -13,3 +13,6 @@ pub const ITEMS: &str = "sweep.items";
 /// Counter: items that panicked (contained by `try_map`, re-raised by
 /// `map`).
 pub const FAULTS: &str = "sweep.faults";
+/// Counter: sweeps opened inside a sweep worker that asked for more than
+/// one worker and drained inline on that worker instead.
+pub const NESTED_INLINE: &str = "sweep.nested_inline";

@@ -4,26 +4,23 @@
 //! cargo run --release --example workload_explorer
 //! ```
 //!
-//! Runs every suite through an L1/L2 hierarchy across replacement
-//! policies and prints the miss-rate matrix — a pure `nm-archsim` tour
-//! with no circuit model involved. Useful for judging whether the
+//! Runs every suite through an LRU L1/L2 hierarchy across cache sizes
+//! and prints the miss-rate matrix — a pure `nm-archsim` tour with no
+//! circuit model involved. Useful for judging whether the
 //! generators have the locality structure the Section 5 studies assume.
 
-use nmcache::archsim::cache::{CacheParams, Replacement};
+use nmcache::archsim::cache::CacheParams;
 use nmcache::archsim::hierarchy::MultiLevel;
 use nmcache::archsim::workload::SuiteKind;
 
 const WARMUP: u64 = 200_000;
 const MEASURE: u64 = 400_000;
 
-fn run(suite: SuiteKind, l1: u64, l2: u64, policy: Replacement) -> (f64, f64) {
-    let mut h = MultiLevel::new(
-        vec![
-            CacheParams::new(l1, 64, 4).expect("legal L1"),
-            CacheParams::new(l2, 64, 8).expect("legal L2"),
-        ],
-        policy,
-    )
+fn run(suite: SuiteKind, l1: u64, l2: u64) -> (f64, f64) {
+    let mut h = MultiLevel::new(vec![
+        CacheParams::new(l1, 64, 4).expect("legal L1"),
+        CacheParams::new(l2, 64, 8).expect("legal L2"),
+    ])
     .expect("two levels");
     let mut w = suite.build(7);
     for _ in 0..WARMUP {
@@ -33,7 +30,10 @@ fn run(suite: SuiteKind, l1: u64, l2: u64, policy: Replacement) -> (f64, f64) {
     for _ in 0..MEASURE {
         h.access(w.next_access());
     }
-    let rates = h.stats().local_miss_rates();
+    let rates = h
+        .stats()
+        .try_local_miss_rates()
+        .expect("simulated rates are fractions");
     (rates[0], rates[1])
 }
 
@@ -48,7 +48,7 @@ fn main() {
     for suite in SuiteKind::ALL {
         print!("{:<14}", suite.name());
         for &l2 in &l2_sizes {
-            let (m1, m2) = run(suite, 16 * 1024, l2, Replacement::Lru);
+            let (m1, m2) = run(suite, 16 * 1024, l2);
             print!("  {m1:.3}/{m2:.3}");
         }
         println!();
@@ -58,15 +58,9 @@ fn main() {
     for suite in SuiteKind::ALL {
         print!("{:<14}", suite.name());
         for l1 in [4, 8, 16, 32, 64] {
-            let (m1, _) = run(suite, l1 * 1024, 1024 * 1024, Replacement::Lru);
+            let (m1, _) = run(suite, l1 * 1024, 1024 * 1024);
             print!("  {:>2}K:{m1:.3}", l1);
         }
         println!();
-    }
-
-    println!("\nreplacement policy effect (16K/1M, spec2000-like):");
-    for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
-        let (m1, m2) = run(SuiteKind::Spec2000, 16 * 1024, 1024 * 1024, policy);
-        println!("  {policy:?}: m1 = {m1:.4}, m2 = {m2:.4}");
     }
 }

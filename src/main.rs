@@ -1,7 +1,7 @@
 //! `nmcache` — reproduce the DATE 2005 experiments from the command line.
 
 use nmcache::analyze::{self, AnalyzeError};
-use nmcache::archsim::cache::{CacheParams, Replacement};
+use nmcache::archsim::cache::CacheParams;
 use nmcache::archsim::hierarchy::MultiLevel;
 use nmcache::archsim::trace::{
     read_trace, read_trace_binary, TraceError, TraceWorkload, BINARY_MAGIC,
@@ -414,13 +414,10 @@ fn run_study(which: Study, opts: &Options) -> Result<(), AppError> {
             };
             println!("{}: {} references", path.display(), trace.len());
             let mut workload = TraceWorkload::try_new(trace)?;
-            let mut h = MultiLevel::new(
-                vec![
-                    CacheParams::new(opts.l1_bytes, 64, 4)?,
-                    CacheParams::new(opts.l2_bytes, 64, 8)?,
-                ],
-                Replacement::Lru,
-            )?;
+            let mut h = MultiLevel::new(vec![
+                CacheParams::new(opts.l1_bytes, 64, 4)?,
+                CacheParams::new(opts.l2_bytes, 64, 8)?,
+            ])?;
             let n = (workload.len() as u64).max(1);
             for _ in 0..n {
                 h.access(workload.next_access());

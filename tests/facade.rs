@@ -31,7 +31,7 @@ fn core_types_are_send_sync() {
 fn simulators_are_send() {
     assert_send::<CacheSim>();
     assert_send::<MultiLevel>();
-    assert_send::<nmcache::archsim::DecaySim>();
+    assert_send::<CacheSim<true>>();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants, spanning crates.
 
-use nmcache::archsim::cache::{CacheParams, CacheSim, Replacement};
+use nmcache::archsim::cache::{CacheParams, CacheSim};
 use nmcache::archsim::Access;
 use nmcache::device::units::{Angstroms, Microns, Volts};
 use nmcache::device::{KnobPoint, Mosfet, TechnologyNode};
@@ -230,7 +230,7 @@ proptest! {
     ) {
         let params = CacheParams::new(8 * 1024, 64, 1 << ways_log2).unwrap();
         let run = || {
-            let mut sim = CacheSim::new(params, Replacement::Lru);
+            let mut sim = CacheSim::new(params);
             for &a in &addrs {
                 sim.access(Access::read(a));
             }
@@ -260,7 +260,7 @@ proptest! {
         let big = CacheParams::new(8 * 1024, 64, 4).unwrap();
         assert_eq!(small.sets(), big.sets());
         let run = |p: CacheParams| {
-            let mut sim = CacheSim::new(p, Replacement::Lru);
+            let mut sim = CacheSim::new(p);
             for &a in &addrs {
                 sim.access(Access::read(a));
             }
