@@ -24,7 +24,7 @@ use nm_archsim::cache::{CacheParams, CacheSim};
 use nm_archsim::workload::SuiteKind;
 use nm_device::units::{Joules, Seconds, Watts};
 use nm_device::KnobPoint;
-use nm_geometry::{ComponentId, ComponentKnobs, COMPONENT_IDS};
+use nm_geometry::{CacheMetrics, ComponentId, ComponentKnobs, COMPONENT_IDS};
 
 /// One technique's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,23 +92,42 @@ impl DecayStudy {
     /// [`StudyError::Simulator`] when the geometry is not a legal
     /// simulator shape.
     pub fn simulate_interval(&self, interval: u64) -> Result<DecayOutcome, StudyError> {
+        let [outcome] = self.simulate_intervals([interval])?;
+        Ok(outcome)
+    }
+
+    /// Simulates every interval of `intervals` on the study's cache
+    /// geometry, one decaying cache per interval, all fed from a single
+    /// pass over the workload's reference stream: each cache sees the
+    /// stream it would see alone.
+    fn simulate_intervals<const N: usize>(
+        &self,
+        intervals: [u64; N],
+    ) -> Result<[DecayOutcome; N], StudyError> {
         let config = self.study.circuit().config();
         let params = CacheParams::new(
             config.size_bytes(),
             config.block_bytes(),
             config.associativity(),
         )?;
-        let mut sim = CacheSim::with_decay(params, interval);
+        let mut sims = intervals.map(|interval| CacheSim::with_decay(params, interval));
         let mut workload = self.suite.build(2005);
         for _ in 0..self.sim_length {
-            sim.access(workload.next_access());
+            let access = workload.next_access();
+            for sim in &mut sims {
+                sim.access(access);
+            }
         }
-        let s = sim.decay_stats();
-        Ok(DecayOutcome {
-            interval,
-            alive_fraction: s.alive_fraction(),
-            decay_miss_rate: s.decay_miss_rate(),
-        })
+        let mut outcomes = [DecayOutcome::default(); N];
+        for ((outcome, sim), interval) in outcomes.iter_mut().zip(&sims).zip(intervals) {
+            let s = sim.decay_stats();
+            *outcome = DecayOutcome {
+                interval,
+                alive_fraction: s.alive_fraction(),
+                decay_miss_rate: s.decay_miss_rate(),
+            };
+        }
+        Ok(outcomes)
     }
 
     /// Picks the interval minimising `alive·array_leakage + refill power`
@@ -131,14 +150,8 @@ impl DecayStudy {
         Watts(decay_miss_rate * REFILL_ENERGY.0 / ACCESS_PERIOD.0)
     }
 
-    fn row(
-        &self,
-        name: &str,
-        knobs: &ComponentKnobs,
-        decay: Option<&DecayOutcome>,
-    ) -> TechniqueRow {
-        let circuit = self.study.circuit();
-        let metrics = circuit.analyze(knobs);
+    /// One technique's row, from the circuit's metrics at its knobs.
+    fn row(name: &str, metrics: &CacheMetrics, decay: Option<&DecayOutcome>) -> TechniqueRow {
         let array = metrics.component(ComponentId::MemoryArray).leakage.total();
         let periphery: Watts = COMPONENT_IDS
             .iter()
@@ -171,32 +184,20 @@ impl DecayStudy {
         };
 
         // Decay behaviour is knob-independent (intervals are in
-        // references), so each interval is simulated once; the *best*
-        // interval depends on the array leakage it is gating.
-        let mut outcomes = [DecayOutcome::default(); 5];
-        for (outcome, &interval) in outcomes.iter_mut().zip(&INTERVALS) {
-            *outcome = self.simulate_interval(interval)?;
-        }
-        let fast_metrics = self.study.circuit().analyze(&fastest);
-        let fast_array = fast_metrics
-            .component(ComponentId::MemoryArray)
-            .leakage
-            .total();
-        let opt_array = self
-            .study
-            .circuit()
-            .analyze(&optimum.knobs)
-            .component(ComponentId::MemoryArray)
-            .leakage
-            .total();
-        let decay_for_fast = Self::best_outcome(&outcomes, fast_array);
-        let decay_for_opt = Self::best_outcome(&outcomes, opt_array);
+        // references), so the intervals share one simulated stream; the
+        // *best* interval depends on the array leakage it is gating.
+        let outcomes = self.simulate_intervals(INTERVALS)?;
+        let fast = self.study.circuit().analyze(&fastest);
+        let opt = self.study.circuit().analyze(&optimum.knobs);
+        let array = |m: &CacheMetrics| m.component(ComponentId::MemoryArray).leakage.total();
+        let decay_for_fast = Self::best_outcome(&outcomes, array(&fast));
+        let decay_for_opt = Self::best_outcome(&outcomes, array(&opt));
 
         Ok(Some(vec![
-            self.row("performance process", &fastest, None),
-            self.row("decay only", &fastest, Some(&decay_for_fast)),
-            self.row("knobs only (Scheme II)", &optimum.knobs, None),
-            self.row("knobs + decay", &optimum.knobs, Some(&decay_for_opt)),
+            Self::row("performance process", &fast, None),
+            Self::row("decay only", &fast, Some(&decay_for_fast)),
+            Self::row("knobs only (Scheme II)", &opt, None),
+            Self::row("knobs + decay", &opt, Some(&decay_for_opt)),
         ]))
     }
 
@@ -315,6 +316,18 @@ mod tests {
         let s = study();
         let deadline = s.study().delay_sweep(5)[2];
         assert_eq!(s.to_table(deadline).expect("healthy build").len(), 4);
+    }
+
+    #[test]
+    fn one_stream_drives_each_interval_as_if_alone() {
+        let s = study();
+        let shared = s.simulate_intervals(INTERVALS).expect("legal geometry");
+        for (outcome, interval) in shared.iter().zip(INTERVALS) {
+            assert_eq!(
+                *outcome,
+                s.simulate_interval(interval).expect("legal geometry")
+            );
+        }
     }
 
     #[test]

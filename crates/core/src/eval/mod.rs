@@ -14,9 +14,10 @@
 //!   "optimal" means (a [`Deadline`](nm_opt::objective::Deadline) for the
 //!   iso-delay/iso-AMAT studies);
 //! * the [`Evaluator`] runs the pipeline, **memoizing** component metric
-//!   surfaces per `(circuit, component)` and Pareto fronts per spec, so
+//!   surfaces per `(circuit, component)` and merge bases per spec, so
 //!   each `(component, knob point)` is analysed exactly once no matter
-//!   how many schemes, deadlines or tuple restrictions ride on it.
+//!   how many schemes, deadlines or tuple restrictions ride on it, and a
+//!   solve resolves only the one front point it returns.
 //!
 //! Results are bit-identical to pricing each candidate by direct
 //! analysis: the circuit model is pure, so cached metrics equal freshly
@@ -108,9 +109,10 @@ impl Event {
     }
 }
 
-/// One memoized front: the spec it answers, the merged front served to
-/// queries, and the merge base later specs extend incrementally.
-type FrontEntry = (HierarchySpec, Arc<Vec<FrontPoint>>, Arc<MergeBase>);
+/// One memoized front: the spec it answers and its merge base, whose last
+/// layer is the front queries select on and whose layers later specs
+/// extend incrementally.
+type FrontEntry = (HierarchySpec, Arc<MergeBase>);
 
 /// The front memo: entries bucketed under [`FrontMemo::bucket`], so a
 /// lookup costs one `O(log n)` map probe plus one structural `==` per
@@ -151,22 +153,22 @@ impl FrontMemo {
             })
     }
 
-    /// The memoized front of `spec`, if any.
-    fn get(&self, spec: &HierarchySpec) -> Option<Arc<Vec<FrontPoint>>> {
+    /// The memoized merge base of `spec`, if any.
+    fn get(&self, spec: &HierarchySpec) -> Option<Arc<MergeBase>> {
         self.0
             .get(&Self::bucket(spec))?
             .iter()
-            .find(|(s, _, _)| s == spec)
-            .map(|(_, front, _)| Arc::clone(front))
+            .find(|(s, _)| s == spec)
+            .map(|(_, base)| Arc::clone(base))
     }
 
-    /// Memoizes `front` for `spec`; callers check [`get`](Self::get)
+    /// Memoizes `base` for `spec`; callers check [`get`](Self::get)
     /// first under the same write lock.
-    fn insert(&mut self, spec: &HierarchySpec, front: Arc<Vec<FrontPoint>>, base: MergeBase) {
+    fn insert(&mut self, spec: &HierarchySpec, base: Arc<MergeBase>) {
         self.0
             .entry(Self::bucket(spec))
             .or_default()
-            .push((spec.clone(), front, Arc::new(base)));
+            .push((spec.clone(), base));
     }
 
     /// Every memoized merge base, for incremental merges to extend.
@@ -174,7 +176,7 @@ impl FrontMemo {
         self.0
             .values()
             .flatten()
-            .map(|(_, _, base)| Arc::clone(base))
+            .map(|(_, base)| Arc::clone(base))
             .collect()
     }
 }
@@ -500,18 +502,14 @@ impl Evaluator {
             .collect()
     }
 
-    /// The system Pareto front of a spec, memoized per spec. A failed
-    /// build memoizes nothing — neither the rejected surface nor the
-    /// front — so a later retry starts from a clean cache.
-    ///
-    /// # Errors
-    ///
-    /// Any error from [`try_ensure_surfaces`](Self::try_ensure_surfaces).
-    pub fn try_front(&self, spec: &HierarchySpec) -> Result<Arc<Vec<FrontPoint>>, StudyError> {
+    /// The merge base of a spec's system Pareto front, memoized per spec.
+    /// A failed build memoizes nothing — neither the rejected surface nor
+    /// the base — so a later retry starts from a clean cache.
+    fn try_base(&self, spec: &HierarchySpec) -> Result<Arc<MergeBase>, StudyError> {
         let _span = nm_telemetry::span(crate::names::EVAL_FRONT);
-        if let Some(front) = self.cached_front(spec) {
+        if let Some(base) = self.cached_base(spec) {
             self.record(Event::FrontHit, 1);
-            return Ok(front);
+            return Ok(base);
         }
         let groups = self.try_groups(spec)?;
         // Offer every cached spec's merge base: a spec sharing a group
@@ -524,17 +522,17 @@ impl Evaluator {
             .bases();
         let (base, reused) = MergeBase::try_new_with_bases(&groups, bases.iter().map(Arc::as_ref))?;
         self.record_merge(&base, reused);
-        let front = Arc::new(base.front());
         let mut fronts = self
             .fronts
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // Keep the first-stored front if another thread raced us there —
-        // both are bit-identical, but callers may compare Arc pointers.
+        // Keep the first-stored base if another thread raced us there;
+        // both are bit-identical.
         if let Some(existing) = fronts.get(spec) {
             return Ok(existing);
         }
-        fronts.insert(spec, Arc::clone(&front), base);
+        let base = Arc::new(base);
+        fronts.insert(spec, Arc::clone(&base));
         self.record(Event::FrontBuilt, 1);
         // Hierarchy shape of this run, for `--metrics` reports: depth per
         // freshly-built front plus the per-level technology mix.
@@ -544,7 +542,24 @@ impl Evaluator {
                 nm_telemetry::counter_inc(&format!("device.tech.{}", level.technology().name));
             }
         }
-        Ok(front)
+        Ok(base)
+    }
+
+    /// The system Pareto front of a spec, every point resolved from its
+    /// memoized merge base. The base is memoized; the resolved front is
+    /// built on each call and never kept, so a caller that reads one
+    /// optimum should use [`try_solve`](Self::try_solve) instead.
+    ///
+    /// # Errors
+    ///
+    /// Any error from [`try_ensure_surfaces`](Self::try_ensure_surfaces).
+    pub fn try_front(&self, spec: &HierarchySpec) -> Result<Arc<Vec<FrontPoint>>, StudyError> {
+        let base = self.try_base(spec)?;
+        nm_telemetry::counter_add(
+            crate::names::FRONT_POINTS_RESOLVED,
+            base.delays().len() as u64,
+        );
+        Ok(Arc::new(base.front()))
     }
 
     /// Tallies one merge: the layers it reused from a cached base and the
@@ -558,7 +573,7 @@ impl Evaluator {
         }
     }
 
-    fn cached_front(&self, spec: &HierarchySpec) -> Option<Arc<Vec<FrontPoint>>> {
+    fn cached_base(&self, spec: &HierarchySpec) -> Option<Arc<MergeBase>> {
         self.fronts
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -567,7 +582,8 @@ impl Evaluator {
 
     /// Reads a constrained optimum off the spec's (memoized) front:
     /// `Ok(None)` means the constraint is infeasible; `Err` means
-    /// evaluation itself failed.
+    /// evaluation itself failed. The constraint selects on the front's
+    /// delay and cost columns, and only the winning point is resolved.
     ///
     /// # Errors
     ///
@@ -578,10 +594,9 @@ impl Evaluator {
         constraint: &C,
     ) -> Result<Option<Solution>, StudyError> {
         let _span = nm_telemetry::span(crate::names::EVAL_SOLVE);
-        let front = self.try_front(spec)?;
-        constraint
-            .select(&front)
-            .map(|point| self.try_solution(spec, point))
+        let base = self.try_base(spec)?;
+        select(constraint, &base)
+            .map(|i| solution(spec, &base, i))
             .transpose()
     }
 
@@ -596,7 +611,8 @@ impl Evaluator {
     ///
     /// The spec is priced once per call. Restricted fronts are not
     /// memoized — value-set families are exponentially large — but the
-    /// metric surfaces they re-price are.
+    /// metric surfaces they re-price are. Each set's optimum is selected
+    /// on its merged columns, and only the family's winner is resolved.
     ///
     /// # Errors
     ///
@@ -610,7 +626,8 @@ impl Evaluator {
         constraint: &C,
     ) -> Result<Option<Solution>, StudyError> {
         let groups = self.try_groups(spec)?;
-        let mut best: Option<FrontPoint> = None;
+        // The cheapest optimum so far: its cost, its base and its index.
+        let mut best: Option<(f64, MergeBase, usize)> = None;
         for &(vths, toxes) in value_sets {
             let restricted: Option<Vec<Group>> =
                 groups.iter().map(|g| g.restricted(vths, toxes)).collect();
@@ -619,29 +636,35 @@ impl Evaluator {
             };
             let base = MergeBase::try_new(&restricted)?;
             self.record_merge(&base, 0);
-            let front = base.front();
-            if let Some(point) = constraint.select(&front) {
-                if best.as_ref().is_none_or(|b| point.cost < b.cost) {
-                    best = Some(point.clone());
+            if let Some(i) = select(constraint, &base) {
+                let cost = base.costs()[i];
+                if best.as_ref().is_none_or(|(b, _, _)| cost < *b) {
+                    best = Some((cost, base, i));
                 }
             }
         }
-        best.map(|point| self.try_solution(spec, &point))
+        best.map(|(_, base, i)| solution(spec, &base, i))
             .transpose()
     }
+}
 
-    fn try_solution(
-        &self,
-        spec: &HierarchySpec,
-        point: &FrontPoint,
-    ) -> Result<Solution, StudyError> {
-        Ok(Solution {
-            delay: point.delay,
-            cost: point.cost,
-            choice: point.choice.clone(),
-            knobs: spec.try_knobs_from_choice(&point.choice)?,
-        })
-    }
+/// The index `constraint` selects on `base`'s front columns.
+fn select<C: Constraint>(constraint: &C, base: &MergeBase) -> Option<usize> {
+    let (delays, costs) = (base.delays(), base.costs());
+    constraint.select_index(delays.len(), |i| delays[i], |i| costs[i])
+}
+
+/// The solution at front point `i` of `base`: the one point a solve
+/// resolves (and counts).
+fn solution(spec: &HierarchySpec, base: &MergeBase, i: usize) -> Result<Solution, StudyError> {
+    nm_telemetry::counter_inc(crate::names::FRONT_POINTS_RESOLVED);
+    let point = base.point(i);
+    Ok(Solution {
+        knobs: spec.try_knobs_from_choice(&point.choice)?,
+        delay: point.delay,
+        cost: point.cost,
+        choice: point.choice,
+    })
 }
 
 impl Clone for Evaluator {
@@ -707,9 +730,10 @@ mod tests {
         );
         let a = e.try_front(&spec).expect("healthy build");
         let b = e.try_front(&spec).expect("healthy build");
-        assert!(Arc::ptr_eq(&a, &b));
+        // The second call hit the memo and resolved the same front.
         assert_eq!(e.stats().fronts_built, 1);
         assert_eq!(e.stats().front_hits, 1);
+        assert_eq!(a, b);
         // A different weight is a different spec.
         let other = HierarchySpec::single(
             circuit(16 * 1024),
@@ -718,8 +742,9 @@ mod tests {
             CostKind::LeakagePower,
         );
         let c = e.try_front(&other).expect("healthy build");
-        assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(e.stats().fronts_built, 2);
+        assert_eq!(e.stats().front_hits, 1);
+        assert_ne!(a, c);
     }
 
     #[test]
@@ -1078,9 +1103,10 @@ mod tests {
             );
             let fa = e.try_front(&a).expect("healthy build");
             let fb = e.try_front(&b).expect("healthy build");
-            assert!(Arc::ptr_eq(&fa, &fb), "{first} vs {second}");
-            assert_eq!(e.stats().fronts_built, 1);
-            assert_eq!(e.stats().front_hits, 1);
+            // The second spec hit the first one's entry.
+            assert_eq!(e.stats().fronts_built, 1, "{first} vs {second}");
+            assert_eq!(e.stats().front_hits, 1, "{first} vs {second}");
+            assert_eq!(fa, fb, "{first} vs {second}");
         }
     }
 
@@ -1100,25 +1126,19 @@ mod tests {
         let f_base = e.try_front(&base).expect("healthy build");
         let f_relabelled = e.try_front(&relabelled).expect("healthy build");
         let f_heated = e.try_front(&heated).expect("healthy build");
+        // No spec hit another's entry.
         assert_eq!(e.stats().fronts_built, 3);
         assert_eq!(e.stats().front_hits, 0);
-        assert!(!Arc::ptr_eq(&f_base, &f_relabelled));
-        assert!(!Arc::ptr_eq(&f_base, &f_heated));
         // Leakage rises with temperature, so the heated front differs.
         assert_ne!(*f_base, *f_heated);
-        // Each spec then hits its own entry.
-        assert!(Arc::ptr_eq(
-            &e.try_front(&base).expect("healthy build"),
-            &f_base
-        ));
-        assert!(Arc::ptr_eq(
-            &e.try_front(&relabelled).expect("healthy build"),
-            &f_relabelled
-        ));
-        assert!(Arc::ptr_eq(
-            &e.try_front(&heated).expect("healthy build"),
-            &f_heated
-        ));
+        // Each spec then hits an entry holding its own front.
+        for (spec, front) in [
+            (&base, &f_base),
+            (&relabelled, &f_relabelled),
+            (&heated, &f_heated),
+        ] {
+            assert_eq!(e.try_front(spec).expect("healthy build"), *front);
+        }
         assert_eq!(e.stats().fronts_built, 3);
         assert_eq!(e.stats().front_hits, 3);
     }

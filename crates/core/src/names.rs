@@ -10,7 +10,8 @@
 
 /// Span: one `try_ensure_surfaces` bulk build.
 pub const EVAL_ENSURE_SURFACES: &str = "eval.ensure_surfaces";
-/// Span: one `try_front` evaluation.
+/// Span: one memoized front lookup or build (inside `try_front` and
+/// `try_solve`).
 pub const EVAL_FRONT: &str = "eval.front";
 /// Span: one `try_solve` constrained query.
 pub const EVAL_SOLVE: &str = "eval.solve";
@@ -32,6 +33,9 @@ pub const EVAL_FRONT_BUILT: &str = "eval.front_built";
 pub const FRONT_MERGE_INCREMENTAL: &str = "front.merge.incremental";
 /// Counter: heap pops spent merging the layers that were not reused.
 pub const FRONT_MERGE_HEAP_POPS: &str = "front.merge.heap_pops";
+/// Counter: front points resolved from merge bases — one per solve, a
+/// whole front per `try_front`.
+pub const FRONT_POINTS_RESOLVED: &str = "front.points_resolved";
 /// Counter: hierarchy levels across freshly built fronts.
 pub const EVAL_LEVELS: &str = "eval.levels";
 /// Counter: cells in the campaign's cross product.

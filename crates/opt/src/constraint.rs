@@ -1,35 +1,20 @@
 //! Reading constrained optima off a Pareto front.
 
 use crate::merge::FrontPoint;
+use crate::objective::{Constraint, CostBudget, Deadline};
 
-/// Returns the cheapest front point whose delay meets the deadline, or
-/// `None` when the deadline is infeasible (tighter than the fastest
-/// point).
-///
-/// `front` must be sorted by non-decreasing delay with non-increasing
-/// cost, as produced by [`crate::pareto::prune`] and
-/// [`crate::merge::MergeBase::front`]. On such a front `delay <= deadline`
-/// holds for a prefix and fails for the rest (a NaN deadline fails it
-/// everywhere), so the binary search lands on the same point as a walk
-/// that stops at the first too-slow point: the last point of the
-/// feasible prefix, which is the cheapest feasible one. `O(log n)`.
+/// The cheapest point of `front` whose delay meets the deadline, or
+/// `None` when the deadline is infeasible: [`Deadline`]'s rule read off a
+/// slice. `O(log n)`.
 pub fn best_under_deadline(front: &[FrontPoint], deadline: f64) -> Option<&FrontPoint> {
-    let feasible = front.partition_point(|p| p.delay <= deadline);
-    feasible.checked_sub(1).map(|last| &front[last])
+    Deadline(deadline).select(front)
 }
 
-/// Returns the fastest front point whose cost is at most `budget`, or
-/// `None` when no point is cheap enough (the dual query).
-///
-/// Same precondition as [`best_under_deadline`]: on a cost-non-increasing
-/// front `cost > budget` holds for a prefix, so the first point past it
-/// is the first affordable one, the point a front-to-back scan finds.
-/// That point is still checked against `budget`, which keeps a NaN
-/// budget (where the prefix is empty but nothing is affordable)
-/// infeasible. `O(log n)`.
+/// The fastest point of `front` whose cost is at most `budget`, or `None`
+/// when no point is cheap enough: [`CostBudget`]'s rule read off a
+/// slice. `O(log n)`.
 pub fn fastest_under_budget(front: &[FrontPoint], budget: f64) -> Option<&FrontPoint> {
-    let too_dear = front.partition_point(|p| p.cost > budget);
-    front.get(too_dear).filter(|p| p.cost <= budget)
+    CostBudget(budget).select(front)
 }
 
 /// Evenly spaced feasible deadlines across a front's delay range
@@ -148,6 +133,46 @@ mod tests {
                     ),
                     "budget {budget} on {front:?}"
                 );
+            }
+        }
+    }
+
+    /// The index in `front` of a point a linear scan found.
+    fn index_of(front: &[FrontPoint], found: Option<&FrontPoint>) -> Option<usize> {
+        found.and_then(|p| front.iter().position(|q| std::ptr::eq(p, q)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each constraint's index rule, read on separate delay and cost
+        /// columns, and its slice adapter pick the point the linear scans
+        /// pick, over the same tied pool and limits.
+        #[test]
+        fn index_rules_and_the_select_adapter_match_the_linear_scans(
+            raw in prop::collection::vec((0usize..POOL.len(), 0usize..POOL.len()), 0..24),
+        ) {
+            let front = tied_front(&raw);
+            let delays: Vec<f64> = front.iter().map(|p| p.delay).collect();
+            let costs: Vec<f64> = front.iter().map(|p| p.cost).collect();
+            let (delay_at, cost_at) = (|i: usize| delays[i], |i: usize| costs[i]);
+            for deadline in limits(delays.clone()) {
+                let want = best_under_deadline_linear(&front, deadline);
+                let index = index_of(&front, want);
+                prop_assert_eq!(
+                    Deadline(deadline).select_index(front.len(), delay_at, cost_at),
+                    index
+                );
+                prop_assert!(same(Deadline(deadline).select(&front), want), "deadline {deadline}");
+            }
+            for budget in limits(costs.iter().rev().copied().collect()) {
+                let want = fastest_under_budget_linear(&front, budget);
+                let index = index_of(&front, want);
+                prop_assert_eq!(
+                    CostBudget(budget).select_index(front.len(), delay_at, cost_at),
+                    index
+                );
+                prop_assert!(same(CostBudget(budget).select(&front), want), "budget {budget}");
             }
         }
     }

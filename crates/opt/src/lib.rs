@@ -17,7 +17,8 @@
 //!   for any delay constraint;
 //! * [`mod@objective`] names the [`Constraint`](objective::Constraint)
 //!   role every solver consumes — studies describe *what* they optimise,
-//!   never *how*;
+//!   never *how* — and states each constraint's rule once, by binary
+//!   search over a front addressed by index;
 //! * [`mod@tuple`] enumerates the value sets of the paper's Figure 2
 //!   (`nTox`, `nVth`) restrictions, which the evaluation engine solves
 //!   over with [`Group::restricted`];

@@ -58,9 +58,11 @@
 //! reports the pops.
 //!
 //! Survivors carry only a predecessor index into the previous merged
-//! layer; per-point knob `choice` vectors are resolved once at the end by
-//! walking the predecessor links ([`MergeBase::front`]), not cloned on
-//! every keep.
+//! layer; a point's knob `choice` vector is resolved on demand by
+//! walking the predecessor links ([`MergeBase::point`]), not cloned on
+//! every keep. A constraint selects on the last layer's columns
+//! ([`MergeBase::delays`], [`MergeBase::costs`]), so a solve resolves
+//! only the point it returns.
 //!
 //! ## Incremental re-merge
 //!
@@ -124,6 +126,7 @@ impl Layer {
         }
     }
 
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.delay.len()
     }
@@ -381,35 +384,49 @@ impl MergeBase {
         self.heap_pops
     }
 
-    /// Resolves the final layer into owned [`FrontPoint`]s by walking the
-    /// predecessor links — the only place `choice` vectors are built.
+    /// The merged front's delays, strictly ascending: the last layer's
+    /// delay column.
+    pub fn delays(&self) -> &[f64] {
+        // A base always holds at least one layer (constructors reject
+        // empty systems); an empty one reads as an empty front.
+        self.layers.last().map_or(&[], |last| &last.delay)
+    }
+
+    /// The merged front's costs, strictly descending, index for index
+    /// with [`delays`](Self::delays).
+    pub fn costs(&self) -> &[f64] {
+        self.layers.last().map_or(&[], |last| &last.cost)
+    }
+
+    /// Resolves front point `i` into an owned [`FrontPoint`] by walking
+    /// the predecessor links back through every layer, `O(groups)` —
+    /// the only place `choice` vectors are built. `choice[g]` is the knob
+    /// pair selected for group `g`.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below `delays().len()`.
+    pub fn point(&self, i: usize) -> FrontPoint {
+        let mut choice = vec![KnobPoint::nominal(); self.layers.len()];
+        let mut idx = i;
+        for (slot, layer) in choice.iter_mut().zip(&self.layers).rev() {
+            *slot = layer.knobs[idx];
+            idx = layer.prev[idx] as usize;
+        }
+        FrontPoint {
+            delay: self.delays()[i],
+            cost: self.costs()[i],
+            choice,
+        }
+    }
+
+    /// Every point of the merged front, resolved with
+    /// [`point`](Self::point).
     ///
     /// The exact Pareto front of the merged system: its points strictly
-    /// ascend in delay and strictly descend in cost, and each point's
-    /// `choice[i]` is the knob pair selected for group `i`.
+    /// ascend in delay and strictly descend in cost.
     pub fn front(&self) -> Vec<FrontPoint> {
-        let n_groups = self.layers.len();
-        // A base always holds at least one layer (constructors reject
-        // empty systems); an empty one yields an empty front.
-        let Some(last) = self.layers.last() else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity(last.len());
-        for p in 0..last.len() {
-            let mut choice = vec![KnobPoint::nominal(); n_groups];
-            let mut idx = p;
-            for k in (0..n_groups).rev() {
-                let layer = &self.layers[k];
-                choice[k] = layer.knobs[idx];
-                idx = layer.prev[idx] as usize;
-            }
-            out.push(FrontPoint {
-                delay: last.delay[p],
-                cost: last.cost[p],
-                choice,
-            });
-        }
-        out
+        (0..self.delays().len()).map(|i| self.point(i)).collect()
     }
 }
 
@@ -516,6 +533,49 @@ mod tests {
             .map(|layer| layer.len())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The whole-front resolver `point` replaced: one backward walk over
+    /// the predecessor links per point of the last layer.
+    fn oracle_front(base: &MergeBase) -> Vec<FrontPoint> {
+        let last = &base.layers[base.layers.len() - 1];
+        (0..last.len())
+            .map(|p| {
+                let mut choice = vec![KnobPoint::nominal(); base.layers.len()];
+                let mut idx = p;
+                for k in (0..base.layers.len()).rev() {
+                    choice[k] = base.layers[k].knobs[idx];
+                    idx = base.layers[k].prev[idx] as usize;
+                }
+                FrontPoint {
+                    delay: last.delay[p],
+                    cost: last.cost[p],
+                    choice,
+                }
+            })
+            .collect()
+    }
+
+    /// A front point with its metrics as raw bits.
+    fn point_bits(p: &FrontPoint) -> (u64, u64, Vec<KnobPoint>) {
+        (p.delay.to_bits(), p.cost.to_bits(), p.choice.clone())
+    }
+
+    /// Asserts `point(i)` and `front()[i]` both equal the whole-front
+    /// oracle's point `i`, bit for bit, at every index.
+    fn assert_points_match_the_oracle(groups: &[Group]) {
+        let base = MergeBase::try_new(groups).expect("non-empty system");
+        let want = oracle_front(&base);
+        let front = base.front();
+        assert_eq!(front.len(), want.len());
+        assert_eq!(base.delays().len(), want.len());
+        assert_eq!(base.costs().len(), want.len());
+        for (i, want) in want.iter().enumerate() {
+            assert_eq!(point_bits(&base.point(i)), point_bits(want), "point {i}");
+            assert_eq!(point_bits(&front[i]), point_bits(want), "front[{i}]");
+            assert_eq!(base.delays()[i].to_bits(), want.delay.to_bits());
+            assert_eq!(base.costs()[i].to_bits(), want.cost.to_bits());
+        }
     }
 
     /// A distinct knob for each `i` below 279 (the paper's 31 × 9 grid).
@@ -687,6 +747,17 @@ mod tests {
         #[test]
         fn merge_matches_the_oracle_on_colliding_fronts(groups in arb_colliding_system()) {
             assert_matches_oracle(&groups);
+        }
+
+        /// Resolving one point equals resolving the whole front, at every
+        /// index, bit for bit, on spread and on colliding fronts.
+        #[test]
+        fn point_matches_the_whole_front_resolver(
+            spread in arb_spread_system(),
+            colliding in arb_colliding_system(),
+        ) {
+            assert_points_match_the_oracle(&spread);
+            assert_points_match_the_oracle(&colliding);
         }
     }
 

@@ -5,20 +5,52 @@
 //! system Pareto front — a delay [`Deadline`] for the iso-delay/iso-AMAT
 //! studies, a [`CostBudget`] for the dual query. The evaluation engine
 //! reads every optimum (restricted or not) through
-//! [`Constraint::select`], so a new study only has to describe *what* it
-//! optimises, never *how*.
+//! [`Constraint::select_index`] on the merged front's columns, so a new
+//! study only has to describe *what* it optimises, never *how*.
 
-use crate::constraint::{best_under_deadline, fastest_under_budget};
 use crate::merge::FrontPoint;
+
+/// The first index in `0..len` at which `pred` fails, for a `pred` that
+/// holds on a prefix of the indices and fails on the rest — the index
+/// form of `slice::partition_point`, for fronts addressed by index. On
+/// such a predicate every binary search lands on the same index.
+fn partition_point(len: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
 
 /// Selects the optimal point of a system Pareto front.
 ///
-/// `front` is sorted by ascending delay with descending cost, as produced
-/// by [`crate::merge::MergeBase::front`].
+/// A front is sorted by ascending delay with descending cost, as
+/// [`crate::merge::MergeBase`] produces it. Each constraint states its
+/// rule once, over a front addressed by index
+/// ([`select_index`](Self::select_index)); [`select`](Self::select)
+/// reads that rule off a slice of resolved points.
 pub trait Constraint: Sync {
+    /// The index of the optimal feasible point on a front of `len`
+    /// points whose delay and cost at index `i` are `delay_at(i)` and
+    /// `cost_at(i)`, or `None` when the constraint is infeasible.
+    fn select_index(
+        &self,
+        len: usize,
+        delay_at: impl Fn(usize) -> f64,
+        cost_at: impl Fn(usize) -> f64,
+    ) -> Option<usize>;
+
     /// The optimal feasible front point, or `None` when the constraint is
     /// infeasible.
-    fn select<'a>(&self, front: &'a [FrontPoint]) -> Option<&'a FrontPoint>;
+    fn select<'a>(&self, front: &'a [FrontPoint]) -> Option<&'a FrontPoint> {
+        self.select_index(front.len(), |i| front[i].delay, |i| front[i].cost)
+            .map(|i| &front[i])
+    }
 }
 
 /// Minimise cost subject to `total delay ≤ deadline` (iso-delay and
@@ -27,8 +59,20 @@ pub trait Constraint: Sync {
 pub struct Deadline(pub f64);
 
 impl Constraint for Deadline {
-    fn select<'a>(&self, front: &'a [FrontPoint]) -> Option<&'a FrontPoint> {
-        best_under_deadline(front, self.0)
+    /// The cheapest point whose delay meets the deadline: on a front
+    /// sorted by non-decreasing delay with non-increasing cost,
+    /// `delay <= deadline` holds for a prefix and fails for the rest (a
+    /// NaN deadline fails it everywhere), so the binary search lands on
+    /// the same point as a walk that stops at the first too-slow point:
+    /// the last point of the feasible prefix, which is the cheapest
+    /// feasible one. `O(log n)`.
+    fn select_index(
+        &self,
+        len: usize,
+        delay_at: impl Fn(usize) -> f64,
+        _cost_at: impl Fn(usize) -> f64,
+    ) -> Option<usize> {
+        partition_point(len, |i| delay_at(i) <= self.0).checked_sub(1)
     }
 }
 
@@ -37,8 +81,20 @@ impl Constraint for Deadline {
 pub struct CostBudget(pub f64);
 
 impl Constraint for CostBudget {
-    fn select<'a>(&self, front: &'a [FrontPoint]) -> Option<&'a FrontPoint> {
-        fastest_under_budget(front, self.0)
+    /// The fastest point whose cost is at most the budget: on a
+    /// cost-non-increasing front `cost > budget` holds for a prefix, so
+    /// the first point past it is the first affordable one, the point a
+    /// front-to-back scan finds. That point is still checked against the
+    /// budget, which keeps a NaN budget (where the prefix is empty but
+    /// nothing is affordable) infeasible. `O(log n)`.
+    fn select_index(
+        &self,
+        len: usize,
+        _delay_at: impl Fn(usize) -> f64,
+        cost_at: impl Fn(usize) -> f64,
+    ) -> Option<usize> {
+        let too_dear = partition_point(len, |i| cost_at(i) > self.0);
+        (too_dear < len && cost_at(too_dear) <= self.0).then_some(too_dear)
     }
 }
 
